@@ -41,7 +41,7 @@ from .estimators import (
 )
 from .experiments import (
     DetectionOutcome,
-    prepare_experiment,
+    prepare_validation,
     run_backdoor_detection,
     run_experiment_training,
     run_noisy_detection,
@@ -197,16 +197,16 @@ def _cmd_value_replay(args: argparse.Namespace) -> int:
 
     def body() -> dict[str, Any]:
         records, layout = load_round_records(snapshots)
-        prepared = prepare_experiment(cfg)
-        if layout != prepared.layout:
+        configured_layout, validation = prepare_validation(cfg)
+        if layout != configured_layout:
             raise ConfigError(
                 "snapshot layout does not match the configured model/dataset"
             )
         report = value_rounds(
             records,
             layout,
-            prepared.validation.features,
-            prepared.validation.labels,
+            validation.features,
+            validation.labels,
             cfg.valuation.method,
             approx=cfg.valuation.approx,
             seed=cfg.seed,

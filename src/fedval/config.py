@@ -364,6 +364,12 @@ def _parse_training(node: Any, path: str) -> TrainingSpec:
         raise ConfigError(f"{path}.hidden_units: mlp model needs at least 1")
     if model == "logistic" and hidden_units != 0:
         raise ConfigError(f"{path}.hidden_units: logistic model takes none")
+    init_scale = _as_float(doc.get("init_scale", 0.0), f"{path}.init_scale", minimum=0.0)
+    if model == "mlp" and init_scale == 0.0:
+        raise ConfigError(
+            f"{path}.init_scale: mlp model needs a positive init_scale; from an "
+            f"all-zero start only the output bias receives gradient, so it never learns"
+        )
     return TrainingSpec(
         rounds=_as_int(_require(doc, "rounds", path), f"{path}.rounds", minimum=1),
         participant_fraction=_as_float(
@@ -387,7 +393,7 @@ def _parse_training(node: Any, path: str) -> TrainingSpec:
         ),
         model=model,
         hidden_units=hidden_units,
-        init_scale=_as_float(doc.get("init_scale", 0.0), f"{path}.init_scale", minimum=0.0),
+        init_scale=init_scale,
         metric=_as_str(doc.get("metric", "accuracy"), f"{path}.metric", METRICS),
     )
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -26,7 +27,15 @@ from .estimators import (
     permutation_sample_count,
     permutation_sampling_round,
 )
-from .models import ModelLayout, accuracy, init_params, loss_and_gradient, mean_cross_entropy
+from .models import (
+    ModelLayout,
+    accuracy,
+    accuracy_from_logits,
+    init_params,
+    logits,
+    loss_and_gradient,
+    mean_cross_entropy,
+)
 from .seeding import substream
 from .values import (
     SUBSET_ENUMERATION_CAP,
@@ -182,6 +191,13 @@ class RoundOracle:
     the last queried round, which is resolved against that round's
     stored updates (no retraining). Results are cached, which is safe
     because evaluation is deterministic.
+
+    The empty subset is the stored incoming model and the full subset the
+    stored outgoing one. Logits of a logistic model are affine in its
+    parameters, so a proper subset's logits are the mean of its members'
+    logits: those are computed once per round, kept only while that round
+    is queried, and summed in ascending id order. The MLP averages the
+    members' parameters instead.
     """
 
     def __init__(
@@ -210,6 +226,8 @@ class RoundOracle:
         self._metric = metric
         self._realized = tuple(frozenset(r.selected) for r in self._records)
         self._cache: dict[tuple[int, frozenset[int]], float] = {}
+        self._logits_round: int | None = None
+        self._member_logits: dict[int, np.ndarray] = {}
         self.range_bound = 1.0
 
     @property
@@ -237,12 +255,39 @@ class RoundOracle:
         key = (t, subset)
         value = self._cache.get(key)
         if value is None:
-            params = aggregate_subset(self._records[t], subset)
-            value = evaluate_utility(
-                self._layout, params, self._features, self._labels, self._metric
-            )
+            value = self._utility(t, subset)
             self._cache[key] = value
         return value
+
+    def _utility(self, t: int, subset: frozenset[int]) -> float:
+        record = self._records[t]
+        if not subset:
+            params = record.global_before
+        elif subset == self._realized[t]:
+            params = record.global_after
+        elif self._layout.arch == "logistic":
+            return self._averaged_logits_accuracy(t, subset)
+        else:
+            params = aggregate_subset(record, subset)
+        return evaluate_utility(
+            self._layout, params, self._features, self._labels, self._metric
+        )
+
+    def _averaged_logits_accuracy(self, t: int, subset: frozenset[int]) -> float:
+        if self._logits_round != t:
+            # Release the previous round's logits before computing these.
+            self._logits_round, self._member_logits = None, {}
+            self._member_logits = {
+                pid: logits(self._layout, update, self._features)
+                for pid, update in self._records[t].updates.items()
+            }
+            self._logits_round = t
+        members = sorted(subset)
+        averaged = self._member_logits[members[0]].copy()
+        for pid in members[1:]:
+            averaged += self._member_logits[pid]
+        averaged /= len(members)
+        return accuracy_from_logits(averaged, self._labels)
 
 
 def make_round_oracle(
@@ -478,15 +523,37 @@ def save_round_records(
             np.save(fh, record.global_after, allow_pickle=False)
 
 
+def _snapshot_index(path: Path) -> int:
+    match = re.fullmatch(r"round_(\d+)\.fvr", path.name)
+    if match is None:
+        raise SnapshotFormatError(f"{path}: not a round snapshot file name")
+    return int(match.group(1))
+
+
+def _bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def load_round_records(directory: str | Path) -> tuple[list[RoundRecord], ModelLayout]:
-    """Load a snapshot directory and verify aggregation consistency."""
+    """Load a snapshot directory and verify that its rounds form one run.
+
+    Round indices must run from 0 without gaps and agree with each
+    file's header, every stored aggregate must match its updates, and
+    every incoming model must be bitwise the previous round's outcome.
+    Each failure names the offending file.
+    """
     directory = Path(directory)
-    paths = sorted(directory.glob("round_*.fvr"))
+    paths = sorted(directory.glob("round_*.fvr"), key=_snapshot_index)
     if not paths:
         raise SnapshotFormatError(f"{directory}: no round snapshots found")
     records: list[RoundRecord] = []
     layout: ModelLayout | None = None
-    for path in paths:
+    for position, path in enumerate(paths):
+        if _snapshot_index(path) != position:
+            raise SnapshotFormatError(
+                f"{path}: expected round {position}; round indices must be "
+                f"contiguous from 0"
+            )
         with open(path, "rb") as fh:
             magic = fh.read(len(SNAPSHOT_MAGIC))
             if magic != SNAPSHOT_MAGIC:
@@ -495,6 +562,11 @@ def load_round_records(directory: str | Path) -> tuple[list[RoundRecord], ModelL
             if header.get("format_version") != 1:
                 raise SnapshotFormatError(
                     f"{path}: unsupported format version {header.get('format_version')}"
+                )
+            if header.get("round_index") != position:
+                raise SnapshotFormatError(
+                    f"{path}: header round_index {header.get('round_index')!r} "
+                    f"does not match the file name"
                 )
             file_layout = ModelLayout.from_dict(header["layout"])
             if layout is None:
@@ -512,9 +584,14 @@ def load_round_records(directory: str | Path) -> tuple[list[RoundRecord], ModelL
             raise SnapshotFormatError(
                 f"{path}: stored aggregate disagrees with the stored updates"
             )
+        if records and not _bitwise_equal(records[-1].global_after, global_before):
+            raise SnapshotFormatError(
+                f"{path}: incoming model is not the previous round's outcome; "
+                f"the snapshots do not come from one run"
+            )
         records.append(
             RoundRecord(
-                round_index=int(header["round_index"]),
+                round_index=position,
                 global_before=global_before,
                 selected=selected,
                 updates={pid: stacked[i] for i, pid in enumerate(selected)},

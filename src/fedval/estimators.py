@@ -16,7 +16,7 @@ from typing import Collection, Iterable
 
 import numpy as np
 
-from .values import UtilityOracle, ValueVector, as_history
+from .values import RoundUtility, UtilityOracle, ValueVector
 
 
 @dataclass(frozen=True)
@@ -120,27 +120,6 @@ def _as_generator(seed: int | np.random.Generator) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-class _CachedRoundUtility:
-    """Memoized utility of ``history + subset`` keyed by subset bitmask."""
-
-    def __init__(self, oracle: UtilityOracle, history, ids: list[int]) -> None:
-        self._oracle = oracle
-        self._history = as_history(history)
-        self._ids = ids
-        self._cache: dict[int, float] = {}
-
-    def __call__(self, mask: int) -> float:
-        value = self._cache.get(mask)
-        if value is None:
-            ids = self._ids
-            block = frozenset(
-                ids[b] for b in range(len(ids)) if mask >> b & 1
-            )
-            value = self._oracle.evaluate((*self._history, block))
-            self._cache[mask] = value
-        return value
-
-
 def permutation_sampling_round(
     oracle: UtilityOracle,
     history: Iterable[Collection[int]],
@@ -169,25 +148,31 @@ def permutation_sampling_round(
     orderings = rng.permuted(
         np.tile(np.arange(m), (sample_count, 1)), axis=1
     )
-    utility = _CachedRoundUtility(oracle, history, ids)
-    acc = np.zeros(m, dtype=np.float64)
-    completed = 0
+    # Column j of a row is the mask of the ordering's first j participants.
+    prefixes = np.zeros((sample_count, m + 1), dtype=np.int64)
+    np.cumsum(1 << orderings, axis=1, out=prefixes[:, 1:])
+    distinct, first, inverse = np.unique(
+        prefixes.ravel(), return_index=True, return_inverse=True
+    )
+    by_appearance = np.argsort(first)
+    utility = RoundUtility(oracle, history, ids)
+    utilities = np.empty(len(distinct), dtype=np.float64)
     try:
-        base = utility(0)
-        for row in orderings:
-            mask = 0
-            previous = base
-            for b in row:
-                mask |= 1 << int(b)
-                current = utility(mask)
-                acc[b] += current - previous
-                previous = current
-            completed += 1
+        utilities[by_appearance] = utility(distinct[by_appearance])
     except Exception as exc:
+        # Masks reach the oracle in order of first appearance, so the
+        # orderings whose masks were all evaluated are the leading rows.
+        needed = np.cumsum(np.bincount(first // (m + 1), minlength=sample_count))
+        completed = int(np.searchsorted(needed, utility.evaluated, side="right"))
         raise RuntimeError(
             f"utility oracle failed after {completed} of {sample_count} "
             f"sampled orderings"
         ) from exc
+    marginals = np.diff(utilities[inverse].reshape(prefixes.shape), axis=1)
+    # Unbuffered, in row order: each participant's credits add up in the
+    # same sequence as a walk over the orderings one by one.
+    acc = np.zeros(m, dtype=np.float64)
+    np.add.at(acc, orderings, marginals)
     acc /= sample_count
     return ValueVector({pid: float(acc[b]) for b, pid in enumerate(ids)}, round_index)
 
@@ -223,10 +208,7 @@ def group_testing_round(
         membership, order, np.arange(m)[None, :] < sizes[:, None], axis=1
     )
     masks = membership @ (1 << np.arange(m, dtype=np.int64))
-    utility = _CachedRoundUtility(oracle, history, ids)
-    test_utilities = np.empty(plan.t1, dtype=np.float64)
-    for t in range(plan.t1):
-        test_utilities[t] = utility(int(masks[t]))
+    test_utilities = RoundUtility(oracle, history, ids).gather(masks)
     # Per-participant accumulants; the difference matrix is their outer
     # difference, so it is antisymmetric by construction.
     loads = (plan.z / plan.t1) * (test_utilities @ membership)
@@ -269,16 +251,19 @@ def pivot_anchor_values(
     rng = _as_generator(seed)
     pivot_bit = 1 << (m - 1)
     sizes = rng.integers(0, m, size=plan.t2)
+    others = np.zeros((plan.t2, m - 1), dtype=bool)
     if m > 1:
         order = np.argsort(rng.random((plan.t2, m - 1)), axis=1)
-    utility = _CachedRoundUtility(oracle, history, ids)
+        np.put_along_axis(
+            others, order, np.arange(m - 1)[None, :] < sizes[:, None], axis=1
+        )
+    masks = others @ (1 << np.arange(m - 1, dtype=np.int64))
+    paired = RoundUtility(oracle, history, ids).gather(
+        np.stack([masks | pivot_bit, masks])
+    )
     total = 0.0
-    for t in range(plan.t2):
-        mask = 0
-        if m > 1:
-            for b in order[t, : sizes[t]]:
-                mask |= 1 << int(b)
-        total += utility(mask | pivot_bit) - utility(mask)
+    for with_pivot, without in zip(paired[0].tolist(), paired[1].tolist()):
+        total += with_pivot - without
     pivot_estimate = total / plan.t2
     values = {
         pid: float(pivot_estimate + pairwise_differences[b, m - 1])

@@ -167,6 +167,22 @@ def _resolve_affected(
     return affected
 
 
+def _layout(cfg: ExperimentConfig, train: Dataset) -> ModelLayout:
+    return ModelLayout(
+        arch=cfg.training.model,
+        n_features=train.features.shape[1],
+        n_classes=train.class_count,
+        hidden_units=cfg.training.hidden_units,
+    )
+
+
+def prepare_validation(cfg: ExperimentConfig) -> tuple[ModelLayout, Dataset]:
+    """The model layout and validation set of a config, for valuing recorded
+    rounds: no partition, corruption or shard split."""
+    train, validation = _build_datasets(cfg)
+    return _layout(cfg, train), validation
+
+
 def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
     train, validation = _build_datasets(cfg)
     if cfg.partition.mode == "iid":
@@ -201,12 +217,7 @@ def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
             )
             train = implant_backdoor(train, plan, spec, substream(cfg.seed, "corrupt"))
             triggered = triggered_test_set(validation, spec)
-    layout = ModelLayout(
-        arch=cfg.training.model,
-        n_features=train.features.shape[1],
-        n_classes=train.class_count,
-        hidden_units=cfg.training.hidden_units,
-    )
+    layout = _layout(cfg, train)
     return PreparedExperiment(
         layout=layout,
         training=cfg.training.to_training_config(layout, cfg.seed),

@@ -174,7 +174,12 @@ def predict(layout: ModelLayout, theta: np.ndarray, features: np.ndarray) -> np.
     return logits(layout, theta, features).argmax(axis=1)
 
 
+def accuracy_from_logits(scores: np.ndarray, labels: np.ndarray) -> float:
+    """Share of rows whose highest score (the first one on ties) is the label."""
+    return np.count_nonzero(scores.argmax(axis=1) == labels) / len(labels)
+
+
 def accuracy(
     layout: ModelLayout, theta: np.ndarray, features: np.ndarray, labels: np.ndarray
 ) -> float:
-    return float(np.mean(predict(layout, theta, features) == labels))
+    return accuracy_from_logits(logits(layout, theta, features), labels)

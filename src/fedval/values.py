@@ -96,16 +96,43 @@ def _popcounts(n_masks: int) -> np.ndarray:
     return sizes
 
 
-def _subset_utilities(
-    oracle: UtilityOracle, history: History, ids: Sequence[int]
-) -> np.ndarray:
-    """Utility of ``history + S`` for every ``S``, indexed by bitmask over ``ids``."""
-    m = len(ids)
-    utilities = np.empty(1 << m, dtype=np.float64)
-    for mask in range(1 << m):
-        block = frozenset(ids[b] for b in range(m) if mask >> b & 1)
-        utilities[mask] = oracle.evaluate((*history, block))
-    return utilities
+class RoundUtility:
+    """Utility of ``history + S`` for subsets ``S`` of one round, by bitmask.
+
+    Bit ``b`` of a mask selects the ``b``-th smallest of the round's
+    player ids. Every requested mask goes to the oracle; callers that
+    may repeat a mask use :meth:`gather`, and the one memo, if any,
+    belongs to the oracle. ``evaluated`` counts the oracle calls that
+    returned, so a caller can report its progress after a failure.
+    """
+
+    def __init__(
+        self,
+        oracle: UtilityOracle,
+        history: Iterable[Collection[int]],
+        round_players: Collection[int],
+    ) -> None:
+        self._oracle = oracle
+        self._history = as_history(history)
+        self._ids = sorted(round_players)
+        self.evaluated = 0
+
+    def __call__(self, masks: np.ndarray) -> np.ndarray:
+        """Utilities of ``masks``, evaluated one by one in the given order."""
+        masks = np.asarray(masks, dtype=np.int64)
+        utilities = np.empty(masks.shape, dtype=np.float64)
+        ids = self._ids
+        for i, mask in enumerate(masks.ravel().tolist()):
+            block = frozenset(pid for b, pid in enumerate(ids) if mask >> b & 1)
+            utilities.flat[i] = self._oracle.evaluate((*self._history, block))
+            self.evaluated += 1
+        return utilities
+
+    def gather(self, masks: np.ndarray) -> np.ndarray:
+        """Utilities of possibly repeated masks, each distinct mask evaluated once."""
+        masks = np.asarray(masks, dtype=np.int64)
+        distinct, inverse = np.unique(masks.ravel(), return_inverse=True)
+        return self(distinct)[inverse].reshape(masks.shape)
 
 
 def exact_federated_round_shapley(
@@ -132,8 +159,7 @@ def exact_federated_round_shapley(
             f"exact subset enumeration for {m} participants needs 2**{m} = "
             f"{1 << m} utility evaluations (cap {cap}); the cost grows as 2**m"
         )
-    hist = as_history(history)
-    utilities = _subset_utilities(oracle, hist, ids)
+    utilities = RoundUtility(oracle, history, ids)(np.arange(1 << m))
     sizes = _popcounts(1 << m)
     weight_by_size = np.array(
         [1.0 / (m * math.comb(m - 1, s)) for s in range(m)], dtype=np.float64
@@ -178,7 +204,7 @@ def exact_shapley_permutation_form(
             f"exact ordering enumeration for {m} players needs {m}! = "
             f"{math.factorial(m)} passes (cap {cap}); the cost grows as m!"
         )
-    utilities = _subset_utilities(oracle, (), ids)
+    utilities = RoundUtility(oracle, (), ids)(np.arange(1 << m))
     acc = np.zeros(m, dtype=np.float64)
     for perm in itertools.permutations(range(m)):
         mask = 0
@@ -203,12 +229,10 @@ def federated_loo_round(
     ids = sorted(round_players)
     if not ids:
         return ValueVector({}, round_index)
-    hist = as_history(history)
-    full = frozenset(ids)
-    utility_full = oracle.evaluate((*hist, full))
-    values = {
-        pid: utility_full - oracle.evaluate((*hist, full - {pid})) for pid in ids
-    }
+    full = (1 << len(ids)) - 1
+    masks = np.array([full, *(full ^ (1 << b) for b in range(len(ids)))])
+    utilities = RoundUtility(oracle, history, ids)(masks)
+    values = {pid: float(utilities[0] - utilities[1 + b]) for b, pid in enumerate(ids)}
     return ValueVector(values, round_index)
 
 
