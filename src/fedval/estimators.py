@@ -16,7 +16,7 @@ from typing import Collection, Iterable
 
 import numpy as np
 
-from .values import RoundUtility, UtilityOracle, ValueVector
+from .values import RoundUtility, UtilityOracle, ValueVector, mask_bits
 
 
 @dataclass(frozen=True)
@@ -149,26 +149,13 @@ def permutation_sampling_round(
         np.tile(np.arange(m), (sample_count, 1)), axis=1
     )
     # Column j of a row is the mask of the ordering's first j participants.
-    prefixes = np.zeros((sample_count, m + 1), dtype=np.int64)
-    np.cumsum(1 << orderings, axis=1, out=prefixes[:, 1:])
-    distinct, first, inverse = np.unique(
-        prefixes.ravel(), return_index=True, return_inverse=True
+    bits = mask_bits(m)
+    prefixes = np.zeros((sample_count, m + 1), dtype=bits.dtype)
+    np.cumsum(bits[orderings], axis=1, out=prefixes[:, 1:])
+    utilities = RoundUtility(oracle, history, ids)(
+        prefixes, progress_unit="sampled orderings"
     )
-    by_appearance = np.argsort(first)
-    utility = RoundUtility(oracle, history, ids)
-    utilities = np.empty(len(distinct), dtype=np.float64)
-    try:
-        utilities[by_appearance] = utility(distinct[by_appearance])
-    except Exception as exc:
-        # Masks reach the oracle in order of first appearance, so the
-        # orderings whose masks were all evaluated are the leading rows.
-        needed = np.cumsum(np.bincount(first // (m + 1), minlength=sample_count))
-        completed = int(np.searchsorted(needed, utility.evaluated, side="right"))
-        raise RuntimeError(
-            f"utility oracle failed after {completed} of {sample_count} "
-            f"sampled orderings"
-        ) from exc
-    marginals = np.diff(utilities[inverse].reshape(prefixes.shape), axis=1)
+    marginals = np.diff(utilities, axis=1)
     # Unbuffered, in row order: each participant's credits add up in the
     # same sequence as a walk over the orderings one by one.
     acc = np.zeros(m, dtype=np.float64)
@@ -207,8 +194,8 @@ def group_testing_round(
     np.put_along_axis(
         membership, order, np.arange(m)[None, :] < sizes[:, None], axis=1
     )
-    masks = membership @ (1 << np.arange(m, dtype=np.int64))
-    test_utilities = RoundUtility(oracle, history, ids).gather(masks)
+    masks = membership @ mask_bits(m)
+    test_utilities = RoundUtility(oracle, history, ids)(masks)
     # Per-participant accumulants; the difference matrix is their outer
     # difference, so it is antisymmetric by construction.
     loads = (plan.z / plan.t1) * (test_utilities @ membership)
@@ -249,7 +236,7 @@ def pivot_anchor_values(
             f"match {m} participants"
         )
     rng = _as_generator(seed)
-    pivot_bit = 1 << (m - 1)
+    bits = mask_bits(m)
     sizes = rng.integers(0, m, size=plan.t2)
     others = np.zeros((plan.t2, m - 1), dtype=bool)
     if m > 1:
@@ -257,12 +244,14 @@ def pivot_anchor_values(
         np.put_along_axis(
             others, order, np.arange(m - 1)[None, :] < sizes[:, None], axis=1
         )
-    masks = others @ (1 << np.arange(m - 1, dtype=np.int64))
-    paired = RoundUtility(oracle, history, ids).gather(
-        np.stack([masks | pivot_bit, masks])
+    masks = others @ bits[:-1]
+    # One (with, without) pair per sample, so the oracle sees the masks
+    # in the order of a sample-by-sample walk.
+    paired = RoundUtility(oracle, history, ids)(
+        np.stack([masks | bits[-1], masks], axis=1)
     )
     total = 0.0
-    for with_pivot, without in zip(paired[0].tolist(), paired[1].tolist()):
+    for with_pivot, without in paired.tolist():
         total += with_pivot - without
     pivot_estimate = total / plan.t2
     values = {

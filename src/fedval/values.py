@@ -96,14 +96,24 @@ def _popcounts(n_masks: int) -> np.ndarray:
     return sizes
 
 
+def mask_bits(m: int) -> np.ndarray:
+    """Bit ``b`` of a round's subset masks, for ``b`` in ``0..m-1``.
+
+    int64 while every mask over ``m`` players fits in it; wider rounds
+    get Python ints (object dtype), so sums and ``|`` of the bits never
+    overflow and no player's bit is dropped.
+    """
+    if m < 64:
+        return 1 << np.arange(m, dtype=np.int64)
+    return np.array([1 << b for b in range(m)], dtype=object)
+
+
 class RoundUtility:
     """Utility of ``history + S`` for subsets ``S`` of one round, by bitmask.
 
     Bit ``b`` of a mask selects the ``b``-th smallest of the round's
-    player ids. Every requested mask goes to the oracle; callers that
-    may repeat a mask use :meth:`gather`, and the one memo, if any,
-    belongs to the oracle. ``evaluated`` counts the oracle calls that
-    returned, so a caller can report its progress after a failure.
+    player ids. The helper keeps no memo: the one cache, if any, is the
+    oracle's.
     """
 
     def __init__(
@@ -115,24 +125,45 @@ class RoundUtility:
         self._oracle = oracle
         self._history = as_history(history)
         self._ids = sorted(round_players)
-        self.evaluated = 0
 
-    def __call__(self, masks: np.ndarray) -> np.ndarray:
-        """Utilities of ``masks``, evaluated one by one in the given order."""
-        masks = np.asarray(masks, dtype=np.int64)
-        utilities = np.empty(masks.shape, dtype=np.float64)
+    def __call__(
+        self, masks: np.ndarray, *, progress_unit: str | None = None
+    ) -> np.ndarray:
+        """Utilities of ``masks``, an array of any shape.
+
+        Each distinct mask goes to the oracle once, in order of first
+        appearance in row-major order. With ``progress_unit``, an oracle
+        failure is re-raised as a ``RuntimeError`` saying how many
+        leading rows of ``masks`` had every mask evaluated, counted in
+        that unit; otherwise the oracle's exception propagates as is.
+        """
+        masks = np.asarray(masks)
+        slot_of: dict[int, int] = {}
+        slots = np.fromiter(
+            (slot_of.setdefault(mask, len(slot_of)) for mask in masks.ravel().tolist()),
+            dtype=np.intp,
+            count=masks.size,
+        )
+        utilities = np.empty(len(slot_of), dtype=np.float64)
         ids = self._ids
-        for i, mask in enumerate(masks.ravel().tolist()):
-            block = frozenset(pid for b, pid in enumerate(ids) if mask >> b & 1)
-            utilities.flat[i] = self._oracle.evaluate((*self._history, block))
-            self.evaluated += 1
-        return utilities
-
-    def gather(self, masks: np.ndarray) -> np.ndarray:
-        """Utilities of possibly repeated masks, each distinct mask evaluated once."""
-        masks = np.asarray(masks, dtype=np.int64)
-        distinct, inverse = np.unique(masks.ravel(), return_inverse=True)
-        return self(distinct)[inverse].reshape(masks.shape)
+        done = 0
+        try:
+            for mask in slot_of:
+                block = frozenset(pid for b, pid in enumerate(ids) if mask >> b & 1)
+                utilities[done] = self._oracle.evaluate((*self._history, block))
+                done += 1
+        except Exception as exc:
+            if progress_unit is None:
+                raise
+            # Slots are numbered as masks first appear, so a row is fully
+            # evaluated once every slot up to its running maximum is.
+            rows = slots.reshape(len(masks), -1).max(axis=1)
+            completed = int(np.count_nonzero(np.maximum.accumulate(rows) < done))
+            raise RuntimeError(
+                f"utility oracle failed after {completed} of {len(masks)} "
+                f"{progress_unit}"
+            ) from exc
+        return utilities[slots].reshape(masks.shape)
 
 
 def exact_federated_round_shapley(
@@ -229,10 +260,12 @@ def federated_loo_round(
     ids = sorted(round_players)
     if not ids:
         return ValueVector({}, round_index)
-    full = (1 << len(ids)) - 1
-    masks = np.array([full, *(full ^ (1 << b) for b in range(len(ids)))])
-    utilities = RoundUtility(oracle, history, ids)(masks)
-    values = {pid: float(utilities[0] - utilities[1 + b]) for b, pid in enumerate(ids)}
+    hist = as_history(history)
+    full = frozenset(ids)
+    utility_full = oracle.evaluate((*hist, full))
+    values = {
+        pid: utility_full - oracle.evaluate((*hist, full - {pid})) for pid in ids
+    }
     return ValueVector(values, round_index)
 
 

@@ -9,7 +9,11 @@ the one-call-per-draw loops they replaced.
 
 from __future__ import annotations
 
+import math
+import re
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +31,7 @@ from fedval.estimators import (
 )
 from fedval.games import random_table_game
 from fedval.models import ModelLayout, logits
-from fedval.values import RoundUtility
+from fedval.values import RoundUtility, federated_loo_round
 
 TIE_RTOL = 1e-12
 
@@ -165,8 +169,9 @@ def _reference_group_testing(game, ids, plan, seed):
     order = np.argsort(rng.random((plan.t1, m)), axis=1)
     membership = np.zeros((plan.t1, m), dtype=bool)
     np.put_along_axis(membership, order, np.arange(m)[None, :] < sizes[:, None], axis=1)
-    masks = membership @ (1 << np.arange(m, dtype=np.int64))
-    tests = np.array([utility(int(mask)) for mask in masks])
+    tests = np.array(
+        [utility(sum(1 << int(b) for b in np.flatnonzero(row))) for row in membership]
+    )
     loads = (plan.z / plan.t1) * (tests @ membership)
     differences = loads[:, None] - loads[None, :]
     pivot_bit = 1 << (m - 1)
@@ -200,7 +205,7 @@ def test_estimates_unchanged_by_deduplicated_masks(seed, m, samples, epsilon):
     assert grouped.values == _reference_group_testing(game, ids, plan, seed)
 
 
-def test_round_utility_counts_calls_and_gathers_repeats(rng):
+def test_round_utility_evaluates_distinct_masks_in_order_of_appearance():
     calls = []
 
     class CountingGame:
@@ -208,22 +213,22 @@ def test_round_utility_counts_calls_and_gathers_repeats(rng):
 
         def evaluate(self, blocks):
             calls.append(blocks[-1])
+            if len(calls) > 3:
+                raise KeyError("backend gone")
             return float(len(blocks[-1]))
 
     utility = RoundUtility(CountingGame(), (), [5, 2, 9])
-    gathered = utility.gather(np.array([[3, 0], [3, 7]]))
-    assert gathered.tolist() == [[2.0, 0.0], [2.0, 3.0]]
-    assert utility.evaluated == len(calls) == 3  # masks 0, 3 and 7, once each
-    assert calls[1] == frozenset({2, 5})  # bit b selects the b-th smallest id
+    assert utility(np.array([[3, 0], [3, 7]])).tolist() == [[2.0, 0.0], [2.0, 3.0]]
+    # Masks 3, 0 and 7, once each; bit b selects the b-th smallest id.
+    assert calls == [frozenset({2, 5}), frozenset(), frozenset({2, 5, 9})]
+    # Without a progress unit the oracle's own error reaches the caller.
+    with pytest.raises(KeyError):
+        utility(np.array([1]))
 
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6), fail_at=st.integers(1, 40))
 def test_permutation_failure_reports_completed_orderings(seed, m, fail_at):
-    import re
-
-    import pytest
-
     class FailingGame:
         range_bound = 1.0
 
@@ -253,3 +258,40 @@ def test_permutation_failure_reports_completed_orderings(seed, m, fail_at):
     with pytest.raises(RuntimeError) as info:
         permutation_sampling_round(FailingGame(), (), range(m), 30, seed)
     assert re.search(rf"after {expected} of 30 sampled orderings", str(info.value))
+
+
+class AdditiveGame:
+    """Utility proportional to the summed weights of the last block; the
+    weights are Python ints, so the sum is exact in any iteration order."""
+
+    range_bound = 1.0
+
+    def __init__(self, weights):
+        self.weights = weights
+        self.scale = sum(weights.values())
+
+    def evaluate(self, blocks):
+        return sum(self.weights[pid] for pid in blocks[-1]) / self.scale
+
+
+@pytest.mark.parametrize("m", [63, 64, 70])
+def test_wide_rounds_keep_every_player(m):
+    """Masks of 64 or more players do not fit in int64; every estimator
+    must still see each player and credit it."""
+    ids = list(range(3, 3 + 2 * m, 2))
+    game = AdditiveGame({pid: pid for pid in ids})
+    full = frozenset(ids)
+    loo = federated_loo_round(game, (), ids)
+    assert loo.values == {
+        pid: game.evaluate([full]) - game.evaluate([full - {pid}]) for pid in ids
+    }
+    assert all(value > 0 for value in loo.values.values())
+
+    permutation = permutation_sampling_round(game, (), ids, 5, 11)
+    assert permutation.values == _reference_permutation(game, ids, 5, 11)
+    assert all(value > 0 for value in permutation.values.values())
+    assert math.isclose(sum(permutation.values.values()), 1.0, rel_tol=1e-12)
+
+    plan = group_testing_plan(m, ApproxParams(epsilon=1.0, delta=0.3))
+    grouped = group_testing_round(game, (), ids, plan, 11)
+    assert grouped.values == _reference_group_testing(game, ids, plan, 11)
