@@ -29,6 +29,7 @@ from .config import (
 )
 from .engine import (
     ValuationDiagnostics,
+    check_initial_model,
     evaluate_utility,
     load_round_records,
     value_rounds,
@@ -82,8 +83,6 @@ def _load_config(args: argparse.Namespace) -> tuple[ExperimentConfig, str]:
         cfg = replace(cfg, valuation=replace(cfg.valuation, method=method))
     if getattr(args, "normalized", False):
         cfg = replace(cfg, valuation=replace(cfg.valuation, normalized=True))
-    if args.threads is not None:
-        cfg = replace(cfg, threads=args.threads)
     return cfg, digest
 
 
@@ -202,6 +201,7 @@ def _cmd_value_replay(args: argparse.Namespace) -> int:
             raise ConfigError(
                 "snapshot layout does not match the configured model/dataset"
             )
+        check_initial_model(records, cfg.training.to_training_config(layout, cfg.seed))
         report = value_rounds(
             records,
             layout,
@@ -394,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment config (YAML)")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
-        p.add_argument("--threads", type=int, default=None, help="cap worker parallelism")
         p.add_argument("--verbose", action="store_true", help="emit estimator diagnostics")
         if method_flag:
             p.add_argument(

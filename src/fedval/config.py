@@ -200,7 +200,6 @@ class ExperimentConfig:
     corruption: LabelFlipConfig | BackdoorConfig | None
     experiment: ExperimentKnobs
     output_dir: str | None
-    threads: int
 
 
 def _parse_dataset(node: Any, path: str) -> BlobsSpec | IdxSpec:
@@ -466,7 +465,7 @@ def config_from_dict(doc: Any, source: str = "config") -> ExperimentConfig:
         doc,
         {
             "seed", "dataset", "partition", "training", "valuation",
-            "corruption", "experiment", "output_dir", "threads",
+            "corruption", "experiment", "output_dir",
         },
         source,
     )
@@ -499,7 +498,6 @@ def config_from_dict(doc: Any, source: str = "config") -> ExperimentConfig:
             if "output_dir" in doc
             else None
         ),
-        threads=_as_int(doc.get("threads", 1), f"{source}.threads", minimum=1),
     )
     if isinstance(cfg.dataset, BlobsSpec):
         if cfg.partition.participants > cfg.dataset.samples:
@@ -550,7 +548,6 @@ def config_to_dict(cfg: ExperimentConfig) -> dict[str, Any]:
             "dismiss_fractions": list(cfg.experiment.dismiss_fractions),
             "random_repeats": cfg.experiment.random_repeats,
         },
-        "threads": cfg.threads,
     }
     if cfg.valuation.approx is not None:
         doc["valuation"]["approx"] = asdict(cfg.valuation.approx)

@@ -123,6 +123,54 @@ def round_size(participant_fraction: float, participant_count: int) -> int:
     return max(1, min(participant_count, math.ceil(participant_fraction * participant_count - 1e-9)))
 
 
+def initial_model(cfg: TrainingConfig) -> np.ndarray:
+    """The global model every run of ``cfg`` starts from."""
+    return init_params(cfg.layout, substream(cfg.seed, "init"), cfg.init_scale)
+
+
+def _lockstep_sgd(
+    global_params: np.ndarray,
+    shards: Sequence[Shard],
+    rngs: Sequence[np.random.Generator],
+    cfg: TrainingConfig,
+    round_index: int,
+) -> np.ndarray:
+    """Local mini-batch SGD of k equal-sized shards from one global model.
+
+    The k runs share a step schedule, so each step gathers every run's
+    minibatch into one (k, b, d) array and takes one stacked gradient
+    step; run i draws its per-epoch orders from ``rngs[i]``. Features are
+    gathered into one reused minibatch buffer, never stacked for whole
+    shards; the (k, n) labels are permuted once per epoch. Returns the
+    (k, P) parameters.
+    """
+    k = len(shards)
+    n, width = shards[0][0].shape
+    if n == 0:
+        raise ValueError("refusing to train on an empty shard")
+    thetas = np.tile(np.asarray(global_params, dtype=np.float64), (k, 1))
+    rate = cfg.learning_rate * cfg.lr_decay**round_index
+    buffer = np.empty((k, min(cfg.batch_size, n), width), shards[0][0].dtype)
+    for _ in range(cfg.local_epochs):
+        orders = [rng.permutation(n) for rng in rngs]
+        labels = np.stack([y[order] for (_, y), order in zip(shards, orders)])
+        for start in range(0, n, cfg.batch_size):
+            stop = min(start + cfg.batch_size, n)
+            features = buffer[:, : stop - start]
+            for row, (x, _), order in zip(features, shards, orders):
+                row[...] = x[order[start:stop]]
+            _, grads = loss_and_gradient(cfg.layout, thetas, features, labels[:, start:stop])
+            thetas -= rate * grads
+    return thetas
+
+
+def _check_finite(theta: np.ndarray, round_index: int, participant_id: int | None) -> None:
+    if not np.isfinite(theta).all():
+        raise TrainingError(
+            f"training diverged at round {round_index}, participant {participant_id}"
+        )
+
+
 def participant_update(
     global_params: np.ndarray,
     features: np.ndarray,
@@ -133,23 +181,44 @@ def participant_update(
     round_index: int = 0,
     participant_id: int | None = None,
 ) -> np.ndarray:
-    """Local mini-batch SGD from the global model on one shard."""
-    if features.shape[0] == 0:
-        raise ValueError("refusing to train on an empty shard")
-    theta = np.asarray(global_params, dtype=np.float64).copy()
-    rate = cfg.learning_rate * cfg.lr_decay**round_index
-    n = features.shape[0]
-    for _ in range(cfg.local_epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            _, grad = loss_and_gradient(cfg.layout, theta, features[batch], labels[batch])
-            theta -= rate * grad
-    if not np.isfinite(theta).all():
-        raise TrainingError(
-            f"training diverged at round {round_index}, participant {participant_id}"
-        )
+    """Local mini-batch SGD from the global model on one shard: the
+    one-participant case of ``train_round``."""
+    theta = _lockstep_sgd(global_params, [(features, labels)], [rng], cfg, round_index)[0]
+    _check_finite(theta, round_index, participant_id)
     return theta
+
+
+def train_round(
+    global_params: np.ndarray,
+    shards: Mapping[int, Shard],
+    participants: Sequence[int],
+    cfg: TrainingConfig,
+    round_index: int,
+) -> dict[int, np.ndarray]:
+    """Every participant's local update in one round, keyed in the given order.
+
+    Participant ``pid`` draws from ``substream(seed, "local", round_index,
+    pid)``, so its update does not depend on who else trains. Participants
+    with equal shard sizes run the same step schedule and train in
+    lockstep. A divergence names the first diverging participant in the
+    given order.
+    """
+    groups: dict[int, list[int]] = {}
+    for pid in participants:
+        groups.setdefault(shards[pid][0].shape[0], []).append(pid)
+    trained: dict[int, np.ndarray] = {}
+    for group in groups.values():
+        thetas = _lockstep_sgd(
+            global_params,
+            [shards[pid] for pid in group],
+            [substream(cfg.seed, "local", round_index, pid) for pid in group],
+            cfg,
+            round_index,
+        )
+        trained.update(zip(group, thetas))
+    for pid in participants:
+        _check_finite(trained[pid], round_index, pid)
+    return {pid: trained[pid] for pid in participants}
 
 
 def aggregate_subset(record: RoundRecord, subset: Iterable[int]) -> np.ndarray:
@@ -423,22 +492,12 @@ def run_federated_training(
     if not ids:
         raise ValueError("at least one participant shard required")
     m = round_size(cfg.participant_fraction, len(ids))
-    theta = init_params(cfg.layout, substream(cfg.seed, "init"), cfg.init_scale)
+    theta = initial_model(cfg)
     records: list[RoundRecord] = []
     for t in range(cfg.rounds):
         chosen = substream(cfg.seed, "select", t).choice(len(ids), size=m, replace=False)
         selected = tuple(sorted(ids[j] for j in chosen))
-        updates = {
-            pid: participant_update(
-                theta,
-                *shards[pid],
-                cfg,
-                substream(cfg.seed, "local", t, pid),
-                round_index=t,
-                participant_id=pid,
-            )
-            for pid in selected
-        }
+        updates = train_round(theta, shards, selected, cfg, t)
         after = np.mean([updates[pid] for pid in selected], axis=0)
         record = RoundRecord(t, theta.copy(), selected, updates, after.copy())
         records.append(record)
@@ -474,7 +533,7 @@ def rerun_with_selections(
     """
     if len(selections) != cfg.rounds:
         raise ValueError("one recorded selection required per round")
-    theta = init_params(cfg.layout, substream(cfg.seed, "init"), cfg.init_scale)
+    theta = initial_model(cfg)
     for t, selection in enumerate(selections):
         selected = tuple(sorted(selection))
         retained = tuple(sorted(keep(t, selected))) if keep is not None else selected
@@ -482,18 +541,8 @@ def rerun_with_selections(
             raise ValueError(f"round {t} would retain no participants")
         if not set(retained) <= set(selected):
             raise ValueError(f"round {t} retains participants that were not selected")
-        updates = [
-            participant_update(
-                theta,
-                *shards[pid],
-                cfg,
-                substream(cfg.seed, "local", t, pid),
-                round_index=t,
-                participant_id=pid,
-            )
-            for pid in retained
-        ]
-        theta = np.mean(updates, axis=0)
+        updates = train_round(theta, shards, retained, cfg, t)
+        theta = np.mean(list(updates.values()), axis=0)
     return theta
 
 
@@ -510,7 +559,7 @@ def save_round_records(
             "layout": layout.to_dict(),
             "selected": list(record.selected),
         }
-        path = directory / f"round_{record.round_index:05d}.fvr"
+        path = directory / _snapshot_name(record.round_index)
         with open(path, "wb") as fh:
             fh.write(SNAPSHOT_MAGIC)
             fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
@@ -521,6 +570,10 @@ def save_round_records(
                 allow_pickle=False,
             )
             np.save(fh, record.global_after, allow_pickle=False)
+
+
+def _snapshot_name(round_index: int) -> str:
+    return f"round_{round_index:05d}.fvr"
 
 
 def _snapshot_index(path: Path) -> int:
@@ -600,3 +653,13 @@ def load_round_records(directory: str | Path) -> tuple[list[RoundRecord], ModelL
         )
     assert layout is not None
     return records, layout
+
+
+def check_initial_model(records: Sequence[RoundRecord], cfg: TrainingConfig) -> None:
+    """Refuse records whose round 0 does not start from ``cfg``'s initial
+    model, so that replaying them under ``cfg`` values the run it trains."""
+    if not _bitwise_equal(records[0].global_before, initial_model(cfg)):
+        raise SnapshotFormatError(
+            f"{_snapshot_name(0)}: incoming model is not the initial model of the "
+            f"configured seed and init_scale; the snapshots come from another run"
+        )

@@ -37,6 +37,7 @@ from .engine import (
     FederatedRun,
     TrainingConfig,
     ValuationDiagnostics,
+    check_initial_model,
     evaluate_utility,
     rerun_with_selections,
     run_federated_training,
@@ -44,7 +45,7 @@ from .engine import (
 )
 from .models import ModelLayout
 from .seeding import substream
-from .values import ValuationReport, ValueVector
+from .values import ValueVector
 
 
 @dataclass
@@ -84,11 +85,6 @@ def random_values(participants: Iterable[int], rng: np.random.Generator) -> Valu
     ids = sorted(participants)
     draws = rng.random(len(ids))
     return ValueVector({pid: float(draws[i]) for i, pid in enumerate(ids)}, None)
-
-
-def round_contribution_norms(report: ValuationReport) -> list[float]:
-    """L2 norm of each round's value vector."""
-    return [vector.norm() for vector in report.per_round]
 
 
 @dataclass
@@ -408,6 +404,7 @@ def run_summarization(
         raise ValueError("missing round records")
     if records[0].global_before.shape != (prepared.layout.param_count,):
         raise ValueError("round records do not match the configured model")
+    check_initial_model(records, prepared.training)
     sv_report = value_rounds(
         records, prepared.layout, *validation,
         _shapley_backend(cfg), approx=cfg.valuation.approx, seed=cfg.seed,

@@ -89,22 +89,26 @@ def check_params(layout: ModelLayout, theta: np.ndarray) -> np.ndarray:
 
 
 def _unpack_logistic(layout: ModelLayout, theta: np.ndarray):
+    """Weights and bias of a parameter vector, or of a stack of them along
+    leading axes; the bias gains a row axis to broadcast over samples."""
     d, c = layout.n_features, layout.n_classes
-    weights = theta[: d * c].reshape(d, c)
-    bias = theta[d * c :]
+    lead = theta.shape[:-1]
+    weights = theta[..., : d * c].reshape(*lead, d, c)
+    bias = theta[..., None, d * c :]
     return weights, bias
 
 
 def _unpack_mlp(layout: ModelLayout, theta: np.ndarray):
     d, c, h = layout.n_features, layout.n_classes, layout.hidden_units
+    lead = theta.shape[:-1]
     offset = 0
-    w1 = theta[offset : offset + d * h].reshape(d, h)
+    w1 = theta[..., offset : offset + d * h].reshape(*lead, d, h)
     offset += d * h
-    b1 = theta[offset : offset + h]
+    b1 = theta[..., None, offset : offset + h]
     offset += h
-    w2 = theta[offset : offset + h * c].reshape(h, c)
+    w2 = theta[..., offset : offset + h * c].reshape(*lead, h, c)
     offset += h * c
-    b2 = theta[offset:]
+    b2 = theta[..., None, offset:]
     return w1, b1, w2, b2
 
 
@@ -119,8 +123,8 @@ def logits(layout: ModelLayout, theta: np.ndarray, features: np.ndarray) -> np.n
 
 
 def _log_softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def loss_and_gradient(
@@ -128,39 +132,56 @@ def loss_and_gradient(
     theta: np.ndarray,
     features: np.ndarray,
     labels: np.ndarray,
-) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy and its gradient with respect to ``theta``."""
-    theta = check_params(layout, theta)
-    n = features.shape[0]
-    rows = np.arange(n)
+) -> tuple[float | np.ndarray, np.ndarray]:
+    """Mean cross-entropy and its gradient with respect to ``theta``.
+
+    A leading participant axis computes k independent problems at once:
+    ``theta`` (k, P), ``features`` (k, b, d) and ``labels`` (k, b) give
+    losses (k,) and gradients (k, P). Every slice runs the same 2-D
+    products and reductions as the flat call, which is the k = 1 case,
+    so each is bitwise what the flat call on that slice returns.
+    """
+    theta = np.asarray(theta, dtype=np.float64)
+    flat = theta.ndim == 1
+    if flat:
+        theta, features, labels = theta[None], features[None], labels[None]
+    if theta.ndim != 2 or theta.shape[1] != layout.param_count:
+        raise ValueError(
+            f"parameter array has shape {theta.shape}, layout needs "
+            f"({layout.param_count},) or (k, {layout.param_count})"
+        )
+    k, n = labels.shape
     if layout.arch == "logistic":
         weights, bias = _unpack_logistic(layout, theta)
         log_probs = _log_softmax(features @ weights + bias)
-        loss = float(-log_probs[rows, labels].mean())
-        delta = np.exp(log_probs)
-        delta[rows, labels] -= 1.0
-        delta /= n
-        grad = np.concatenate([(features.T @ delta).ravel(), delta.sum(axis=0)])
-        return loss, grad
-    w1, b1, w2, b2 = _unpack_mlp(layout, theta)
-    pre = features @ w1 + b1
-    hidden = np.maximum(pre, 0.0)
-    log_probs = _log_softmax(hidden @ w2 + b2)
-    loss = float(-log_probs[rows, labels].mean())
+    else:
+        w1, b1, w2, b2 = _unpack_mlp(layout, theta)
+        pre = features @ w1 + b1
+        hidden = np.maximum(pre, 0.0)
+        log_probs = _log_softmax(hidden @ w2 + b2)
+    # Flat position of each sample's label score in the (k, n, c) array.
+    picks = np.arange(0, k * n * layout.n_classes, layout.n_classes).reshape(k, n) + labels
+    losses = -log_probs.reshape(-1)[picks].sum(axis=1) / n
     delta = np.exp(log_probs)
-    delta[rows, labels] -= 1.0
+    delta.reshape(-1)[picks] -= 1.0
     delta /= n
-    back = delta @ w2.T
-    back[pre <= 0.0] = 0.0
-    grad = np.concatenate(
-        [
-            (features.T @ back).ravel(),
-            back.sum(axis=0),
-            (hidden.T @ delta).ravel(),
-            delta.sum(axis=0),
-        ]
-    )
-    return loss, grad
+    # Each gradient block is written straight into its place in the layout.
+    grad = np.empty_like(theta)
+    if layout.arch == "logistic":
+        grad_weights, grad_bias = _unpack_logistic(layout, grad)
+        np.matmul(features.transpose(0, 2, 1), delta, out=grad_weights)
+        delta.sum(axis=1, keepdims=True, out=grad_bias)
+    else:
+        grad_w1, grad_b1, grad_w2, grad_b2 = _unpack_mlp(layout, grad)
+        back = delta @ w2.transpose(0, 2, 1)
+        back[pre <= 0.0] = 0.0
+        np.matmul(features.transpose(0, 2, 1), back, out=grad_w1)
+        back.sum(axis=1, keepdims=True, out=grad_b1)
+        np.matmul(hidden.transpose(0, 2, 1), delta, out=grad_w2)
+        delta.sum(axis=1, keepdims=True, out=grad_b2)
+    if flat:
+        return float(losses[0]), grad[0]
+    return losses, grad
 
 
 def mean_cross_entropy(

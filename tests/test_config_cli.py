@@ -57,6 +57,10 @@ class TestParsing:
         with pytest.raises(ConfigError, match=r"training.*momentum"):
             config_from_dict(doc)
 
+    def test_threads_is_an_unknown_key(self):
+        with pytest.raises(ConfigError, match=r"unknown keys \['threads'\]"):
+            config_from_dict(base_doc(threads=2))
+
     def test_missing_approx_accepted_for_exact(self):
         cfg = config_from_dict(base_doc(valuation={"method": "exact"}))
         assert cfg.valuation.approx is None
@@ -96,7 +100,6 @@ class TestParsing:
 
     def test_defaults_are_resolved(self):
         cfg = config_from_dict(base_doc())
-        assert cfg.threads == 1
         assert cfg.experiment.random_repeats == 3
         assert cfg.valuation.normalized is False
         assert cfg.training.lr_decay == 1.0

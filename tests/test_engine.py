@@ -17,6 +17,7 @@ from fedval.engine import (
     round_size,
     run_federated_training,
     save_round_records,
+    train_round,
     value_rounds,
 )
 from fedval.estimators import ApproxParams
@@ -132,6 +133,35 @@ class TestParticipantUpdate:
                 round_index=2,
                 participant_id=9,
             )
+
+
+class TestTrainRound:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_in_lockstep_names_the_diverging_participant(self, rng):
+        layout = ModelLayout("logistic", 4, 2)
+        cfg = TrainingConfig(layout, 5, 1.0, 1, 4, 0.5, seed=3)
+        labels = rng.integers(0, 2, size=8)
+        # Equal shard sizes, so both train in one lockstep group; only
+        # participant 5's features overflow the logits.
+        shards = {
+            3: (rng.normal(size=(8, 4)), labels),
+            5: (rng.normal(size=(8, 4)) * 1e308, labels),
+        }
+        with pytest.raises(TrainingError, match=r"round 4, participant 5$"):
+            train_round(np.zeros(layout.param_count), shards, (3, 5), cfg, 4)
+        update = train_round(np.zeros(layout.param_count), shards, (3,), cfg, 4)[3]
+        assert np.isfinite(update).all()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_first_diverging_participant_in_id_order_is_named(self, rng):
+        layout = ModelLayout("logistic", 4, 2)
+        cfg = TrainingConfig(layout, 1, 1.0, 1, 4, 0.5, seed=3)
+        shards = {
+            pid: (rng.normal(size=(size, 4)) * scale, rng.integers(0, 2, size=size))
+            for pid, size, scale in ((1, 8, 1.0), (2, 6, 1e308), (4, 8, 1e308))
+        }
+        with pytest.raises(TrainingError, match=r"participant 2$"):
+            train_round(np.zeros(layout.param_count), shards, (1, 2, 4), cfg, 0)
 
 
 class TestAggregation:
@@ -374,14 +404,14 @@ class TestPartialProgress:
         import fedval.engine as engine_module
 
         layout, cfg, shards, val = small_setup()
-        real_update = engine_module.participant_update
+        real_round = engine_module.train_round
 
-        def failing_update(*args, **kwargs):
-            if kwargs.get("round_index") == 2:
+        def failing_round(global_params, shards, participants, cfg, round_index):
+            if round_index == 2:
                 raise TrainingError("training diverged at round 2, participant 0")
-            return real_update(*args, **kwargs)
+            return real_round(global_params, shards, participants, cfg, round_index)
 
-        monkeypatch.setattr(engine_module, "participant_update", failing_update)
+        monkeypatch.setattr(engine_module, "train_round", failing_round)
         with pytest.raises(TrainingError):
             run_federated_training(shards, cfg, val, snapshot_dir=tmp_path / "rounds")
         records, _ = load_round_records(tmp_path / "rounds")

@@ -6,7 +6,6 @@ from fedval.experiments import (
     detection_curve,
     prepare_experiment,
     random_values,
-    round_contribution_norms,
     run_backdoor_detection,
     run_experiment_training,
     run_noisy_detection,
@@ -82,7 +81,7 @@ class TestRoundNorms:
             [0.0, -0.1],
             0.5,
         )
-        assert round_contribution_norms(report) == [0.0, 0.25]
+        assert report.round_value_norms == [0.0, 0.25]
 
 
 class TestNoisyDetection:

@@ -7,7 +7,7 @@ import pytest
 
 from fedval.cli import main
 from fedval.config import ConfigError, config_from_dict
-from fedval.engine import SnapshotFormatError, load_round_records
+from fedval.engine import SnapshotFormatError, check_initial_model, load_round_records
 from fedval.experiments import prepare_experiment, prepare_validation
 
 from test_config_cli import base_doc, write_config
@@ -41,6 +41,40 @@ def test_spliced_seeds_refused_by_value_replay(tmp_path, capsys):
     assert rc == 1
     assert "round_00001.fvr" in capsys.readouterr().err
     assert not (tmp_path / "replay" / "values.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["value-replay", "summarize"])
+def test_snapshots_of_another_seed_refused(tmp_path, capsys, command):
+    # Rounds 0-1 of one intact run, replayed under a config whose seed
+    # draws a different random initial model.
+    doc = base_doc()
+    doc["training"]["init_scale"] = 0.1
+    _, rounds = train(tmp_path, doc, "seed7")
+    doc["seed"] = 99
+    config = write_config(tmp_path, doc, name="seed99.yaml")
+    out = tmp_path / "replay"
+    rc = main([
+        command, "--config", str(config), "--snapshots", str(rounds), "--out", str(out),
+    ])
+    assert rc == 1
+    assert "round_00000.fvr: incoming model is not the initial model" in (
+        capsys.readouterr().err
+    )
+    assert not (out / "values.csv").exists()
+    assert not (out / "summarization.csv").exists()
+
+
+def test_snapshots_of_the_configured_run_accepted(tmp_path):
+    doc = base_doc()
+    doc["training"]["init_scale"] = 0.1
+    config, rounds = train(tmp_path, doc, "seed7")
+    records, _ = load_round_records(rounds)
+    prepared = prepare_experiment(config_from_dict(doc))
+    check_initial_model(records, prepared.training)
+    assert main([
+        "summarize", "--config", str(config), "--snapshots", str(rounds),
+        "--out", str(tmp_path / "summary"),
+    ]) == 0
 
 
 def test_gap_in_round_indices_named(three_rounds):
