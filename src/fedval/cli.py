@@ -28,6 +28,7 @@ from .config import (
     write_manifest,
 )
 from .engine import (
+    RoundOracle,
     ValuationDiagnostics,
     check_initial_model,
     evaluate_utility,
@@ -203,14 +204,10 @@ def _cmd_value_replay(args: argparse.Namespace) -> int:
             )
         check_initial_model(records, cfg.training.to_training_config(layout, cfg.seed))
         report = value_rounds(
-            records,
-            layout,
-            validation.features,
-            validation.labels,
+            RoundOracle(layout, records, validation.features, validation.labels),
             cfg.valuation.method,
             approx=cfg.valuation.approx,
             seed=cfg.seed,
-            metric=cfg.training.metric,
         )
         if cfg.valuation.normalized:
             report = report.normalized()
@@ -237,44 +234,31 @@ def _write_detection(out: Path, outcome: DetectionOutcome) -> None:
     _write_lines(out / "detection_auc.csv", auc_lines)
 
 
-def _cmd_noisy_detect(args: argparse.Namespace) -> int:
+def _cmd_detect(args: argparse.Namespace) -> int:
     cfg, digest = _load_config(args)
     out = _resolve_out(args, cfg)
 
     def body() -> dict[str, Any]:
-        outcome = run_noisy_detection(cfg)
+        outcome = args.protocol(cfg)
         _write_detection(out, outcome)
-        return {
+        details: dict[str, Any] = {
             "affected": list(outcome.affected),
             "auc": {m: outcome.curves[m].auc for m in sorted(outcome.curves)},
         }
+        if outcome.attack_success_rate is not None:
+            _write_lines(
+                out / "attack.csv",
+                [
+                    "attack_success_rate,clean_accuracy",
+                    f"{format_float(outcome.attack_success_rate)},"
+                    f"{format_float(outcome.clean_accuracy)}",
+                ],
+            )
+            details["attack_success_rate"] = outcome.attack_success_rate
+            details["clean_accuracy"] = outcome.clean_accuracy
+        return details
 
-    return _run_with_manifest("noisy-detect", cfg, digest, out, body)
-
-
-def _cmd_backdoor_detect(args: argparse.Namespace) -> int:
-    cfg, digest = _load_config(args)
-    out = _resolve_out(args, cfg)
-
-    def body() -> dict[str, Any]:
-        outcome = run_backdoor_detection(cfg)
-        _write_detection(out, outcome)
-        _write_lines(
-            out / "attack.csv",
-            [
-                "attack_success_rate,clean_accuracy",
-                f"{format_float(outcome.attack_success_rate)},"
-                f"{format_float(outcome.clean_accuracy)}",
-            ],
-        )
-        return {
-            "affected": list(outcome.affected),
-            "attack_success_rate": outcome.attack_success_rate,
-            "clean_accuracy": outcome.clean_accuracy,
-            "auc": {m: outcome.curves[m].auc for m in sorted(outcome.curves)},
-        }
-
-    return _run_with_manifest("backdoor-detect", cfg, digest, out, body)
+    return _run_with_manifest(args.command, cfg, digest, out, body)
 
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
@@ -421,11 +405,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("noisy-detect", help="noisy-participant detection protocol")
     add_common(p, method_flag=True)
-    p.set_defaults(handler=_cmd_noisy_detect)
+    p.set_defaults(handler=_cmd_detect, protocol=run_noisy_detection)
 
     p = sub.add_parser("backdoor-detect", help="backdoor-participant detection protocol")
     add_common(p, method_flag=True)
-    p.set_defaults(handler=_cmd_backdoor_detect)
+    p.set_defaults(handler=_cmd_detect, protocol=run_backdoor_detection)
 
     p = sub.add_parser("summarize", help="participant-dismissal summarization protocol")
     add_common(p, method_flag=True)

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
@@ -21,7 +19,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .engine import METRICS, VALUATION_METHODS, TrainingConfig
+from .engine import VALUATION_METHODS, TrainingConfig, write_atomically
 from .estimators import ApproxParams
 from .models import ARCHITECTURES, ModelLayout
 
@@ -157,7 +155,6 @@ class TrainingSpec:
     model: str
     hidden_units: int
     init_scale: float
-    metric: str
 
     def to_training_config(self, layout: ModelLayout, seed: int) -> TrainingConfig:
         return TrainingConfig(
@@ -169,7 +166,6 @@ class TrainingSpec:
             learning_rate=self.learning_rate,
             seed=seed,
             lr_decay=self.lr_decay,
-            metric=self.metric,
             init_scale=self.init_scale,
         )
 
@@ -353,7 +349,6 @@ def _parse_training(node: Any, path: str) -> TrainingSpec:
         {
             "rounds", "participant_fraction", "local_epochs", "batch_size",
             "learning_rate", "lr_decay", "model", "hidden_units", "init_scale",
-            "metric",
         },
         path,
     )
@@ -393,7 +388,6 @@ def _parse_training(node: Any, path: str) -> TrainingSpec:
         model=model,
         hidden_units=hidden_units,
         init_scale=init_scale,
-        metric=_as_str(doc.get("metric", "accuracy"), f"{path}.metric", METRICS),
     )
 
 
@@ -504,10 +498,6 @@ def config_from_dict(doc: Any, source: str = "config") -> ExperimentConfig:
             raise ConfigError(
                 f"{source}.partition.participants: exceeds dataset samples"
             )
-    if cfg.valuation.method != "none" and cfg.training.metric != "accuracy":
-        raise ConfigError(
-            f"{source}.training.metric: valuation needs the bounded accuracy metric"
-        )
     return cfg
 
 
@@ -591,14 +581,6 @@ class RunManifest:
 
 
 def write_manifest(manifest: RunManifest, path: str | Path) -> None:
-    path = Path(path)
     payload = json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n"
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=".manifest-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(payload)
-        os.replace(tmp_name, path)
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
+    with write_atomically(Path(path)) as fh:
+        fh.write(payload.encode("utf-8"))

@@ -12,10 +12,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
+import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -34,22 +37,20 @@ from .models import (
     init_params,
     logits,
     loss_and_gradient,
-    mean_cross_entropy,
 )
 from .seeding import substream
 from .values import (
-    SUBSET_ENUMERATION_CAP,
     ValuationReport,
     ValueVector,
     as_history,
     build_report,
     exact_federated_round_shapley,
     federated_loo_round,
+    random_values,
 )
 
 SNAPSHOT_MAGIC = b"FEDVALRND1\n"
 
-METRICS = ("accuracy", "neg_loss")
 VALUATION_METHODS = ("exact", "permutation", "group_testing", "loo", "random", "none")
 
 Shard = tuple[np.ndarray, np.ndarray]
@@ -84,7 +85,6 @@ class TrainingConfig:
     learning_rate: float
     seed: int
     lr_decay: float = 1.0
-    metric: str = "accuracy"
     init_scale: float = 0.0
 
     def __post_init__(self) -> None:
@@ -101,8 +101,6 @@ class TrainingConfig:
             raise ValueError(f"learning_rate must be non-negative, got {self.learning_rate}")
         if not 0 < self.lr_decay <= 1:
             raise ValueError(f"lr_decay must lie in (0, 1], got {self.lr_decay}")
-        if self.metric not in METRICS:
-            raise ValueError(f"unknown metric {self.metric!r}")
         if self.init_scale < 0:
             raise ValueError("init_scale must be non-negative")
 
@@ -240,16 +238,11 @@ def evaluate_utility(
     params: np.ndarray,
     features: np.ndarray,
     labels: np.ndarray,
-    metric: str = "accuracy",
 ) -> float:
-    """Model quality on a validation set; ``accuracy`` lies in [0, 1]."""
+    """Accuracy of the model on a validation set, in [0, 1]."""
     if features.shape[0] == 0:
         raise ValueError("validation set must be nonempty")
-    if metric == "accuracy":
-        return accuracy(layout, params, features, labels)
-    if metric == "neg_loss":
-        return -mean_cross_entropy(layout, params, features, labels)
-    raise ValueError(f"unknown metric {metric!r}")
+    return accuracy(layout, params, features, labels)
 
 
 class RoundOracle:
@@ -259,7 +252,8 @@ class RoundOracle:
     recorded round selections verbatim and may end with any subset of
     the last queried round, which is resolved against that round's
     stored updates (no retraining). Results are cached, which is safe
-    because evaluation is deterministic.
+    because evaluation is deterministic, so every value rule run on one
+    oracle shares the utilities the others computed.
 
     The empty subset is the stored incoming model and the full subset the
     stored outgoing one. Logits of a logistic model are affine in its
@@ -275,12 +269,7 @@ class RoundOracle:
         records: Sequence[RoundRecord],
         features: np.ndarray,
         labels: np.ndarray,
-        metric: str = "accuracy",
     ) -> None:
-        if metric != "accuracy":
-            raise ValueError(
-                f"round oracle needs a [0, 1]-bounded metric; got {metric!r}"
-            )
         if not records:
             raise ValueError("at least one round record required")
         for position, record in enumerate(records):
@@ -289,26 +278,21 @@ class RoundOracle:
         if features.shape[0] == 0:
             raise ValueError("validation set must be nonempty")
         self._layout = layout
-        self._records = list(records)
+        self.records = list(records)
         self._features = features
         self._labels = labels
-        self._metric = metric
-        self._realized = tuple(frozenset(r.selected) for r in self._records)
+        self._realized = tuple(frozenset(r.selected) for r in self.records)
         self._cache: dict[tuple[int, frozenset[int]], float] = {}
         self._logits_round: int | None = None
         self._member_logits: dict[int, np.ndarray] = {}
         self.range_bound = 1.0
 
-    @property
-    def realized_history(self) -> tuple[frozenset[int], ...]:
-        return self._realized
-
     def evaluate(self, blocks: Sequence[Iterable[int]]) -> float:
         blocks = as_history(blocks)
-        if len(blocks) > len(self._records):
+        if len(blocks) > len(self.records):
             raise HistoryMismatchError(
                 f"sequence has {len(blocks)} blocks but only "
-                f"{len(self._records)} rounds were recorded"
+                f"{len(self.records)} rounds were recorded"
             )
         if blocks and blocks[:-1] != self._realized[: len(blocks) - 1]:
             raise HistoryMismatchError(
@@ -329,7 +313,7 @@ class RoundOracle:
         return value
 
     def _utility(self, t: int, subset: frozenset[int]) -> float:
-        record = self._records[t]
+        record = self.records[t]
         if not subset:
             params = record.global_before
         elif subset == self._realized[t]:
@@ -338,9 +322,7 @@ class RoundOracle:
             return self._averaged_logits_accuracy(t, subset)
         else:
             params = aggregate_subset(record, subset)
-        return evaluate_utility(
-            self._layout, params, self._features, self._labels, self._metric
-        )
+        return evaluate_utility(self._layout, params, self._features, self._labels)
 
     def _averaged_logits_accuracy(self, t: int, subset: frozenset[int]) -> float:
         if self._logits_round != t:
@@ -348,7 +330,7 @@ class RoundOracle:
             self._logits_round, self._member_logits = None, {}
             self._member_logits = {
                 pid: logits(self._layout, update, self._features)
-                for pid, update in self._records[t].updates.items()
+                for pid, update in self.records[t].updates.items()
             }
             self._logits_round = t
         members = sorted(subset)
@@ -357,17 +339,6 @@ class RoundOracle:
             averaged += self._member_logits[pid]
         averaged /= len(members)
         return accuracy_from_logits(averaged, self._labels)
-
-
-def make_round_oracle(
-    layout: ModelLayout,
-    records: Sequence[RoundRecord],
-    features: np.ndarray,
-    labels: np.ndarray,
-    metric: str = "accuracy",
-) -> RoundOracle:
-    """Utility oracle over the recorded rounds (history replay, no retraining)."""
-    return RoundOracle(layout, records, features, labels, metric)
 
 
 @dataclass
@@ -381,34 +352,29 @@ class ValuationDiagnostics:
 
 
 def value_rounds(
-    records: Sequence[RoundRecord],
-    layout: ModelLayout,
-    features: np.ndarray,
-    labels: np.ndarray,
+    oracle: RoundOracle,
     method: str,
     *,
     approx: ApproxParams | None = None,
     seed: int = 0,
-    metric: str = "accuracy",
-    subset_cap: int = SUBSET_ENUMERATION_CAP,
     diagnostics: ValuationDiagnostics | None = None,
 ) -> ValuationReport:
-    """Value every recorded round with the chosen method.
+    """Value every round recorded in ``oracle`` with the chosen method.
 
-    All methods read the same records through the same oracle, so method
-    comparisons isolate the valuation rule itself. Estimator randomness
-    is drawn from per-round substreams of ``seed``.
+    Methods valued through one oracle read the same records and share its
+    utility cache, so method comparisons isolate the valuation rule
+    itself. Estimator randomness is drawn from per-round substreams of
+    ``seed``.
     """
     if method not in VALUATION_METHODS or method == "none":
         raise ValueError(f"cannot value rounds with method {method!r}")
     if method in ("permutation", "group_testing") and approx is None:
         raise ValueError(f"method {method!r} needs approximation parameters")
-    oracle = make_round_oracle(layout, records, features, labels, metric)
     initial = oracle.evaluate(())
     history: list[frozenset[int]] = []
     per_round: list[ValueVector] = []
     deltas: list[float] = []
-    for record in records:
+    for record in oracle.records:
         t = record.round_index
         selected = frozenset(record.selected)
         prefix = tuple(history)
@@ -418,7 +384,7 @@ def value_rounds(
         rng = substream(seed, "valuation", t)
         if method == "exact":
             vector = exact_federated_round_shapley(
-                oracle, prefix, selected, cap=subset_cap, round_index=t
+                oracle, prefix, selected, round_index=t
             )
         elif method == "loo":
             vector = federated_loo_round(oracle, prefix, selected, round_index=t)
@@ -434,7 +400,7 @@ def value_rounds(
                 # A single participant's value is its exact marginal; no
                 # test matrix can be formed for one participant.
                 vector = exact_federated_round_shapley(
-                    oracle, prefix, selected, cap=subset_cap, round_index=t
+                    oracle, prefix, selected, round_index=t
                 )
             else:
                 plan = group_testing_plan(len(selected), approx)
@@ -450,11 +416,8 @@ def value_rounds(
                     diagnostics.test_utilities.append((t, tests))
                 else:
                     vector = result
-        else:  # random: rank-only baseline, uniform values for the selected
-            draws = rng.random(len(selected))
-            vector = ValueVector(
-                {pid: float(draws[i]) for i, pid in enumerate(sorted(selected))}, t
-            )
+        else:  # random: rank-only baseline
+            vector = random_values(selected, rng, round_index=t)
         per_round.append(vector)
         history.append(selected)
     return build_report(per_round, deltas, initial)
@@ -507,13 +470,10 @@ def run_federated_training(
     report = None
     if valuation != "none":
         report = value_rounds(
-            records,
-            cfg.layout,
-            *validation,
+            RoundOracle(cfg.layout, records, *validation),
             valuation,
             approx=approx,
             seed=cfg.seed,
-            metric=cfg.metric,
             diagnostics=diagnostics,
         )
     return FederatedRun(final_params=theta, records=records, report=report)
@@ -546,10 +506,30 @@ def rerun_with_selections(
     return theta
 
 
+@contextmanager
+def write_atomically(path: Path) -> Iterator[BinaryIO]:
+    """A binary file to write that replaces ``path`` only once complete.
+
+    The content goes to a temporary file beside ``path``, which is moved
+    into place when the block exits cleanly and deleted otherwise, so a
+    reader never sees a half-written file.
+    """
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}-")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            yield fh
+        os.replace(tmp_name, path)
+    except BaseException:
+        if os.path.exists(tmp_name):
+            os.unlink(tmp_name)
+        raise
+
+
 def save_round_records(
     records: Sequence[RoundRecord], layout: ModelLayout, directory: str | Path
 ) -> None:
-    """One self-contained binary snapshot file per round."""
+    """One self-contained binary snapshot file per round, each written
+    atomically."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for record in records:
@@ -559,8 +539,7 @@ def save_round_records(
             "layout": layout.to_dict(),
             "selected": list(record.selected),
         }
-        path = directory / _snapshot_name(record.round_index)
-        with open(path, "wb") as fh:
+        with write_atomically(directory / _snapshot_name(record.round_index)) as fh:
             fh.write(SNAPSHOT_MAGIC)
             fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
             np.save(fh, record.global_before, allow_pickle=False)
@@ -591,9 +570,10 @@ def load_round_records(directory: str | Path) -> tuple[list[RoundRecord], ModelL
     """Load a snapshot directory and verify that its rounds form one run.
 
     Round indices must run from 0 without gaps and agree with each
-    file's header, every stored aggregate must match its updates, and
-    every incoming model must be bitwise the previous round's outcome.
-    Each failure names the offending file.
+    file's header, every array must be complete and finite, every stored
+    aggregate must match its updates, and every incoming model must be
+    bitwise the previous round's outcome. Each failure names the
+    offending file.
     """
     directory = Path(directory)
     paths = sorted(directory.glob("round_*.fvr"), key=_snapshot_index)
@@ -611,7 +591,10 @@ def load_round_records(directory: str | Path) -> tuple[list[RoundRecord], ModelL
             magic = fh.read(len(SNAPSHOT_MAGIC))
             if magic != SNAPSHOT_MAGIC:
                 raise SnapshotFormatError(f"{path}: bad snapshot magic {magic!r}")
-            header = json.loads(fh.readline().decode("utf-8"))
+            try:
+                header = json.loads(fh.readline().decode("utf-8"))
+            except ValueError as exc:
+                raise SnapshotFormatError(f"{path}: unreadable header: {exc}") from exc
             if header.get("format_version") != 1:
                 raise SnapshotFormatError(
                     f"{path}: unsupported format version {header.get('format_version')}"
@@ -627,13 +610,21 @@ def load_round_records(directory: str | Path) -> tuple[list[RoundRecord], ModelL
             elif layout != file_layout:
                 raise SnapshotFormatError(f"{path}: layout differs across rounds")
             selected = tuple(int(pid) for pid in header["selected"])
-            global_before = np.load(fh, allow_pickle=False)
-            stacked = np.load(fh, allow_pickle=False)
-            global_after = np.load(fh, allow_pickle=False)
+            try:
+                global_before = np.load(fh, allow_pickle=False)
+                stacked = np.load(fh, allow_pickle=False)
+                global_after = np.load(fh, allow_pickle=False)
+            except (EOFError, ValueError) as exc:
+                raise SnapshotFormatError(
+                    f"{path}: truncated or unreadable arrays: {exc}"
+                ) from exc
         if stacked.shape != (len(selected), layout.param_count):
             raise SnapshotFormatError(f"{path}: update matrix shape mismatch")
+        if not all(np.isfinite(a).all() for a in (global_before, stacked, global_after)):
+            raise SnapshotFormatError(f"{path}: stored arrays hold non-finite values")
         recomputed = stacked.mean(axis=0)
-        if np.abs(recomputed - global_after).max() > 1e-9:
+        # Written so that a NaN on either side fails it.
+        if not np.abs(recomputed - global_after).max() <= 1e-9:
             raise SnapshotFormatError(
                 f"{path}: stored aggregate disagrees with the stored updates"
             )

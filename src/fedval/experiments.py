@@ -35,6 +35,8 @@ from .datasets import (
 )
 from .engine import (
     FederatedRun,
+    RoundOracle,
+    RoundRecord,
     TrainingConfig,
     ValuationDiagnostics,
     check_initial_model,
@@ -45,7 +47,7 @@ from .engine import (
 )
 from .models import ModelLayout
 from .seeding import substream
-from .values import ValueVector
+from .values import ValuationReport, ValueVector, random_values
 
 
 @dataclass
@@ -78,13 +80,6 @@ def detection_curve(
     inspected = np.arange(len(ids) + 1) / len(ids)
     detected = np.concatenate([[0.0], hits / len(bad)])
     return DetectionCurve(inspected, detected, float(np.trapezoid(detected, inspected)))
-
-
-def random_values(participants: Iterable[int], rng: np.random.Generator) -> ValueVector:
-    """Rank-only baseline: uniform random value per participant."""
-    ids = sorted(participants)
-    draws = rng.random(len(ids))
-    return ValueVector({pid: float(draws[i]) for i, pid in enumerate(ids)}, None)
 
 
 @dataclass
@@ -228,12 +223,11 @@ def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
 
 def run_experiment_training(
     cfg: ExperimentConfig,
-    prepared: PreparedExperiment | None = None,
     diagnostics: ValuationDiagnostics | None = None,
     snapshot_dir=None,
 ) -> tuple[FederatedRun, PreparedExperiment]:
     """Train per the config and value rounds with its valuation method."""
-    prepared = prepared or prepare_experiment(cfg)
+    prepared = prepare_experiment(cfg)
     run = run_federated_training(
         prepared.shards,
         prepared.training,
@@ -262,30 +256,54 @@ def _shapley_backend(cfg: ExperimentConfig) -> str:
     return "exact"
 
 
-def _detection_curves(
-    cfg: ExperimentConfig, prepared: PreparedExperiment, run: FederatedRun
-) -> dict[str, DetectionCurve]:
-    validation = (prepared.validation.features, prepared.validation.labels)
+def _shapley_and_loo(
+    cfg: ExperimentConfig,
+    layout: ModelLayout,
+    records: list[RoundRecord],
+    validation: Dataset,
+) -> tuple[ValuationReport, ValuationReport]:
+    """Raw SV and LOO reports of one run, valued through one oracle: LOO
+    reuses every utility the SV pass cached (all of them after ``exact``)."""
+    oracle = RoundOracle(layout, records, validation.features, validation.labels)
     sv_report = value_rounds(
-        run.records, prepared.layout, *validation,
-        _shapley_backend(cfg), approx=cfg.valuation.approx, seed=cfg.seed,
+        oracle, _shapley_backend(cfg), approx=cfg.valuation.approx, seed=cfg.seed
     )
-    loo_report = value_rounds(
-        run.records, prepared.layout, *validation, "loo", seed=cfg.seed
+    return sv_report, value_rounds(oracle, "loo", seed=cfg.seed)
+
+
+def _run_detection(cfg: ExperimentConfig) -> DetectionOutcome:
+    prepared = prepare_experiment(cfg)
+    validation = prepared.validation
+    run = run_federated_training(
+        prepared.shards, prepared.training, (validation.features, validation.labels)
     )
+    sv_report, loo_report = _shapley_and_loo(cfg, prepared.layout, run.records, validation)
     universe = prepared.plan.participants()
-    baseline = random_values(universe, substream(cfg.seed, "baseline"))
     reports = {
         "fed_sv": sv_report.total,
         "fed_sv_norm": sv_report.normalized().total,
         "fed_loo": loo_report.total,
         "fed_loo_norm": loo_report.normalized().total,
-        "random": baseline,
+        "random": random_values(universe, substream(cfg.seed, "baseline")),
     }
-    return {
-        name: detection_curve(values, prepared.affected, universe)
-        for name, values in reports.items()
-    }
+    outcome = DetectionOutcome(
+        curves={
+            name: detection_curve(values, prepared.affected, universe)
+            for name, values in reports.items()
+        },
+        affected=prepared.affected,
+    )
+    if prepared.triggered is not None:
+        outcome.attack_success_rate = evaluate_utility(
+            prepared.layout,
+            run.final_params,
+            prepared.triggered.features,
+            prepared.triggered.labels,
+        )
+        outcome.clean_accuracy = evaluate_utility(
+            prepared.layout, run.final_params, validation.features, validation.labels
+        )
+    return outcome
 
 
 def run_noisy_detection(cfg: ExperimentConfig) -> DetectionOutcome:
@@ -293,16 +311,7 @@ def run_noisy_detection(cfg: ExperimentConfig) -> DetectionOutcome:
     to surface the corrupted participants."""
     if not isinstance(cfg.corruption, LabelFlipConfig):
         raise ValueError("noisy detection needs a label_flip corruption")
-    prepared = prepare_experiment(cfg)
-    run = run_federated_training(
-        prepared.shards,
-        prepared.training,
-        (prepared.validation.features, prepared.validation.labels),
-    )
-    return DetectionOutcome(
-        curves=_detection_curves(cfg, prepared, run),
-        affected=prepared.affected,
-    )
+    return _run_detection(cfg)
 
 
 def run_backdoor_detection(cfg: ExperimentConfig) -> DetectionOutcome:
@@ -310,31 +319,7 @@ def run_backdoor_detection(cfg: ExperimentConfig) -> DetectionOutcome:
     how often the final model maps triggered inputs to the target label."""
     if not isinstance(cfg.corruption, BackdoorConfig):
         raise ValueError("backdoor detection needs a backdoor corruption")
-    prepared = prepare_experiment(cfg)
-    run = run_federated_training(
-        prepared.shards,
-        prepared.training,
-        (prepared.validation.features, prepared.validation.labels),
-    )
-    assert prepared.triggered is not None
-    attack_success = evaluate_utility(
-        prepared.layout,
-        run.final_params,
-        prepared.triggered.features,
-        prepared.triggered.labels,
-    )
-    clean_accuracy = evaluate_utility(
-        prepared.layout,
-        run.final_params,
-        prepared.validation.features,
-        prepared.validation.labels,
-    )
-    return DetectionOutcome(
-        curves=_detection_curves(cfg, prepared, run),
-        affected=prepared.affected,
-        attack_success_rate=attack_success,
-        clean_accuracy=clean_accuracy,
-    )
+    return _run_detection(cfg)
 
 
 @dataclass
@@ -405,15 +390,11 @@ def run_summarization(
     if records[0].global_before.shape != (prepared.layout.param_count,):
         raise ValueError("round records do not match the configured model")
     check_initial_model(records, prepared.training)
-    sv_report = value_rounds(
-        records, prepared.layout, *validation,
-        _shapley_backend(cfg), approx=cfg.valuation.approx, seed=cfg.seed,
+    sv_report, loo_report = _shapley_and_loo(
+        cfg, prepared.layout, records, prepared.validation
     )
     if cfg.valuation.normalized:
         sv_report = sv_report.normalized()
-    loo_report = value_rounds(
-        records, prepared.layout, *validation, "loo", seed=cfg.seed
-    )
     totals = {"fed_sv": sv_report.total, "fed_loo": loo_report.total}
     selections = [record.selected for record in records]
     baseline_accuracy = evaluate_utility(

@@ -67,6 +67,19 @@ class ValueVector:
         return math.sqrt(math.fsum(v * v for v in self.values.values()))
 
 
+def random_values(
+    participants: Iterable[int],
+    rng: np.random.Generator,
+    *,
+    round_index: int | None = None,
+) -> ValueVector:
+    """Rank-only baseline: a uniform random value per participant, drawn
+    in ascending id order."""
+    ids = sorted(participants)
+    draws = rng.random(len(ids))
+    return ValueVector({pid: float(draws[i]) for i, pid in enumerate(ids)}, round_index)
+
+
 def aggregate_rounds(per_round: Sequence[ValueVector]) -> ValueVector:
     """Elementwise sum over rounds; ids never selected stay at 0."""
     totals: dict[int, float] = {}

@@ -76,12 +76,15 @@ class TestParsing:
             config_from_dict(doc)
 
     def test_unbounded_metric_rejected_when_valuing(self):
+        # Utilities are accuracies and the metric key is gone, so a config
+        # that sets it is refused with or without valuation.
         doc = base_doc()
         doc["training"]["metric"] = "neg_loss"
-        with pytest.raises(ConfigError, match="metric"):
+        with pytest.raises(ConfigError, match=r"training: unknown keys \['metric'\]"):
             config_from_dict(doc)
         doc["valuation"] = {"method": "none"}
-        config_from_dict(doc)  # fine without valuation
+        with pytest.raises(ConfigError, match=r"training: unknown keys \['metric'\]"):
+            config_from_dict(doc)
 
     def test_affected_exclusivity(self):
         with pytest.raises(ConfigError, match="affected"):

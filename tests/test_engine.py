@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fedval.datasets import partition_iid, split_shards, synth_blobs
 from fedval.engine import (
     HistoryMismatchError,
+    RoundOracle,
     RoundRecord,
     SnapshotFormatError,
     TrainingConfig,
@@ -11,7 +14,6 @@ from fedval.engine import (
     aggregate_subset,
     evaluate_utility,
     load_round_records,
-    make_round_oracle,
     participant_update,
     rerun_with_selections,
     round_size,
@@ -22,7 +24,7 @@ from fedval.engine import (
 )
 from fedval.estimators import ApproxParams
 from fedval.models import ModelLayout, loss_and_gradient
-from fedval.values import exact_federated_round_shapley
+from fedval.values import exact_federated_round_shapley, value_record_lines
 
 
 def small_setup(seed=7, participants=6, classes=3, samples=480):
@@ -231,18 +233,12 @@ class TestUtility:
                 layout, np.zeros(layout.param_count), np.empty((0, 3)), np.empty(0, int)
             )
 
-    def test_bounded_metric_required_by_oracle(self, rng):
-        layout, cfg, shards, val = small_setup()
-        run = run_federated_training(shards, cfg, val)
-        with pytest.raises(ValueError, match="bounded"):
-            make_round_oracle(layout, run.records, *val, metric="neg_loss")
-
 
 class TestRoundOracle:
     def test_full_and_empty_blocks(self):
         layout, cfg, shards, val = small_setup()
         run = run_federated_training(shards, cfg, val)
-        oracle = make_round_oracle(layout, run.records, *val)
+        oracle = RoundOracle(layout, run.records, *val)
         record = run.records[1]
         history = [run.records[0].selected]
         full = oracle.evaluate([*history, record.selected])
@@ -256,7 +252,7 @@ class TestRoundOracle:
     def test_matches_direct_composition(self, rng):
         layout, cfg, shards, val = small_setup()
         run = run_federated_training(shards, cfg, val)
-        oracle = make_round_oracle(layout, run.records, *val)
+        oracle = RoundOracle(layout, run.records, *val)
         record = run.records[2]
         history = [r.selected for r in run.records[:2]]
         for _ in range(10):
@@ -270,7 +266,7 @@ class TestRoundOracle:
     def test_unrealized_history_rejected(self):
         layout, cfg, shards, val = small_setup()
         run = run_federated_training(shards, cfg, val)
-        oracle = make_round_oracle(layout, run.records, *val)
+        oracle = RoundOracle(layout, run.records, *val)
         wrong_prefix = tuple(set(run.records[0].selected) ^ set(shards))
         if not wrong_prefix:
             wrong_prefix = (max(shards) + 1,)
@@ -282,10 +278,52 @@ class TestRoundOracle:
     def test_stray_participant_rejected(self):
         layout, cfg, shards, val = small_setup()
         run = run_federated_training(shards, cfg, val)
-        oracle = make_round_oracle(layout, run.records, *val)
+        oracle = RoundOracle(layout, run.records, *val)
         outsider = max(shards) + 1
         with pytest.raises(HistoryMismatchError, match=str(outsider)):
             oracle.evaluate([(outsider,)])
+
+
+def recorded_run(arch):
+    layout, cfg, shards, val = small_setup()
+    if arch == "mlp":
+        layout = ModelLayout("mlp", 5, 3, hidden_units=4)
+        cfg = replace(cfg, layout=layout, init_scale=0.1)
+    return layout, cfg, run_federated_training(shards, cfg, val).records, val
+
+
+class TestSharedOracle:
+    @pytest.mark.parametrize("arch", ["logistic", "mlp"])
+    @pytest.mark.parametrize("shapley", ["exact", "permutation"])
+    def test_sv_then_loo_match_fresh_oracles(self, arch, shapley):
+        layout, cfg, records, val = recorded_run(arch)
+        approx = ApproxParams(epsilon=0.3, delta=0.3)
+
+        def value(oracle, method):
+            return value_record_lines(
+                value_rounds(oracle, method, approx=approx, seed=cfg.seed)
+            )
+
+        shared = RoundOracle(layout, records, *val)
+        assert value(shared, shapley) == value(RoundOracle(layout, records, *val), shapley)
+        assert value(shared, "loo") == value(RoundOracle(layout, records, *val), "loo")
+
+    @pytest.mark.parametrize("arch", ["logistic", "mlp"])
+    def test_loo_after_exact_is_all_cache_hits(self, arch, monkeypatch):
+        import fedval.engine as engine_module
+
+        layout, cfg, records, val = recorded_run(arch)
+        oracle = RoundOracle(layout, records, *val)
+        value_rounds(oracle, "exact", seed=cfg.seed)
+        cached = dict(oracle._cache)
+
+        def uncached(*args):
+            raise AssertionError("LOO after exact recomputed a utility")
+
+        monkeypatch.setattr(engine_module, "evaluate_utility", uncached)
+        monkeypatch.setattr(engine_module, "logits", uncached)
+        value_rounds(oracle, "loo", seed=cfg.seed)
+        assert oracle._cache == cached
 
 
 class TestFederatedTraining:
@@ -296,7 +334,7 @@ class TestFederatedTraining:
             batch_size=16, learning_rate=0.5, seed=3,
         )
         run = run_federated_training(shards, cfg, val, valuation="exact")
-        oracle = make_round_oracle(layout, run.records, *val)
+        oracle = RoundOracle(layout, run.records, *val)
         direct = exact_federated_round_shapley(
             oracle, (), run.records[0].selected, round_index=0
         )
@@ -323,7 +361,7 @@ class TestFederatedTraining:
         run = run_federated_training(shards, cfg, val, valuation="exact")
         report = run.report
         total = sum(report.total.values.values())
-        oracle = make_round_oracle(layout, run.records, *val)
+        oracle = RoundOracle(layout, run.records, *val)
         final = oracle.evaluate([r.selected for r in run.records])
         assert abs(total - (final - report.initial_utility)) <= 1e-9
 
@@ -369,7 +407,7 @@ class TestFederatedTraining:
         )
         approx = ApproxParams(epsilon=0.3, delta=0.3)
         run = run_federated_training(shards, cfg, val, valuation="group_testing", approx=approx)
-        loo = value_rounds(run.records, layout, *val, "loo", seed=cfg.seed)
+        loo = value_rounds(RoundOracle(layout, run.records, *val), "loo", seed=cfg.seed)
         for round_est, round_loo in zip(run.report.per_round, loo.per_round):
             assert round_est.values == round_loo.values  # single marginal either way
 
@@ -456,7 +494,9 @@ class TestSnapshots:
         run = run_federated_training(shards, cfg, val, valuation="exact")
         save_round_records(run.records, layout, tmp_path / "rounds")
         records, loaded_layout = load_round_records(tmp_path / "rounds")
-        replayed = value_rounds(records, loaded_layout, *val, "exact", seed=cfg.seed)
+        replayed = value_rounds(
+            RoundOracle(loaded_layout, records, *val), "exact", seed=cfg.seed
+        )
         assert [v.values for v in replayed.per_round] == [
             v.values for v in run.report.per_round
         ]

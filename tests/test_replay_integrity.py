@@ -3,11 +3,18 @@ and builds only what valuing recorded rounds needs."""
 
 import shutil
 
+import numpy as np
 import pytest
 
 from fedval.cli import main
 from fedval.config import ConfigError, config_from_dict
-from fedval.engine import SnapshotFormatError, check_initial_model, load_round_records
+from fedval.engine import (
+    SNAPSHOT_MAGIC,
+    SnapshotFormatError,
+    check_initial_model,
+    load_round_records,
+    save_round_records,
+)
 from fedval.experiments import prepare_experiment, prepare_validation
 
 from test_config_cli import base_doc, write_config
@@ -117,6 +124,66 @@ def test_intact_run_loads(three_rounds):
     assert [r.round_index for r in records] == [0, 1, 2]
     for earlier, later in zip(records, records[1:]):
         assert earlier.global_after.tobytes() == later.global_before.tobytes()
+
+
+def replay_refused(tmp_path, capsys, config, rounds, message):
+    out = tmp_path / "replay"
+    rc = main([
+        "value-replay", "--config", str(config), "--method", "loo",
+        "--snapshots", str(rounds), "--out", str(out),
+    ])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not (out / "values.csv").exists()
+
+
+@pytest.mark.parametrize("array", ["global_after", "update"])
+def test_non_finite_snapshot_named(tmp_path, capsys, array):
+    config, rounds = train(tmp_path, base_doc(), "run")
+    records, layout = load_round_records(rounds)
+    last = records[-1]
+    if array == "global_after":
+        last.global_after[0] = np.nan
+    else:
+        last.updates[last.selected[0]][0] = np.nan
+    save_round_records([last], layout, rounds)
+    replay_refused(
+        tmp_path, capsys, config, rounds,
+        "round_00001.fvr: stored arrays hold non-finite values",
+    )
+
+
+@pytest.mark.parametrize("cut", ["inside_header", "after_header", "inside_last_array"])
+def test_truncated_snapshot_named(tmp_path, capsys, cut):
+    config, rounds = train(tmp_path, base_doc(), "run")
+    victim = rounds / "round_00001.fvr"
+    raw = victim.read_bytes()
+    header_end = raw.index(b"\n", len(SNAPSHOT_MAGIC)) + 1
+    keep = {
+        "inside_header": header_end - 10,
+        "after_header": header_end,
+        "inside_last_array": len(raw) - 8,
+    }[cut]
+    victim.write_bytes(raw[:keep])
+    replay_refused(tmp_path, capsys, config, rounds, str(victim) + ": ")
+
+
+def test_failed_snapshot_write_leaves_no_file(three_rounds, tmp_path, monkeypatch):
+    records, layout = load_round_records(three_rounds)
+    real_save = np.save
+    saved = []
+
+    def save_then_fail(fh, array, **kwargs):
+        saved.append(array)
+        if len(saved) == 3:
+            raise OSError("disk full")
+        real_save(fh, array, **kwargs)
+
+    monkeypatch.setattr(np, "save", save_then_fail)
+    target = tmp_path / "partial"
+    with pytest.raises(OSError, match="disk full"):
+        save_round_records(records[:1], layout, target)
+    assert list(target.iterdir()) == []
 
 
 def test_mlp_with_zero_init_rejected():
