@@ -263,15 +263,13 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
     cfg, digest = _load_config(args)
-    records = None
-    if args.snapshots is not None:
-        snapshots = Path(args.snapshots)
-        if not snapshots.is_dir():
-            raise ConfigError(f"snapshot directory not found: {snapshots}")
-        records, _ = load_round_records(snapshots)
+    snapshots = None if args.snapshots is None else Path(args.snapshots)
+    if snapshots is not None and not snapshots.is_dir():
+        raise ConfigError(f"snapshot directory not found: {snapshots}")
     out = _resolve_out(args, cfg)
 
     def body() -> dict[str, Any]:
+        records = None if snapshots is None else load_round_records(snapshots)[0]
         result = run_summarization(cfg, records=records)
         lines = ["method,dismiss_fraction,accuracy"]
         for method in sorted(result.accuracy):
@@ -301,15 +299,15 @@ def _check_permutation_contract(
     for trial in range(trials):
         rng = np.random.default_rng((seed, trial))
         game = random_table_game([players], rng)
-        exact = exact_federated_round_shapley(game, (), players)
-        estimate = permutation_sampling_round(game, (), players, count, rng)
+        exact = exact_federated_round_shapley(game, 0, players)
+        estimate = permutation_sampling_round(game, 0, players, count, rng)
         worst = max(
             abs(estimate.get(pid) - exact.get(pid)) for pid in players
         )
         if worst > epsilon:
             failures += 1
         total = sum(estimate.values.values())
-        span = game.evaluate([set(players)]) - game.evaluate([frozenset()])
+        span = game.evaluate(0, (1 << m) - 1) - game.evaluate(0, 0)
         if abs(total - span) > 1e-9:
             telescope_bad += 1
     rate = 1.0 - failures / trials

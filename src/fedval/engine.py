@@ -42,7 +42,6 @@ from .seeding import substream
 from .values import (
     ValuationReport,
     ValueVector,
-    as_history,
     build_report,
     exact_federated_round_shapley,
     federated_loo_round,
@@ -61,7 +60,7 @@ class TrainingError(RuntimeError):
 
 
 class HistoryMismatchError(ValueError):
-    """A queried block sequence is not the realized training history."""
+    """A utility query names a round or participants the run did not record."""
 
 
 class SnapshotFormatError(ValueError):
@@ -248,19 +247,20 @@ def evaluate_utility(
 class RoundOracle:
     """Utility of recorded training states under partial round aggregation.
 
-    Only realized histories are evaluable: a query must replay the
-    recorded round selections verbatim and may end with any subset of
-    the last queried round, which is resolved against that round's
-    stored updates (no retraining). Results are cached, which is safe
-    because evaluation is deterministic, so every value rule run on one
-    oracle shares the utilities the others computed.
+    ``evaluate(t, mask)`` is the utility of the recorded rounds before
+    ``t`` followed by the members of round ``t`` that ``mask`` selects
+    (bit ``b`` is the ``b``-th smallest id), resolved against that
+    round's stored updates (no retraining). Results are cached by
+    ``(t, mask)``, which is safe because evaluation is deterministic, so
+    every value rule run on one oracle shares the utilities the others
+    computed.
 
-    The empty subset is the stored incoming model and the full subset the
-    stored outgoing one. Logits of a logistic model are affine in its
+    Mask 0 is the stored incoming model and the full mask the stored
+    outgoing one. Logits of a logistic model are affine in its
     parameters, so a proper subset's logits are the mean of its members'
     logits: those are computed once per round, kept only while that round
-    is queried, and summed in ascending id order. The MLP averages the
-    members' parameters instead.
+    is queried, and summed in bit (ascending id) order. The MLP averages
+    the members' parameters instead.
     """
 
     def __init__(
@@ -281,62 +281,55 @@ class RoundOracle:
         self.records = list(records)
         self._features = features
         self._labels = labels
-        self._realized = tuple(frozenset(r.selected) for r in self.records)
-        self._cache: dict[tuple[int, frozenset[int]], float] = {}
+        self._cache: dict[tuple[int, int], float] = {}
         self._logits_round: int | None = None
-        self._member_logits: dict[int, np.ndarray] = {}
-        self.range_bound = 1.0
+        self._member_logits: list[np.ndarray] = []
 
-    def evaluate(self, blocks: Sequence[Iterable[int]]) -> float:
-        blocks = as_history(blocks)
-        if len(blocks) > len(self.records):
-            raise HistoryMismatchError(
-                f"sequence has {len(blocks)} blocks but only "
-                f"{len(self.records)} rounds were recorded"
-            )
-        if blocks and blocks[:-1] != self._realized[: len(blocks) - 1]:
-            raise HistoryMismatchError(
-                "sequence prefix does not match the recorded round selections"
-            )
-        t = len(blocks) - 1 if blocks else 0
-        subset = blocks[-1] if blocks else frozenset()
-        stray = subset - self._realized[t]
-        if stray:
-            raise HistoryMismatchError(
-                f"participants {sorted(stray)} were not selected in round {t}"
-            )
-        key = (t, subset)
+    def evaluate(self, round_index: int, mask: int) -> float:
+        key = (round_index, mask)
         value = self._cache.get(key)
         if value is None:
-            value = self._utility(t, subset)
+            value = self._utility(round_index, mask)
             self._cache[key] = value
         return value
 
-    def _utility(self, t: int, subset: frozenset[int]) -> float:
+    def _utility(self, t: int, mask: int) -> float:
+        if not 0 <= t < len(self.records):
+            raise HistoryMismatchError(
+                f"round {t} was not recorded; the run has {len(self.records)} rounds"
+            )
         record = self.records[t]
-        if not subset:
+        m = len(record.selected)
+        if not 0 <= mask < 1 << m:
+            raise HistoryMismatchError(
+                f"mask {mask:#x} selects outside the {m} participants of round {t}"
+            )
+        if mask == 0:
             params = record.global_before
-        elif subset == self._realized[t]:
+        elif mask == (1 << m) - 1:
             params = record.global_after
         elif self._layout.arch == "logistic":
-            return self._averaged_logits_accuracy(t, subset)
+            return self._averaged_logits_accuracy(t, mask)
         else:
-            params = aggregate_subset(record, subset)
+            ids = sorted(record.selected)
+            members = [ids[b] for b in range(m) if mask >> b & 1]
+            params = aggregate_subset(record, members)
         return evaluate_utility(self._layout, params, self._features, self._labels)
 
-    def _averaged_logits_accuracy(self, t: int, subset: frozenset[int]) -> float:
+    def _averaged_logits_accuracy(self, t: int, mask: int) -> float:
         if self._logits_round != t:
             # Release the previous round's logits before computing these.
-            self._logits_round, self._member_logits = None, {}
-            self._member_logits = {
-                pid: logits(self._layout, update, self._features)
-                for pid, update in self.records[t].updates.items()
-            }
+            self._logits_round, self._member_logits = None, []
+            record = self.records[t]
+            self._member_logits = [
+                logits(self._layout, record.updates[pid], self._features)
+                for pid in sorted(record.selected)
+            ]
             self._logits_round = t
-        members = sorted(subset)
-        averaged = self._member_logits[members[0]].copy()
-        for pid in members[1:]:
-            averaged += self._member_logits[pid]
+        members = [row for b, row in enumerate(self._member_logits) if mask >> b & 1]
+        averaged = members[0].copy()
+        for row in members[1:]:
+            averaged += row
         averaged /= len(members)
         return accuracy_from_logits(averaged, self._labels)
 
@@ -370,46 +363,37 @@ def value_rounds(
         raise ValueError(f"cannot value rounds with method {method!r}")
     if method in ("permutation", "group_testing") and approx is None:
         raise ValueError(f"method {method!r} needs approximation parameters")
-    initial = oracle.evaluate(())
-    history: list[frozenset[int]] = []
+    initial = oracle.evaluate(0, 0)
     per_round: list[ValueVector] = []
     deltas: list[float] = []
     for record in oracle.records:
         t = record.round_index
-        selected = frozenset(record.selected)
-        prefix = tuple(history)
-        before = oracle.evaluate((*prefix, frozenset()))
-        after = oracle.evaluate((*prefix, selected))
+        selected = record.selected
+        before = oracle.evaluate(t, 0)
+        after = oracle.evaluate(t, (1 << len(selected)) - 1)
         deltas.append(after - before)
         rng = substream(seed, "valuation", t)
         if method == "exact":
-            vector = exact_federated_round_shapley(
-                oracle, prefix, selected, round_index=t
-            )
+            vector = exact_federated_round_shapley(oracle, t, selected)
         elif method == "loo":
-            vector = federated_loo_round(oracle, prefix, selected, round_index=t)
+            vector = federated_loo_round(oracle, t, selected)
         elif method == "permutation":
             count = permutation_sample_count(approx, len(selected))
             if diagnostics is not None:
                 diagnostics.sample_counts.append((t, count))
-            vector = permutation_sampling_round(
-                oracle, prefix, selected, count, rng, round_index=t
-            )
+            vector = permutation_sampling_round(oracle, t, selected, count, rng)
         elif method == "group_testing":
             if len(selected) == 1:
                 # A single participant's value is its exact marginal; no
                 # test matrix can be formed for one participant.
-                vector = exact_federated_round_shapley(
-                    oracle, prefix, selected, round_index=t
-                )
+                vector = exact_federated_round_shapley(oracle, t, selected)
             else:
                 plan = group_testing_plan(len(selected), approx)
                 if diagnostics is not None:
                     diagnostics.plans.append((t, plan))
                 result = group_testing_round(
-                    oracle, prefix, selected, plan, rng,
-                    round_index=t, return_tests=diagnostics is not None
-                    and diagnostics.collect_tests,
+                    oracle, t, selected, plan, rng,
+                    return_tests=diagnostics is not None and diagnostics.collect_tests,
                 )
                 if isinstance(result, tuple):
                     vector, tests = result
@@ -419,7 +403,6 @@ def value_rounds(
         else:  # random: rank-only baseline
             vector = random_values(selected, rng, round_index=t)
         per_round.append(vector)
-        history.append(selected)
     return build_report(per_round, deltas, initial)
 
 

@@ -122,19 +122,17 @@ def _as_generator(seed: int | np.random.Generator) -> np.random.Generator:
 
 def permutation_sampling_round(
     oracle: UtilityOracle,
-    history: Iterable[Collection[int]],
+    round_index: int,
     round_players: Collection[int],
     sample_count: int,
     seed: int | np.random.Generator,
-    *,
-    round_index: int | None = None,
 ) -> ValueVector:
     """Estimate round values by averaging marginals over random orderings.
 
     Every sampled ordering walks the participants once, crediting each
     one with the utility increase it causes on top of those before it;
-    the walk restarts from the bare-history utility each time, so the
-    per-ordering credits always telescope to the round's full utility
+    the walk restarts from the round's empty-subset utility each time, so
+    the per-ordering credits always telescope to the round's full utility
     improvement and the estimate inherits that identity exactly.
     """
     if sample_count < 1:
@@ -152,7 +150,7 @@ def permutation_sampling_round(
     bits = mask_bits(m)
     prefixes = np.zeros((sample_count, m + 1), dtype=bits.dtype)
     np.cumsum(bits[orderings], axis=1, out=prefixes[:, 1:])
-    utilities = RoundUtility(oracle, history, ids)(
+    utilities = RoundUtility(oracle, round_index)(
         prefixes, progress_unit="sampled orderings"
     )
     marginals = np.diff(utilities, axis=1)
@@ -166,12 +164,11 @@ def permutation_sampling_round(
 
 def group_testing_round(
     oracle: UtilityOracle,
-    history: Iterable[Collection[int]],
+    round_index: int,
     round_players: Collection[int],
     plan: GroupTestingPlan,
     seed: int | np.random.Generator,
     *,
-    round_index: int | None = None,
     return_tests: bool = False,
 ) -> ValueVector | tuple[ValueVector, np.ndarray]:
     """Estimate round values from utilities of random subsets.
@@ -195,14 +192,13 @@ def group_testing_round(
         membership, order, np.arange(m)[None, :] < sizes[:, None], axis=1
     )
     masks = membership @ mask_bits(m)
-    test_utilities = RoundUtility(oracle, history, ids)(masks)
+    test_utilities = RoundUtility(oracle, round_index)(masks)
     # Per-participant accumulants; the difference matrix is their outer
     # difference, so it is antisymmetric by construction.
     loads = (plan.z / plan.t1) * (test_utilities @ membership)
     differences = loads[:, None] - loads[None, :]
     values = pivot_anchor_values(
-        differences, oracle, history, round_players, plan, rng,
-        round_index=round_index,
+        differences, oracle, round_index, round_players, plan, rng
     )
     if return_tests:
         return values, test_utilities
@@ -212,12 +208,10 @@ def group_testing_round(
 def pivot_anchor_values(
     pairwise_differences: np.ndarray,
     oracle: UtilityOracle,
-    history: Iterable[Collection[int]],
+    round_index: int,
     round_players: Collection[int],
     plan: GroupTestingPlan,
     seed: int | np.random.Generator,
-    *,
-    round_index: int | None = None,
 ) -> ValueVector:
     """Recover absolute values from pairwise differences.
 
@@ -247,7 +241,7 @@ def pivot_anchor_values(
     masks = others @ bits[:-1]
     # One (with, without) pair per sample, so the oracle sees the masks
     # in the order of a sample-by-sample walk.
-    paired = RoundUtility(oracle, history, ids)(
+    paired = RoundUtility(oracle, round_index)(
         np.stack([masks | bits[-1], masks], axis=1)
     )
     total = 0.0

@@ -11,20 +11,18 @@ from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .values import History, as_history
-
 _BOUND_SLACK = 1e-9
 
 
 class TableGame:
     """Utility oracle backed by per-round subset tables.
 
-    The game fixes the participant set of every round up front. A query
-    must replay the realized earlier rounds verbatim and may end with
-    any subset of the queried round's participants; the utility is read
-    from that round's table (indexed by subset bitmask). Consecutive
-    tables must agree where they describe the same state: finishing
-    round t equals starting round t+1 with the empty subset.
+    The game fixes the participant set of every round up front and keeps
+    each as a sorted id tuple in ``rounds``. ``evaluate(t, mask)`` reads
+    round ``t``'s table, indexed by subset bitmask (bit ``b`` selects the
+    ``b``-th smallest id of the round). Consecutive tables must agree
+    where they describe the same state: finishing round t equals starting
+    round t+1 with the empty subset.
     """
 
     def __init__(
@@ -34,18 +32,14 @@ class TableGame:
         *,
         range_bound: float = 1.0,
     ) -> None:
-        self.rounds: History = as_history(round_sets)
+        self.rounds = tuple(tuple(sorted(block)) for block in round_sets)
         if not self.rounds:
             raise ValueError("a table game needs at least one round")
-        self._ids = [sorted(block) for block in self.rounds]
-        self._positions = [
-            {pid: b for b, pid in enumerate(ids)} for ids in self._ids
-        ]
         self._tables = [np.asarray(table, dtype=np.float64) for table in tables]
         if len(self._tables) != len(self.rounds):
             raise ValueError("one table per round required")
         for t, table in enumerate(self._tables):
-            if table.shape != (1 << len(self._ids[t]),):
+            if table.shape != (1 << len(self.rounds[t]),):
                 raise ValueError(f"round {t}: table must cover every subset")
             if t > 0 and table[0] != self._tables[t - 1][-1]:
                 raise ValueError(
@@ -59,31 +53,22 @@ class TableGame:
             )
         self.range_bound = float(range_bound)
 
-    def evaluate(self, blocks: Iterable[Collection[int]]) -> float:
-        blocks = as_history(blocks)
-        if len(blocks) > len(self.rounds):
+    def evaluate(self, round_index: int, mask: int) -> float:
+        if not 0 <= round_index < len(self._tables):
             raise ValueError(
-                f"sequence has {len(blocks)} blocks but only "
-                f"{len(self.rounds)} rounds were realized"
+                f"round {round_index} was not realized; the game has "
+                f"{len(self._tables)} rounds"
             )
-        if not blocks:
-            return float(self._tables[0][0])
-        t = len(blocks) - 1
-        if blocks[:-1] != self.rounds[:t]:
-            raise ValueError("sequence does not match the realized rounds")
-        positions = self._positions[t]
-        mask = 0
-        for pid in blocks[-1]:
-            b = positions.get(pid)
-            if b is None:
-                raise ValueError(f"participant {pid} was not selected in round {t}")
-            mask |= 1 << b
-        return float(self._tables[t][mask])
+        table = self._tables[round_index]
+        if not 0 <= mask < len(table):
+            raise ValueError(
+                f"mask {mask:#x} selects outside the participants of round "
+                f"{round_index}"
+            )
+        return float(table[mask])
 
 
-def _stitch_and_fit(
-    rounds: History, raw: list[np.ndarray], range_bound: float
-) -> list[np.ndarray]:
+def _stitch_and_fit(raw: list[np.ndarray], range_bound: float) -> list[np.ndarray]:
     # Anchor each round so its empty subset equals the previous round's
     # end, then map everything into [0, range_bound] with one affine
     # transform (which preserves the anchoring).
@@ -100,6 +85,19 @@ def _stitch_and_fit(
     return [(table - low) * scale for table in stitched]
 
 
+def _set_function_table(
+    players: Collection[int], set_function: Callable[[frozenset[int]], float]
+) -> np.ndarray:
+    """``set_function`` of every subset of ``players``, by bitmask."""
+    ids = sorted(players)
+    table = np.empty(1 << len(ids))
+    for mask in range(1 << len(ids)):
+        table[mask] = set_function(
+            frozenset(ids[b] for b in range(len(ids)) if mask >> b & 1)
+        )
+    return table
+
+
 def random_table_game(
     round_sets: Iterable[Collection[int]],
     rng: np.random.Generator,
@@ -108,10 +106,9 @@ def random_table_game(
 ) -> TableGame:
     """Random bounded game: independent uniform utility per reachable state,
     rescaled into ``[0, range_bound]``."""
-    rounds = as_history(round_sets)
+    rounds = [sorted(block) for block in round_sets]
     raw = [rng.uniform(0.0, 1.0, size=1 << len(block)) for block in rounds]
-    tables = _stitch_and_fit(rounds, raw, range_bound)
-    return TableGame(rounds, tables, range_bound=range_bound)
+    return TableGame(rounds, _stitch_and_fit(raw, range_bound), range_bound=range_bound)
 
 
 def stitched_game(
@@ -126,19 +123,11 @@ def stitched_game(
     Anchoring and fitting are affine, so within-round structure of each
     function (symmetries, null players, marginal ratios) is preserved.
     """
-    rounds = as_history(round_sets)
+    rounds = [sorted(block) for block in round_sets]
     if len(round_functions) != len(rounds):
         raise ValueError("one set function per round required")
-    raw: list[np.ndarray] = []
-    for block, fn in zip(rounds, round_functions):
-        ids = sorted(block)
-        table = np.empty(1 << len(ids))
-        for mask in range(1 << len(ids)):
-            subset = frozenset(ids[b] for b in range(len(ids)) if mask >> b & 1)
-            table[mask] = fn(subset)
-        raw.append(table)
-    tables = _stitch_and_fit(rounds, raw, range_bound)
-    return TableGame(rounds, tables, range_bound=range_bound)
+    raw = [_set_function_table(block, fn) for block, fn in zip(rounds, round_functions)]
+    return TableGame(rounds, _stitch_and_fit(raw, range_bound), range_bound=range_bound)
 
 
 def additive_game(
@@ -152,11 +141,10 @@ def additive_game(
     in any round it appears is its weight."""
     if base < 0 or any(w < 0 for w in weights.values()):
         raise ValueError("additive games need non-negative base and weights")
-    rounds = as_history(round_sets)
+    rounds = [sorted(block) for block in round_sets]
     tables: list[np.ndarray] = []
     carried = base
-    for block in rounds:
-        ids = sorted(block)
+    for ids in rounds:
         masks = np.arange(1 << len(ids))
         marginal = np.zeros(1 << len(ids))
         for b, pid in enumerate(ids):
@@ -174,12 +162,9 @@ def game_from_set_function(
     range_bound: float,
 ) -> TableGame:
     """Single-round game with utilities given directly by ``set_function``."""
-    ids = sorted(players)
-    table = np.empty(1 << len(ids))
-    for mask in range(1 << len(ids)):
-        subset = frozenset(ids[b] for b in range(len(ids)) if mask >> b & 1)
-        table[mask] = set_function(subset)
-    return TableGame([players], [table], range_bound=range_bound)
+    return TableGame(
+        [players], [_set_function_table(players, set_function)], range_bound=range_bound
+    )
 
 
 def sum_games(first: TableGame, second: TableGame) -> TableGame:

@@ -19,8 +19,6 @@ import numpy as np
 SUBSET_ENUMERATION_CAP = 20
 PERMUTATION_ENUMERATION_CAP = 8
 
-History = tuple[frozenset[int], ...]
-
 
 class EnumerationRefusedError(RuntimeError):
     """Raised when an exact computation would enumerate too many coalitions."""
@@ -28,23 +26,16 @@ class EnumerationRefusedError(RuntimeError):
 
 @runtime_checkable
 class UtilityOracle(Protocol):
-    """Deterministic utility of an ordered sequence of coalition blocks.
+    """Deterministic utility of the realized rounds, queried one round at a time.
 
-    ``evaluate`` receives one participant set per round, oldest first.
-    The trailing block may be any subset of that round's participants,
-    including the empty set, which must leave the utility of the
-    preceding blocks unchanged. Values lie in ``[0, range_bound]`` and
-    identical inputs yield identical outputs.
+    ``evaluate(t, mask)`` is the utility after the realized rounds before
+    ``t`` plus the members of round ``t`` selected by ``mask``: bit ``b``
+    selects the ``b``-th smallest of the round's participant ids. Mask 0
+    is the state entering round ``t``. Identical queries yield identical
+    outputs.
     """
 
-    range_bound: float
-
-    def evaluate(self, blocks: Sequence[Collection[int]]) -> float: ...
-
-
-def as_history(blocks: Iterable[Collection[int]]) -> History:
-    """Normalize round blocks to a tuple of frozensets, order preserved."""
-    return tuple(frozenset(block) for block in blocks)
+    def evaluate(self, round_index: int, mask: int) -> float: ...
 
 
 @dataclass
@@ -122,22 +113,14 @@ def mask_bits(m: int) -> np.ndarray:
 
 
 class RoundUtility:
-    """Utility of ``history + S`` for subsets ``S`` of one round, by bitmask.
+    """Utilities of subsets of one round's participants, by bitmask.
 
-    Bit ``b`` of a mask selects the ``b``-th smallest of the round's
-    player ids. The helper keeps no memo: the one cache, if any, is the
-    oracle's.
+    The helper keeps no memo: the one cache, if any, is the oracle's.
     """
 
-    def __init__(
-        self,
-        oracle: UtilityOracle,
-        history: Iterable[Collection[int]],
-        round_players: Collection[int],
-    ) -> None:
+    def __init__(self, oracle: UtilityOracle, round_index: int) -> None:
         self._oracle = oracle
-        self._history = as_history(history)
-        self._ids = sorted(round_players)
+        self._round_index = round_index
 
     def __call__(
         self, masks: np.ndarray, *, progress_unit: str | None = None
@@ -158,12 +141,11 @@ class RoundUtility:
             count=masks.size,
         )
         utilities = np.empty(len(slot_of), dtype=np.float64)
-        ids = self._ids
+        evaluate, t = self._oracle.evaluate, self._round_index
         done = 0
         try:
             for mask in slot_of:
-                block = frozenset(pid for b, pid in enumerate(ids) if mask >> b & 1)
-                utilities[done] = self._oracle.evaluate((*self._history, block))
+                utilities[done] = evaluate(t, mask)
                 done += 1
         except Exception as exc:
             if progress_unit is None:
@@ -181,18 +163,18 @@ class RoundUtility:
 
 def exact_federated_round_shapley(
     oracle: UtilityOracle,
-    history: Iterable[Collection[int]],
+    round_index: int,
     round_players: Collection[int],
     *,
     cap: int = SUBSET_ENUMERATION_CAP,
-    round_index: int | None = None,
 ) -> ValueVector:
     """Per-round Shapley values conditioned on the realized history.
 
-    Each selected participant receives its average marginal contribution
-    over all subsets of the other participants selected in the same
-    round, every utility being evaluated on top of the realized earlier
-    rounds. The values sum to the round's utility improvement.
+    Each participant of round ``round_index`` receives its average
+    marginal contribution over all subsets of the other participants
+    selected in the same round, every utility being evaluated on top of
+    the realized earlier rounds. The values sum to the round's utility
+    improvement.
     """
     ids = sorted(round_players)
     m = len(ids)
@@ -203,7 +185,7 @@ def exact_federated_round_shapley(
             f"exact subset enumeration for {m} participants needs 2**{m} = "
             f"{1 << m} utility evaluations (cap {cap}); the cost grows as 2**m"
         )
-    utilities = RoundUtility(oracle, history, ids)(np.arange(1 << m))
+    utilities = RoundUtility(oracle, round_index)(np.arange(1 << m))
     sizes = _popcounts(1 << m)
     weight_by_size = np.array(
         [1.0 / (m * math.comb(m - 1, s)) for s in range(m)], dtype=np.float64
@@ -224,8 +206,9 @@ def exact_shapley(
     *,
     cap: int = SUBSET_ENUMERATION_CAP,
 ) -> ValueVector:
-    """Shapley values of a single-coalition game by full subset enumeration."""
-    return exact_federated_round_shapley(oracle, (), players, cap=cap)
+    """Shapley values of a single-coalition game (round 0 of ``oracle``)
+    by full subset enumeration."""
+    return exact_federated_round_shapley(oracle, 0, players, cap=cap)
 
 
 def exact_shapley_permutation_form(
@@ -234,7 +217,8 @@ def exact_shapley_permutation_form(
     *,
     cap: int = PERMUTATION_ENUMERATION_CAP,
 ) -> ValueVector:
-    """Shapley values averaged over every ordering of the players.
+    """Shapley values of a single-coalition game (round 0 of ``oracle``)
+    averaged over every ordering of the players.
 
     Agrees with :func:`exact_shapley`; kept as an independent cross-check
     since the two enumerations share nothing beyond the oracle calls.
@@ -242,13 +226,13 @@ def exact_shapley_permutation_form(
     ids = sorted(players)
     m = len(ids)
     if m == 0:
-        return ValueVector({}, None)
+        return ValueVector({}, 0)
     if m > cap:
         raise EnumerationRefusedError(
             f"exact ordering enumeration for {m} players needs {m}! = "
             f"{math.factorial(m)} passes (cap {cap}); the cost grows as m!"
         )
-    utilities = RoundUtility(oracle, (), ids)(np.arange(1 << m))
+    utilities = RoundUtility(oracle, 0)(np.arange(1 << m))
     acc = np.zeros(m, dtype=np.float64)
     for perm in itertools.permutations(range(m)):
         mask = 0
@@ -259,26 +243,24 @@ def exact_shapley_permutation_form(
             acc[b] += current - previous
             previous = current
     acc /= math.factorial(m)
-    return ValueVector({pid: float(acc[b]) for b, pid in enumerate(ids)}, None)
+    return ValueVector({pid: float(acc[b]) for b, pid in enumerate(ids)}, 0)
 
 
 def federated_loo_round(
     oracle: UtilityOracle,
-    history: Iterable[Collection[int]],
+    round_index: int,
     round_players: Collection[int],
-    *,
-    round_index: int | None = None,
 ) -> ValueVector:
     """Utility drop from removing one participant from the round's aggregate."""
     ids = sorted(round_players)
     if not ids:
         return ValueVector({}, round_index)
-    hist = as_history(history)
-    full = frozenset(ids)
-    utility_full = oracle.evaluate((*hist, full))
-    values = {
-        pid: utility_full - oracle.evaluate((*hist, full - {pid})) for pid in ids
-    }
+    full = (1 << len(ids)) - 1
+    # Python-int masks: a round may have more players than int64 has bits.
+    utilities = RoundUtility(oracle, round_index)(
+        np.array([full, *(full ^ (1 << b) for b in range(len(ids)))], dtype=object)
+    )
+    values = {pid: float(utilities[0] - utilities[1 + b]) for b, pid in enumerate(ids)}
     return ValueVector(values, round_index)
 
 

@@ -22,29 +22,40 @@ def random_process(
     for _ in range(rng.integers(1, max_rounds + 1)):
         size = int(rng.integers(1, len(universe) + 1))
         members = rng.choice(universe, size=size, replace=False)
-        rounds.append(frozenset(int(p) for p in members))
+        rounds.append([int(p) for p in members])
     return random_table_game(rounds, rng)
+
+
+def full_mask(game: TableGame, round_index: int) -> int:
+    """The mask selecting every participant of the round."""
+    return (1 << len(game.rounds[round_index])) - 1
+
+
+def round_gain(game: TableGame, round_index: int) -> float:
+    """Utility after the full round minus the utility entering it."""
+    return game.evaluate(round_index, full_mask(game, round_index)) - game.evaluate(
+        round_index, 0
+    )
 
 
 def brute_force_round_values(game: TableGame, round_index: int) -> dict[int, float]:
     """Independent oracle: average marginals over all orderings of the round.
 
-    Deliberately shares no code with the library computations beyond the
-    game itself.
+    Walks the masks of each ordering's growing prefixes; deliberately
+    shares no code with the library computations beyond the game itself.
     """
     import itertools
 
-    prefix = list(game.rounds[:round_index])
     ids = sorted(game.rounds[round_index])
     totals = {pid: 0.0 for pid in ids}
     count = 0
-    for perm in itertools.permutations(ids):
-        seen: set[int] = set()
-        previous = game.evaluate((*prefix, frozenset()))
-        for pid in perm:
-            seen.add(pid)
-            current = game.evaluate((*prefix, frozenset(seen)))
-            totals[pid] += current - previous
+    for perm in itertools.permutations(range(len(ids))):
+        mask = 0
+        previous = game.evaluate(round_index, mask)
+        for b in perm:
+            mask |= 1 << b
+            current = game.evaluate(round_index, mask)
+            totals[ids[b]] += current - previous
             previous = current
         count += 1
     return {pid: total / count for pid, total in totals.items()}

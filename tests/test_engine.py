@@ -240,12 +240,11 @@ class TestRoundOracle:
         run = run_federated_training(shards, cfg, val)
         oracle = RoundOracle(layout, run.records, *val)
         record = run.records[1]
-        history = [run.records[0].selected]
-        full = oracle.evaluate([*history, record.selected])
+        full = oracle.evaluate(1, (1 << len(record.selected)) - 1)
         assert full == evaluate_utility(layout, record.global_after, *val)
-        empty = oracle.evaluate([*history, ()])
+        empty = oracle.evaluate(1, 0)
         assert empty == evaluate_utility(layout, record.global_before, *val)
-        assert oracle.evaluate(()) == evaluate_utility(
+        assert oracle.evaluate(0, 0) == evaluate_utility(
             layout, run.records[0].global_before, *val
         )
 
@@ -254,34 +253,34 @@ class TestRoundOracle:
         run = run_federated_training(shards, cfg, val)
         oracle = RoundOracle(layout, run.records, *val)
         record = run.records[2]
-        history = [r.selected for r in run.records[:2]]
+        ids = sorted(record.selected)
         for _ in range(10):
             size = int(rng.integers(0, len(record.selected) + 1))
             subset = rng.choice(record.selected, size=size, replace=False)
             expected = evaluate_utility(
                 layout, aggregate_subset(record, subset), *val
             )
-            assert oracle.evaluate([*history, subset]) == expected
+            mask = sum(1 << ids.index(pid) for pid in subset)
+            assert oracle.evaluate(2, mask) == expected
 
     def test_unrealized_history_rejected(self):
         layout, cfg, shards, val = small_setup()
         run = run_federated_training(shards, cfg, val)
         oracle = RoundOracle(layout, run.records, *val)
-        wrong_prefix = tuple(set(run.records[0].selected) ^ set(shards))
-        if not wrong_prefix:
-            wrong_prefix = (max(shards) + 1,)
-        with pytest.raises(HistoryMismatchError):
-            oracle.evaluate([wrong_prefix, run.records[1].selected])
-        with pytest.raises(HistoryMismatchError):
-            oracle.evaluate([r.selected for r in run.records] + [()])
+        beyond = len(run.records)
+        with pytest.raises(HistoryMismatchError, match=f"round {beyond} was not recorded"):
+            oracle.evaluate(beyond, 0)
+        with pytest.raises(HistoryMismatchError, match="round -1 was not recorded"):
+            oracle.evaluate(-1, 0)
 
     def test_stray_participant_rejected(self):
         layout, cfg, shards, val = small_setup()
         run = run_federated_training(shards, cfg, val)
         oracle = RoundOracle(layout, run.records, *val)
-        outsider = max(shards) + 1
-        with pytest.raises(HistoryMismatchError, match=str(outsider)):
-            oracle.evaluate([(outsider,)])
+        m = len(run.records[0].selected)
+        for mask in (1 << m, -1):
+            with pytest.raises(HistoryMismatchError, match="participants of round 0"):
+                oracle.evaluate(0, mask)
 
 
 def recorded_run(arch):
@@ -335,9 +334,7 @@ class TestFederatedTraining:
         )
         run = run_federated_training(shards, cfg, val, valuation="exact")
         oracle = RoundOracle(layout, run.records, *val)
-        direct = exact_federated_round_shapley(
-            oracle, (), run.records[0].selected, round_index=0
-        )
+        direct = exact_federated_round_shapley(oracle, 0, run.records[0].selected)
         assert run.report is not None
         assert run.report.per_round[0].values == direct.values
 
@@ -362,7 +359,8 @@ class TestFederatedTraining:
         report = run.report
         total = sum(report.total.values.values())
         oracle = RoundOracle(layout, run.records, *val)
-        final = oracle.evaluate([r.selected for r in run.records])
+        last = run.records[-1]
+        final = oracle.evaluate(last.round_index, (1 << len(last.selected)) - 1)
         assert abs(total - (final - report.initial_utility)) <= 1e-9
 
     def test_fedavg_consistency(self):
@@ -459,9 +457,7 @@ class TestPartialProgress:
         calls = {"n": 0}
 
         class FlakyOracle:
-            range_bound = 1.0
-
-            def evaluate(self, blocks):
+            def evaluate(self, round_index, mask):
                 calls["n"] += 1
                 if calls["n"] > 5:
                     raise RuntimeError("backend gone")
@@ -470,7 +466,7 @@ class TestPartialProgress:
         from fedval.estimators import permutation_sampling_round
 
         with pytest.raises(RuntimeError, match=r"after \d+ of 50 sampled orderings"):
-            permutation_sampling_round(FlakyOracle(), (), range(8), 50, 0)
+            permutation_sampling_round(FlakyOracle(), 0, range(8), 50, 0)
 
 
 class TestSnapshots:

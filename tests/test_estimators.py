@@ -107,36 +107,36 @@ class TestGroupTestingPlan:
 class TestPermutationSampling:
     def test_single_participant_is_exact_marginal(self, rng):
         game = random_table_game([(5,)], rng)
-        values = permutation_sampling_round(game, (), [5], 3, 0)
-        expected = game.evaluate([(5,)]) - game.evaluate([()])
+        values = permutation_sampling_round(game, 0, [5], 3, 0)
+        expected = game.evaluate(0, 1) - game.evaluate(0, 0)
         assert values.get(5) == pytest.approx(expected, abs=1e-12)
 
     def test_constant_utility_gives_zeros(self):
         game = game_from_set_function([0, 1, 2], lambda s: 0.5, range_bound=1.0)
-        values = permutation_sampling_round(game, (), [0, 1, 2], 25, 7)
+        values = permutation_sampling_round(game, 0, [0, 1, 2], 25, 7)
         for pid in range(3):
             assert values.get(pid) == 0.0
 
     def test_telescoping_holds_for_any_sample_count(self, rng):
         for count in (1, 2, 17):
             game = random_table_game([(0, 1), (0, 2, 3)], rng)
-            values = permutation_sampling_round(game, [(0, 1)], (0, 2, 3), count, 11)
+            values = permutation_sampling_round(game, 1, (0, 2, 3), count, 11)
             total = sum(values.values.values())
-            span = game.evaluate([(0, 1), (0, 2, 3)]) - game.evaluate([(0, 1)])
+            span = game.evaluate(1, 0b111) - game.evaluate(1, 0)
             assert total == pytest.approx(span, abs=1e-9)
 
     def test_deterministic_given_seed(self, rng):
         game = random_table_game([range(5)], rng)
-        first = permutation_sampling_round(game, (), range(5), 40, 123)
-        second = permutation_sampling_round(game, (), range(5), 40, 123)
+        first = permutation_sampling_round(game, 0, range(5), 40, 123)
+        second = permutation_sampling_round(game, 0, range(5), 40, 123)
         assert first.values == second.values
 
     def test_unbiased_over_many_single_samples(self, rng):
         game = random_table_game([range(4)], rng)
-        exact = exact_federated_round_shapley(game, (), range(4))
+        exact = exact_federated_round_shapley(game, 0, range(4))
         draws = {pid: [] for pid in range(4)}
         for trial in range(10_000):
-            values = permutation_sampling_round(game, (), range(4), 1, trial)
+            values = permutation_sampling_round(game, 0, range(4), 1, trial)
             for pid in range(4):
                 draws[pid].append(values.get(pid))
         for pid in range(4):
@@ -152,8 +152,8 @@ class TestPermutationSampling:
         for trial in range(trials):
             rng = np.random.default_rng((991, trial))
             game = random_table_game([range(4)], rng)
-            exact = exact_federated_round_shapley(game, (), range(4))
-            estimate = permutation_sampling_round(game, (), range(4), count, rng)
+            exact = exact_federated_round_shapley(game, 0, range(4))
+            estimate = permutation_sampling_round(game, 0, range(4), count, rng)
             worst = max(abs(estimate.get(p) - exact.get(p)) for p in range(4))
             hits += worst <= params.epsilon
         assert hits / trials >= 1.0 - params.delta
@@ -164,7 +164,7 @@ class TestGroupTesting:
         params = ApproxParams(epsilon=0.2, delta=0.2)
         plan = group_testing_plan(4, params)
         game = game_from_set_function([0, 1, 2, 3], lambda s: 0.5, range_bound=1.0)
-        values = group_testing_round(game, (), range(4), plan, 3)
+        values = group_testing_round(game, 0, range(4), plan, 3)
         # The pivot's sampled marginals are exactly zero; other values are
         # pure difference noise within the plan's guarantee.
         assert values.get(3) == 0.0
@@ -178,7 +178,7 @@ class TestGroupTesting:
         close = 0
         trials = 100
         for trial in range(trials):
-            values = group_testing_round(game, (), range(4), plan, (271, trial))
+            values = group_testing_round(game, 0, range(4), plan, (271, trial))
             if abs(values.get(0) - values.get(1)) <= 2 * params.epsilon:
                 close += 1
         assert close / trials >= 1.0 - params.delta
@@ -191,8 +191,8 @@ class TestGroupTesting:
         for trial in range(trials):
             rng = np.random.default_rng((5417, trial))
             game = random_table_game([range(5)], rng)
-            exact = exact_federated_round_shapley(game, (), range(5))
-            estimate = group_testing_round(game, (), range(5), plan, rng)
+            exact = exact_federated_round_shapley(game, 0, range(5))
+            estimate = group_testing_round(game, 0, range(5), plan, rng)
             worst = max(abs(estimate.get(p) - exact.get(p)) for p in range(5))
             hits += worst <= params.epsilon
         assert hits / trials >= 1.0 - params.delta
@@ -201,21 +201,21 @@ class TestGroupTesting:
         params = ApproxParams(epsilon=0.2, delta=0.3)
         plan = group_testing_plan(4, params)
         game = random_table_game([range(4)], rng)
-        first = group_testing_round(game, (), range(4), plan, 99)
-        second = group_testing_round(game, (), range(4), plan, 99)
+        first = group_testing_round(game, 0, range(4), plan, 99)
+        second = group_testing_round(game, 0, range(4), plan, 99)
         assert first.values == second.values
 
     def test_rejects_plan_size_mismatch(self, rng):
         plan = group_testing_plan(4, ApproxParams(epsilon=0.2, delta=0.3))
         game = random_table_game([range(5)], rng)
         with pytest.raises(ValueError):
-            group_testing_round(game, (), range(5), plan, 0)
+            group_testing_round(game, 0, range(5), plan, 0)
 
     def test_returned_tests_lie_in_range(self, rng):
         params = ApproxParams(epsilon=0.3, delta=0.3)
         plan = group_testing_plan(4, params)
         game = random_table_game([range(4)], rng)
-        _, tests = group_testing_round(game, (), range(4), plan, 5, return_tests=True)
+        _, tests = group_testing_round(game, 0, range(4), plan, 5, return_tests=True)
         assert tests.shape == (plan.t1,)
         assert (tests >= 0).all() and (tests <= 1).all()
 
@@ -224,7 +224,7 @@ class TestPivotAnchoring:
     def test_zero_differences_collapse_to_pivot(self, rng):
         plan = group_testing_plan(4, ApproxParams(epsilon=0.2, delta=0.3))
         game = random_table_game([range(4)], rng)
-        values = pivot_anchor_values(np.zeros((4, 4)), game, (), range(4), plan, 13)
+        values = pivot_anchor_values(np.zeros((4, 4)), game, 0, range(4), plan, 13)
         level = values.get(3)
         for pid in range(4):
             assert values.get(pid) == level
@@ -234,8 +234,8 @@ class TestPivotAnchoring:
             m=1, z=0.0, subset_size_probs=np.empty(0), q_tot=0.0, t1=0, t2=25
         )
         game = random_table_game([(9,)], rng)
-        values = pivot_anchor_values(np.zeros((1, 1)), game, (), [9], plan, 4)
-        expected = game.evaluate([(9,)]) - game.evaluate([()])
+        values = pivot_anchor_values(np.zeros((1, 1)), game, 0, [9], plan, 4)
+        expected = game.evaluate(0, 1) - game.evaluate(0, 0)
         assert values.get(9) == pytest.approx(expected, abs=1e-12)
 
     def test_additive_pivot_within_epsilon(self):
@@ -247,7 +247,7 @@ class TestPivotAnchoring:
         trials = 50
         for trial in range(trials):
             values = pivot_anchor_values(
-                np.zeros((5, 5)), game, (), range(5), plan, (33, trial)
+                np.zeros((5, 5)), game, 0, range(5), plan, (33, trial)
             )
             hits += abs(values.get(4) - weights[4]) <= params.epsilon
         assert hits / trials >= 1.0 - params.delta

@@ -1,6 +1,7 @@
 """Replay refuses snapshot directories that are not one contiguous run,
 and builds only what valuing recorded rounds needs."""
 
+import json
 import shutil
 
 import numpy as np
@@ -166,6 +167,23 @@ def test_truncated_snapshot_named(tmp_path, capsys, cut):
     }[cut]
     victim.write_bytes(raw[:keep])
     replay_refused(tmp_path, capsys, config, rounds, str(victim) + ": ")
+
+
+def test_summarize_records_refused_snapshots_in_manifest(tmp_path, capsys):
+    config, rounds = train(tmp_path, base_doc(), "run")
+    victim = rounds / "round_00001.fvr"
+    victim.write_bytes(victim.read_bytes()[:200])
+    out = tmp_path / "summary"
+    rc = main([
+        "summarize", "--config", str(config), "--snapshots", str(rounds),
+        "--out", str(out),
+    ])
+    assert rc == 1
+    assert str(victim) + ": " in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert str(victim) in manifest["details"]["error"]
+    assert not (out / "summarization.csv").exists()
 
 
 def test_failed_snapshot_write_leaves_no_file(three_rounds, tmp_path, monkeypatch):

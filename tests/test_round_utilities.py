@@ -66,8 +66,8 @@ def near_tie_count(layout, params, features):
     return int(np.count_nonzero(scores[:, -1] - scores[:, -2] <= TIE_RTOL * scale))
 
 
-def blocks(record, mask):
-    return frozenset(pid for b, pid in enumerate(record.selected) if mask >> b & 1)
+def members(record, mask):
+    return [pid for b, pid in enumerate(sorted(record.selected)) if mask >> b & 1]
 
 
 round_shapes = st.fixed_dictionaries({
@@ -94,17 +94,14 @@ def test_logit_average_matches_parameter_average(shape):
         features = np.round(features)
     labels = rng.integers(0, shape["classes"], size=shape["samples"])
     oracle = RoundOracle(layout, records, features, labels)
-    history = []
-    for record in records:
+    for t, record in enumerate(records):
         for mask in range(1 << len(record.selected)):
-            subset = blocks(record, mask)
-            params = aggregate_subset(record, subset)
+            params = aggregate_subset(record, members(record, mask))
             expected = evaluate_utility(layout, params, features, labels)
-            got = oracle.evaluate((*history, subset))
+            got = oracle.evaluate(t, mask)
             # Accuracies are multiples of 1/n: count the flipped samples.
             flipped = round(abs(got - expected) * shape["samples"])
             assert flipped <= near_tie_count(layout, params, features), (mask, got, expected)
-        history.append(record.selected)
 
 
 @settings(max_examples=25, deadline=None)
@@ -117,23 +114,24 @@ def test_request_order_does_not_change_values(shape, shuffler):
     )
     features = rng.normal(size=(shape["samples"], shape["features"]))
     labels = rng.integers(0, shape["classes"], size=shape["samples"])
-    queries = []
-    for t, record in enumerate(records):
-        prefix = tuple(r.selected for r in records[:t])
-        for mask in range(1 << len(record.selected)):
-            queries.append((*prefix, blocks(record, mask)))
+    queries = [
+        (t, mask)
+        for t, record in enumerate(records)
+        for mask in range(1 << len(record.selected))
+    ]
     in_order = RoundOracle(layout, records, features, labels)
-    reference = [in_order.evaluate(query) for query in queries]
+    reference = [in_order.evaluate(*query) for query in queries]
     # A shuffle interleaves rounds, so member logits are dropped and rebuilt.
     positions = list(range(len(queries)))
     shuffler.shuffle(positions)
     shuffled = RoundOracle(layout, records, features, labels)
     for position in positions:
-        assert shuffled.evaluate(queries[position]) == reference[position]
+        assert shuffled.evaluate(*queries[position]) == reference[position]
 
 
 def _reference_permutation(game, ids, sample_count, seed):
-    """Ordering sampling as a walk with one memoized call per prefix."""
+    """Ordering sampling of round 0 as a walk with one memoized call per
+    prefix."""
     rng = np.random.default_rng(seed)
     m = len(ids)
     orderings = rng.permuted(np.tile(np.arange(m), (sample_count, 1)), axis=1)
@@ -141,7 +139,7 @@ def _reference_permutation(game, ids, sample_count, seed):
 
     def utility(mask):
         if mask not in cache:
-            cache[mask] = game.evaluate([[ids[b] for b in range(m) if mask >> b & 1]])
+            cache[mask] = game.evaluate(0, mask)
         return cache[mask]
 
     acc = np.zeros(m)
@@ -158,12 +156,13 @@ def _reference_permutation(game, ids, sample_count, seed):
 
 
 def _reference_group_testing(game, ids, plan, seed):
-    """Group testing with one oracle call per test and per pivot sample."""
+    """Group testing of round 0 with one oracle call per test and per
+    pivot sample."""
     m = len(ids)
     rng = np.random.default_rng(seed)
 
     def utility(mask):
-        return game.evaluate([[ids[b] for b in range(m) if mask >> b & 1]])
+        return game.evaluate(0, mask)
 
     sizes = rng.choice(np.arange(1, m), size=plan.t1, p=plan.subset_size_probs)
     order = np.argsort(rng.random((plan.t1, m)), axis=1)
@@ -198,10 +197,10 @@ def test_estimates_unchanged_by_deduplicated_masks(seed, m, samples, epsilon):
     rng = np.random.default_rng(seed)
     ids = sorted(int(p) for p in rng.choice(20, size=m, replace=False))
     game = random_table_game([ids], rng)
-    permutation = permutation_sampling_round(game, (), ids, samples, seed)
+    permutation = permutation_sampling_round(game, 0, ids, samples, seed)
     assert permutation.values == _reference_permutation(game, ids, samples, seed)
     plan = group_testing_plan(m, ApproxParams(epsilon=epsilon, delta=0.3))
-    grouped = group_testing_round(game, (), ids, plan, seed)
+    grouped = group_testing_round(game, 0, ids, plan, seed)
     assert grouped.values == _reference_group_testing(game, ids, plan, seed)
 
 
@@ -209,18 +208,16 @@ def test_round_utility_evaluates_distinct_masks_in_order_of_appearance():
     calls = []
 
     class CountingGame:
-        range_bound = 1.0
-
-        def evaluate(self, blocks):
-            calls.append(blocks[-1])
+        def evaluate(self, round_index, mask):
+            calls.append((round_index, mask))
             if len(calls) > 3:
                 raise KeyError("backend gone")
-            return float(len(blocks[-1]))
+            return float(bin(mask).count("1"))
 
-    utility = RoundUtility(CountingGame(), (), [5, 2, 9])
+    utility = RoundUtility(CountingGame(), 4)
     assert utility(np.array([[3, 0], [3, 7]])).tolist() == [[2.0, 0.0], [2.0, 3.0]]
-    # Masks 3, 0 and 7, once each; bit b selects the b-th smallest id.
-    assert calls == [frozenset({2, 5}), frozenset(), frozenset({2, 5, 9})]
+    # Masks 3, 0 and 7 of round 4, once each.
+    assert calls == [(4, 3), (4, 0), (4, 7)]
     # Without a progress unit the oracle's own error reaches the caller.
     with pytest.raises(KeyError):
         utility(np.array([1]))
@@ -230,12 +227,10 @@ def test_round_utility_evaluates_distinct_masks_in_order_of_appearance():
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6), fail_at=st.integers(1, 40))
 def test_permutation_failure_reports_completed_orderings(seed, m, fail_at):
     class FailingGame:
-        range_bound = 1.0
-
         def __init__(self):
             self.calls = 0
 
-        def evaluate(self, blocks):
+        def evaluate(self, round_index, mask):
             self.calls += 1
             if self.calls >= fail_at:
                 raise RuntimeError("backend gone")
@@ -256,22 +251,23 @@ def test_permutation_failure_reports_completed_orderings(seed, m, fail_at):
     if expected == 30:
         return  # no failure: every distinct prefix was evaluated first
     with pytest.raises(RuntimeError) as info:
-        permutation_sampling_round(FailingGame(), (), range(m), 30, seed)
+        permutation_sampling_round(FailingGame(), 0, range(m), 30, seed)
     assert re.search(rf"after {expected} of 30 sampled orderings", str(info.value))
 
 
 class AdditiveGame:
-    """Utility proportional to the summed weights of the last block; the
-    weights are Python ints, so the sum is exact in any iteration order."""
-
-    range_bound = 1.0
+    """Utility proportional to the summed weights of the selected
+    participants; the weights are Python ints, so the sum is exact in any
+    iteration order."""
 
     def __init__(self, weights):
         self.weights = weights
+        self.ids = sorted(weights)
         self.scale = sum(weights.values())
 
-    def evaluate(self, blocks):
-        return sum(self.weights[pid] for pid in blocks[-1]) / self.scale
+    def evaluate(self, round_index, mask):
+        selected = (pid for b, pid in enumerate(self.ids) if mask >> b & 1)
+        return sum(self.weights[pid] for pid in selected) / self.scale
 
 
 @pytest.mark.parametrize("m", [63, 64, 70])
@@ -280,18 +276,19 @@ def test_wide_rounds_keep_every_player(m):
     must still see each player and credit it."""
     ids = list(range(3, 3 + 2 * m, 2))
     game = AdditiveGame({pid: pid for pid in ids})
-    full = frozenset(ids)
-    loo = federated_loo_round(game, (), ids)
+    full = (1 << m) - 1
+    loo = federated_loo_round(game, 0, ids)
     assert loo.values == {
-        pid: game.evaluate([full]) - game.evaluate([full - {pid}]) for pid in ids
+        pid: game.evaluate(0, full) - game.evaluate(0, full ^ (1 << b))
+        for b, pid in enumerate(ids)
     }
     assert all(value > 0 for value in loo.values.values())
 
-    permutation = permutation_sampling_round(game, (), ids, 5, 11)
+    permutation = permutation_sampling_round(game, 0, ids, 5, 11)
     assert permutation.values == _reference_permutation(game, ids, 5, 11)
     assert all(value > 0 for value in permutation.values.values())
     assert math.isclose(sum(permutation.values.values()), 1.0, rel_tol=1e-12)
 
     plan = group_testing_plan(m, ApproxParams(epsilon=1.0, delta=0.3))
-    grouped = group_testing_round(game, (), ids, plan, 11)
+    grouped = group_testing_round(game, 0, ids, plan, 11)
     assert grouped.values == _reference_group_testing(game, ids, plan, 11)

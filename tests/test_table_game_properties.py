@@ -1,0 +1,139 @@
+"""Value axioms on generated multi-round table games.
+
+Each game is drawn from a seed and a list of rounds, each round a set of
+participant ids; utilities are queried by round index and bitmask. The
+fixed-input versions of these checks live in ``test_values.py``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fedval.games import additive_game, random_table_game, stitched_game, sum_games
+from fedval.values import (
+    aggregate_rounds,
+    exact_federated_round_shapley,
+    exact_shapley,
+    exact_shapley_permutation_form,
+    federated_loo_round,
+)
+
+from conftest import brute_force_round_values, full_mask, round_gain
+
+TOL = 1e-9
+
+rounds_strategy = st.lists(
+    st.lists(st.integers(0, 7), min_size=1, max_size=5, unique=True),
+    min_size=1,
+    max_size=4,
+)
+seeds = st.integers(0, 2**32 - 1)
+
+
+def round_values(game):
+    return [exact_federated_round_shapley(game, t, ids) for t, ids in enumerate(game.rounds)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rounds_strategy, seeds)
+def test_round_efficiency_and_telescoping_totals(rounds, seed):
+    game = random_table_game(rounds, np.random.default_rng(seed))
+    per_round = round_values(game)
+    for t, vector in enumerate(per_round):
+        assert abs(sum(vector.values.values()) - round_gain(game, t)) <= TOL
+        assert sorted(vector.values) == sorted(game.rounds[t])
+    for t in range(1, len(game.rounds)):
+        # Finishing a round is the state entering the next one.
+        assert game.evaluate(t - 1, full_mask(game, t - 1)) == game.evaluate(t, 0)
+    last = len(game.rounds) - 1
+    span = game.evaluate(last, full_mask(game, last)) - game.evaluate(0, 0)
+    total = sum(aggregate_rounds(per_round).values.values())
+    assert abs(total - span) <= TOL * len(game.rounds)
+
+
+def keyed_set_function(rng, key):
+    """A set function whose value depends on ``key(S)`` only, with an
+    independent uniform draw per distinct key."""
+    drawn: dict = {}
+
+    def worth(subset):
+        k = key(subset)
+        if k not in drawn:
+            drawn[k] = float(rng.uniform(0, 1))
+        return drawn[k]
+
+    return worth
+
+
+@settings(max_examples=40, deadline=None)
+@given(rounds_strategy.filter(lambda rounds: all(len(ids) >= 2 for ids in rounds)), seeds)
+def test_interchangeable_pair_gets_equal_values(rounds, seed):
+    rng = np.random.default_rng(seed)
+    functions, pairs = [], []
+    for ids in rounds:
+        i, j = sorted(ids)[:2]
+        pairs.append((i, j))
+        functions.append(keyed_set_function(
+            rng,
+            lambda s, pair=frozenset((i, j)): (tuple(sorted(s - pair)), len(s & pair)),
+        ))
+    game = stitched_game(rounds, functions)
+    for vector, (i, j) in zip(round_values(game), pairs):
+        assert abs(vector.get(i) - vector.get(j)) <= TOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(rounds_strategy, seeds, st.data())
+def test_null_participant_gets_zero(rounds, seed, data):
+    rng = np.random.default_rng(seed)
+    nulls = [data.draw(st.sampled_from(ids)) for ids in rounds]
+    functions = [
+        keyed_set_function(rng, lambda s, k=k: tuple(sorted(s - {k}))) for k in nulls
+    ]
+    game = stitched_game(rounds, functions)
+    for vector, k in zip(round_values(game), nulls):
+        assert abs(vector.get(k)) <= TOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(rounds_strategy, seeds)
+def test_additivity_under_sum_games(rounds, seed):
+    rng = np.random.default_rng(seed)
+    first = random_table_game(rounds, rng)
+    second = random_table_game(rounds, rng)
+    combined = sum_games(first, second)
+    for a, b, c in zip(round_values(first), round_values(second), round_values(combined)):
+        for pid in c.values:
+            assert abs(c.get(pid) - (a.get(pid) + b.get(pid))) <= TOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rounds_strategy,
+    st.dictionaries(st.integers(0, 7), st.floats(0.0, 1.0), min_size=8, max_size=8),
+    st.floats(0.0, 1.0),
+)
+def test_loo_and_shapley_recover_additive_weights(rounds, weights, base):
+    game = additive_game(rounds, weights, base=base)
+    for t, ids in enumerate(game.rounds):
+        loo = federated_loo_round(game, t, ids)
+        shapley = exact_federated_round_shapley(game, t, ids)
+        for pid in ids:
+            assert abs(loo.get(pid) - weights[pid]) <= TOL
+            assert abs(shapley.get(pid) - weights[pid]) <= TOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(rounds_strategy, seeds)
+def test_subset_form_agrees_with_ordering_form(rounds, seed):
+    game = random_table_game(rounds, np.random.default_rng(seed))
+    for t, vector in enumerate(round_values(game)):
+        ordering = brute_force_round_values(game, t)
+        for pid, value in ordering.items():
+            assert abs(vector.get(pid) - value) <= TOL
+    subset_form = exact_shapley(game, game.rounds[0])
+    ordering_form = exact_shapley_permutation_form(game, game.rounds[0])
+    for pid in game.rounds[0]:
+        assert abs(subset_form.get(pid) - ordering_form.get(pid)) <= TOL

@@ -21,7 +21,7 @@ from fedval.values import (
     write_value_records,
 )
 
-from conftest import brute_force_round_values, random_process
+from conftest import brute_force_round_values, full_mask, random_process, round_gain
 
 EXACT_TOL = 1e-9
 
@@ -57,9 +57,7 @@ class TestExactShapley:
 
     def test_cap_refused_names_exponential_cost(self):
         class NeverCalled:
-            range_bound = 1.0
-
-            def evaluate(self, blocks):
+            def evaluate(self, round_index, mask):
                 raise AssertionError("cap must refuse before any evaluation")
 
         with pytest.raises(EnumerationRefusedError, match=r"2\*\*25"):
@@ -101,9 +99,7 @@ class TestPermutationForm:
 
     def test_cap_refused_names_factorial_cost(self):
         class NeverCalled:
-            range_bound = 1.0
-
-            def evaluate(self, blocks):
+            def evaluate(self, round_index, mask):
                 raise AssertionError("cap must refuse before any evaluation")
 
         with pytest.raises(EnumerationRefusedError, match="9!"):
@@ -114,21 +110,21 @@ class TestFederatedRound:
     def test_empty_history_matches_plain_shapley(self, rng):
         game = random_table_game([range(4)], rng)
         plain = exact_shapley(game, range(4))
-        conditioned = exact_federated_round_shapley(game, (), range(4))
+        conditioned = exact_federated_round_shapley(game, 0, range(4))
         for pid in range(4):
             assert conditioned.get(pid) == pytest.approx(plain.get(pid), abs=EXACT_TOL)
 
     def test_singleton_round_is_marginal(self, rng):
         game = random_table_game([(0, 1), (2,)], rng)
-        values = exact_federated_round_shapley(game, [(0, 1)], [2])
-        expected = game.evaluate([(0, 1), (2,)]) - game.evaluate([(0, 1)])
+        values = exact_federated_round_shapley(game, 1, [2])
+        expected = round_gain(game, 1)
         assert values.get(2) == pytest.approx(expected, abs=EXACT_TOL)
 
     def test_additive_rounds_return_weights(self):
         weights = {1: 1.0, 2: 3.0, 3: 0.5}
         game = additive_game([(1, 2), (2, 3)], weights)
-        first = exact_federated_round_shapley(game, (), (1, 2), round_index=0)
-        second = exact_federated_round_shapley(game, [(1, 2)], (2, 3), round_index=1)
+        first = exact_federated_round_shapley(game, 0, (1, 2))
+        second = exact_federated_round_shapley(game, 1, (2, 3))
         assert first.get(1) == pytest.approx(1.0, abs=EXACT_TOL)
         assert first.get(2) == pytest.approx(3.0, abs=EXACT_TOL)
         assert second.get(2) == pytest.approx(3.0, abs=EXACT_TOL)
@@ -138,14 +134,14 @@ class TestFederatedRound:
         for _ in range(25):
             game = random_process(rng)
             for t, block in enumerate(game.rounds):
-                values = exact_federated_round_shapley(game, game.rounds[:t], block)
+                values = exact_federated_round_shapley(game, t, block)
                 oracle = brute_force_round_values(game, t)
                 for pid in block:
                     assert abs(values.get(pid) - oracle[pid]) <= EXACT_TOL
 
     def test_unselected_participants_are_exactly_zero(self, rng):
         game = random_table_game([(0, 1), (2, 3)], rng)
-        values = exact_federated_round_shapley(game, [(0, 1)], (2, 3))
+        values = exact_federated_round_shapley(game, 1, (2, 3))
         assert set(values.values) == {2, 3}
         assert values.get(0) == 0.0
         assert values.get(7) == 0.0
@@ -156,21 +152,20 @@ class TestValueAxioms:
         for _ in range(30):
             game = random_process(rng)
             for t, block in enumerate(game.rounds):
-                values = exact_federated_round_shapley(game, game.rounds[:t], block)
-                gain = game.evaluate(game.rounds[: t + 1]) - game.evaluate(
-                    game.rounds[:t]
-                )
+                values = exact_federated_round_shapley(game, t, block)
+                gain = round_gain(game, t)
                 assert abs(sum(values.values.values()) - gain) <= EXACT_TOL
 
     def test_long_term_rationality(self, rng):
         for _ in range(20):
             game = random_process(rng)
             per_round = [
-                exact_federated_round_shapley(game, game.rounds[:t], block, round_index=t)
+                exact_federated_round_shapley(game, t, block)
                 for t, block in enumerate(game.rounds)
             ]
             total = aggregate_rounds(per_round)
-            span = game.evaluate(game.rounds) - game.evaluate(())
+            last = len(game.rounds) - 1
+            span = game.evaluate(last, full_mask(game, last)) - game.evaluate(0, 0)
             tolerance = EXACT_TOL * len(game.rounds)
             assert abs(sum(total.values.values()) - span) <= tolerance
 
@@ -188,7 +183,7 @@ class TestValueAxioms:
 
             game = stitched_game([ids, ids], [worth, worth])
             for t in range(2):
-                values = exact_federated_round_shapley(game, game.rounds[:t], ids)
+                values = exact_federated_round_shapley(game, t, ids)
                 assert abs(values.get(0) - values.get(1)) <= EXACT_TOL
 
     def test_null_participant_gets_zero(self, rng):
@@ -204,7 +199,7 @@ class TestValueAxioms:
 
             game = stitched_game([ids, ids], [worth, worth])
             for t in range(2):
-                values = exact_federated_round_shapley(game, game.rounds[:t], ids)
+                values = exact_federated_round_shapley(game, t, ids)
                 assert abs(values.get(3)) <= EXACT_TOL
 
     def test_additivity_across_utilities(self, rng):
@@ -214,9 +209,9 @@ class TestValueAxioms:
             second = random_table_game(rounds, rng)
             combined = sum_games(first, second)
             for t, block in enumerate(first.rounds):
-                a = exact_federated_round_shapley(first, first.rounds[:t], block)
-                b = exact_federated_round_shapley(second, second.rounds[:t], block)
-                c = exact_federated_round_shapley(combined, combined.rounds[:t], block)
+                a = exact_federated_round_shapley(first, t, block)
+                b = exact_federated_round_shapley(second, t, block)
+                c = exact_federated_round_shapley(combined, t, block)
                 for pid in block:
                     assert abs(c.get(pid) - (a.get(pid) + b.get(pid))) <= EXACT_TOL
 
@@ -224,24 +219,25 @@ class TestValueAxioms:
 class TestLeaveOneOut:
     def test_zero_when_removal_changes_nothing(self):
         game = game_from_set_function([0, 1], lambda s: 1.0, range_bound=1.0)
-        values = federated_loo_round(game, (), [0, 1])
+        values = federated_loo_round(game, 0, [0, 1])
         assert values.get(0) == 0.0
         assert values.get(1) == 0.0
 
     def test_singleton_round_reduces_to_round_gain(self, rng):
         game = random_table_game([(0, 1), (2,)], rng)
-        values = federated_loo_round(game, [(0, 1)], [2])
-        expected = game.evaluate([(0, 1), (2,)]) - game.evaluate([(0, 1)])
+        values = federated_loo_round(game, 1, [2])
+        expected = round_gain(game, 1)
         assert values.get(2) == pytest.approx(expected, abs=EXACT_TOL)
 
     def test_additive_game_recovers_weights(self):
         weights = {0: 1.0, 1: 2.0, 2: 3.0}
         game = additive_game([(0, 1, 2)], weights)
-        values = federated_loo_round(game, (), (0, 1, 2))
-        # Independent check: direct removal differences on the raw game.
-        full = game.evaluate([(0, 1, 2)])
+        values = federated_loo_round(game, 0, (0, 1, 2))
+        # Independent check: direct removal differences on the raw game
+        # (ids 0..2 sit at bits 0..2).
+        full = game.evaluate(0, 0b111)
         for pid, weight in weights.items():
-            drop = game.evaluate([frozenset({0, 1, 2}) - {pid}])
+            drop = game.evaluate(0, 0b111 ^ (1 << pid))
             assert values.get(pid) == pytest.approx(full - drop, abs=EXACT_TOL)
             assert values.get(pid) == pytest.approx(weight, abs=EXACT_TOL)
 
@@ -287,14 +283,11 @@ class TestReport:
     def _report(self, rng):
         game = random_process(rng)
         per_round = [
-            exact_federated_round_shapley(game, game.rounds[:t], block, round_index=t)
+            exact_federated_round_shapley(game, t, block)
             for t, block in enumerate(game.rounds)
         ]
-        deltas = [
-            game.evaluate(game.rounds[: t + 1]) - game.evaluate(game.rounds[:t])
-            for t in range(len(game.rounds))
-        ]
-        return build_report(per_round, deltas, game.evaluate(()))
+        deltas = [round_gain(game, t) for t in range(len(game.rounds))]
+        return build_report(per_round, deltas, game.evaluate(0, 0))
 
     def test_total_is_sum_of_rounds(self, rng):
         report = self._report(rng)
