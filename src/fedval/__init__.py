@@ -4,13 +4,10 @@ __version__ = "0.1.0"
 
 from .estimators import (
     ApproxParams,
-    EvaluationBudget,
     GroupTestingPlan,
-    evaluation_budget,
     group_testing_plan,
     group_testing_round,
     h_bernstein,
-    minimize_group_testing_budget,
     permutation_sample_count,
     permutation_sampling_round,
     pivot_anchor_values,
@@ -34,14 +31,12 @@ from .values import (
 __all__ = [
     "ApproxParams",
     "EnumerationRefusedError",
-    "EvaluationBudget",
     "GroupTestingPlan",
     "UtilityOracle",
     "ValuationReport",
     "ValueVector",
     "aggregate_rounds",
     "build_report",
-    "evaluation_budget",
     "exact_federated_round_shapley",
     "exact_shapley",
     "exact_shapley_permutation_form",
@@ -49,7 +44,6 @@ __all__ = [
     "group_testing_plan",
     "group_testing_round",
     "h_bernstein",
-    "minimize_group_testing_budget",
     "normalize_round_values",
     "permutation_sample_count",
     "permutation_sampling_round",

@@ -15,7 +15,7 @@ import sys
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .config import (
 )
 from .engine import (
     RoundOracle,
-    ValuationDiagnostics,
+    RoundRecord,
     check_initial_model,
     evaluate_utility,
     load_round_records,
@@ -37,6 +37,7 @@ from .engine import (
 )
 from .estimators import (
     ApproxParams,
+    GroupTestingPlan,
     group_testing_plan,
     permutation_sample_count,
     permutation_sampling_round,
@@ -121,35 +122,34 @@ def _run_with_manifest(
     return 0
 
 
-def _diagnostics_details(diagnostics: ValuationDiagnostics) -> dict[str, Any]:
-    details: dict[str, Any] = {}
-    if diagnostics.sample_counts:
-        details["permutation_sample_counts"] = [
-            [t, count] for t, count in diagnostics.sample_counts
-        ]
-    if diagnostics.plans:
-        details["group_testing_plans"] = [
+def _estimator_plans(
+    cfg: ExperimentConfig, records: Sequence[RoundRecord]
+) -> list[tuple[int, int | GroupTestingPlan]]:
+    """Each round's sample count or group-testing plan, worked out from its
+    participant count as ``value_rounds`` does. A group-testing round of
+    one participant is valued exactly, so it has no plan."""
+    method, approx = cfg.valuation.method, cfg.valuation.approx
+    sizes = [(record.round_index, len(record.selected)) for record in records]
+    if method == "permutation":
+        return [(t, permutation_sample_count(approx, m)) for t, m in sizes]
+    if method == "group_testing":
+        return [(t, group_testing_plan(m, approx)) for t, m in sizes if m >= 2]
+    return []
+
+
+def _plan_details(
+    method: str, plans: list[tuple[int, int | GroupTestingPlan]]
+) -> dict[str, Any]:
+    if not plans:
+        return {}
+    if method == "permutation":
+        return {"permutation_sample_counts": [[t, count] for t, count in plans]}
+    return {
+        "group_testing_plans": [
             [t, {"t1": plan.t1, "t2": plan.t2, "q_tot": plan.q_tot, "z": plan.z}]
-            for t, plan in diagnostics.plans
+            for t, plan in plans
         ]
-    return details
-
-
-def _write_diagnostics(out: Path, diagnostics: ValuationDiagnostics) -> None:
-    if diagnostics.plans:
-        lines = ["round,m,t1,t2,q_tot,z"]
-        for t, plan in diagnostics.plans:
-            lines.append(
-                f"{t},{plan.m},{plan.t1},{plan.t2},"
-                f"{format_float(plan.q_tot)},{format_float(plan.z)}"
-            )
-        _write_lines(out / "estimator_plans.csv", lines)
-    if diagnostics.test_utilities:
-        lines = ["round,test_index,utility"]
-        for t, utilities in diagnostics.test_utilities:
-            for index, value in enumerate(utilities):
-                lines.append(f"{t},{index},{format_float(value)}")
-        _write_lines(out / "estimator_tests.csv", lines)
+    }
 
 
 def _cmd_train_and_value(args: argparse.Namespace) -> int:
@@ -159,14 +159,18 @@ def _cmd_train_and_value(args: argparse.Namespace) -> int:
     out = _resolve_out(args, cfg)
 
     def body() -> dict[str, Any]:
-        diagnostics = ValuationDiagnostics(collect_tests=args.verbose)
-        run, prepared = run_experiment_training(
-            cfg, diagnostics=diagnostics, snapshot_dir=out / "rounds"
-        )
+        run, prepared = run_experiment_training(cfg, snapshot_dir=out / "rounds")
         assert run.report is not None
         write_value_records(run.report, out / "values.csv")
-        if args.verbose:
-            _write_diagnostics(out, diagnostics)
+        plans = _estimator_plans(cfg, run.records)
+        if args.verbose and cfg.valuation.method == "group_testing" and plans:
+            lines = ["round,m,t1,t2,q_tot,z"]
+            for t, plan in plans:
+                lines.append(
+                    f"{t},{plan.m},{plan.t1},{plan.t2},"
+                    f"{format_float(plan.q_tot)},{format_float(plan.z)}"
+                )
+            _write_lines(out / "estimator_plans.csv", lines)
         final_accuracy = evaluate_utility(
             prepared.layout,
             run.final_params,
@@ -180,7 +184,7 @@ def _cmd_train_and_value(args: argparse.Namespace) -> int:
             "normalized": cfg.valuation.normalized,
             "final_accuracy": final_accuracy,
         }
-        details.update(_diagnostics_details(diagnostics))
+        details.update(_plan_details(cfg.valuation.method, plans))
         return details
 
     return _run_with_manifest("train-and-value", cfg, digest, out, body)
@@ -217,6 +221,7 @@ def _cmd_value_replay(args: argparse.Namespace) -> int:
             "snapshots": str(snapshots),
             "valuation_method": cfg.valuation.method,
             "normalized": cfg.valuation.normalized,
+            **_plan_details(cfg.valuation.method, _estimator_plans(cfg, records)),
         }
 
     return _run_with_manifest("value-replay", cfg, digest, out, body)
@@ -376,7 +381,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment config (YAML)")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
-        p.add_argument("--verbose", action="store_true", help="emit estimator diagnostics")
+        p.add_argument(
+            "--verbose", action="store_true",
+            help="write estimator_plans.csv (read by train-and-value only)",
+        )
         if method_flag:
             p.add_argument(
                 "--method",

@@ -3,8 +3,9 @@
 Configs are YAML mappings validated as a whole before any compute:
 unknown keys, type mismatches, and constraint violations are rejected
 with the path into the document. A parsed config serializes back to an
-equivalent document (round-trip identity), which is what makes the
-recorded digests trustworthy provenance.
+equivalent document (round-trip identity). The digest a manifest records
+hashes the raw config file bytes, so two files that parse to the same
+config but differ in layout or comments get different digests.
 """
 
 from __future__ import annotations
@@ -555,10 +556,6 @@ def config_to_dict(cfg: ExperimentConfig) -> dict[str, Any]:
     if cfg.output_dir is not None:
         doc["output_dir"] = cfg.output_dir
     return doc
-
-
-def dump_config(cfg: ExperimentConfig, path: str | Path) -> None:
-    Path(path).write_text(yaml.safe_dump(config_to_dict(cfg), sort_keys=True))
 
 
 def config_digest(path: str | Path) -> str:

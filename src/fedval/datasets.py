@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import gzip
-import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,12 +44,6 @@ class Dataset:
         return self.features.shape[0]
 
 
-def _as_generator(seed: int | np.random.Generator) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def synth_blobs(
     samples: int,
     features: int,
@@ -67,7 +60,7 @@ def synth_blobs(
         raise ValueError("need at least one sample per class")
     if features < 1 or class_count < 2:
         raise ValueError("invalid dimensions")
-    rng = _as_generator(seed)
+    rng = np.random.default_rng(seed)
     directions = rng.normal(size=(class_count, features))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     centers = separation * directions
@@ -139,68 +132,14 @@ def load_idx(
     )
 
 
-def load_delimited(
-    path: str | Path,
-    *,
-    delimiter: str = ",",
-    label_column: int = -1,
-    skip_header: bool = False,
-    class_count: int | None = None,
-) -> Dataset:
-    """Tabular loader: one sample per line, real features plus one integer
-    label column (the last one by default)."""
-    rows: list[list[float]] = []
-    labels: list[int] = []
-    width: int | None = None
-    with open(path) as fh:
-        for number, line in enumerate(fh, start=1):
-            if skip_header and number == 1:
-                continue
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(delimiter)
-            if width is None:
-                width = len(fields)
-                if width < 2:
-                    raise ValueError(f"{path}:{number}: need features and a label")
-            elif len(fields) != width:
-                raise ValueError(
-                    f"{path}:{number}: expected {width} fields, got {len(fields)}"
-                )
-            column = label_column if label_column >= 0 else width + label_column
-            try:
-                labels.append(int(fields[column]))
-                rows.append(
-                    [float(field) for i, field in enumerate(fields) if i != column]
-                )
-            except ValueError as exc:
-                raise ValueError(f"{path}:{number}: {exc}") from exc
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    label_array = np.asarray(labels, dtype=np.int64)
-    inferred = int(label_array.max()) + 1
-    return Dataset(
-        np.asarray(rows, dtype=np.float64),
-        label_array,
-        class_count if class_count is not None else max(inferred, 2),
-    )
-
-
 @dataclass(frozen=True)
 class PartitionPlan:
     """Assignment of dataset row indices to participants."""
 
-    mode: str
-    participant_count: int
-    shards_per_participant: int
     assignment: dict[int, np.ndarray]
 
     def participants(self) -> list[int]:
         return sorted(self.assignment)
-
-    def indices_of(self, participant: int) -> np.ndarray:
-        return self.assignment[participant]
 
 
 def _check_partition(assignment: dict[int, np.ndarray], n: int) -> None:
@@ -216,12 +155,12 @@ def partition_iid(
     n = len(dataset)
     if participants < 1 or participants > n:
         raise ValueError(f"cannot split {n} samples across {participants} participants")
-    rng = _as_generator(seed)
+    rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     pieces = np.array_split(order, participants)
     assignment = {pid: piece for pid, piece in enumerate(pieces)}
     _check_partition(assignment, n)
-    return PartitionPlan("iid", participants, 0, assignment)
+    return PartitionPlan(assignment)
 
 
 def partition_noniid_shards(
@@ -244,7 +183,7 @@ def partition_noniid_shards(
         )
     if n % shard_count != 0:
         raise ValueError(f"shard_count {shard_count} does not divide {n} samples")
-    rng = _as_generator(seed)
+    rng = np.random.default_rng(seed)
     order = np.argsort(dataset.labels, kind="stable")
     shards = order.reshape(shard_count, n // shard_count)
     dealt = rng.permutation(shard_count)
@@ -255,31 +194,7 @@ def partition_noniid_shards(
         for pid in range(participants)
     }
     _check_partition(assignment, n)
-    return PartitionPlan("shards", participants, shards_per_participant, assignment)
-
-
-def save_partition_plan(plan: PartitionPlan, path: str | Path) -> None:
-    doc = {
-        "mode": plan.mode,
-        "participant_count": plan.participant_count,
-        "shards_per_participant": plan.shards_per_participant,
-        "assignment": {str(pid): plan.assignment[pid].tolist() for pid in plan.participants()},
-    }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def load_partition_plan(path: str | Path) -> PartitionPlan:
-    doc = json.loads(Path(path).read_text())
-    assignment = {
-        int(pid): np.asarray(indices, dtype=np.int64)
-        for pid, indices in doc["assignment"].items()
-    }
-    return PartitionPlan(
-        mode=str(doc["mode"]),
-        participant_count=int(doc["participant_count"]),
-        shards_per_participant=int(doc["shards_per_participant"]),
-        assignment=assignment,
-    )
+    return PartitionPlan(assignment)
 
 
 @dataclass(frozen=True)
@@ -332,7 +247,7 @@ def flip_labels(
     uniformly to a different class. Exactly ``floor(ratio * shard)`` labels
     change per affected participant; other shards are untouched."""
     _check_affected(plan, spec.affected)
-    rng = _as_generator(seed)
+    rng = np.random.default_rng(seed)
     labels = dataset.labels.copy()
     for pid in sorted(spec.affected):
         indices = plan.assignment[pid]
@@ -358,7 +273,7 @@ def implant_backdoor(
     columns = np.asarray(spec.trigger_indices, dtype=np.int64)
     if columns.size and (columns.min() < 0 or columns.max() >= dataset.features.shape[1]):
         raise ValueError("trigger indices fall outside the feature dimensions")
-    rng = _as_generator(seed)
+    rng = np.random.default_rng(seed)
     features = dataset.features.copy()
     labels = dataset.labels.copy()
     for pid in sorted(spec.affected):
@@ -383,17 +298,6 @@ def triggered_test_set(dataset: Dataset, spec: BackdoorSpec) -> Dataset:
         features[:, columns] = spec.trigger_value
     labels = np.full(len(dataset), spec.target_label, dtype=np.int64)
     return Dataset(features, labels, dataset.class_count)
-
-
-def mean_label_entropy(dataset: Dataset, plan: PartitionPlan) -> float:
-    """Mean over participants of the label entropy inside their shard (nats)."""
-    entropies = []
-    for pid in plan.participants():
-        shard_labels = dataset.labels[plan.assignment[pid]]
-        counts = np.bincount(shard_labels, minlength=dataset.class_count)
-        probs = counts[counts > 0] / counts.sum()
-        entropies.append(float(-(probs * np.log(probs)).sum()))
-    return float(np.mean(entropies))
 
 
 def split_shards(

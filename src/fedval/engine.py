@@ -16,7 +16,7 @@ import os
 import re
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -24,7 +24,6 @@ import numpy as np
 
 from .estimators import (
     ApproxParams,
-    GroupTestingPlan,
     group_testing_plan,
     group_testing_round,
     permutation_sample_count,
@@ -334,23 +333,12 @@ class RoundOracle:
         return accuracy_from_logits(averaged, self._labels)
 
 
-@dataclass
-class ValuationDiagnostics:
-    """Per-round estimator internals, for manifests and verbose output."""
-
-    collect_tests: bool = False
-    sample_counts: list[tuple[int, int]] = field(default_factory=list)
-    plans: list[tuple[int, GroupTestingPlan]] = field(default_factory=list)
-    test_utilities: list[tuple[int, np.ndarray]] = field(default_factory=list)
-
-
 def value_rounds(
     oracle: RoundOracle,
     method: str,
     *,
     approx: ApproxParams | None = None,
     seed: int = 0,
-    diagnostics: ValuationDiagnostics | None = None,
 ) -> ValuationReport:
     """Value every round recorded in ``oracle`` with the chosen method.
 
@@ -379,8 +367,6 @@ def value_rounds(
             vector = federated_loo_round(oracle, t, selected)
         elif method == "permutation":
             count = permutation_sample_count(approx, len(selected))
-            if diagnostics is not None:
-                diagnostics.sample_counts.append((t, count))
             vector = permutation_sampling_round(oracle, t, selected, count, rng)
         elif method == "group_testing":
             if len(selected) == 1:
@@ -389,17 +375,7 @@ def value_rounds(
                 vector = exact_federated_round_shapley(oracle, t, selected)
             else:
                 plan = group_testing_plan(len(selected), approx)
-                if diagnostics is not None:
-                    diagnostics.plans.append((t, plan))
-                result = group_testing_round(
-                    oracle, t, selected, plan, rng,
-                    return_tests=diagnostics is not None and diagnostics.collect_tests,
-                )
-                if isinstance(result, tuple):
-                    vector, tests = result
-                    diagnostics.test_utilities.append((t, tests))
-                else:
-                    vector = result
+                vector = group_testing_round(oracle, t, selected, plan, rng)
         else:  # random: rank-only baseline
             vector = random_values(selected, rng, round_index=t)
         per_round.append(vector)
@@ -422,7 +398,6 @@ def run_federated_training(
     *,
     valuation: str = "none",
     approx: ApproxParams | None = None,
-    diagnostics: ValuationDiagnostics | None = None,
     snapshot_dir: str | Path | None = None,
 ) -> FederatedRun:
     """Run the full federated process and optionally value every round.
@@ -457,7 +432,6 @@ def run_federated_training(
             valuation,
             approx=approx,
             seed=cfg.seed,
-            diagnostics=diagnostics,
         )
     return FederatedRun(final_params=theta, records=records, report=report)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Collection, Iterable
+from typing import Collection
 
 import numpy as np
 
@@ -114,12 +114,6 @@ def group_testing_plan(m: int, params: ApproxParams) -> GroupTestingPlan:
     )
 
 
-def _as_generator(seed: int | np.random.Generator) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def permutation_sampling_round(
     oracle: UtilityOracle,
     round_index: int,
@@ -141,7 +135,7 @@ def permutation_sampling_round(
     m = len(ids)
     if m == 0:
         raise ValueError("round_players must be nonempty")
-    rng = _as_generator(seed)
+    rng = np.random.default_rng(seed)
     # All randomness is drawn up front so evaluation order cannot matter.
     orderings = rng.permuted(
         np.tile(np.arange(m), (sample_count, 1)), axis=1
@@ -168,9 +162,7 @@ def group_testing_round(
     round_players: Collection[int],
     plan: GroupTestingPlan,
     seed: int | np.random.Generator,
-    *,
-    return_tests: bool = False,
-) -> ValueVector | tuple[ValueVector, np.ndarray]:
+) -> ValueVector:
     """Estimate round values from utilities of random subsets.
 
     Runs ``plan.t1`` tests, each drawing a subset whose size follows the
@@ -184,7 +176,7 @@ def group_testing_round(
     m = len(ids)
     if m != plan.m:
         raise ValueError(f"plan was sized for {plan.m} participants, round has {m}")
-    rng = _as_generator(seed)
+    rng = np.random.default_rng(seed)
     sizes = rng.choice(np.arange(1, m), size=plan.t1, p=plan.subset_size_probs)
     order = np.argsort(rng.random((plan.t1, m)), axis=1)
     membership = np.zeros((plan.t1, m), dtype=bool)
@@ -197,12 +189,9 @@ def group_testing_round(
     # difference, so it is antisymmetric by construction.
     loads = (plan.z / plan.t1) * (test_utilities @ membership)
     differences = loads[:, None] - loads[None, :]
-    values = pivot_anchor_values(
+    return pivot_anchor_values(
         differences, oracle, round_index, round_players, plan, rng
     )
-    if return_tests:
-        return values, test_utilities
-    return values
 
 
 def pivot_anchor_values(
@@ -229,7 +218,7 @@ def pivot_anchor_values(
             f"difference matrix shape {pairwise_differences.shape} does not "
             f"match {m} participants"
         )
-    rng = _as_generator(seed)
+    rng = np.random.default_rng(seed)
     bits = mask_bits(m)
     sizes = rng.integers(0, m, size=plan.t2)
     others = np.zeros((plan.t2, m - 1), dtype=bool)
@@ -253,55 +242,3 @@ def pivot_anchor_values(
         for b, pid in enumerate(ids)
     }
     return ValueVector(values, round_index)
-
-
-@dataclass
-class EvaluationBudget:
-    """Planned utility-evaluation counts for one round of each estimator."""
-
-    m: int
-    permutation_samples: int
-    permutation_total: int
-    group_testing_t1: int
-    group_testing_t2: int
-
-    @property
-    def group_testing_total(self) -> int:
-        return self.group_testing_t1 + self.group_testing_t2
-
-
-def evaluation_budget(m: int, params: ApproxParams) -> EvaluationBudget:
-    """Compare planned evaluation counts of the two estimators at size ``m``."""
-    samples = permutation_sample_count(params, m)
-    plan = group_testing_plan(m, params)
-    return EvaluationBudget(
-        m=m,
-        permutation_samples=samples,
-        permutation_total=m * samples,
-        group_testing_t1=plan.t1,
-        group_testing_t2=plan.t2,
-    )
-
-
-def minimize_group_testing_budget(
-    m: int,
-    epsilon: float,
-    delta: float,
-    range_bound: float = 1.0,
-    grid: Iterable[float] = (1.05, 1.1, 1.25, 1.5, 2.0, 3.0, 5.0),
-) -> ApproxParams:
-    """Grid-search the budget-split constants so ``t1 + t2`` is smallest."""
-    candidates = sorted(set(float(c) for c in grid))
-    if any(c <= 1 for c in candidates):
-        raise ValueError("grid values must exceed 1")
-    best: ApproxParams | None = None
-    best_total = None
-    for c_eps in candidates:
-        for c_delta in candidates:
-            params = ApproxParams(epsilon, delta, range_bound, c_eps, c_delta)
-            plan = group_testing_plan(m, params)
-            total = plan.t1 + plan.t2
-            if best_total is None or total < best_total:
-                best, best_total = params, total
-    assert best is not None
-    return best

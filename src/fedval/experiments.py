@@ -38,7 +38,6 @@ from .engine import (
     RoundOracle,
     RoundRecord,
     TrainingConfig,
-    ValuationDiagnostics,
     check_initial_model,
     evaluate_utility,
     rerun_with_selections,
@@ -222,9 +221,7 @@ def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
 
 
 def run_experiment_training(
-    cfg: ExperimentConfig,
-    diagnostics: ValuationDiagnostics | None = None,
-    snapshot_dir=None,
+    cfg: ExperimentConfig, snapshot_dir=None
 ) -> tuple[FederatedRun, PreparedExperiment]:
     """Train per the config and value rounds with its valuation method."""
     prepared = prepare_experiment(cfg)
@@ -234,7 +231,6 @@ def run_experiment_training(
         (prepared.validation.features, prepared.validation.labels),
         valuation=cfg.valuation.method,
         approx=cfg.valuation.approx,
-        diagnostics=diagnostics,
         snapshot_dir=snapshot_dir,
     )
     if run.report is not None and cfg.valuation.normalized:

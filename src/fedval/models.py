@@ -184,17 +184,6 @@ def loss_and_gradient(
     return losses, grad
 
 
-def mean_cross_entropy(
-    layout: ModelLayout, theta: np.ndarray, features: np.ndarray, labels: np.ndarray
-) -> float:
-    log_probs = _log_softmax(logits(layout, theta, features))
-    return float(-log_probs[np.arange(features.shape[0]), labels].mean())
-
-
-def predict(layout: ModelLayout, theta: np.ndarray, features: np.ndarray) -> np.ndarray:
-    return logits(layout, theta, features).argmax(axis=1)
-
-
 def accuracy_from_logits(scores: np.ndarray, labels: np.ndarray) -> float:
     """Share of rows whose highest score (the first one on ties) is the label."""
     return np.count_nonzero(scores.argmax(axis=1) == labels) / len(labels)

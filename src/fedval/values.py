@@ -165,8 +165,6 @@ def exact_federated_round_shapley(
     oracle: UtilityOracle,
     round_index: int,
     round_players: Collection[int],
-    *,
-    cap: int = SUBSET_ENUMERATION_CAP,
 ) -> ValueVector:
     """Per-round Shapley values conditioned on the realized history.
 
@@ -180,10 +178,11 @@ def exact_federated_round_shapley(
     m = len(ids)
     if m == 0:
         return ValueVector({}, round_index)
-    if m > cap:
+    if m > SUBSET_ENUMERATION_CAP:
         raise EnumerationRefusedError(
             f"exact subset enumeration for {m} participants needs 2**{m} = "
-            f"{1 << m} utility evaluations (cap {cap}); the cost grows as 2**m"
+            f"{1 << m} utility evaluations (cap {SUBSET_ENUMERATION_CAP}); "
+            f"the cost grows as 2**m"
         )
     utilities = RoundUtility(oracle, round_index)(np.arange(1 << m))
     sizes = _popcounts(1 << m)
@@ -200,22 +199,14 @@ def exact_federated_round_shapley(
     return ValueVector(values, round_index)
 
 
-def exact_shapley(
-    oracle: UtilityOracle,
-    players: Collection[int],
-    *,
-    cap: int = SUBSET_ENUMERATION_CAP,
-) -> ValueVector:
+def exact_shapley(oracle: UtilityOracle, players: Collection[int]) -> ValueVector:
     """Shapley values of a single-coalition game (round 0 of ``oracle``)
     by full subset enumeration."""
-    return exact_federated_round_shapley(oracle, 0, players, cap=cap)
+    return exact_federated_round_shapley(oracle, 0, players)
 
 
 def exact_shapley_permutation_form(
-    oracle: UtilityOracle,
-    players: Collection[int],
-    *,
-    cap: int = PERMUTATION_ENUMERATION_CAP,
+    oracle: UtilityOracle, players: Collection[int]
 ) -> ValueVector:
     """Shapley values of a single-coalition game (round 0 of ``oracle``)
     averaged over every ordering of the players.
@@ -227,10 +218,11 @@ def exact_shapley_permutation_form(
     m = len(ids)
     if m == 0:
         return ValueVector({}, 0)
-    if m > cap:
+    if m > PERMUTATION_ENUMERATION_CAP:
         raise EnumerationRefusedError(
             f"exact ordering enumeration for {m} players needs {m}! = "
-            f"{math.factorial(m)} passes (cap {cap}); the cost grows as m!"
+            f"{math.factorial(m)} passes (cap {PERMUTATION_ENUMERATION_CAP}); "
+            f"the cost grows as m!"
         )
     utilities = RoundUtility(oracle, 0)(np.arange(1 << m))
     acc = np.zeros(m, dtype=np.float64)

@@ -5,12 +5,24 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from fedval.datasets import Dataset, PartitionPlan
 from fedval.games import TableGame, random_table_game
 
 
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+def mean_label_entropy(dataset: Dataset, plan: PartitionPlan) -> float:
+    """Mean over participants of the label entropy inside their shard (nats)."""
+    entropies = []
+    for pid in plan.participants():
+        shard_labels = dataset.labels[plan.assignment[pid]]
+        counts = np.bincount(shard_labels, minlength=dataset.class_count)
+        probs = counts[counts > 0] / counts.sum()
+        entropies.append(float(-(probs * np.log(probs)).sum()))
+    return float(np.mean(entropies))
 
 
 def random_process(

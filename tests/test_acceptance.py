@@ -17,7 +17,6 @@ from fedval.config import config_from_dict
 from fedval.engine import run_federated_training
 from fedval.estimators import (
     ApproxParams,
-    evaluation_budget,
     group_testing_plan,
     group_testing_round,
     permutation_sample_count,
@@ -230,20 +229,20 @@ def test_criterion_04_group_testing_contract():
 
 def test_criterion_05_complexity_crossover():
     params = ApproxParams(epsilon=0.1, delta=0.1, range_bound=1.0)
-    rows = []
+    totals = {}
     for m in (10, 50, 100, 500):
-        budget = evaluation_budget(m, params)
-        rows.append(
-            f"m={m}: orderings total {budget.permutation_total}, "
-            f"paired tests total {budget.group_testing_total}"
-        )
-    print("\n".join(rows))
-    largest = evaluation_budget(500, params)
+        plan = group_testing_plan(m, params)
+        totals[m] = (m * permutation_sample_count(params, m), plan.t1 + plan.t2)
+    print("\n".join(
+        f"m={m}: orderings total {orderings}, paired tests total {paired}"
+        for m, (orderings, paired) in totals.items()
+    ))
+    orderings, paired = totals[500]
     report(
         5,
-        largest.group_testing_total < largest.permutation_total,
-        f"at m=500 paired tests need {largest.group_testing_total} evaluations "
-        f"vs {largest.permutation_total} for ordering sampling",
+        paired < orderings,
+        f"at m=500 paired tests need {paired} evaluations "
+        f"vs {orderings} for ordering sampling",
     )
 
 

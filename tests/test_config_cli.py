@@ -3,6 +3,7 @@ import json
 import pytest
 import yaml
 
+import fedval
 from fedval.cli import main
 from fedval.config import (
     ConfigError,
@@ -10,6 +11,8 @@ from fedval.config import (
     config_to_dict,
     parse_config,
 )
+from fedval.engine import load_round_records
+from fedval.estimators import ApproxParams, group_testing_plan, permutation_sample_count
 
 
 def base_doc(**overrides):
@@ -264,9 +267,7 @@ class TestCli:
         plans = (out / "estimator_plans.csv").read_text().splitlines()
         assert plans[0] == "round,m,t1,t2,q_tot,z"
         assert len(plans) == 1 + 2  # one plan per round
-        tests = (out / "estimator_tests.csv").read_text().splitlines()
-        assert tests[0] == "round,test_index,utility"
-        assert len(tests) > 3
+        assert not (out / "estimator_tests.csv").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["details"]["group_testing_plans"]
 
@@ -317,3 +318,80 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "failed"
         assert manifest["details"]["partial_outputs"] is True
+
+
+APPROX = {"epsilon": 0.3, "delta": 0.3}
+
+
+def plan_fields(plan):
+    return {"t1": plan.t1, "t2": plan.t2, "q_tot": plan.q_tot, "z": plan.z}
+
+
+def manifest_details(out):
+    return json.loads((out / "manifest.json").read_text())["details"]
+
+
+class TestEstimatorPlans:
+    @pytest.mark.parametrize("method", ["permutation", "group_testing"])
+    def test_manifest_plans_follow_each_round_size(self, tmp_path, method):
+        path = write_config(tmp_path, base_doc(
+            valuation={"method": method, "approx": APPROX},
+        ))
+        out = tmp_path / method
+        assert main(["train-and-value", "--config", str(path), "--out", str(out)]) == 0
+        records, _ = load_round_records(out / "rounds")
+        params = ApproxParams(**APPROX)
+        details = manifest_details(out)
+        if method == "permutation":
+            assert "group_testing_plans" not in details
+            assert details["permutation_sample_counts"] == [
+                [r.round_index, permutation_sample_count(params, len(r.selected))]
+                for r in records
+            ]
+        else:
+            assert "permutation_sample_counts" not in details
+            assert details["group_testing_plans"] == [
+                [r.round_index, plan_fields(group_testing_plan(len(r.selected), params))]
+                for r in records
+            ]
+
+    def test_single_participant_rounds_have_no_plan_and_exact_values(self, tmp_path):
+        doc = base_doc(valuation={"method": "group_testing", "approx": APPROX})
+        doc["training"]["participant_fraction"] = 0.1
+        path = write_config(tmp_path, doc)
+        estimated = tmp_path / "gt"
+        exact = tmp_path / "exact"
+        assert main([
+            "train-and-value", "--config", str(path), "--out", str(estimated), "--verbose",
+        ]) == 0
+        assert main([
+            "train-and-value", "--config", str(path), "--out", str(exact),
+            "--method", "exact",
+        ]) == 0
+        assert all(len(r.selected) == 1 for r in load_round_records(estimated / "rounds")[0])
+        assert "group_testing_plans" not in manifest_details(estimated)
+        assert not (estimated / "estimator_plans.csv").exists()
+        assert (estimated / "values.csv").read_bytes() == (exact / "values.csv").read_bytes()
+
+    def test_replay_records_the_training_plans(self, tmp_path):
+        path = write_config(tmp_path, base_doc(
+            valuation={"method": "exact", "approx": APPROX},
+        ))
+        trained = tmp_path / "trained"
+        replayed = tmp_path / "replayed"
+        assert main([
+            "train-and-value", "--config", str(path), "--out", str(trained),
+            "--method", "group_testing",
+        ]) == 0
+        assert main([
+            "value-replay", "--config", str(path), "--snapshots", str(trained / "rounds"),
+            "--out", str(replayed), "--method", "gt",
+        ]) == 0
+        plans = manifest_details(trained)["group_testing_plans"]
+        assert plans
+        assert manifest_details(replayed)["group_testing_plans"] == plans
+
+
+def test_every_exported_name_resolves():
+    for name in fedval.__all__:
+        assert getattr(fedval, name) is not None, name

@@ -11,19 +11,17 @@ from fedval.datasets import (
     LabelFlipSpec,
     flip_labels,
     implant_backdoor,
-    load_delimited,
     load_idx,
-    load_partition_plan,
-    mean_label_entropy,
     partition_iid,
     partition_noniid_shards,
-    save_partition_plan,
     split_shards,
     synth_blobs,
     triggered_test_set,
 )
 from fedval.engine import TrainingConfig, participant_update
 from fedval.models import ModelLayout, accuracy
+
+from conftest import mean_label_entropy
 
 
 def write_idx_pair(tmp_path, images, labels, *, gz=False, image_magic=2051, label_magic=2049):
@@ -129,35 +127,6 @@ class TestIdxLoader:
             load_idx(image_path, label_path)
 
 
-class TestDelimitedLoader:
-    def test_loads_trailing_label_column(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("x0,x1,label\n0.5,1.5,0\n-1.0,2.0,1\n0.0,0.0,1\n")
-        data = load_delimited(path, skip_header=True)
-        assert data.features.shape == (3, 2)
-        assert list(data.labels) == [0, 1, 1]
-        assert data.features[1, 0] == -1.0
-
-    def test_label_column_anywhere(self, tmp_path):
-        path = tmp_path / "data.tsv"
-        path.write_text("2\t0.5\t1.5\n0\t-1.0\t2.0\n")
-        data = load_delimited(path, delimiter="\t", label_column=0)
-        assert list(data.labels) == [2, 0]
-        assert data.features.shape == (2, 2)
-
-    def test_ragged_row_reports_line(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("0.5,1.5,0\n1.0,1\n")
-        with pytest.raises(ValueError, match=":2"):
-            load_delimited(path)
-
-    def test_non_numeric_reports_line(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("0.5,1.5,0\noops,1.0,1\n")
-        with pytest.raises(ValueError, match=":2"):
-            load_delimited(path)
-
-
 class TestIidPartition:
     def test_reference_sizes(self):
         data = Dataset(np.zeros((60000, 1)), np.arange(60000) % 10, 10)
@@ -232,20 +201,6 @@ class TestShardPartition:
         iid = partition_iid(data, 10, 3)
         skewed = partition_noniid_shards(data, 10, 20, 2, 3)
         assert mean_label_entropy(data, skewed) < mean_label_entropy(data, iid)
-
-
-class TestPlanSerialization:
-    def test_roundtrip(self, tmp_path):
-        data = synth_blobs(60, 3, 3, 1.0, 5)
-        plan = partition_noniid_shards(data, 5, 10, 2, 8)
-        path = tmp_path / "plan.json"
-        save_partition_plan(plan, path)
-        loaded = load_partition_plan(path)
-        assert loaded.mode == plan.mode
-        assert loaded.participant_count == plan.participant_count
-        assert loaded.shards_per_participant == plan.shards_per_participant
-        for pid in plan.participants():
-            assert np.array_equal(loaded.assignment[pid], plan.assignment[pid])
 
 
 class TestLabelFlips:

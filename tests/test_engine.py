@@ -221,9 +221,9 @@ class TestUtility:
         theta = rng.normal(size=layout.param_count)
         features = rng.normal(size=(25, 3))
         labels = rng.integers(0, 3, size=25)
-        from fedval.models import predict
+        from fedval.models import logits
 
-        explicit = sum(predict(layout, theta, features) == labels) / 25
+        explicit = sum(logits(layout, theta, features).argmax(axis=1) == labels) / 25
         assert evaluate_utility(layout, theta, features, labels) == explicit
 
     def test_empty_validation_rejected(self):

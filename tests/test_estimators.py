@@ -6,11 +6,9 @@ import pytest
 from fedval.estimators import (
     ApproxParams,
     GroupTestingPlan,
-    evaluation_budget,
     group_testing_plan,
     group_testing_round,
     h_bernstein,
-    minimize_group_testing_budget,
     permutation_sample_count,
     permutation_sampling_round,
     pivot_anchor_values,
@@ -211,14 +209,6 @@ class TestGroupTesting:
         with pytest.raises(ValueError):
             group_testing_round(game, 0, range(5), plan, 0)
 
-    def test_returned_tests_lie_in_range(self, rng):
-        params = ApproxParams(epsilon=0.3, delta=0.3)
-        plan = group_testing_plan(4, params)
-        game = random_table_game([range(4)], rng)
-        _, tests = group_testing_round(game, 0, range(4), plan, 5, return_tests=True)
-        assert tests.shape == (plan.t1,)
-        assert (tests >= 0).all() and (tests <= 1).all()
-
 
 class TestPivotAnchoring:
     def test_zero_differences_collapse_to_pivot(self, rng):
@@ -270,21 +260,15 @@ class TestBudgets:
     def test_crossover_reported_and_holds_for_large_rounds(self):
         params = ApproxParams(epsilon=0.1, delta=0.1)
         sizes = [10, 25, 50, 100, 155, 200, 350, 500]
-        budgets = {m: evaluation_budget(m, params) for m in sizes}
-        winners = [
-            m for m in sizes
-            if budgets[m].group_testing_total < budgets[m].permutation_total
-        ]
+        cheaper = {}
+        for m in sizes:
+            plan = group_testing_plan(m, params)
+            cheaper[m] = plan.t1 + plan.t2 < m * permutation_sample_count(params, m)
+        winners = [m for m in sizes if cheaper[m]]
         assert winners, "paired tests never became cheaper"
         threshold = min(winners)
         # Once cheaper, stays cheaper across the scanned grid.
         for m in sizes:
             if m >= threshold:
-                assert budgets[m].group_testing_total < budgets[m].permutation_total
+                assert cheaper[m]
         print(f"paired-test estimator cheaper from m={threshold} on (fixed split constants)")
-
-    def test_optimized_split_never_worse_than_default(self):
-        for m in (10, 50, 200):
-            default = evaluation_budget(m, ApproxParams(epsilon=0.1, delta=0.1))
-            tuned = evaluation_budget(m, minimize_group_testing_budget(m, 0.1, 0.1))
-            assert tuned.group_testing_total <= default.group_testing_total

@@ -7,8 +7,6 @@ from fedval.models import (
     init_params,
     logits,
     loss_and_gradient,
-    mean_cross_entropy,
-    predict,
 )
 
 
@@ -90,20 +88,21 @@ class TestPrediction:
         theta = rng.normal(size=layout.param_count)
         features = rng.normal(size=(40, 5))
         labels = rng.integers(0, 3, size=40)
-        predicted = predict(layout, theta, features)
+        predicted = logits(layout, theta, features).argmax(axis=1)
         correct = sum(1 for guess, truth in zip(predicted, labels) if guess == truth)
         assert accuracy(layout, theta, features, labels) == correct / 40
 
     def test_zero_params_predict_first_class(self):
         layout = ModelLayout("logistic", 5, 3)
         features = np.ones((4, 5))
-        assert (predict(layout, np.zeros(layout.param_count), features) == 0).all()
+        scores = logits(layout, np.zeros(layout.param_count), features)
+        assert (scores.argmax(axis=1) == 0).all()
 
     def test_cross_entropy_at_uniform(self):
         layout = ModelLayout("logistic", 5, 4)
         features = np.ones((6, 5))
         labels = np.arange(6) % 4
-        ce = mean_cross_entropy(layout, np.zeros(layout.param_count), features, labels)
+        ce, _ = loss_and_gradient(layout, np.zeros(layout.param_count), features, labels)
         assert ce == pytest.approx(np.log(4), abs=1e-12)
 
     def test_mlp_forward_shape(self, rng):
