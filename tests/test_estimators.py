@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fedval import estimators as estimators_module
 from fedval.estimators import (
     ApproxParams,
     GroupTestingPlan,
@@ -14,7 +15,7 @@ from fedval.estimators import (
     pivot_anchor_values,
 )
 from fedval.games import additive_game, game_from_set_function, random_table_game
-from fedval.values import exact_federated_round_shapley
+from fedval.values import RoundUtility, exact_federated_round_shapley
 
 
 class TestApproxParams:
@@ -208,6 +209,25 @@ class TestGroupTesting:
         game = random_table_game([range(5)], rng)
         with pytest.raises(ValueError):
             group_testing_round(game, 0, range(5), plan, 0)
+
+    def test_returned_tests_lie_in_range(self, rng, monkeypatch):
+        params = ApproxParams(epsilon=0.3, delta=0.3)
+        plan = group_testing_plan(4, params)
+        game = random_table_game([range(4)], rng)
+        batches = []
+
+        class RecordingRoundUtility(RoundUtility):
+            def __call__(self, masks, **kwargs):
+                utilities = super().__call__(masks, **kwargs)
+                batches.append(utilities)
+                return utilities
+
+        monkeypatch.setattr(estimators_module, "RoundUtility", RecordingRoundUtility)
+        group_testing_round(game, 0, range(4), plan, 5)
+        # The first batch is the t1 tests; pivot anchoring queries after it.
+        tests = batches[0]
+        assert tests.shape == (plan.t1,)
+        assert (tests >= 0).all() and (tests <= 1).all()
 
 
 class TestPivotAnchoring:
