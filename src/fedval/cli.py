@@ -49,6 +49,7 @@ from .experiments import (
     run_experiment_training,
     run_noisy_detection,
     run_summarization,
+    shapley_backend,
 )
 from .games import random_table_game
 from .values import (
@@ -71,18 +72,23 @@ def _write_lines(path: Path, lines: list[str]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _override(spec: Any, flag: str, **changes: Any) -> Any:
+    """``spec`` with a flag's changes, checked by the config schema."""
+    try:
+        return replace(spec, **changes)
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}") from exc
+
+
 def _load_config(args: argparse.Namespace) -> tuple[ExperimentConfig, str]:
     cfg = parse_config(args.config)
     digest = config_digest(args.config)
     if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+        cfg = _override(cfg, f"--seed {args.seed}", seed=args.seed)
     if getattr(args, "method", None):
         method = _METHOD_ALIASES.get(args.method, args.method)
-        if method in ("permutation", "group_testing") and cfg.valuation.approx is None:
-            raise ConfigError(
-                f"--method {args.method} needs approx parameters in the config"
-            )
-        cfg = replace(cfg, valuation=replace(cfg.valuation, method=method))
+        valuation = _override(cfg.valuation, f"--method {args.method}", method=method)
+        cfg = replace(cfg, valuation=valuation)
     if getattr(args, "normalized", False):
         cfg = replace(cfg, valuation=replace(cfg.valuation, normalized=True))
     return cfg, digest
@@ -247,6 +253,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         outcome = args.protocol(cfg)
         _write_detection(out, outcome)
         details: dict[str, Any] = {
+            "valuation_method": shapley_backend(cfg),
             "affected": list(outcome.affected),
             "auc": {m: outcome.curves[m].auc for m in sorted(outcome.curves)},
         }
@@ -286,6 +293,7 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
                 )
         _write_lines(out / "summarization.csv", lines)
         return {
+            "valuation_method": shapley_backend(cfg),
             "baseline_accuracy": result.baseline_accuracy,
             "dismiss_fractions": list(result.dismiss_fractions),
         }

@@ -221,8 +221,8 @@ class BackdoorSpec:
     trigger_indices: tuple[int, ...]
     trigger_value: float
     target_label: int
-    mix_per_batch: int = 20
-    batch_size: int = 64
+    mix_per_batch: int
+    batch_size: int
 
     def __post_init__(self) -> None:
         if self.mix_per_batch < 1 or self.batch_size < 1:

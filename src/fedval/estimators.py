@@ -37,13 +37,15 @@ class ApproxParams:
 
     def __post_init__(self) -> None:
         if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+            raise ValueError(f"epsilon: must be positive, got {self.epsilon}")
         if not 0 < self.delta < 1:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+            raise ValueError(f"delta: must lie in (0, 1), got {self.delta}")
         if self.range_bound <= 0:
-            raise ValueError(f"range_bound must be positive, got {self.range_bound}")
-        if self.c_eps <= 1 or self.c_delta <= 1:
-            raise ValueError("budget-split constants c_eps and c_delta must exceed 1")
+            raise ValueError(f"range_bound: must be positive, got {self.range_bound}")
+        if self.c_eps <= 1:
+            raise ValueError(f"c_eps: must exceed 1, got {self.c_eps}")
+        if self.c_delta <= 1:
+            raise ValueError(f"c_delta: must exceed 1, got {self.c_delta}")
 
 
 def permutation_sample_count(params: ApproxParams, m: int) -> int:

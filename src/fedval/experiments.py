@@ -246,7 +246,9 @@ class DetectionOutcome:
     clean_accuracy: float | None = None
 
 
-def _shapley_backend(cfg: ExperimentConfig) -> str:
+def shapley_backend(cfg: ExperimentConfig) -> str:
+    """The Shapley method the protocols run: the configured estimator, or
+    exact when the configured method is not a Shapley method."""
     if cfg.valuation.method in ("exact", "permutation", "group_testing"):
         return cfg.valuation.method
     return "exact"
@@ -262,7 +264,7 @@ def _shapley_and_loo(
     reuses every utility the SV pass cached (all of them after ``exact``)."""
     oracle = RoundOracle(layout, records, validation.features, validation.labels)
     sv_report = value_rounds(
-        oracle, _shapley_backend(cfg), approx=cfg.valuation.approx, seed=cfg.seed
+        oracle, shapley_backend(cfg), approx=cfg.valuation.approx, seed=cfg.seed
     )
     return sv_report, value_rounds(oracle, "loo", seed=cfg.seed)
 

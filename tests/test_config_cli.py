@@ -178,6 +178,46 @@ class TestCli:
         assert manifest["details"]["normalized"] is True
         assert manifest["details"]["permutation_sample_counts"]
 
+    def test_seed_override_obeys_the_schema(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_doc())
+        out = tmp_path / "negative"
+        rc = main([
+            "train-and-value", "--config", str(path), "--out", str(out), "--seed", "-1",
+        ])
+        assert rc == 1
+        assert not out.exists()
+        assert "--seed -1: seed: must be at least 0" in capsys.readouterr().err
+
+    def test_estimator_override_needs_approx(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_doc())
+        out = tmp_path / "gt"
+        rc = main([
+            "train-and-value", "--config", str(path), "--out", str(out), "--method", "gt",
+        ])
+        assert rc == 1
+        assert not out.exists()
+        assert "approx" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, corruption", [
+        ("noisy-detect", {"kind": "label_flip", "flip_ratio": 0.5, "affected_count": 2}),
+        ("backdoor-detect", {
+            "kind": "backdoor", "trigger_indices": [2, 3], "trigger_value": 5.0,
+            "target_label": 0, "mix_per_batch": 5, "poison_batch_size": 10,
+            "affected_count": 2,
+        }),
+        ("summarize", None),
+    ])
+    def test_protocol_manifests_record_the_method(self, tmp_path, command, corruption):
+        doc = base_doc(
+            valuation={"method": "permutation", "approx": APPROX},
+            experiment={"dismiss_fractions": [0.0, 0.5], "random_repeats": 1},
+        )
+        if corruption is not None:
+            doc["corruption"] = corruption
+        out = tmp_path / "out"
+        assert main([command, "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
+        assert manifest_details(out)["valuation_method"] == "permutation"
+
     def test_noisy_detect_outputs(self, tmp_path):
         path = write_config(tmp_path, base_doc(
             corruption={"kind": "label_flip", "flip_ratio": 0.5, "affected_count": 2},
