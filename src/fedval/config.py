@@ -249,6 +249,21 @@ class ExperimentConfig(_Section):
         if isinstance(self.dataset, BlobsSpec):
             if self.partition.participants > self.dataset.samples:
                 raise ValueError("partition.participants: exceeds dataset samples")
+        if self.corruption is not None:
+            # Participant ids are 0 .. participants - 1 in every partition mode.
+            participants = self.partition.participants
+            for index, pid in enumerate(self.corruption.affected or ()):
+                if not 0 <= pid < participants:
+                    raise ValueError(
+                        f"corruption.affected[{index}]: participant {pid} is not among "
+                        f"the partition's ids 0..{participants - 1}"
+                    )
+            count = self.corruption.affected_count
+            if count is not None and count > participants:
+                raise ValueError(
+                    f"corruption.affected_count: must be at most partition.participants "
+                    f"({participants}), got {count}"
+                )
 
 
 _SCALARS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}

@@ -125,39 +125,80 @@ def initial_model(cfg: TrainingConfig) -> np.ndarray:
 
 
 def _lockstep_sgd(
-    global_params: np.ndarray,
+    thetas: np.ndarray,
+    owners: Sequence[int],
     shards: Sequence[Shard],
     rngs: Sequence[np.random.Generator],
     cfg: TrainingConfig,
     round_index: int,
 ) -> np.ndarray:
-    """Local mini-batch SGD of k equal-sized shards from one global model.
+    """Local mini-batch SGD of k parameter rows over g equal-sized shards.
 
-    The k runs share a step schedule, so each step gathers every run's
-    minibatch into one (k, b, d) array and takes one stacked gradient
-    step; run i draws its per-epoch orders from ``rngs[i]``. Features are
-    gathered into one reused minibatch buffer, never stacked for whole
-    shards; the (k, n) labels are permuted once per epoch. Returns the
-    (k, P) parameters.
+    Row i starts from ``thetas[i]`` and trains on ``shards[owners[i]]``;
+    ``thetas`` is updated in place and returned. Shard j draws its
+    per-epoch orders from ``rngs[j]`` once, and every row it owns shares
+    those orders and one gathered minibatch. The rows share a step
+    schedule, so each step stacks every row's minibatch into one (k, b, d)
+    array and takes one stacked gradient step. Features are gathered into
+    reused buffers, never stacked for whole shards; the (g, n) labels are
+    permuted once per epoch.
     """
-    k = len(shards)
+    k, g = len(owners), len(shards)
     n, width = shards[0][0].shape
     if n == 0:
         raise ValueError("refusing to train on an empty shard")
-    thetas = np.tile(np.asarray(global_params, dtype=np.float64), (k, 1))
     rate = cfg.learning_rate * cfg.lr_decay**round_index
-    buffer = np.empty((k, min(cfg.batch_size, n), width), shards[0][0].dtype)
+    batch = min(cfg.batch_size, n)
+    gathered = np.empty((g, batch, width), shards[0][0].dtype)
+    # Owners are numbered by first appearance, so k == g means one row each.
+    rows = gathered if k == g else np.empty((k, batch, width), gathered.dtype)
     for _ in range(cfg.local_epochs):
         orders = [rng.permutation(n) for rng in rngs]
-        labels = np.stack([y[order] for (_, y), order in zip(shards, orders)])
+        labels = np.stack([y[order] for (_, y), order in zip(shards, orders)])[owners]
         for start in range(0, n, cfg.batch_size):
             stop = min(start + cfg.batch_size, n)
-            features = buffer[:, : stop - start]
-            for row, (x, _), order in zip(features, shards, orders):
-                row[...] = x[order[start:stop]]
-            _, grads = loss_and_gradient(cfg.layout, thetas, features, labels[:, start:stop])
+            for buffer, (x, _), order in zip(gathered, shards, orders):
+                buffer[: stop - start] = x[order[start:stop]]
+            if k != g:
+                np.take(gathered[:, : stop - start], owners, axis=0, out=rows[:, : stop - start])
+            _, grads = loss_and_gradient(
+                cfg.layout, thetas, rows[:, : stop - start], labels[:, start:stop]
+            )
             thetas -= rate * grads
     return thetas
+
+
+def _train_jobs(
+    starts: np.ndarray,
+    jobs: Sequence[tuple[int, int]],
+    shards: Mapping[int, Shard],
+    cfg: TrainingConfig,
+    round_index: int,
+) -> np.ndarray:
+    """Local updates of round ``round_index`` for (start row, participant)
+    jobs, as a (len(jobs), P) array in job order.
+
+    Participant ``pid`` draws from ``substream(seed, "local", round_index,
+    pid)``, so its update depends only on its incoming model. Jobs whose
+    shards have equal sizes run the same step schedule and train in
+    lockstep.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, (_, pid) in enumerate(jobs):
+        groups.setdefault(shards[pid][0].shape[0], []).append(i)
+    trained = np.empty((len(jobs), starts.shape[1]))
+    for group in groups.values():
+        pids = list(dict.fromkeys(jobs[i][1] for i in group))
+        owner = {pid: j for j, pid in enumerate(pids)}
+        trained[group] = _lockstep_sgd(
+            starts[[jobs[i][0] for i in group]],
+            [owner[jobs[i][1]] for i in group],
+            [shards[pid] for pid in pids],
+            [substream(cfg.seed, "local", round_index, pid) for pid in pids],
+            cfg,
+            round_index,
+        )
+    return trained
 
 
 def _check_finite(theta: np.ndarray, round_index: int, participant_id: int | None) -> None:
@@ -177,9 +218,10 @@ def participant_update(
     round_index: int = 0,
     participant_id: int | None = None,
 ) -> np.ndarray:
-    """Local mini-batch SGD from the global model on one shard: the
-    one-participant case of ``train_round``."""
-    theta = _lockstep_sgd(global_params, [(features, labels)], [rng], cfg, round_index)[0]
+    """Local mini-batch SGD from the global model on one shard, drawing
+    its epoch orders from ``rng``."""
+    start = np.array(global_params, dtype=np.float64)[None]
+    theta = _lockstep_sgd(start, [0], [(features, labels)], [rng], cfg, round_index)[0]
     _check_finite(theta, round_index, participant_id)
     return theta
 
@@ -191,30 +233,15 @@ def train_round(
     cfg: TrainingConfig,
     round_index: int,
 ) -> dict[int, np.ndarray]:
-    """Every participant's local update in one round, keyed in the given order.
-
-    Participant ``pid`` draws from ``substream(seed, "local", round_index,
-    pid)``, so its update does not depend on who else trains. Participants
-    with equal shard sizes run the same step schedule and train in
-    lockstep. A divergence names the first diverging participant in the
-    given order.
+    """Every participant's local update in one round, keyed in the given
+    order: the one-model case of the lockstep kernel. A divergence names
+    the first diverging participant in the given order.
     """
-    groups: dict[int, list[int]] = {}
-    for pid in participants:
-        groups.setdefault(shards[pid][0].shape[0], []).append(pid)
-    trained: dict[int, np.ndarray] = {}
-    for group in groups.values():
-        thetas = _lockstep_sgd(
-            global_params,
-            [shards[pid] for pid in group],
-            [substream(cfg.seed, "local", round_index, pid) for pid in group],
-            cfg,
-            round_index,
-        )
-        trained.update(zip(group, thetas))
-    for pid in participants:
-        _check_finite(trained[pid], round_index, pid)
-    return {pid: trained[pid] for pid in participants}
+    start = np.asarray(global_params, dtype=np.float64)[None]
+    thetas = _train_jobs(start, [(0, pid) for pid in participants], shards, cfg, round_index)
+    for pid, theta in zip(participants, thetas):
+        _check_finite(theta, round_index, pid)
+    return dict(zip(participants, thetas))
 
 
 def aggregate_subset(record: RoundRecord, subset: Iterable[int]) -> np.ndarray:
@@ -436,31 +463,109 @@ def run_federated_training(
     return FederatedRun(final_params=theta, records=records, report=report)
 
 
+# The participants a retrain replay keeps of round t's sorted selection.
+KeepRule = Callable[[int, tuple[int, ...]], Iterable[int]]
+
+# Bound on the bytes one lockstep slice of a retrain round works in (see
+# ``_row_bytes``). Narrow models fit a whole round in one slice; a
+# 784-feature model trains about one incoming model per slice, which keeps
+# peak memory near that of one replay at a time.
+_SLICE_BYTES = 4 << 20
+
+
+def _row_bytes(cfg: TrainingConfig) -> int:
+    """Bytes one training row works in during a lockstep step: four
+    parameter-sized arrays (start, trained copy, gradient, scaled step)
+    and, per minibatch sample, a few copies of its features and
+    activations."""
+    layout = cfg.layout
+    per_sample = 3 * (layout.n_features + layout.hidden_units + layout.n_classes)
+    return 8 * (4 * layout.param_count + cfg.batch_size * per_sample)
+
+
+def _retained(keep: KeepRule, t: int, selected: tuple[int, ...]) -> tuple[int, ...]:
+    retained = tuple(sorted(set(keep(t, selected))))
+    if not retained:
+        raise ValueError(f"round {t} would retain no participants")
+    if not set(retained) <= set(selected):
+        raise ValueError(f"round {t} retains participants that were not selected")
+    return retained
+
+
+def _advance_grid(
+    models: list[np.ndarray | None],
+    children: Sequence[tuple[int, tuple[int, ...]]],
+    shards: Mapping[int, Shard],
+    cfg: TrainingConfig,
+    t: int,
+    selected_count: int,
+) -> list[np.ndarray]:
+    """Round ``t`` of a retrain grid: the outgoing model of every
+    (incoming model, retained set) child, in child order.
+
+    Each (incoming model, participant) update trains once, however many
+    children average it. An incoming model trains at most
+    ``selected_count`` rows, and models are trained in slices whose rows
+    fit ``_SLICE_BYTES``; once a slice's children are averaged, its
+    updates and incoming models (set to None in ``models``) are released.
+    """
+    by_parent: dict[int, list[int]] = {}
+    for c, (parent, _) in enumerate(children):
+        by_parent.setdefault(parent, []).append(c)
+    parents = list(by_parent)
+    step = max(1, _SLICE_BYTES // (_row_bytes(cfg) * selected_count))
+    outgoing: dict[int, np.ndarray] = {}
+    for first in range(0, len(parents), step):
+        batch = parents[first : first + step]
+        jobs = [
+            (i, pid)
+            for i, parent in enumerate(batch)
+            for pid in sorted({pid for c in by_parent[parent] for pid in children[c][1]})
+        ]
+        trained = _train_jobs(np.stack([models[p] for p in batch]), jobs, shards, cfg, t)
+        row_of = {job: row for row, job in enumerate(jobs)}
+        for i, parent in enumerate(batch):
+            for c in by_parent[parent]:
+                updates = [trained[row_of[i, pid]] for pid in children[c][1]]
+                for pid, theta in zip(children[c][1], updates):
+                    _check_finite(theta, t, pid)
+                outgoing[c] = np.mean(updates, axis=0)
+            models[parent] = None
+    return [outgoing[c] for c in range(len(children))]
+
+
 def rerun_with_selections(
     shards: Mapping[int, Shard],
     cfg: TrainingConfig,
     selections: Sequence[Sequence[int]],
-    keep: Callable[[int, tuple[int, ...]], Iterable[int]] | None = None,
-) -> np.ndarray:
-    """Retrain with a fixed per-round selection, optionally aggregating
-    only the participants ``keep`` retains each round.
+    keeps: Sequence[KeepRule],
+) -> list[np.ndarray]:
+    """Retrain once per keep rule with a fixed per-round selection,
+    aggregating only the participants the rule retains each round; returns
+    the final models in rule order.
 
-    Local update streams are keyed by (round, participant), so with
-    ``keep=None`` this reproduces the original trajectory bit for bit.
+    Every rule's retained sets are resolved and checked before any
+    training, rule by rule and round by round. The replays then advance
+    round by round in lockstep: replays whose retained sets agree on every
+    round so far share one model (and one returned array), each distinct
+    (retained prefix, participant) update trains once, and a round's
+    updates with equal shard sizes take one stacked SGD step per
+    minibatch. Local update streams are keyed by (round, participant), so
+    each final model is bitwise the one a replay of that rule alone gives,
+    and a rule that keeps everyone reproduces the original trajectory.
     """
     if len(selections) != cfg.rounds:
         raise ValueError("one recorded selection required per round")
-    theta = initial_model(cfg)
-    for t, selection in enumerate(selections):
-        selected = tuple(sorted(selection))
-        retained = tuple(sorted(keep(t, selected))) if keep is not None else selected
-        if not retained:
-            raise ValueError(f"round {t} would retain no participants")
-        if not set(retained) <= set(selected):
-            raise ValueError(f"round {t} retains participants that were not selected")
-        updates = train_round(theta, shards, retained, cfg, t)
-        theta = np.mean(list(updates.values()), axis=0)
-    return theta
+    rounds = [tuple(sorted(selection)) for selection in selections]
+    plans = [[_retained(keep, t, selected) for t, selected in enumerate(rounds)] for keep in keeps]
+    models: list[np.ndarray | None] = [initial_model(cfg)]
+    model_of = [0] * len(plans)
+    for t in range(cfg.rounds):
+        children: dict[tuple[int, tuple[int, ...]], int] = {}
+        for r, plan in enumerate(plans):
+            model_of[r] = children.setdefault((model_of[r], plan[t]), len(children))
+        models = _advance_grid(models, list(children), shards, cfg, t, len(rounds[t]))
+    return [models[i] for i in model_of]
 
 
 @contextmanager

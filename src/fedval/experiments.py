@@ -35,6 +35,7 @@ from .datasets import (
 )
 from .engine import (
     FederatedRun,
+    KeepRule,
     RoundOracle,
     RoundRecord,
     TrainingConfig,
@@ -139,22 +140,16 @@ def _build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
 def _resolve_affected(
     cfg: ExperimentConfig, plan: PartitionPlan
 ) -> tuple[int, ...]:
+    """The corrupted participants; ``ExperimentConfig`` has already checked
+    them against the partition's ids."""
     corruption = cfg.corruption
     assert corruption is not None
-    participants = plan.participants()
     if corruption.affected is not None:
-        affected = tuple(sorted(corruption.affected))
-    else:
-        count = corruption.affected_count
-        if count > len(participants):
-            raise ValueError("more affected participants requested than exist")
-        rng = substream(cfg.seed, "corrupt-select")
-        chosen = rng.choice(len(participants), size=count, replace=False)
-        affected = tuple(sorted(participants[i] for i in chosen))
-    unknown = set(affected) - set(participants)
-    if unknown:
-        raise ValueError(f"affected participants not in partition: {sorted(unknown)}")
-    return affected
+        return tuple(sorted(corruption.affected))
+    participants = plan.participants()
+    rng = substream(cfg.seed, "corrupt-select")
+    chosen = rng.choice(len(participants), size=corruption.affected_count, replace=False)
+    return tuple(sorted(participants[i] for i in chosen))
 
 
 def _layout(cfg: ExperimentConfig, train: Dataset) -> ModelLayout:
@@ -399,23 +394,22 @@ def run_summarization(
         prepared.layout, records[-1].global_after, *validation
     )
 
-    def final_accuracy(keep) -> float:
-        params = rerun_with_selections(
-            prepared.shards, prepared.training, selections, keep
-        )
-        return evaluate_utility(prepared.layout, params, *validation)
-
+    fractions = cfg.experiment.dismiss_fractions
+    repeats = cfg.experiment.random_repeats
+    keeps: list[KeepRule] = []
+    for fraction in fractions:
+        keeps += [_keep_lowest_dropped(vector, fraction) for vector in totals.values()]
+        keeps += [_keep_random_dropped(cfg.seed, repeat, fraction) for repeat in range(repeats)]
+    # One lockstep grid of every replay; final models come back in rule order.
+    finals = rerun_with_selections(prepared.shards, prepared.training, selections, keeps)
+    scores = iter([evaluate_utility(prepared.layout, params, *validation) for params in finals])
     accuracy: dict[str, list[float]] = {name: [] for name in (*totals, "random")}
-    for fraction in cfg.experiment.dismiss_fractions:
-        for name, vector in totals.items():
-            accuracy[name].append(final_accuracy(_keep_lowest_dropped(vector, fraction)))
-        repeats = [
-            final_accuracy(_keep_random_dropped(cfg.seed, repeat, fraction))
-            for repeat in range(cfg.experiment.random_repeats)
-        ]
-        accuracy["random"].append(_shifted_mean(repeats))
+    for _ in fractions:
+        for name in totals:
+            accuracy[name].append(next(scores))
+        accuracy["random"].append(_shifted_mean([next(scores) for _ in range(repeats)]))
     return SummarizationResult(
-        dismiss_fractions=tuple(cfg.experiment.dismiss_fractions),
+        dismiss_fractions=tuple(fractions),
         accuracy=accuracy,
         baseline_accuracy=baseline_accuracy,
     )

@@ -151,6 +151,20 @@ class TestCli:
         assert not out.exists()
         assert "snapshot" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("corruption, path", [
+        ({"affected": [1, 6]}, "corruption.affected[1]"),
+        ({"affected_count": 7}, "corruption.affected_count"),
+    ])
+    def test_affected_outside_partition_refused_without_output(
+        self, tmp_path, capsys, corruption, path
+    ):
+        doc = base_doc(corruption={"kind": "label_flip", "flip_ratio": 0.3, **corruption})
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "detect"
+        assert main(["noisy-detect", "--config", str(config), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert f"{config}.{path}:" in capsys.readouterr().err
+
     def test_seed_override_changes_results(self, tmp_path):
         path = write_config(tmp_path, base_doc())
         out_a = tmp_path / "a"

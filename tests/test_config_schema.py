@@ -141,6 +141,14 @@ REJECTIONS = [
     ("affected-item-bool",
      [("corruption.affected_count", DROP), ("corruption.affected", [1, True])],
      "config.corruption.affected[1]:"),
+    ("affected-outside-partition",
+     [("corruption.affected_count", DROP), ("corruption.affected", [1, 6])],
+     "config.corruption.affected[1]:"),
+    ("affected-negative",
+     [("corruption.affected_count", DROP), ("corruption.affected", [-1])],
+     "config.corruption.affected[0]:"),
+    ("affected-count-exceeds-participants", [("corruption.affected_count", 7)],
+     "config.corruption.affected_count:"),
     ("backdoor-missing", [("corruption", {**BACKDOOR, "trigger_indices": DROP})],
      "config.corruption: missing required key 'trigger_indices'"),
     ("backdoor-unknown", [("corruption", {**BACKDOOR, "flip_ratio": 0.2})],
@@ -251,18 +259,24 @@ def unit(low=0.01, high=1.0):
 
 NAME = st.text("abcxyz/._-", min_size=1, max_size=12)
 COUNT = st.integers(1, 50)
-AFFECTED = st.one_of(
-    fixed({"affected": st.lists(st.integers(0, 49), max_size=5)}),
-    fixed({"affected_count": st.integers(1, 10)}),
-)
+
+
+def affected(participants):
+    """Affected ids or a count that the partition's ids 0..participants-1 admit."""
+    return st.one_of(
+        fixed({"affected": st.lists(st.integers(0, participants - 1), max_size=5)}),
+        fixed({"affected_count": st.integers(1, min(10, participants))}),
+    )
+
+
 APPROX_DOC = fixed(
     {"epsilon": unit(), "delta": unit(0.01, 0.99)},
     {"range_bound": unit(0.1, 5.0), "c_eps": unit(1.01, 5.0), "c_delta": unit(1.01, 5.0)},
 )
 
 
-def with_affected(body):
-    return st.tuples(body, AFFECTED).map(lambda parts: {**parts[0], **parts[1]})
+def with_affected(body, participants):
+    return st.tuples(body, affected(participants)).map(lambda parts: {**parts[0], **parts[1]})
 
 
 DATASETS = st.one_of(
@@ -292,16 +306,21 @@ PARTITIONS = st.one_of(
         "shards_per_participant": st.integers(1, 5),
     }),
 )
-CORRUPTIONS = st.one_of(
-    with_affected(fixed({"kind": st.just("label_flip"), "flip_ratio": unit()})),
-    with_affected(fixed(
-        {
-            "kind": st.just("backdoor"), "trigger_indices": st.lists(st.integers(0, 9)),
-            "trigger_value": st.floats(-10, 10), "target_label": st.integers(0, 9),
-        },
-        {"mix_per_batch": st.integers(1, 20), "poison_batch_size": st.integers(20, 100)},
-    )),
-)
+
+
+def corruptions(participants):
+    return st.one_of(
+        with_affected(fixed({"kind": st.just("label_flip"), "flip_ratio": unit()}), participants),
+        with_affected(fixed(
+            {
+                "kind": st.just("backdoor"), "trigger_indices": st.lists(st.integers(0, 9)),
+                "trigger_value": st.floats(-10, 10), "target_label": st.integers(0, 9),
+            },
+            {"mix_per_batch": st.integers(1, 20), "poison_batch_size": st.integers(20, 100)},
+        ), participants),
+    )
+
+
 TRAINING_COMMON = {
     "rounds": st.integers(1, 20), "participant_fraction": unit(),
     "local_epochs": st.integers(1, 5), "batch_size": st.integers(1, 64),
@@ -329,17 +348,18 @@ VALUATIONS = st.one_of(
         {"normalized": st.booleans()},
     ),
 )
-DOCUMENTS = fixed(
-    {"seed": st.integers(0, 2**32), "dataset": DATASETS, "partition": PARTITIONS,
+DOCUMENTS = PARTITIONS.flatmap(lambda partition: fixed(
+    {"seed": st.integers(0, 2**32), "dataset": DATASETS, "partition": st.just(partition),
      "training": TRAINING},
     {
-        "valuation": VALUATIONS, "corruption": CORRUPTIONS, "output_dir": NAME,
+        "valuation": VALUATIONS, "corruption": corruptions(partition["participants"]),
+        "output_dir": NAME,
         "experiment": fixed({}, {
             "dismiss_fractions": st.lists(unit(0.0, 0.9), min_size=1, max_size=10),
             "random_repeats": st.integers(1, 5),
         }),
     },
-)
+))
 
 
 def assert_resolves(given_doc, resolved):

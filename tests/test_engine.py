@@ -415,16 +415,14 @@ class TestReplay:
         layout, cfg, shards, val = small_setup()
         run = run_federated_training(shards, cfg, val)
         selections = [record.selected for record in run.records]
-        replayed = rerun_with_selections(shards, cfg, selections)
+        [replayed] = rerun_with_selections(shards, cfg, selections, [lambda t, sel: sel])
         assert np.array_equal(replayed, run.final_params)
 
     def test_dismissal_changes_trajectory(self):
         layout, cfg, shards, val = small_setup()
         run = run_federated_training(shards, cfg, val)
         selections = [record.selected for record in run.records]
-        dropped = rerun_with_selections(
-            shards, cfg, selections, keep=lambda t, sel: sel[1:]
-        )
+        [dropped] = rerun_with_selections(shards, cfg, selections, [lambda t, sel: sel[1:]])
         assert not np.array_equal(dropped, run.final_params)
 
     def test_empty_retention_rejected(self):
@@ -432,7 +430,7 @@ class TestReplay:
         run = run_federated_training(shards, cfg, val)
         selections = [record.selected for record in run.records]
         with pytest.raises(ValueError, match="retain no participants"):
-            rerun_with_selections(shards, cfg, selections, keep=lambda t, sel: ())
+            rerun_with_selections(shards, cfg, selections, [lambda t, sel: ()])
 
 
 class TestPartialProgress:

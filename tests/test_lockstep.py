@@ -1,18 +1,30 @@
 """Generated-input checks of lockstep local training.
 
 ``train_round`` advances every participant with the same shard size as
-one stacked SGD run. These tests hold it bitwise to a per-participant
-loop over the flat gradient, and hold the stacked gradient bitwise to
-the flat one and the flat one to the plain 2-D formulas.
+one stacked SGD run, and ``rerun_with_selections`` advances a whole grid
+of retrain replays that way. These tests hold the grid bitwise to one
+``train_round`` per round per keep rule, ``train_round`` bitwise to a
+per-participant loop over the flat gradient, and the stacked gradient
+bitwise to the flat one and the flat one to the plain 2-D formulas.
 """
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedval.engine import TrainingConfig, train_round
+from fedval import engine
+from fedval.engine import (
+    TrainingConfig,
+    TrainingError,
+    initial_model,
+    rerun_with_selections,
+    train_round,
+)
 from fedval.models import ModelLayout, loss_and_gradient
 from fedval.seeding import substream
 
@@ -140,3 +152,141 @@ def test_stacked_gradient_is_the_flat_gradient_per_slice(layout, k, n, seed):
         )
         assert losses[i] == loss == plain_loss
         assert grads[i].tobytes() == grad.tobytes() == plain_grad.tobytes()
+
+
+def replay_alone(shards, cfg, selections, keep):
+    """One rule's retrain replay as a plain loop of ``train_round`` calls."""
+    theta = initial_model(cfg)
+    for t, selection in enumerate(selections):
+        selected = tuple(sorted(selection))
+        updates = train_round(theta, shards, tuple(sorted(keep(t, selected))), cfg, t)
+        theta = np.mean(list(updates.values()), axis=0)
+    return theta
+
+
+def table_rule(table):
+    """A keep rule that retains ``table[t]`` in round t."""
+    return lambda t, selected: table[t]
+
+
+@st.composite
+def grids(draw):
+    layout = draw(layouts())
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    # Mixed shard sizes split each round into several lockstep groups.
+    sizes = draw(st.lists(st.sampled_from([4, 7, 12]), min_size=2, max_size=6))
+    ids = rng.choice(40, size=len(sizes), replace=False).tolist()
+    shards = {
+        pid: (rng.normal(size=(n, layout.n_features)), rng.integers(0, layout.n_classes, n))
+        for pid, n in zip(ids, sizes)
+    }
+    rounds = draw(st.integers(1, 4))
+    selections = [
+        tuple(draw(st.lists(st.sampled_from(ids), min_size=1, unique=True)))
+        for _ in range(rounds)
+    ]
+
+    def subset(selection):
+        return tuple(draw(st.lists(st.sampled_from(selection), min_size=1, unique=True)))
+
+    # Every table shares a prefix of the first one and then diverges.
+    base = [subset(selection) for selection in selections]
+    tables = [base]
+    for _ in range(draw(st.integers(0, 4))):
+        split = draw(st.integers(0, rounds))
+        tables.append(base[:split] + [subset(selection) for selection in selections[split:]])
+    cfg = TrainingConfig(
+        layout, rounds, 1.0,
+        local_epochs=draw(st.integers(1, 3)),
+        batch_size=draw(st.integers(1, 13)),
+        learning_rate=draw(st.sampled_from([0.05, 0.3, 1.0])),
+        seed=seed,
+        lr_decay=draw(st.sampled_from([1.0, 0.9, 0.5])),
+        init_scale=draw(st.sampled_from([0.0, 0.3])),
+    )
+    return cfg, shards, selections, tables
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=grids(),
+    twice=st.integers(0, 4),
+    # 0 puts every incoming model in its own slice.
+    slice_bytes=st.sampled_from([engine._SLICE_BYTES, 0, 20_000]),
+)
+def test_grid_replays_match_one_replay_per_rule(case, twice, slice_bytes):
+    cfg, shards, selections, tables = case
+    keeps = [table_rule(table) for table in tables]
+    repeated = twice % len(keeps)
+    keeps.append(keeps[repeated])  # the same rule given twice
+    tables.append(tables[repeated])
+    jobs = []
+    real_train_jobs = engine._train_jobs
+
+    def counted(starts, round_jobs, *args):
+        jobs.extend(round_jobs)
+        return real_train_jobs(starts, round_jobs, *args)
+
+    with mock.patch.object(engine, "_SLICE_BYTES", slice_bytes), \
+            mock.patch.object(engine, "_train_jobs", counted):
+        finals = rerun_with_selections(shards, cfg, selections, keeps)
+    assert len(finals) == len(keeps)
+    for keep, table, final in zip(keeps, tables, finals):
+        expected = replay_alone(shards, cfg, selections, keep)
+        assert final.tobytes() == expected.tobytes()
+    # Equal tables share one model, and each distinct (retained prefix,
+    # participant) update trains once.
+    for i, table in enumerate(tables):
+        assert finals[i] is finals[tables.index(table)]
+    distinct = {
+        (tuple(tuple(sorted(kept)) for kept in table[:t]), pid)
+        for table in tables
+        for t in range(cfg.rounds)
+        for pid in table[t]
+    }
+    assert len(jobs) == len(distinct)
+
+
+def small_grid():
+    layout = ModelLayout("logistic", 3, 2)
+    rng = np.random.default_rng(4)
+    shards = {pid: (rng.normal(size=(6, 3)), rng.integers(0, 2, 6)) for pid in range(4)}
+    cfg = TrainingConfig(layout, 3, 1.0, 1, 4, 0.3, seed=4)
+    return cfg, shards, [(0, 1, 2, 3)] * 3
+
+
+def test_diverging_replay_names_its_round_and_participant():
+    cfg, shards, selections = small_grid()
+    # Participant 2's huge features overflow its first trained model.
+    features, labels = shards[2]
+    shards[2] = (features * 1e200, labels)
+    clean = table_rule([(0, 1), (0, 1), (0, 1)])
+    late = table_rule([(0, 1), (1, 3), (1, 2, 3)])
+    message = "training diverged at round 2, participant 2"
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingError, match=message):
+            replay_alone(shards, cfg, selections, late)
+        with pytest.raises(TrainingError, match=message):
+            rerun_with_selections(shards, cfg, selections, [clean, late, clean])
+
+
+@pytest.mark.parametrize(
+    "tables, message",
+    [
+        ([[(0,), (1,), ()]], "round 2 would retain no participants"),
+        ([[(0,), (1, 7), (2,)]], "round 1 retains participants that were not selected"),
+        # The first rule's error wins, as in one replay after another.
+        (
+            [[(0,), (1,), ()], [(9,), (1,), (2,)]],
+            "round 2 would retain no participants",
+        ),
+    ],
+)
+def test_grid_refuses_bad_retained_sets_before_training(tables, message):
+    cfg, shards, selections = small_grid()
+    untouched = mock.patch.object(
+        engine, "_train_jobs", side_effect=AssertionError("trained before validating")
+    )
+    with untouched, pytest.raises(ValueError, match=message):
+        rerun_with_selections(shards, cfg, selections, [table_rule(t) for t in tables])
