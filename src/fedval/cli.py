@@ -27,12 +27,12 @@ from .config import (
     parse_config,
     write_manifest,
 )
+from .datasets import Dataset
 from .engine import (
     RoundOracle,
     RoundRecord,
-    check_initial_model,
     evaluate_utility,
-    load_round_records,
+    run_federated_training,
     value_rounds,
 )
 from .estimators import (
@@ -44,14 +44,16 @@ from .estimators import (
 )
 from .experiments import (
     DetectionOutcome,
+    load_recorded_run,
+    prepare_experiment,
     prepare_validation,
     run_backdoor_detection,
-    run_experiment_training,
     run_noisy_detection,
     run_summarization,
     shapley_backend,
 )
 from .games import random_table_game
+from .models import ModelLayout
 from .values import (
     exact_federated_round_shapley,
     exact_shapley,
@@ -143,32 +145,53 @@ def _estimator_plans(
     return []
 
 
-def _plan_details(
-    method: str, plans: list[tuple[int, int | GroupTestingPlan]]
+def _write_values(
+    cfg: ExperimentConfig,
+    layout: ModelLayout,
+    records: list[RoundRecord],
+    validation: Dataset,
+    out: Path,
 ) -> dict[str, Any]:
-    if not plans:
-        return {}
+    """Value recorded rounds by the configured method into ``values.csv``;
+    returns the manifest's valuation details, which under an estimator
+    include each round's sample count or group-testing plan."""
+    method = cfg.valuation.method
+    report = value_rounds(
+        RoundOracle(layout, records, validation.features, validation.labels),
+        method,
+        approx=cfg.valuation.approx,
+        seed=cfg.seed,
+    )
+    if cfg.valuation.normalized:
+        report = report.normalized()
+    write_value_records(report, out / "values.csv")
+    details: dict[str, Any] = {
+        "rounds": len(records),
+        "valuation_method": method,
+        "normalized": cfg.valuation.normalized,
+    }
+    plans = _estimator_plans(cfg, records)
     if method == "permutation":
-        return {"permutation_sample_counts": [[t, count] for t, count in plans]}
-    return {
-        "group_testing_plans": [
+        details["permutation_sample_counts"] = [[t, count] for t, count in plans]
+    elif plans:
+        details["group_testing_plans"] = [
             [t, {"t1": plan.t1, "t2": plan.t2, "q_tot": plan.q_tot, "z": plan.z}]
             for t, plan in plans
         ]
-    }
+    return details
 
 
 def _cmd_train_and_value(args: argparse.Namespace) -> int:
     cfg, digest = _load_config(args)
-    if cfg.valuation.method == "none":
-        raise ConfigError("train-and-value needs a valuation method other than 'none'")
     out = _resolve_out(args, cfg)
 
     def body() -> dict[str, Any]:
-        run, prepared = run_experiment_training(cfg, snapshot_dir=out / "rounds")
-        assert run.report is not None
-        write_value_records(run.report, out / "values.csv")
-        plans = _estimator_plans(cfg, run.records)
+        prepared = prepare_experiment(cfg)
+        records = run_federated_training(
+            prepared.shards, prepared.training, snapshot_dir=out / "rounds"
+        )
+        details = _write_values(cfg, prepared.layout, records, prepared.validation, out)
+        plans = _estimator_plans(cfg, records)
         if args.verbose and cfg.valuation.method == "group_testing" and plans:
             lines = ["round,m,t1,t2,q_tot,z"]
             for t, plan in plans:
@@ -177,20 +200,13 @@ def _cmd_train_and_value(args: argparse.Namespace) -> int:
                     f"{format_float(plan.q_tot)},{format_float(plan.z)}"
                 )
             _write_lines(out / "estimator_plans.csv", lines)
-        final_accuracy = evaluate_utility(
+        details["participants"] = cfg.partition.participants
+        details["final_accuracy"] = evaluate_utility(
             prepared.layout,
-            run.final_params,
+            records[-1].global_after,
             prepared.validation.features,
             prepared.validation.labels,
         )
-        details = {
-            "rounds": cfg.training.rounds,
-            "participants": cfg.partition.participants,
-            "valuation_method": cfg.valuation.method,
-            "normalized": cfg.valuation.normalized,
-            "final_accuracy": final_accuracy,
-        }
-        details.update(_plan_details(cfg.valuation.method, plans))
         return details
 
     return _run_with_manifest("train-and-value", cfg, digest, out, body)
@@ -198,36 +214,17 @@ def _cmd_train_and_value(args: argparse.Namespace) -> int:
 
 def _cmd_value_replay(args: argparse.Namespace) -> int:
     cfg, digest = _load_config(args)
-    if cfg.valuation.method == "none":
-        raise ConfigError("value-replay needs a valuation method other than 'none'")
     snapshots = Path(args.snapshots)
     if not snapshots.is_dir():
         raise ConfigError(f"snapshot directory not found: {snapshots}")
     out = _resolve_out(args, cfg)
 
     def body() -> dict[str, Any]:
-        records, layout = load_round_records(snapshots)
-        configured_layout, validation = prepare_validation(cfg)
-        if layout != configured_layout:
-            raise ConfigError(
-                "snapshot layout does not match the configured model/dataset"
-            )
-        check_initial_model(records, cfg.training.to_training_config(layout, cfg.seed))
-        report = value_rounds(
-            RoundOracle(layout, records, validation.features, validation.labels),
-            cfg.valuation.method,
-            approx=cfg.valuation.approx,
-            seed=cfg.seed,
-        )
-        if cfg.valuation.normalized:
-            report = report.normalized()
-        write_value_records(report, out / "values.csv")
+        layout, validation = prepare_validation(cfg)
+        records = load_recorded_run(cfg, snapshots, layout)
         return {
-            "rounds": len(records),
+            **_write_values(cfg, layout, records, validation, out),
             "snapshots": str(snapshots),
-            "valuation_method": cfg.valuation.method,
-            "normalized": cfg.valuation.normalized,
-            **_plan_details(cfg.valuation.method, _estimator_plans(cfg, records)),
         }
 
     return _run_with_manifest("value-replay", cfg, digest, out, body)
@@ -281,8 +278,7 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
     out = _resolve_out(args, cfg)
 
     def body() -> dict[str, Any]:
-        records = None if snapshots is None else load_round_records(snapshots)[0]
-        result = run_summarization(cfg, records=records)
+        result = run_summarization(cfg, snapshots)
         lines = ["method,dismiss_fraction,accuracy"]
         for method in sorted(result.accuracy):
             for fraction, accuracy in zip(

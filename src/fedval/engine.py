@@ -49,7 +49,7 @@ from .values import (
 
 SNAPSHOT_MAGIC = b"FEDVALRND1\n"
 
-VALUATION_METHODS = ("exact", "permutation", "group_testing", "loo", "random", "none")
+VALUATION_METHODS = ("exact", "permutation", "group_testing", "loo", "random")
 
 Shard = tuple[np.ndarray, np.ndarray]
 
@@ -374,8 +374,8 @@ def value_rounds(
     itself. Estimator randomness is drawn from per-round substreams of
     ``seed``.
     """
-    if method not in VALUATION_METHODS or method == "none":
-        raise ValueError(f"cannot value rounds with method {method!r}")
+    if method not in VALUATION_METHODS:
+        raise ValueError(f"unknown valuation method {method!r}")
     if method in ("permutation", "group_testing") and approx is None:
         raise ValueError(f"method {method!r} needs approximation parameters")
     initial = oracle.evaluate(0, 0)
@@ -409,33 +409,19 @@ def value_rounds(
     return build_report(per_round, deltas, initial)
 
 
-@dataclass
-class FederatedRun:
-    """Everything a finished run leaves behind."""
-
-    final_params: np.ndarray
-    records: list[RoundRecord]
-    report: ValuationReport | None
-
-
 def run_federated_training(
     shards: Mapping[int, Shard],
     cfg: TrainingConfig,
-    validation: Shard,
     *,
-    valuation: str = "none",
-    approx: ApproxParams | None = None,
     snapshot_dir: str | Path | None = None,
-) -> FederatedRun:
-    """Run the full federated process and optionally value every round.
+) -> list[RoundRecord]:
+    """Run the full federated process and return its round records; the
+    final model is the last record's ``global_after``.
 
-    Valuation is observation-only: the trajectory depends only on the
-    config and its seed, never on the valuation method. With a
-    ``snapshot_dir``, each round is persisted as it completes, so a
+    The trajectory depends only on the shards, the config and its seed.
+    With a ``snapshot_dir``, each round is persisted as it completes, so a
     training failure leaves the finished rounds on disk.
     """
-    if valuation not in VALUATION_METHODS:
-        raise ValueError(f"unknown valuation method {valuation!r}")
     ids = sorted(shards)
     if not ids:
         raise ValueError("at least one participant shard required")
@@ -452,15 +438,7 @@ def run_federated_training(
         if snapshot_dir is not None:
             save_round_records([record], cfg.layout, snapshot_dir)
         theta = after
-    report = None
-    if valuation != "none":
-        report = value_rounds(
-            RoundOracle(cfg.layout, records, *validation),
-            valuation,
-            approx=approx,
-            seed=cfg.seed,
-        )
-    return FederatedRun(final_params=theta, records=records, report=report)
+    return records
 
 
 # The participants a retrain replay keeps of round t's sorted selection.

@@ -8,6 +8,7 @@ the valuation rule alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Iterable
 
 import numpy as np
@@ -15,6 +16,7 @@ import numpy as np
 from .config import (
     BackdoorConfig,
     BlobsSpec,
+    ConfigError,
     ExperimentConfig,
     IdxSpec,
     LabelFlipConfig,
@@ -34,13 +36,13 @@ from .datasets import (
     triggered_test_set,
 )
 from .engine import (
-    FederatedRun,
     KeepRule,
     RoundOracle,
     RoundRecord,
     TrainingConfig,
     check_initial_model,
     evaluate_utility,
+    load_round_records,
     rerun_with_selections,
     run_federated_training,
     value_rounds,
@@ -88,7 +90,6 @@ class PreparedExperiment:
 
     layout: ModelLayout
     training: TrainingConfig
-    train_data: Dataset
     validation: Dataset
     plan: PartitionPlan
     shards: dict[int, tuple[np.ndarray, np.ndarray]]
@@ -206,7 +207,6 @@ def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
     return PreparedExperiment(
         layout=layout,
         training=cfg.training.to_training_config(layout, cfg.seed),
-        train_data=train,
         validation=validation,
         plan=plan,
         shards=split_shards(train, plan),
@@ -215,22 +215,16 @@ def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
     )
 
 
-def run_experiment_training(
-    cfg: ExperimentConfig, snapshot_dir=None
-) -> tuple[FederatedRun, PreparedExperiment]:
-    """Train per the config and value rounds with its valuation method."""
-    prepared = prepare_experiment(cfg)
-    run = run_federated_training(
-        prepared.shards,
-        prepared.training,
-        (prepared.validation.features, prepared.validation.labels),
-        valuation=cfg.valuation.method,
-        approx=cfg.valuation.approx,
-        snapshot_dir=snapshot_dir,
-    )
-    if run.report is not None and cfg.valuation.normalized:
-        run.report = run.report.normalized()
-    return run, prepared
+def load_recorded_run(
+    cfg: ExperimentConfig, snapshots: str | Path, layout: ModelLayout
+) -> list[RoundRecord]:
+    """The round records of a snapshot directory, refused unless they form
+    one run of ``layout`` that starts from ``cfg``'s initial model."""
+    records, recorded_layout = load_round_records(snapshots)
+    if recorded_layout != layout:
+        raise ConfigError("snapshot layout does not match the configured model/dataset")
+    check_initial_model(records, cfg.training.to_training_config(layout, cfg.seed))
+    return records
 
 
 @dataclass
@@ -267,10 +261,8 @@ def _shapley_and_loo(
 def _run_detection(cfg: ExperimentConfig) -> DetectionOutcome:
     prepared = prepare_experiment(cfg)
     validation = prepared.validation
-    run = run_federated_training(
-        prepared.shards, prepared.training, (validation.features, validation.labels)
-    )
-    sv_report, loo_report = _shapley_and_loo(cfg, prepared.layout, run.records, validation)
+    records = run_federated_training(prepared.shards, prepared.training)
+    sv_report, loo_report = _shapley_and_loo(cfg, prepared.layout, records, validation)
     universe = prepared.plan.participants()
     reports = {
         "fed_sv": sv_report.total,
@@ -287,14 +279,12 @@ def _run_detection(cfg: ExperimentConfig) -> DetectionOutcome:
         affected=prepared.affected,
     )
     if prepared.triggered is not None:
+        final = records[-1].global_after
         outcome.attack_success_rate = evaluate_utility(
-            prepared.layout,
-            run.final_params,
-            prepared.triggered.features,
-            prepared.triggered.labels,
+            prepared.layout, final, prepared.triggered.features, prepared.triggered.labels
         )
         outcome.clean_accuracy = evaluate_utility(
-            prepared.layout, run.final_params, validation.features, validation.labels
+            prepared.layout, final, validation.features, validation.labels
         )
     return outcome
 
@@ -360,29 +350,21 @@ def _keep_random_dropped(
 
 
 def run_summarization(
-    cfg: ExperimentConfig, records=None
+    cfg: ExperimentConfig, snapshots: str | Path | None = None
 ) -> SummarizationResult:
     """Replay training with the recorded per-round selections, dismissing a
     fraction of each round's lowest-valued participants per method.
 
     Values are frozen from the first (full) run; the random baseline is
-    averaged over the configured number of repeats. Pass ``records`` to
-    reuse a persisted run instead of retraining it.
+    averaged over the configured number of repeats. Pass a ``snapshots``
+    directory to reuse a persisted run instead of training it.
     """
-    if cfg.valuation.method == "none":
-        raise ValueError("summarization needs a valuation method, not 'none'")
     prepared = prepare_experiment(cfg)
     validation = (prepared.validation.features, prepared.validation.labels)
-    if records is None:
-        records = run_federated_training(
-            prepared.shards, prepared.training, validation
-        ).records
-    records = list(records)
-    if not records:
-        raise ValueError("missing round records")
-    if records[0].global_before.shape != (prepared.layout.param_count,):
-        raise ValueError("round records do not match the configured model")
-    check_initial_model(records, prepared.training)
+    if snapshots is None:
+        records = run_federated_training(prepared.shards, prepared.training)
+    else:
+        records = load_recorded_run(cfg, snapshots, prepared.layout)
     sv_report, loo_report = _shapley_and_loo(
         cfg, prepared.layout, records, prepared.validation
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Collection, Iterable, Protocol, Sequence, runtime_checkable
 
@@ -258,28 +259,32 @@ def federated_loo_round(
 
 @dataclass
 class ValuationReport:
-    """Per-round and aggregated values plus the utility trace they explain.
+    """Per-round values plus the utility trace they explain.
 
     Values are reported raw: the totals sum to the final utility minus
     ``initial_utility`` (the untrained model's utility), which is kept
     here so readers can shift to either convention without
-    renormalizing.
+    renormalizing. ``total`` and ``round_value_norms`` are computed from
+    ``per_round`` on first use, so ``per_round`` must not change after.
     """
 
     per_round: list[ValueVector]
-    total: ValueVector
     per_round_utility_delta: list[float]
-    round_value_norms: list[float]
     initial_utility: float
+
+    @cached_property
+    def total(self) -> ValueVector:
+        return aggregate_rounds(self.per_round)
+
+    @cached_property
+    def round_value_norms(self) -> list[float]:
+        return [vector.norm() for vector in self.per_round]
 
     def normalized(self) -> "ValuationReport":
         """Same report with each round's vector scaled to unit length."""
-        rounds = [normalize_round_values(vector) for vector in self.per_round]
         return ValuationReport(
-            per_round=rounds,
-            total=aggregate_rounds(rounds),
+            per_round=[normalize_round_values(vector) for vector in self.per_round],
             per_round_utility_delta=list(self.per_round_utility_delta),
-            round_value_norms=[vector.norm() for vector in rounds],
             initial_utility=self.initial_utility,
         )
 
@@ -293,9 +298,7 @@ def build_report(
         raise ValueError("one utility delta required per round")
     return ValuationReport(
         per_round=list(per_round),
-        total=aggregate_rounds(per_round),
         per_round_utility_delta=[float(d) for d in utility_deltas],
-        round_value_norms=[vector.norm() for vector in per_round],
         initial_utility=float(initial_utility),
     )
 

@@ -14,7 +14,7 @@ import yaml
 
 from fedval.cli import main
 from fedval.config import config_from_dict
-from fedval.engine import run_federated_training
+from fedval.engine import RoundOracle, run_federated_training, value_rounds
 from fedval.estimators import (
     ApproxParams,
     group_testing_plan,
@@ -407,12 +407,11 @@ def test_criterion_11_round_norm_decay():
         doc["seed"] = seed
         cfg = config_from_dict(doc)
         prepared = prepare_experiment(cfg)
-        run = run_federated_training(
-            prepared.shards, prepared.training,
-            (prepared.validation.features, prepared.validation.labels),
-            valuation="exact",
+        records = run_federated_training(prepared.shards, prepared.training)
+        oracle = RoundOracle(
+            prepared.layout, records, prepared.validation.features, prepared.validation.labels
         )
-        norms = run.report.round_value_norms
+        norms = value_rounds(oracle, "exact", seed=cfg.seed).round_value_norms
         quarter = len(norms) // 4
         decayed += float(np.mean(norms[-quarter:])) < float(np.mean(norms[:quarter]))
     elapsed = time.monotonic() - start

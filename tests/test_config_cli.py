@@ -85,7 +85,7 @@ class TestParsing:
         doc["training"]["metric"] = "neg_loss"
         with pytest.raises(ConfigError, match=r"training: unknown keys \['metric'\]"):
             config_from_dict(doc)
-        doc["valuation"] = {"method": "none"}
+        doc["valuation"] = {"method": "loo"}
         with pytest.raises(ConfigError, match=r"training: unknown keys \['metric'\]"):
             config_from_dict(doc)
 

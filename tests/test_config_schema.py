@@ -340,7 +340,7 @@ TRAINING = st.one_of(
 VALUATIONS = st.one_of(
     fixed(
         {},
-        {"method": st.sampled_from(["exact", "loo", "random", "none"]),
+        {"method": st.sampled_from(["exact", "loo", "random"]),
          "normalized": st.booleans(), "approx": APPROX_DOC},
     ),
     fixed(

@@ -237,22 +237,22 @@ class TestUtility:
 class TestRoundOracle:
     def test_full_and_empty_blocks(self):
         layout, cfg, shards, val = small_setup()
-        run = run_federated_training(shards, cfg, val)
-        oracle = RoundOracle(layout, run.records, *val)
-        record = run.records[1]
+        records = run_federated_training(shards, cfg)
+        oracle = RoundOracle(layout, records, *val)
+        record = records[1]
         full = oracle.evaluate(1, (1 << len(record.selected)) - 1)
         assert full == evaluate_utility(layout, record.global_after, *val)
         empty = oracle.evaluate(1, 0)
         assert empty == evaluate_utility(layout, record.global_before, *val)
         assert oracle.evaluate(0, 0) == evaluate_utility(
-            layout, run.records[0].global_before, *val
+            layout, records[0].global_before, *val
         )
 
     def test_matches_direct_composition(self, rng):
         layout, cfg, shards, val = small_setup()
-        run = run_federated_training(shards, cfg, val)
-        oracle = RoundOracle(layout, run.records, *val)
-        record = run.records[2]
+        records = run_federated_training(shards, cfg)
+        oracle = RoundOracle(layout, records, *val)
+        record = records[2]
         ids = sorted(record.selected)
         for _ in range(10):
             size = int(rng.integers(0, len(record.selected) + 1))
@@ -265,9 +265,9 @@ class TestRoundOracle:
 
     def test_unrealized_history_rejected(self):
         layout, cfg, shards, val = small_setup()
-        run = run_federated_training(shards, cfg, val)
-        oracle = RoundOracle(layout, run.records, *val)
-        beyond = len(run.records)
+        records = run_federated_training(shards, cfg)
+        oracle = RoundOracle(layout, records, *val)
+        beyond = len(records)
         with pytest.raises(HistoryMismatchError, match=f"round {beyond} was not recorded"):
             oracle.evaluate(beyond, 0)
         with pytest.raises(HistoryMismatchError, match="round -1 was not recorded"):
@@ -275,9 +275,9 @@ class TestRoundOracle:
 
     def test_stray_participant_rejected(self):
         layout, cfg, shards, val = small_setup()
-        run = run_federated_training(shards, cfg, val)
-        oracle = RoundOracle(layout, run.records, *val)
-        m = len(run.records[0].selected)
+        records = run_federated_training(shards, cfg)
+        oracle = RoundOracle(layout, records, *val)
+        m = len(records[0].selected)
         for mask in (1 << m, -1):
             with pytest.raises(HistoryMismatchError, match="participants of round 0"):
                 oracle.evaluate(0, mask)
@@ -288,7 +288,7 @@ def recorded_run(arch):
     if arch == "mlp":
         layout = ModelLayout("mlp", 5, 3, hidden_units=4)
         cfg = replace(cfg, layout=layout, init_scale=0.1)
-    return layout, cfg, run_federated_training(shards, cfg, val).records, val
+    return layout, cfg, run_federated_training(shards, cfg), val
 
 
 class TestSharedOracle:
@@ -332,18 +332,12 @@ class TestFederatedTraining:
             layout=layout, rounds=1, participant_fraction=1.0, local_epochs=1,
             batch_size=16, learning_rate=0.5, seed=3,
         )
-        run = run_federated_training(shards, cfg, val, valuation="exact")
-        oracle = RoundOracle(layout, run.records, *val)
-        direct = exact_federated_round_shapley(oracle, 0, run.records[0].selected)
-        assert run.report is not None
-        assert run.report.per_round[0].values == direct.values
-
-    def test_valuation_never_alters_trajectory(self):
-        layout, cfg, shards, val = small_setup()
-        baseline = run_federated_training(shards, cfg, val, valuation="none")
-        for method in ("exact", "loo", "random"):
-            other = run_federated_training(shards, cfg, val, valuation=method)
-            assert np.array_equal(baseline.final_params, other.final_params)
+        records = run_federated_training(shards, cfg)
+        report = value_rounds(RoundOracle(layout, records, *val), "exact", seed=cfg.seed)
+        direct = exact_federated_round_shapley(
+            RoundOracle(layout, records, *val), 0, records[0].selected
+        )
+        assert report.per_round[0].values == direct.values
 
     def test_telescoping_total(self):
         data = synth_blobs(700, 5, 3, 3.0, 21)
@@ -355,18 +349,17 @@ class TestFederatedTraining:
         shards = split_shards(train, plan)
         layout = ModelLayout("logistic", 5, 3)
         cfg = TrainingConfig(layout, 3, 0.3, 1, 16, 0.5, seed=23)
-        run = run_federated_training(shards, cfg, val, valuation="exact")
-        report = run.report
+        records = run_federated_training(shards, cfg)
+        oracle = RoundOracle(layout, records, *val)
+        report = value_rounds(oracle, "exact", seed=cfg.seed)
         total = sum(report.total.values.values())
-        oracle = RoundOracle(layout, run.records, *val)
-        last = run.records[-1]
+        last = records[-1]
         final = oracle.evaluate(last.round_index, (1 << len(last.selected)) - 1)
         assert abs(total - (final - report.initial_utility)) <= 1e-9
 
     def test_fedavg_consistency(self):
         layout, cfg, shards, val = small_setup()
-        run = run_federated_training(shards, cfg, val)
-        for record in run.records:
+        for record in run_federated_training(shards, cfg):
             recomputed = np.mean([record.updates[p] for p in record.selected], axis=0)
             assert np.abs(recomputed - record.global_after).max() <= 1e-9
             assert len(record.selected) == round_size(
@@ -375,9 +368,9 @@ class TestFederatedTraining:
 
     def test_seed_determinism_end_to_end(self):
         layout, cfg, shards, val = small_setup()
-        first = run_federated_training(shards, cfg, val)
-        second = run_federated_training(shards, cfg, val)
-        for a, b in zip(first.records, second.records):
+        first = run_federated_training(shards, cfg)
+        second = run_federated_training(shards, cfg)
+        for a, b in zip(first, second):
             assert a.selected == b.selected
             assert np.array_equal(a.global_before, b.global_before)
             assert np.array_equal(a.global_after, b.global_after)
@@ -387,15 +380,16 @@ class TestFederatedTraining:
     def test_estimator_methods_run(self):
         layout, cfg, shards, val = small_setup()
         approx = ApproxParams(epsilon=0.3, delta=0.3)
-        run = run_federated_training(shards, cfg, val, valuation="permutation", approx=approx)
-        assert run.report is not None
-        run = run_federated_training(shards, cfg, val, valuation="group_testing", approx=approx)
-        assert run.report is not None
+        oracle = RoundOracle(layout, run_federated_training(shards, cfg), *val)
+        for method in ("permutation", "group_testing"):
+            report = value_rounds(oracle, method, approx=approx, seed=cfg.seed)
+            assert len(report.per_round) == cfg.rounds
 
     def test_missing_approx_rejected(self):
         layout, cfg, shards, val = small_setup()
+        oracle = RoundOracle(layout, run_federated_training(shards, cfg), *val)
         with pytest.raises(ValueError, match="approximation parameters"):
-            run_federated_training(shards, cfg, val, valuation="permutation")
+            value_rounds(oracle, "permutation", seed=cfg.seed)
 
     def test_single_participant_round_group_testing_falls_back(self):
         layout, cfg, shards, val = small_setup(participants=3)
@@ -404,31 +398,31 @@ class TestFederatedTraining:
             batch_size=16, learning_rate=0.5, seed=4,
         )
         approx = ApproxParams(epsilon=0.3, delta=0.3)
-        run = run_federated_training(shards, cfg, val, valuation="group_testing", approx=approx)
-        loo = value_rounds(RoundOracle(layout, run.records, *val), "loo", seed=cfg.seed)
-        for round_est, round_loo in zip(run.report.per_round, loo.per_round):
+        oracle = RoundOracle(layout, run_federated_training(shards, cfg), *val)
+        estimated = value_rounds(oracle, "group_testing", approx=approx, seed=cfg.seed)
+        loo = value_rounds(oracle, "loo", seed=cfg.seed)
+        for round_est, round_loo in zip(estimated.per_round, loo.per_round):
             assert round_est.values == round_loo.values  # single marginal either way
 
 
 class TestReplay:
     def test_rerun_reproduces_final_params(self):
         layout, cfg, shards, val = small_setup()
-        run = run_federated_training(shards, cfg, val)
-        selections = [record.selected for record in run.records]
+        records = run_federated_training(shards, cfg)
+        selections = [record.selected for record in records]
         [replayed] = rerun_with_selections(shards, cfg, selections, [lambda t, sel: sel])
-        assert np.array_equal(replayed, run.final_params)
+        assert np.array_equal(replayed, records[-1].global_after)
 
     def test_dismissal_changes_trajectory(self):
         layout, cfg, shards, val = small_setup()
-        run = run_federated_training(shards, cfg, val)
-        selections = [record.selected for record in run.records]
+        records = run_federated_training(shards, cfg)
+        selections = [record.selected for record in records]
         [dropped] = rerun_with_selections(shards, cfg, selections, [lambda t, sel: sel[1:]])
-        assert not np.array_equal(dropped, run.final_params)
+        assert not np.array_equal(dropped, records[-1].global_after)
 
     def test_empty_retention_rejected(self):
         layout, cfg, shards, val = small_setup()
-        run = run_federated_training(shards, cfg, val)
-        selections = [record.selected for record in run.records]
+        selections = [record.selected for record in run_federated_training(shards, cfg)]
         with pytest.raises(ValueError, match="retain no participants"):
             rerun_with_selections(shards, cfg, selections, [lambda t, sel: ()])
 
@@ -447,7 +441,7 @@ class TestPartialProgress:
 
         monkeypatch.setattr(engine_module, "train_round", failing_round)
         with pytest.raises(TrainingError):
-            run_federated_training(shards, cfg, val, snapshot_dir=tmp_path / "rounds")
+            run_federated_training(shards, cfg, snapshot_dir=tmp_path / "rounds")
         records, _ = load_round_records(tmp_path / "rounds")
         assert [r.round_index for r in records] == [0, 1]
 
@@ -470,12 +464,12 @@ class TestPartialProgress:
 class TestSnapshots:
     def test_roundtrip_bitwise(self, tmp_path):
         layout, cfg, shards, val = small_setup()
-        run = run_federated_training(shards, cfg, val)
-        save_round_records(run.records, layout, tmp_path / "rounds")
+        trained = run_federated_training(shards, cfg)
+        save_round_records(trained, layout, tmp_path / "rounds")
         records, loaded_layout = load_round_records(tmp_path / "rounds")
         assert loaded_layout == layout
-        assert len(records) == len(run.records)
-        for a, b in zip(records, run.records):
+        assert len(records) == len(trained)
+        for a, b in zip(records, trained):
             assert a.round_index == b.round_index
             assert a.selected == b.selected
             assert np.array_equal(a.global_before, b.global_before)
@@ -485,20 +479,20 @@ class TestSnapshots:
 
     def test_replayed_valuation_identical(self, tmp_path):
         layout, cfg, shards, val = small_setup()
-        run = run_federated_training(shards, cfg, val, valuation="exact")
-        save_round_records(run.records, layout, tmp_path / "rounds")
+        trained = run_federated_training(shards, cfg)
+        report = value_rounds(RoundOracle(layout, trained, *val), "exact", seed=cfg.seed)
+        save_round_records(trained, layout, tmp_path / "rounds")
         records, loaded_layout = load_round_records(tmp_path / "rounds")
         replayed = value_rounds(
             RoundOracle(loaded_layout, records, *val), "exact", seed=cfg.seed
         )
         assert [v.values for v in replayed.per_round] == [
-            v.values for v in run.report.per_round
+            v.values for v in report.per_round
         ]
 
     def test_bad_magic_rejected(self, tmp_path):
         layout, cfg, shards, val = small_setup()
-        run = run_federated_training(shards, cfg, val)
-        save_round_records(run.records, layout, tmp_path / "rounds")
+        save_round_records(run_federated_training(shards, cfg), layout, tmp_path / "rounds")
         victim = sorted((tmp_path / "rounds").glob("*.fvr"))[0]
         victim.write_bytes(b"junk" + victim.read_bytes()[4:])
         with pytest.raises(SnapshotFormatError, match="magic"):
@@ -506,9 +500,9 @@ class TestSnapshots:
 
     def test_tampered_aggregate_rejected(self, tmp_path):
         layout, cfg, shards, val = small_setup()
-        run = run_federated_training(shards, cfg, val)
-        run.records[1].global_after[0] += 0.5
-        save_round_records(run.records, layout, tmp_path / "rounds")
+        records = run_federated_training(shards, cfg)
+        records[1].global_after[0] += 0.5
+        save_round_records(records, layout, tmp_path / "rounds")
         with pytest.raises(SnapshotFormatError, match="disagrees"):
             load_round_records(tmp_path / "rounds")
 

@@ -1,17 +1,21 @@
+import re
+
 import numpy as np
 import pytest
+import yaml
 
-from fedval.config import config_from_dict
+from fedval.cli import main
+from fedval.config import ConfigError, config_from_dict
+from fedval.engine import VALUATION_METHODS
 from fedval.experiments import (
     detection_curve,
     prepare_experiment,
     random_values,
     run_backdoor_detection,
-    run_experiment_training,
     run_noisy_detection,
     run_summarization,
 )
-from fedval.values import ValueVector, build_report
+from fedval.values import ValueVector, build_report, read_value_records
 
 
 def tiny_doc(**overrides):
@@ -219,21 +223,29 @@ class TestSummarization:
             assert 0.0 <= series[0] <= 1.0
 
     def test_requires_a_valuation_method(self):
-        cfg = config_from_dict(tiny_doc(valuation={"method": "none"}))
-        with pytest.raises(ValueError, match="valuation"):
-            run_summarization(cfg)
+        choices = re.escape(str(list(VALUATION_METHODS)))
+        with pytest.raises(
+            ConfigError, match=rf"valuation\.method: must be one of {choices}, got 'none'"
+        ):
+            config_from_dict(tiny_doc(valuation={"method": "none"}))
 
 
 class TestPreparation:
     def test_validation_split_shares_geometry(self):
         cfg = config_from_dict(tiny_doc())
         prepared = prepare_experiment(cfg)
-        assert prepared.validation.class_count == prepared.train_data.class_count
-        assert prepared.train_data.features.shape[0] == 360
+        assert sum(x.shape[0] for x, _ in prepared.shards.values()) == 360
         assert prepared.validation.features.shape[0] == 240
+        assert prepared.validation.class_count == prepared.layout.n_classes == 3
+        for _, labels in prepared.shards.values():
+            assert set(labels.tolist()) <= set(range(prepared.validation.class_count))
 
-    def test_normalized_flag_rescales_report(self):
-        cfg = config_from_dict(tiny_doc(valuation={"method": "exact", "normalized": True}))
-        run, _ = run_experiment_training(cfg)
-        for norm in run.report.round_value_norms:
+    def test_normalized_flag_rescales_report(self, tmp_path):
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump(
+            tiny_doc(valuation={"method": "exact", "normalized": True})
+        ))
+        assert main(["train-and-value", "--config", str(config), "--out", str(tmp_path)]) == 0
+        report = read_value_records(tmp_path / "values.csv")
+        for norm in report.round_value_norms:
             assert norm == pytest.approx(1.0, abs=1e-9) or norm == 0.0

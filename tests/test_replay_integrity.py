@@ -72,6 +72,26 @@ def test_snapshots_of_another_seed_refused(tmp_path, capsys, command):
     assert not (out / "summarization.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["value-replay", "summarize"])
+def test_snapshots_of_another_layout_refused(tmp_path, capsys, command):
+    # 21 features x 2 classes and 10 features x 4 classes both give a
+    # 44-parameter logistic model, and both start from zeros.
+    doc = base_doc()
+    doc["dataset"].update(features=21, classes=2)
+    _, rounds = train(tmp_path, doc, "wide")
+    doc["dataset"].update(features=10, classes=4)
+    config = write_config(tmp_path, doc, name="narrow.yaml")
+    out = tmp_path / "replay"
+    rc = main([
+        command, "--config", str(config), "--snapshots", str(rounds), "--out", str(out),
+    ])
+    assert rc == 1
+    assert "snapshot layout does not match" in capsys.readouterr().err
+    assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+    assert not (out / "values.csv").exists()
+    assert not (out / "summarization.csv").exists()
+
+
 def test_snapshots_of_the_configured_run_accepted(tmp_path):
     doc = base_doc()
     doc["training"]["init_scale"] = 0.1

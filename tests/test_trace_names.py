@@ -62,3 +62,51 @@ def test_counted_parameters_exist(module_name, function, names):
         getattr(importlib.import_module(module_name), function)
     ).parameters
     assert [name for name in names if name not in parameters] == []
+
+
+# Calls of each stage the end-to-end metrics time (``STAGES``), per
+# command: setup_s reads prepare_experiment, value_s reads value_rounds
+# and load_round_records.
+STAGE_CALLS = {
+    "train-and-value": {"prepare_experiment": 1, "value_rounds": 1, "load_round_records": 0},
+    "value-replay": {"prepare_experiment": 0, "value_rounds": 1, "load_round_records": 1},
+    "summarize": {"prepare_experiment": 1, "value_rounds": 2, "load_round_records": 0},
+}
+
+
+def test_stage_calls_per_command(tmp_path):
+    import yaml
+
+    from fedval import cli
+
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump({
+        "seed": 3,
+        "dataset": {
+            "kind": "blobs", "samples": 120, "features": 3, "classes": 2,
+            "separation": 3.0, "validation_samples": 60,
+        },
+        "partition": {"mode": "iid", "participants": 4},
+        "training": {
+            "rounds": 2, "participant_fraction": 0.5, "local_epochs": 1,
+            "batch_size": 10, "learning_rate": 0.5, "model": "logistic",
+        },
+        "valuation": {"method": "exact"},
+        "experiment": {"dismiss_fractions": [0.0, 0.5], "random_repeats": 1},
+    }))
+    snapshots = str(tmp_path / "train-and-value" / "rounds")
+    extra = {"value-replay": ["--snapshots", snapshots]}
+    tracing = load_tracing()
+    counted = {}
+    for command in STAGE_CALLS:
+        tracer = tracing.Tracer()
+        tracer.install(tracing.STAGES)
+        try:
+            argv = [command, "--config", str(config), "--out", str(tmp_path / command)]
+            assert cli.main(argv + extra.get(command, [])) == 0
+        finally:
+            tracer.uninstall()
+        names = [span[0].split(".")[-1] for span in tracer.spans]
+        counted[command] = {stage: names.count(stage) for stage in STAGE_CALLS[command]}
+        assert names.count("parse_config") == 1
+    assert counted == STAGE_CALLS
