@@ -65,7 +65,11 @@ def synth_blobs(
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     centers = separation * directions
     labels = np.arange(samples, dtype=np.int64) % class_count
-    points = centers[labels] + rng.normal(size=(samples, features))
+    # Each center is added in place to its class's rows (every
+    # class_count-th row), so the noise array is the only full-size one.
+    points = rng.normal(size=(samples, features))
+    for c in range(class_count):
+        points[c::class_count] += centers[c]
     return Dataset(points, labels, class_count)
 
 

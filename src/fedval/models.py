@@ -78,16 +78,6 @@ def init_params(
     return rng.normal(0.0, scale, size=layout.param_count)
 
 
-def check_params(layout: ModelLayout, theta: np.ndarray) -> np.ndarray:
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != (layout.param_count,):
-        raise ValueError(
-            f"parameter vector has shape {theta.shape}, layout needs "
-            f"({layout.param_count},)"
-        )
-    return theta
-
-
 def _unpack_logistic(layout: ModelLayout, theta: np.ndarray):
     """Weights and bias of a parameter vector, or of a stack of them along
     leading axes; the bias gains a row axis to broadcast over samples."""
@@ -113,13 +103,29 @@ def _unpack_mlp(layout: ModelLayout, theta: np.ndarray):
 
 
 def logits(layout: ModelLayout, theta: np.ndarray, features: np.ndarray) -> np.ndarray:
-    theta = check_params(layout, theta)
+    """Class scores (n, c) of the n rows of ``features``.
+
+    A stack of k parameter vectors (k, P) gives scores (k, n, c). Every
+    slice runs the same 2-D products and elementwise steps as the flat
+    call, which is the k = 1 case, so each is bitwise what the flat call
+    on that vector returns.
+    """
+    theta = np.asarray(theta, dtype=np.float64)
+    if theta.ndim not in (1, 2) or theta.shape[-1] != layout.param_count:
+        raise ValueError(
+            f"parameter array has shape {theta.shape}, layout needs "
+            f"({layout.param_count},) or (k, {layout.param_count})"
+        )
     if layout.arch == "logistic":
         weights, bias = _unpack_logistic(layout, theta)
         return features @ weights + bias
     w1, b1, w2, b2 = _unpack_mlp(layout, theta)
-    hidden = np.maximum(features @ w1 + b1, 0.0)
-    return hidden @ w2 + b2
+    hidden = features @ w1
+    hidden += b1
+    np.maximum(hidden, 0.0, out=hidden)
+    scores = hidden @ w2
+    scores += b2
+    return scores
 
 
 def _log_softmax(scores: np.ndarray) -> np.ndarray:

@@ -129,10 +129,13 @@ class RoundUtility:
         """Utilities of ``masks``, an array of any shape.
 
         Each distinct mask goes to the oracle once, in order of first
-        appearance in row-major order. With ``progress_unit``, an oracle
-        failure is re-raised as a ``RuntimeError`` saying how many
-        leading rows of ``masks`` had every mask evaluated, counted in
-        that unit; otherwise the oracle's exception propagates as is.
+        appearance in row-major order: all in one call when the oracle
+        has an ``evaluate_many(t, masks)`` method, else one ``evaluate``
+        call per mask. With ``progress_unit``, an oracle failure is
+        re-raised as a ``RuntimeError`` saying how many leading rows of
+        ``masks`` had every mask evaluated, counted in that unit (none
+        when the one batch call fails, since it returns no utility);
+        otherwise the oracle's exception propagates as is.
         """
         masks = np.asarray(masks)
         slot_of: dict[int, int] = {}
@@ -141,13 +144,17 @@ class RoundUtility:
             dtype=np.intp,
             count=masks.size,
         )
-        utilities = np.empty(len(slot_of), dtype=np.float64)
+        evaluate_many = getattr(self._oracle, "evaluate_many", None)
         evaluate, t = self._oracle.evaluate, self._round_index
         done = 0
         try:
-            for mask in slot_of:
-                utilities[done] = evaluate(t, mask)
-                done += 1
+            if evaluate_many is not None:
+                utilities = evaluate_many(t, list(slot_of))
+            else:
+                utilities = np.empty(len(slot_of), dtype=np.float64)
+                for mask in slot_of:
+                    utilities[done] = evaluate(t, mask)
+                    done += 1
         except Exception as exc:
             if progress_unit is None:
                 raise

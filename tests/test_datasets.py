@@ -79,6 +79,19 @@ class TestBlobs:
         )
         assert accuracy(layout, theta, data.features, data.labels) == 1.0
 
+    @pytest.mark.parametrize("samples, classes", [(50, 3), (101, 4), (7, 7)])
+    def test_matches_centers_plus_noise(self, samples, classes):
+        """Bitwise the sum of each label's center and the noise, drawn from
+        the same generator."""
+        rng = np.random.default_rng(5)
+        directions = rng.normal(size=(classes, 6))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        labels = np.arange(samples) % classes
+        expected = (2.5 * directions)[labels] + rng.normal(size=(samples, 6))
+        data = synth_blobs(samples, 6, classes, 2.5, 5)
+        assert data.features.tobytes() == expected.tobytes()
+        assert np.array_equal(data.labels, labels)
+
     def test_rejects_fewer_samples_than_classes(self):
         with pytest.raises(ValueError):
             synth_blobs(2, 4, 3, 1.0, 0)

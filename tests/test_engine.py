@@ -22,7 +22,7 @@ from fedval.engine import (
     train_round,
     value_rounds,
 )
-from fedval.estimators import ApproxParams
+from fedval.estimators import ApproxParams, permutation_sampling_round
 from fedval.models import ModelLayout, loss_and_gradient
 from fedval.values import exact_federated_round_shapley, value_record_lines
 
@@ -281,6 +281,32 @@ class TestRoundOracle:
         for mask in (1 << m, -1):
             with pytest.raises(HistoryMismatchError, match="participants of round 0"):
                 oracle.evaluate(0, mask)
+
+    @pytest.mark.parametrize("arch", ["logistic", "mlp"])
+    def test_batch_checked_before_any_evaluation(self, arch):
+        layout, _, records, val = recorded_run(arch)
+        oracle = RoundOracle(layout, records, *val)
+        m = len(records[0].selected)
+        with pytest.raises(HistoryMismatchError, match="participants of round 0"):
+            oracle.evaluate_many(0, [0, 1, (1 << m) - 1, 1 << m])
+        assert oracle._cache == {}
+        # A refused batch returns nothing, so no ordering counts as done.
+        with pytest.raises(RuntimeError, match="after 0 of 5 sampled orderings") as info:
+            permutation_sampling_round(oracle, len(records), records[0].selected, 5, 0)
+        assert isinstance(info.value.__cause__, HistoryMismatchError)
+
+    @pytest.mark.parametrize("arch", ["logistic", "mlp"])
+    def test_mismatched_validation_shapes_refused(self, arch):
+        layout, _, records, (features, labels) = recorded_run(arch)
+        rows = features[:50]
+        with pytest.raises(
+            ValueError, match=r"labels have shape \(1,\), features have shape \(50, 5\)"
+        ):
+            RoundOracle(layout, records, rows, np.array([0]))
+        with pytest.raises(
+            ValueError, match=r"features have shape \(50, 4\); the layout needs \(n, 5\)"
+        ):
+            RoundOracle(layout, records, rows[:, :4], labels[:50])
 
 
 def recorded_run(arch):

@@ -1,22 +1,27 @@
 """Generated-input checks of the round utility path.
 
 ``RoundOracle`` values a logistic model's proper subsets from averaged
-member logits; these tests hold it to the parameter-average definition
-on random rounds. The estimators reach utilities through
+member logits, and an MLP's from slices of stacked parameter averages;
+these tests hold both to the parameter-average definition on random
+rounds, the MLP bitwise whatever the slice bound, request order and mix
+of batched and scalar requests. The estimators reach utilities through
 ``RoundUtility`` with deduplicated bitmasks; these tests hold them to
-the one-call-per-draw loops they replaced.
+the one-call-per-draw loops they replaced, on rounds wider than int64
+masks too.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedval import engine
 from fedval.engine import (
     RoundOracle,
     RoundRecord,
@@ -127,6 +132,81 @@ def test_request_order_does_not_change_values(shape, shuffler):
     shuffled = RoundOracle(layout, records, features, labels)
     for position in positions:
         assert shuffled.evaluate(*queries[position]) == reference[position]
+
+
+mlp_round_shapes = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**32 - 1),
+    "features": st.integers(1, 12),
+    "hidden": st.integers(1, 8),
+    "classes": st.integers(2, 6),
+    "samples": st.integers(1, 40),
+    "m": st.integers(1, 6),
+    "rounds": st.integers(1, 3),
+    "quantized": st.booleans(),
+    # 0 puts every mask in its own slice; the small bounds give slices of
+    # a few masks each.
+    "slice_bytes": st.sampled_from([0, 2_000, 10_000, engine._UTILITY_SLICE_BYTES]),
+})
+
+
+@settings(max_examples=40, deadline=None)
+@given(mlp_round_shapes, st.randoms(use_true_random=False))
+def test_mlp_subset_utilities_equal_parameter_average(shape, shuffler):
+    rng = np.random.default_rng(shape["seed"])
+    layout = ModelLayout(
+        "mlp", shape["features"], shape["classes"], hidden_units=shape["hidden"]
+    )
+    records = random_records(
+        rng, layout, shape["rounds"], shape["m"], quantized=shape["quantized"]
+    )
+    features = rng.normal(size=(shape["samples"], shape["features"]))
+    if shape["quantized"]:
+        features = np.round(features)
+    labels = rng.integers(0, shape["classes"], size=shape["samples"])
+    expected = {
+        (t, mask): evaluate_utility(
+            layout, aggregate_subset(record, members(record, mask)), features, labels
+        )
+        for t, record in enumerate(records)
+        for mask in range(1 << len(record.selected))
+    }
+    with mock.patch.object(engine, "_UTILITY_SLICE_BYTES", shape["slice_bytes"]):
+        # Every mask of a round in one batch, shuffled and with repeats.
+        batched = RoundOracle(layout, records, features, labels)
+        for t, record in enumerate(records):
+            masks = list(range(1 << len(record.selected))) * 2
+            shuffler.shuffle(masks)
+            got = RoundUtility(batched, t)(np.array(masks))
+            assert got.tolist() == [expected[t, mask] for mask in masks]
+        # Scalar calls and small batches across rounds, in shuffled order.
+        mixed = RoundOracle(layout, records, features, labels)
+        queries = list(expected)
+        shuffler.shuffle(queries)
+        for t, mask in queries:
+            if shuffler.random() < 0.5:
+                assert mixed.evaluate(t, mask) == expected[t, mask]
+                continue
+            size = 1 << len(records[t].selected)
+            masks = [mask, *(shuffler.randrange(size) for _ in range(3))]
+            got = RoundUtility(mixed, t)(np.array(masks))
+            assert got.tolist() == [expected[t, b] for b in masks]
+
+
+def test_mlp_members_summed_in_ascending_id_order():
+    """Float addition is not associative: members 0, 1, 2 summed in id
+    order give (1 + 2**60) - 2**60 = 0, in reverse order 1. Only the first
+    leaves the class-1 output bias at 0, so the tie goes to class 0."""
+    layout = ModelLayout("mlp", 1, 2, hidden_units=1)
+    biases = {0: 1.0, 1: 2.0**60, 2: -(2.0**60), 3: 0.0}
+    updates = {pid: np.zeros(layout.param_count) for pid in biases}
+    for pid, bias in biases.items():
+        updates[pid][-1] = bias
+    before = np.zeros(layout.param_count)
+    after = np.mean([updates[pid] for pid in sorted(updates)], axis=0)
+    record = RoundRecord(0, before, (0, 1, 2, 3), updates, after)
+    features, labels = np.ones((5, 1)), np.zeros(5, dtype=int)
+    assert evaluate_utility(layout, aggregate_subset(record, [0, 1, 2]), features, labels) == 1.0
+    assert RoundOracle(layout, [record], features, labels).evaluate(0, 0b0111) == 1.0
 
 
 def _reference_permutation(game, ids, sample_count, seed):
@@ -292,3 +372,46 @@ def test_wide_rounds_keep_every_player(m):
     plan = group_testing_plan(m, ApproxParams(epsilon=1.0, delta=0.3))
     grouped = group_testing_round(game, 0, ids, plan, 11)
     assert grouped.values == _reference_group_testing(game, ids, plan, 11)
+
+
+class AggregateSubsetOracle:
+    """Reference utilities of one recorded round: one ``aggregate_subset``
+    and ``evaluate_utility`` call per mask."""
+
+    def __init__(self, layout, record, features, labels):
+        self.layout, self.record = layout, record
+        self.features, self.labels = features, labels
+
+    def evaluate(self, round_index, mask):
+        assert round_index == 0
+        params = aggregate_subset(self.record, members(self.record, mask))
+        return evaluate_utility(self.layout, params, self.features, self.labels)
+
+
+@pytest.mark.parametrize("m", [64, 70])
+def test_wide_mlp_rounds_match_per_mask_reference(m):
+    """Rounds of 64 or more players reach the oracle as Python-int masks;
+    batched MLP utilities must decode every member of them."""
+    rng = np.random.default_rng(m)
+    layout = ModelLayout("mlp", 3, 3, hidden_units=4)
+    records = random_records(rng, layout, 1, m, quantized=False)
+    features = rng.normal(size=(30, 3))
+    labels = rng.integers(0, 3, size=30)
+    ids = records[0].selected
+    reference = AggregateSubsetOracle(layout, records[0], features, labels)
+
+    def fresh():
+        return RoundOracle(layout, records, features, labels)
+
+    high = [1 << 63, 1 << (m - 1), (1 << (m - 1)) | (1 << 63) | 1]
+    assert fresh().evaluate_many(0, high).tolist() == [
+        reference.evaluate(0, mask) for mask in high
+    ]
+    loo = federated_loo_round(fresh(), 0, ids)
+    assert loo.values == federated_loo_round(reference, 0, ids).values
+    permutation = permutation_sampling_round(fresh(), 0, ids, 5, 11)
+    assert permutation.values == permutation_sampling_round(reference, 0, ids, 5, 11).values
+    assert any(permutation.values[pid] != 0 for pid in ids[63:])
+    plan = group_testing_plan(m, ApproxParams(epsilon=1.0, delta=0.3))
+    grouped = group_testing_round(fresh(), 0, ids, plan, 11)
+    assert grouped.values == group_testing_round(reference, 0, ids, plan, 11).values
