@@ -24,7 +24,6 @@ from .values import (
     exact_shapley_permutation_form,
     federated_loo_round,
     normalize_round_values,
-    read_value_records,
     write_value_records,
 )
 
@@ -48,6 +47,5 @@ __all__ = [
     "permutation_sample_count",
     "permutation_sampling_round",
     "pivot_anchor_values",
-    "read_value_records",
     "write_value_records",
 ]

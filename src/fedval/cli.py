@@ -41,6 +41,7 @@ from .estimators import (
     group_testing_plan,
     permutation_sample_count,
     permutation_sampling_round,
+    round_plan,
 )
 from .experiments import (
     DetectionOutcome,
@@ -133,16 +134,14 @@ def _run_with_manifest(
 def _estimator_plans(
     cfg: ExperimentConfig, records: Sequence[RoundRecord]
 ) -> list[tuple[int, int | GroupTestingPlan]]:
-    """Each round's sample count or group-testing plan, worked out from its
-    participant count as ``value_rounds`` does. A group-testing round of
-    one participant is valued exactly, so it has no plan."""
+    """Each round's sample count or group-testing plan, as ``value_rounds``
+    uses it; rounds without one are left out."""
     method, approx = cfg.valuation.method, cfg.valuation.approx
-    sizes = [(record.round_index, len(record.selected)) for record in records]
-    if method == "permutation":
-        return [(t, permutation_sample_count(approx, m)) for t, m in sizes]
-    if method == "group_testing":
-        return [(t, group_testing_plan(m, approx)) for t, m in sizes if m >= 2]
-    return []
+    plans = [
+        (record.round_index, round_plan(method, approx, len(record.selected)))
+        for record in records
+    ]
+    return [(t, plan) for t, plan in plans if plan is not None]
 
 
 def _write_values(

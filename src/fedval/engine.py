@@ -24,10 +24,9 @@ import numpy as np
 
 from .estimators import (
     ApproxParams,
-    group_testing_plan,
     group_testing_round,
-    permutation_sample_count,
     permutation_sampling_round,
+    round_plan,
 )
 from .models import (
     ModelLayout,
@@ -465,23 +464,17 @@ def value_rounds(
         after = oracle.evaluate(t, (1 << len(selected)) - 1)
         deltas.append(after - before)
         rng = substream(seed, "valuation", t)
-        if method == "exact":
-            vector = exact_federated_round_shapley(oracle, t, selected)
-        elif method == "loo":
+        plan = round_plan(method, approx, len(selected))
+        if method == "loo":
             vector = federated_loo_round(oracle, t, selected)
-        elif method == "permutation":
-            count = permutation_sample_count(approx, len(selected))
-            vector = permutation_sampling_round(oracle, t, selected, count, rng)
-        elif method == "group_testing":
-            if len(selected) == 1:
-                # A single participant's value is its exact marginal; no
-                # test matrix can be formed for one participant.
-                vector = exact_federated_round_shapley(oracle, t, selected)
-            else:
-                plan = group_testing_plan(len(selected), approx)
-                vector = group_testing_round(oracle, t, selected, plan, rng)
-        else:  # random: rank-only baseline
+        elif method == "random":  # rank-only baseline
             vector = random_values(selected, rng, round_index=t)
+        elif method == "permutation":
+            vector = permutation_sampling_round(oracle, t, selected, plan, rng)
+        elif plan is not None:
+            vector = group_testing_round(oracle, t, selected, plan, rng)
+        else:  # exact, or a group-testing round without a plan
+            vector = exact_federated_round_shapley(oracle, t, selected)
         per_round.append(vector)
     return build_report(per_round, deltas, initial)
 
@@ -683,11 +676,37 @@ def _bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _header_layout_and_selected(
+    path: Path, header: dict
+) -> tuple[ModelLayout, tuple[int, ...]]:
+    """The model layout and the distinct participant ids a snapshot
+    header names; a missing or ill-typed field names ``path``."""
+    if "layout" not in header:
+        raise SnapshotFormatError(f"{path}: header has no layout")
+    try:
+        layout = ModelLayout.from_dict(header["layout"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SnapshotFormatError(f"{path}: malformed header layout: {exc!r}") from exc
+    selected = header.get("selected")
+    if not isinstance(selected, list) or any(type(pid) is not int for pid in selected):
+        raise SnapshotFormatError(
+            f"{path}: header selected must be a list of participant ids, "
+            f"got {selected!r}"
+        )
+    repeated = [pid for i, pid in enumerate(selected) if pid in selected[:i]]
+    if repeated:
+        raise SnapshotFormatError(
+            f"{path}: header selected repeats participant {repeated[0]}"
+        )
+    return layout, tuple(selected)
+
+
 def load_round_records(directory: str | Path) -> tuple[list[RoundRecord], ModelLayout]:
     """Load a snapshot directory and verify that its rounds form one run.
 
     Round indices must run from 0 without gaps and agree with each
-    file's header, every array must be complete and finite, every stored
+    file's header, each header must name a layout and distinct
+    participant ids, every array must be complete and finite, every stored
     aggregate must match its updates, and every incoming model must be
     bitwise the previous round's outcome. Each failure names the
     offending file.
@@ -712,6 +731,10 @@ def load_round_records(directory: str | Path) -> tuple[list[RoundRecord], ModelL
                 header = json.loads(fh.readline().decode("utf-8"))
             except ValueError as exc:
                 raise SnapshotFormatError(f"{path}: unreadable header: {exc}") from exc
+            if not isinstance(header, dict):
+                raise SnapshotFormatError(
+                    f"{path}: header is a JSON {type(header).__name__}, not an object"
+                )
             if header.get("format_version") != 1:
                 raise SnapshotFormatError(
                     f"{path}: unsupported format version {header.get('format_version')}"
@@ -721,12 +744,11 @@ def load_round_records(directory: str | Path) -> tuple[list[RoundRecord], ModelL
                     f"{path}: header round_index {header.get('round_index')!r} "
                     f"does not match the file name"
                 )
-            file_layout = ModelLayout.from_dict(header["layout"])
+            file_layout, selected = _header_layout_and_selected(path, header)
             if layout is None:
                 layout = file_layout
             elif layout != file_layout:
                 raise SnapshotFormatError(f"{path}: layout differs across rounds")
-            selected = tuple(int(pid) for pid in header["selected"])
             try:
                 global_before = np.load(fh, allow_pickle=False)
                 stacked = np.load(fh, allow_pickle=False)

@@ -116,6 +116,21 @@ def group_testing_plan(m: int, params: ApproxParams) -> GroupTestingPlan:
     )
 
 
+def round_plan(
+    method: str, approx: ApproxParams | None, m: int
+) -> int | GroupTestingPlan | None:
+    """How ``method`` samples a round of ``m`` participants: the ordering
+    count under ``permutation``, the plan under ``group_testing``, and
+    None for every other method. A group-testing round of one participant
+    also gets None: no test matrix can be formed for one participant, so
+    its value is its exact marginal."""
+    if method == "permutation":
+        return permutation_sample_count(approx, m)
+    if method == "group_testing" and m >= 2:
+        return group_testing_plan(m, approx)
+    return None
+
+
 def permutation_sampling_round(
     oracle: UtilityOracle,
     round_index: int,

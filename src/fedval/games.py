@@ -1,13 +1,13 @@
-"""Synthetic sequential coalition games with directly enumerable utilities.
+"""Random sequential coalition games with directly enumerable utilities.
 
-Used by tests and by the ``exact-check`` command to drive the exact and
-Monte Carlo value computations against games whose ground truth is
-cheap to enumerate.
+``exact-check`` drives the exact and Monte Carlo value computations
+against these games, whose ground truth is cheap to enumerate; the tests
+build further games on ``TableGame`` and ``_stitch_and_fit``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Collection, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -18,11 +18,12 @@ class TableGame:
     """Utility oracle backed by per-round subset tables.
 
     The game fixes the participant set of every round up front and keeps
-    each as a sorted id tuple in ``rounds``. ``evaluate(t, mask)`` reads
-    round ``t``'s table, indexed by subset bitmask (bit ``b`` selects the
-    ``b``-th smallest id of the round). Consecutive tables must agree
-    where they describe the same state: finishing round t equals starting
-    round t+1 with the empty subset.
+    each as a sorted id tuple in ``rounds``. ``evaluate_many(t, masks)``
+    reads round ``t``'s table, indexed by subset bitmask (bit ``b``
+    selects the ``b``-th smallest id of the round); ``evaluate(t, mask)``
+    is a batch of one. Consecutive tables must agree where they describe
+    the same state: finishing round t equals starting round t+1 with the
+    empty subset.
     """
 
     def __init__(
@@ -54,18 +55,24 @@ class TableGame:
         self.range_bound = float(range_bound)
 
     def evaluate(self, round_index: int, mask: int) -> float:
+        return float(self.evaluate_many(round_index, [mask])[0])
+
+    def evaluate_many(self, round_index: int, masks: Sequence[int]) -> np.ndarray:
+        """Utilities of round ``round_index`` under each of ``masks``, in
+        order; every mask is checked before any is read."""
         if not 0 <= round_index < len(self._tables):
             raise ValueError(
                 f"round {round_index} was not realized; the game has "
                 f"{len(self._tables)} rounds"
             )
         table = self._tables[round_index]
-        if not 0 <= mask < len(table):
-            raise ValueError(
-                f"mask {mask:#x} selects outside the participants of round "
-                f"{round_index}"
-            )
-        return float(table[mask])
+        for mask in masks:
+            if not 0 <= mask < len(table):
+                raise ValueError(
+                    f"mask {mask:#x} selects outside the participants of round "
+                    f"{round_index}"
+                )
+        return table[np.array(masks, dtype=np.intp)]
 
 
 def _stitch_and_fit(raw: list[np.ndarray], range_bound: float) -> list[np.ndarray]:
@@ -85,19 +92,6 @@ def _stitch_and_fit(raw: list[np.ndarray], range_bound: float) -> list[np.ndarra
     return [(table - low) * scale for table in stitched]
 
 
-def _set_function_table(
-    players: Collection[int], set_function: Callable[[frozenset[int]], float]
-) -> np.ndarray:
-    """``set_function`` of every subset of ``players``, by bitmask."""
-    ids = sorted(players)
-    table = np.empty(1 << len(ids))
-    for mask in range(1 << len(ids)):
-        table[mask] = set_function(
-            frozenset(ids[b] for b in range(len(ids)) if mask >> b & 1)
-        )
-    return table
-
-
 def random_table_game(
     round_sets: Iterable[Collection[int]],
     rng: np.random.Generator,
@@ -109,69 +103,3 @@ def random_table_game(
     rounds = [sorted(block) for block in round_sets]
     raw = [rng.uniform(0.0, 1.0, size=1 << len(block)) for block in rounds]
     return TableGame(rounds, _stitch_and_fit(raw, range_bound), range_bound=range_bound)
-
-
-def stitched_game(
-    round_sets: Iterable[Collection[int]],
-    round_functions: Sequence[Callable[[frozenset[int]], float]],
-    *,
-    range_bound: float = 1.0,
-) -> TableGame:
-    """Game built from one set function per round, re-anchored so rounds
-    chain consistently and fitted into ``[0, range_bound]``.
-
-    Anchoring and fitting are affine, so within-round structure of each
-    function (symmetries, null players, marginal ratios) is preserved.
-    """
-    rounds = [sorted(block) for block in round_sets]
-    if len(round_functions) != len(rounds):
-        raise ValueError("one set function per round required")
-    raw = [_set_function_table(block, fn) for block, fn in zip(rounds, round_functions)]
-    return TableGame(rounds, _stitch_and_fit(raw, range_bound), range_bound=range_bound)
-
-
-def additive_game(
-    round_sets: Iterable[Collection[int]],
-    weights: Mapping[int, float],
-    *,
-    base: float = 0.0,
-) -> TableGame:
-    """Order-free game: ``base`` plus the summed weights of every
-    participant occurrence in the sequence. A participant's exact value
-    in any round it appears is its weight."""
-    if base < 0 or any(w < 0 for w in weights.values()):
-        raise ValueError("additive games need non-negative base and weights")
-    rounds = [sorted(block) for block in round_sets]
-    tables: list[np.ndarray] = []
-    carried = base
-    for ids in rounds:
-        masks = np.arange(1 << len(ids))
-        marginal = np.zeros(1 << len(ids))
-        for b, pid in enumerate(ids):
-            marginal[(masks >> b) & 1 == 1] += weights.get(pid, 0.0)
-        tables.append(carried + marginal)
-        carried = float(tables[-1][-1])
-    bound = max(carried, 1.0)
-    return TableGame(rounds, tables, range_bound=bound)
-
-
-def game_from_set_function(
-    players: Collection[int],
-    set_function: Callable[[frozenset[int]], float],
-    *,
-    range_bound: float,
-) -> TableGame:
-    """Single-round game with utilities given directly by ``set_function``."""
-    return TableGame(
-        [players], [_set_function_table(players, set_function)], range_bound=range_bound
-    )
-
-
-def sum_games(first: TableGame, second: TableGame) -> TableGame:
-    """Pointwise sum of two games over the same realized rounds."""
-    if first.rounds != second.rounds:
-        raise ValueError("games must share the same realized rounds")
-    tables = [a + b for a, b in zip(first._tables, second._tables)]
-    return TableGame(
-        first.rounds, tables, range_bound=first.range_bound + second.range_bound
-    )

@@ -34,6 +34,12 @@ class UtilityOracle(Protocol):
     selects the ``b``-th smallest of the round's participant ids. Mask 0
     is the state entering round ``t``. Identical queries yield identical
     outputs.
+
+    An oracle may also answer ``evaluate_many(t, masks)``: the utilities
+    of ``masks``, in order, as a float64 array, each bitwise what
+    ``evaluate`` returns. :class:`RoundUtility` then hands it a value
+    function's masks in one call instead of one ``evaluate`` per mask.
+    Both shipped oracles, ``RoundOracle`` and ``TableGame``, answer it.
     """
 
     def evaluate(self, round_index: int, mask: int) -> float: ...
@@ -340,34 +346,3 @@ def value_record_lines(report: ValuationReport) -> list[str]:
 
 def write_value_records(report: ValuationReport, path: str | Path) -> None:
     Path(path).write_text("\n".join(value_record_lines(report)) + "\n")
-
-
-def read_value_records(path: str | Path) -> ValuationReport:
-    """Rebuild a report from its record file (inverse of :func:`write_value_records`)."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != _RECORD_HEADER:
-        raise ValueError(f"{path}: not a value record file")
-    initial: float | None = None
-    rounds: dict[int, dict[int, float]] = {}
-    deltas: dict[int, float] = {}
-    for number, line in enumerate(lines[1:], start=2):
-        kind, round_field, pid_field, value, delta, _norm = line.split(",")
-        if kind == "initial":
-            initial = float(value)
-        elif kind == "round":
-            t = int(round_field)
-            rounds.setdefault(t, {})[int(pid_field)] = float(value)
-            deltas[t] = float(delta)
-        elif kind == "total":
-            continue
-        else:
-            raise ValueError(f"{path}:{number}: unknown record kind {kind!r}")
-    if initial is None:
-        raise ValueError(f"{path}: missing initial-utility record")
-    if sorted(rounds) != list(range(len(rounds))):
-        raise ValueError(f"{path}: round indices are not contiguous from 0")
-    per_round = [
-        ValueVector(dict(sorted(rounds[t].items())), round_index=t)
-        for t in range(len(rounds))
-    ]
-    return build_report(per_round, [deltas[t] for t in range(len(rounds))], initial)

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+from typing import Callable, Collection, Iterable, Mapping, Sequence
+
 import numpy as np
 import pytest
 
 from fedval.datasets import Dataset, PartitionPlan
-from fedval.games import TableGame, random_table_game
+from fedval.games import TableGame, _stitch_and_fit, random_table_game
+from fedval.values import _RECORD_HEADER, ValuationReport, ValueVector, build_report
 
 
 @pytest.fixture
@@ -71,3 +75,114 @@ def brute_force_round_values(game: TableGame, round_index: int) -> dict[int, flo
             previous = current
         count += 1
     return {pid: total / count for pid, total in totals.items()}
+
+
+def _set_function_table(
+    players: Collection[int], set_function: Callable[[frozenset[int]], float]
+) -> np.ndarray:
+    """``set_function`` of every subset of ``players``, by bitmask."""
+    ids = sorted(players)
+    table = np.empty(1 << len(ids))
+    for mask in range(1 << len(ids)):
+        table[mask] = set_function(
+            frozenset(ids[b] for b in range(len(ids)) if mask >> b & 1)
+        )
+    return table
+
+
+def stitched_game(
+    round_sets: Iterable[Collection[int]],
+    round_functions: Sequence[Callable[[frozenset[int]], float]],
+    *,
+    range_bound: float = 1.0,
+) -> TableGame:
+    """Game built from one set function per round, re-anchored so rounds
+    chain consistently and fitted into ``[0, range_bound]``.
+
+    Anchoring and fitting are affine, so within-round structure of each
+    function (symmetries, null players, marginal ratios) is preserved.
+    """
+    rounds = [sorted(block) for block in round_sets]
+    if len(round_functions) != len(rounds):
+        raise ValueError("one set function per round required")
+    raw = [_set_function_table(block, fn) for block, fn in zip(rounds, round_functions)]
+    return TableGame(rounds, _stitch_and_fit(raw, range_bound), range_bound=range_bound)
+
+
+def additive_game(
+    round_sets: Iterable[Collection[int]],
+    weights: Mapping[int, float],
+    *,
+    base: float = 0.0,
+) -> TableGame:
+    """Order-free game: ``base`` plus the summed weights of every
+    participant occurrence in the sequence. A participant's exact value
+    in any round it appears is its weight."""
+    if base < 0 or any(w < 0 for w in weights.values()):
+        raise ValueError("additive games need non-negative base and weights")
+    rounds = [sorted(block) for block in round_sets]
+    tables: list[np.ndarray] = []
+    carried = base
+    for ids in rounds:
+        masks = np.arange(1 << len(ids))
+        marginal = np.zeros(1 << len(ids))
+        for b, pid in enumerate(ids):
+            marginal[(masks >> b) & 1 == 1] += weights.get(pid, 0.0)
+        tables.append(carried + marginal)
+        carried = float(tables[-1][-1])
+    bound = max(carried, 1.0)
+    return TableGame(rounds, tables, range_bound=bound)
+
+
+def game_from_set_function(
+    players: Collection[int],
+    set_function: Callable[[frozenset[int]], float],
+    *,
+    range_bound: float,
+) -> TableGame:
+    """Single-round game with utilities given directly by ``set_function``."""
+    return TableGame(
+        [players], [_set_function_table(players, set_function)], range_bound=range_bound
+    )
+
+
+def sum_games(first: TableGame, second: TableGame) -> TableGame:
+    """Pointwise sum of two games over the same realized rounds."""
+    if first.rounds != second.rounds:
+        raise ValueError("games must share the same realized rounds")
+    tables = [a + b for a, b in zip(first._tables, second._tables)]
+    return TableGame(
+        first.rounds, tables, range_bound=first.range_bound + second.range_bound
+    )
+
+
+def read_value_records(path: str | Path) -> ValuationReport:
+    """Rebuild a report from its record file (inverse of
+    ``fedval.values.write_value_records``)."""
+    lines = Path(path).read_text().splitlines()
+    if not lines or lines[0] != _RECORD_HEADER:
+        raise ValueError(f"{path}: not a value record file")
+    initial: float | None = None
+    rounds: dict[int, dict[int, float]] = {}
+    deltas: dict[int, float] = {}
+    for number, line in enumerate(lines[1:], start=2):
+        kind, round_field, pid_field, value, delta, _norm = line.split(",")
+        if kind == "initial":
+            initial = float(value)
+        elif kind == "round":
+            t = int(round_field)
+            rounds.setdefault(t, {})[int(pid_field)] = float(value)
+            deltas[t] = float(delta)
+        elif kind == "total":
+            continue
+        else:
+            raise ValueError(f"{path}:{number}: unknown record kind {kind!r}")
+    if initial is None:
+        raise ValueError(f"{path}: missing initial-utility record")
+    if sorted(rounds) != list(range(len(rounds))):
+        raise ValueError(f"{path}: round indices are not contiguous from 0")
+    per_round = [
+        ValueVector(dict(sorted(rounds[t].items())), round_index=t)
+        for t in range(len(rounds))
+    ]
+    return build_report(per_round, [deltas[t] for t in range(len(rounds))], initial)

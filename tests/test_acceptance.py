@@ -28,11 +28,11 @@ from fedval.experiments import (
     run_noisy_detection,
     run_summarization,
 )
-from fedval.games import random_table_game, stitched_game, sum_games
+from fedval.games import random_table_game
 from fedval.models import ModelLayout, loss_and_gradient
 from fedval.values import exact_federated_round_shapley, exact_shapley_permutation_form
 
-from conftest import random_process, round_gain
+from conftest import random_process, round_gain, stitched_game, sum_games
 
 EXACT_TOL = 1e-9
 

@@ -14,8 +14,10 @@ from fedval.estimators import (
     permutation_sampling_round,
     pivot_anchor_values,
 )
-from fedval.games import additive_game, game_from_set_function, random_table_game
+from fedval.games import random_table_game
 from fedval.values import RoundUtility, exact_federated_round_shapley
+
+from conftest import additive_game, game_from_set_function
 
 
 class TestApproxParams:

@@ -15,7 +15,9 @@ from fedval.experiments import (
     run_noisy_detection,
     run_summarization,
 )
-from fedval.values import ValueVector, build_report, read_value_records
+from fedval.values import ValueVector, build_report
+
+from conftest import read_value_records
 
 
 def tiny_doc(**overrides):

@@ -126,6 +126,52 @@ def test_header_round_index_must_match_file_name(three_rounds):
         load_round_records(three_rounds)
 
 
+def rewrite_header(path, edit):
+    """Replace the snapshot header at ``path`` by ``edit(header)``,
+    leaving the arrays as they are."""
+    raw = path.read_bytes()
+    header_end = raw.index(b"\n", len(SNAPSHOT_MAGIC)) + 1
+    header = edit(json.loads(raw[len(SNAPSHOT_MAGIC):header_end]))
+    path.write_bytes(
+        SNAPSHOT_MAGIC + json.dumps(header).encode() + b"\n" + raw[header_end:]
+    )
+
+
+def test_repeated_participant_in_header_refused(tmp_path, capsys):
+    # Every id in place of the first: the update matrix still has a row
+    # per entry, so only the header check stands between this file and
+    # a round that credits one participant.
+    config, rounds = train(tmp_path, base_doc(), "run")
+    victim = rounds / "round_00000.fvr"
+    first = load_round_records(rounds)[0][0].selected[0]
+    rewrite_header(victim, lambda h: {**h, "selected": [first] * len(h["selected"])})
+    replay_refused(
+        tmp_path, capsys, config, rounds,
+        f"error: {victim}: header selected repeats participant {first}",
+    )
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda h: {k: v for k, v in h.items() if k != "layout"}, id="no_layout"),
+    pytest.param(lambda h: list(h.items()), id="list_header"),
+    pytest.param(lambda h: {**h, "layout": "logistic"}, id="layout_not_object"),
+    pytest.param(
+        lambda h: {**h, "layout": {**h["layout"], "n_features": "four"}},
+        id="layout_field_ill_typed",
+    ),
+    pytest.param(lambda h: {**h, "selected": 5}, id="selected_not_list"),
+    pytest.param(
+        lambda h: {**h, "selected": [str(p) for p in h["selected"]]},
+        id="selected_not_ids",
+    ),
+])
+def test_malformed_header_named(tmp_path, capsys, edit):
+    config, rounds = train(tmp_path, base_doc(), "run")
+    victim = rounds / "round_00001.fvr"
+    rewrite_header(victim, edit)
+    replay_refused(tmp_path, capsys, config, rounds, f"error: {victim}: ")
+
+
 def test_unchained_round_named(tmp_path, three_rounds):
     # Rounds 0 and 2 of the same run: renamed consistently, but round 1's
     # outcome was never round 2's incoming model.

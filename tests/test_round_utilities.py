@@ -7,7 +7,8 @@ rounds, the MLP bitwise whatever the slice bound, request order and mix
 of batched and scalar requests. The estimators reach utilities through
 ``RoundUtility`` with deduplicated bitmasks; these tests hold them to
 the one-call-per-draw loops they replaced, on rounds wider than int64
-masks too.
+masks too. ``TableGame`` answers each ``RoundUtility`` call in one batch
+too, bitwise as its per-mask lookups.
 """
 
 from __future__ import annotations
@@ -36,7 +37,12 @@ from fedval.estimators import (
 )
 from fedval.games import random_table_game
 from fedval.models import ModelLayout, logits
-from fedval.values import RoundUtility, federated_loo_round
+from fedval.values import (
+    RoundUtility,
+    exact_federated_round_shapley,
+    exact_shapley_permutation_form,
+    federated_loo_round,
+)
 
 TIE_RTOL = 1e-12
 
@@ -301,6 +307,76 @@ def test_round_utility_evaluates_distinct_masks_in_order_of_appearance():
     # Without a progress unit the oracle's own error reaches the caller.
     with pytest.raises(KeyError):
         utility(np.array([1]))
+
+
+def refusal(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rounds=st.lists(
+        st.lists(st.integers(0, 7), min_size=1, max_size=5, unique=True),
+        min_size=1, max_size=3,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_table_game_batch_equals_per_mask_lookups(rounds, seed, data):
+    game = random_table_game(rounds, np.random.default_rng(seed))
+    for t, ids in enumerate(game.rounds):
+        limit = 1 << len(ids)
+        masks = data.draw(st.lists(st.integers(0, limit - 1), max_size=3 * limit))
+        batch = game.evaluate_many(t, masks + masks[:2])
+        single = np.array([game.evaluate(t, mask) for mask in masks + masks[:2]])
+        assert batch.dtype == np.float64
+        assert batch.tobytes() == single.tobytes()
+        bad = data.draw(st.sampled_from([-1, limit, limit + 5]))
+        at = data.draw(st.integers(0, len(masks)))
+        assert refusal(lambda: game.evaluate_many(t, [*masks[:at], bad, *masks[at:]])) == (
+            refusal(lambda: game.evaluate(t, bad))
+        )
+    for t in (-1, len(game.rounds)):
+        assert refusal(lambda: game.evaluate_many(t, [0])) == refusal(
+            lambda: game.evaluate(t, 0)
+        )
+
+
+@pytest.mark.parametrize("value", [
+    lambda game, ids: exact_federated_round_shapley(game, 0, ids),
+    lambda game, ids: exact_shapley_permutation_form(game, ids),
+    lambda game, ids: federated_loo_round(game, 0, ids),
+    lambda game, ids: permutation_sampling_round(game, 0, ids, 20, 3),
+    lambda game, ids: group_testing_round(
+        game, 0, ids, group_testing_plan(len(ids), ApproxParams(0.5, 0.3)), 3
+    ),
+], ids=["exact", "ordering_form", "loo", "permutation", "group_testing"])
+def test_table_game_answers_each_round_utility_in_one_batch(value):
+    ids = [2, 3, 5, 8]
+    game = random_table_game([ids], np.random.default_rng(11))
+    lookup = game.evaluate_many
+    batches = []
+
+    def counted(t, masks):
+        batches.append(len(masks))
+        return lookup(t, masks)
+
+    def per_mask(t, mask):
+        raise AssertionError("a table game is queried in batches")
+
+    game.evaluate_many = counted
+    assert game.evaluate(0, 5) == lookup(0, [5])[0]
+    assert batches == [1]  # a lookup is a batch of one
+    batches.clear()
+    game.evaluate = per_mask
+    with mock.patch.object(
+        RoundUtility, "__call__", autospec=True, side_effect=RoundUtility.__call__
+    ) as round_utility:
+        value(game, ids)
+    assert round_utility.call_count >= 1
+    assert len(batches) == round_utility.call_count
 
 
 @settings(max_examples=30, deadline=None)

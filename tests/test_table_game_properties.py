@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedval.games import additive_game, random_table_game, stitched_game, sum_games
+from fedval.games import random_table_game
 from fedval.values import (
     aggregate_rounds,
     exact_federated_round_shapley,
@@ -20,7 +20,14 @@ from fedval.values import (
     federated_loo_round,
 )
 
-from conftest import brute_force_round_values, full_mask, round_gain
+from conftest import (
+    additive_game,
+    brute_force_round_values,
+    full_mask,
+    round_gain,
+    stitched_game,
+    sum_games,
+)
 
 TOL = 1e-9
 

@@ -1,12 +1,6 @@
 import pytest
 
-from fedval.games import (
-    additive_game,
-    game_from_set_function,
-    random_table_game,
-    stitched_game,
-    sum_games,
-)
+from fedval.games import random_table_game
 from fedval.values import (
     EnumerationRefusedError,
     ValueVector,
@@ -17,11 +11,20 @@ from fedval.values import (
     exact_shapley_permutation_form,
     federated_loo_round,
     normalize_round_values,
-    read_value_records,
     write_value_records,
 )
 
-from conftest import brute_force_round_values, full_mask, random_process, round_gain
+from conftest import (
+    additive_game,
+    brute_force_round_values,
+    full_mask,
+    game_from_set_function,
+    random_process,
+    read_value_records,
+    round_gain,
+    stitched_game,
+    sum_games,
+)
 
 EXACT_TOL = 1e-9
 
