@@ -57,7 +57,6 @@ from .games import random_table_game
 from .models import ModelLayout
 from .values import (
     exact_federated_round_shapley,
-    exact_shapley,
     exact_shapley_permutation_form,
     format_float,
     write_value_records,
@@ -307,7 +306,7 @@ def _check_permutation_contract(
     for trial in range(trials):
         rng = np.random.default_rng((seed, trial))
         game = random_table_game([players], rng)
-        exact = exact_federated_round_shapley(game, 0, players)
+        exact = exact_federated_round_shapley(game, 0)
         estimate = permutation_sampling_round(game, 0, players, count, rng)
         worst = max(
             abs(estimate.get(pid) - exact.get(pid)) for pid in players
@@ -334,8 +333,8 @@ def _check_form_agreement(games: int, seed: int) -> tuple[bool, str]:
         m = 2 + index % 5
         players = range(m)
         game = random_table_game([players], rng)
-        subset_form = exact_shapley(game, players)
-        ordering_form = exact_shapley_permutation_form(game, players)
+        subset_form = exact_federated_round_shapley(game, 0)
+        ordering_form = exact_shapley_permutation_form(game)
         worst = max(
             worst,
             max(abs(subset_form.get(p) - ordering_form.get(p)) for p in players),

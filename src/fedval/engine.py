@@ -282,14 +282,14 @@ _UTILITY_SLICE_BYTES = 2 << 20
 class RoundOracle:
     """Utility of recorded training states under partial round aggregation.
 
-    ``evaluate(t, mask)`` is the utility of the recorded rounds before
-    ``t`` followed by the members of round ``t`` that ``mask`` selects
-    (bit ``b`` is the ``b``-th smallest id), resolved against that
-    round's stored updates (no retraining). ``evaluate_many(t, masks)``
-    answers many masks of one round at once. Results are kept in one
-    cache keyed by ``(t, mask)``, which is safe because evaluation is
-    deterministic, so every value rule run on one oracle shares the
-    utilities the others computed.
+    ``players(t)`` is round ``t``'s recorded selection in ascending id
+    order, and ``evaluate_many(t, masks)`` the utilities of the recorded
+    rounds before ``t`` followed by the members of round ``t`` that each
+    mask selects (bit ``b`` is ``players(t)[b]``), resolved against that
+    round's stored updates (no retraining); ``evaluate(t, mask)`` is a
+    batch of one. Results are kept in one cache keyed by ``(t, mask)``,
+    which is safe because evaluation is deterministic, so every value
+    rule run on one oracle shares the utilities the others computed.
 
     Mask 0 is the stored incoming model and the full mask the stored
     outgoing one. Logits of a logistic model are affine in its
@@ -300,9 +300,9 @@ class RoundOracle:
     of uncached masks, each mask's member updates are gathered in bit
     order and summed row by row, and the slice's averages run one stacked
     forward pass. ``evaluate_many`` hands the kernel all of a call's
-    uncached MLP subsets, in slices bounded by ``_UTILITY_SLICE_BYTES``;
-    ``evaluate`` hands it a slice of one. Each utility is bitwise the
-    accuracy of ``aggregate_subset``'s average.
+    uncached MLP subsets, in slices bounded by ``_UTILITY_SLICE_BYTES``.
+    Each utility is bitwise the accuracy of ``aggregate_subset``'s
+    average.
     """
 
     def __init__(
@@ -337,56 +337,48 @@ class RoundOracle:
         self._logits_round: int | None = None
         self._member_logits: list[np.ndarray] = []
 
-    def evaluate(self, round_index: int, mask: int) -> float:
-        value = self._cache.get((round_index, mask))
-        if value is None:
-            record = self._checked_record(round_index, (mask,))
-            value = self._cache[round_index, mask] = self._utility(record, mask)
-        return value
-
-    def evaluate_many(self, round_index: int, masks: Sequence[int]) -> np.ndarray:
-        """Utilities of round ``round_index`` under each of ``masks``, in
-        order. Every mask is checked before any is evaluated; the MLP's
-        uncached proper subsets are computed in slices, and every mask is
-        then served by ``evaluate``."""
-        record = self._checked_record(round_index, masks)
-        if self._layout.arch == "mlp":
-            full = (1 << len(record.selected)) - 1
-            pending = [
-                mask for mask in dict.fromkeys(masks)
-                if 0 < mask < full and (round_index, mask) not in self._cache
-            ]
-            for mask, value in zip(pending, self._subset_utilities(record, pending)):
-                self._cache[round_index, mask] = value
-        return np.array([self.evaluate(round_index, mask) for mask in masks])
-
-    def _checked_record(self, round_index: int, masks: Iterable[int]) -> RoundRecord:
+    def players(self, round_index: int) -> tuple[int, ...]:
         if not 0 <= round_index < len(self.records):
             raise HistoryMismatchError(
                 f"round {round_index} was not recorded; the run has "
                 f"{len(self.records)} rounds"
             )
-        record = self.records[round_index]
-        m = len(record.selected)
-        limit = 1 << m
+        return tuple(sorted(self.records[round_index].selected))
+
+    def evaluate(self, round_index: int, mask: int) -> float:
+        return float(self.evaluate_many(round_index, [mask])[0])
+
+    def evaluate_many(self, round_index: int, masks: Sequence[int]) -> np.ndarray:
+        """Utilities of round ``round_index`` under each of ``masks``, in
+        order. Every mask is checked before any is evaluated, and each
+        distinct uncached mask is then computed once into the cache."""
+        m = len(self.players(round_index))
+        full = (1 << m) - 1
         for mask in masks:
-            if not 0 <= mask < limit:
+            if not 0 <= mask <= full:
                 raise HistoryMismatchError(
                     f"mask {mask:#x} selects outside the {m} participants of "
                     f"round {round_index}"
                 )
-        return record
-
-    def _utility(self, record: RoundRecord, mask: int) -> float:
-        if mask == 0:
-            params = record.global_before
-        elif mask == (1 << len(record.selected)) - 1:
-            params = record.global_after
-        elif self._layout.arch == "logistic":
-            return self._averaged_logits_accuracy(record, mask)
-        else:
-            return self._subset_utilities(record, [mask])[0]
-        return evaluate_utility(self._layout, params, self._features, self._labels)
+        record, cache = self.records[round_index], self._cache
+        subsets: list[int] = []
+        for mask in dict.fromkeys(masks):
+            if (round_index, mask) in cache:
+                continue
+            if mask == 0 or mask == full:
+                params = record.global_before if mask == 0 else record.global_after
+                cache[round_index, mask] = evaluate_utility(
+                    self._layout, params, self._features, self._labels
+                )
+            elif self._layout.arch == "logistic":
+                cache[round_index, mask] = self._averaged_logits_accuracy(record, mask)
+            else:
+                subsets.append(mask)
+        for mask, value in zip(subsets, self._subset_utilities(record, subsets)):
+            cache[round_index, mask] = value
+        return np.fromiter(
+            (cache[round_index, mask] for mask in masks), dtype=np.float64, count=len(masks)
+        )
 
     def _averaged_logits_accuracy(self, record: RoundRecord, mask: int) -> float:
         if self._logits_round != record.round_index:
@@ -457,24 +449,23 @@ def value_rounds(
     initial = oracle.evaluate(0, 0)
     per_round: list[ValueVector] = []
     deltas: list[float] = []
-    for record in oracle.records:
-        t = record.round_index
-        selected = record.selected
+    for t in range(len(oracle.records)):
+        players = oracle.players(t)
         before = oracle.evaluate(t, 0)
-        after = oracle.evaluate(t, (1 << len(selected)) - 1)
+        after = oracle.evaluate(t, (1 << len(players)) - 1)
         deltas.append(after - before)
         rng = substream(seed, "valuation", t)
-        plan = round_plan(method, approx, len(selected))
+        plan = round_plan(method, approx, len(players))
         if method == "loo":
-            vector = federated_loo_round(oracle, t, selected)
+            vector = federated_loo_round(oracle, t)
         elif method == "random":  # rank-only baseline
-            vector = random_values(selected, rng, round_index=t)
+            vector = random_values(players, rng, round_index=t)
         elif method == "permutation":
-            vector = permutation_sampling_round(oracle, t, selected, plan, rng)
+            vector = permutation_sampling_round(oracle, t, players, plan, rng)
         elif plan is not None:
-            vector = group_testing_round(oracle, t, selected, plan, rng)
+            vector = group_testing_round(oracle, t, plan, rng)
         else:  # exact, or a group-testing round without a plan
-            vector = exact_federated_round_shapley(oracle, t, selected)
+            vector = exact_federated_round_shapley(oracle, t)
         per_round.append(vector)
     return build_report(per_round, deltas, initial)
 
@@ -649,7 +640,7 @@ def save_round_records(
             "layout": layout.to_dict(),
             "selected": list(record.selected),
         }
-        with write_atomically(directory / _snapshot_name(record.round_index)) as fh:
+        with write_atomically(directory / snapshot_name(record.round_index)) as fh:
             fh.write(SNAPSHOT_MAGIC)
             fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
             np.save(fh, record.global_before, allow_pickle=False)
@@ -661,7 +652,7 @@ def save_round_records(
             np.save(fh, record.global_after, allow_pickle=False)
 
 
-def _snapshot_name(round_index: int) -> str:
+def snapshot_name(round_index: int) -> str:
     return f"round_{round_index:05d}.fvr"
 
 
@@ -680,7 +671,8 @@ def _header_layout_and_selected(
     path: Path, header: dict
 ) -> tuple[ModelLayout, tuple[int, ...]]:
     """The model layout and the distinct participant ids a snapshot
-    header names; a missing or ill-typed field names ``path``."""
+    header names; a missing or ill-typed field, or a round without
+    participants, names ``path``."""
     if "layout" not in header:
         raise SnapshotFormatError(f"{path}: header has no layout")
     try:
@@ -693,6 +685,8 @@ def _header_layout_and_selected(
             f"{path}: header selected must be a list of participant ids, "
             f"got {selected!r}"
         )
+    if not selected:
+        raise SnapshotFormatError(f"{path}: header selected names no participants")
     repeated = [pid for i, pid in enumerate(selected) if pid in selected[:i]]
     if repeated:
         raise SnapshotFormatError(
@@ -705,11 +699,11 @@ def load_round_records(directory: str | Path) -> tuple[list[RoundRecord], ModelL
     """Load a snapshot directory and verify that its rounds form one run.
 
     Round indices must run from 0 without gaps and agree with each
-    file's header, each header must name a layout and distinct
-    participant ids, every array must be complete and finite, every stored
-    aggregate must match its updates, and every incoming model must be
-    bitwise the previous round's outcome. Each failure names the
-    offending file.
+    file's header, each header must name a layout and one or more
+    distinct participant ids, every array must be complete and finite,
+    every stored aggregate must match its updates, and every incoming
+    model must be bitwise the previous round's outcome. Each failure
+    names the offending file.
     """
     directory = Path(directory)
     paths = sorted(directory.glob("round_*.fvr"), key=_snapshot_index)
@@ -790,6 +784,6 @@ def check_initial_model(records: Sequence[RoundRecord], cfg: TrainingConfig) -> 
     model, so that replaying them under ``cfg`` values the run it trains."""
     if not _bitwise_equal(records[0].global_before, initial_model(cfg)):
         raise SnapshotFormatError(
-            f"{_snapshot_name(0)}: incoming model is not the initial model of the "
+            f"{snapshot_name(0)}: incoming model is not the initial model of the "
             f"configured seed and init_scale; the snapshots come from another run"
         )

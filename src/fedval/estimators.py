@@ -145,13 +145,21 @@ def permutation_sampling_round(
     the walk restarts from the round's empty-subset utility each time, so
     the per-ordering credits always telescope to the round's full utility
     improvement and the estimate inherits that identity exactly.
+
+    ``round_players`` must list exactly the oracle's ``players(round_index)``;
+    any other list is refused, naming the round.
     """
     if sample_count < 1:
         raise ValueError(f"sample_count must be at least 1, got {sample_count}")
-    ids = sorted(round_players)
+    ids = oracle.players(round_index)
+    if tuple(sorted(round_players)) != ids:
+        raise ValueError(
+            f"round {round_index}: round_players {sorted(round_players)} are not "
+            f"the round's participants {list(ids)}"
+        )
     m = len(ids)
     if m == 0:
-        raise ValueError("round_players must be nonempty")
+        raise ValueError(f"round {round_index} has no participants")
     rng = np.random.default_rng(seed)
     # All randomness is drawn up front so evaluation order cannot matter.
     orderings = rng.permuted(
@@ -161,9 +169,7 @@ def permutation_sampling_round(
     bits = mask_bits(m)
     prefixes = np.zeros((sample_count, m + 1), dtype=bits.dtype)
     np.cumsum(bits[orderings], axis=1, out=prefixes[:, 1:])
-    utilities = RoundUtility(oracle, round_index)(
-        prefixes, progress_unit="sampled orderings"
-    )
+    utilities = RoundUtility(oracle, round_index)(prefixes)
     marginals = np.diff(utilities, axis=1)
     # Unbuffered, in row order: each participant's credits add up in the
     # same sequence as a walk over the orderings one by one.
@@ -176,7 +182,6 @@ def permutation_sampling_round(
 def group_testing_round(
     oracle: UtilityOracle,
     round_index: int,
-    round_players: Collection[int],
     plan: GroupTestingPlan,
     seed: int | np.random.Generator,
 ) -> ValueVector:
@@ -189,8 +194,7 @@ def group_testing_round(
     estimated values only approximately sum to the round's utility
     improvement; the guarantee is per-coordinate.
     """
-    ids = sorted(round_players)
-    m = len(ids)
+    m = len(oracle.players(round_index))
     if m != plan.m:
         raise ValueError(f"plan was sized for {plan.m} participants, round has {m}")
     rng = np.random.default_rng(seed)
@@ -206,16 +210,13 @@ def group_testing_round(
     # difference, so it is antisymmetric by construction.
     loads = (plan.z / plan.t1) * (test_utilities @ membership)
     differences = loads[:, None] - loads[None, :]
-    return pivot_anchor_values(
-        differences, oracle, round_index, round_players, plan, rng
-    )
+    return pivot_anchor_values(differences, oracle, round_index, plan, rng)
 
 
 def pivot_anchor_values(
     pairwise_differences: np.ndarray,
     oracle: UtilityOracle,
     round_index: int,
-    round_players: Collection[int],
     plan: GroupTestingPlan,
     seed: int | np.random.Generator,
 ) -> ValueVector:
@@ -228,7 +229,7 @@ def pivot_anchor_values(
     pivot's exact value. Everyone else is the pivot plus the estimated
     difference.
     """
-    ids = sorted(round_players)
+    ids = oracle.players(round_index)
     m = len(ids)
     if pairwise_differences.shape != (m, m):
         raise ValueError(

@@ -39,12 +39,14 @@ from .engine import (
     KeepRule,
     RoundOracle,
     RoundRecord,
+    SnapshotFormatError,
     TrainingConfig,
     check_initial_model,
     evaluate_utility,
     load_round_records,
     rerun_with_selections,
     run_federated_training,
+    snapshot_name,
     value_rounds,
 )
 from .models import ModelLayout
@@ -219,10 +221,19 @@ def load_recorded_run(
     cfg: ExperimentConfig, snapshots: str | Path, layout: ModelLayout
 ) -> list[RoundRecord]:
     """The round records of a snapshot directory, refused unless they form
-    one run of ``layout`` that starts from ``cfg``'s initial model."""
+    one run of ``layout`` over ``cfg``'s participants that starts from
+    ``cfg``'s initial model."""
     records, recorded_layout = load_round_records(snapshots)
     if recorded_layout != layout:
         raise ConfigError("snapshot layout does not match the configured model/dataset")
+    participants = cfg.partition.participants
+    for record in records:
+        stray = [pid for pid in record.selected if not 0 <= pid < participants]
+        if stray:
+            raise SnapshotFormatError(
+                f"{Path(snapshots) / snapshot_name(record.round_index)}: participant "
+                f"{stray[0]} is not one of the configured ids 0..{participants - 1}"
+            )
     check_initial_model(records, cfg.training.to_training_config(layout, cfg.seed))
     return records
 

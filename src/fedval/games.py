@@ -18,10 +18,10 @@ class TableGame:
     """Utility oracle backed by per-round subset tables.
 
     The game fixes the participant set of every round up front and keeps
-    each as a sorted id tuple in ``rounds``. ``evaluate_many(t, masks)``
-    reads round ``t``'s table, indexed by subset bitmask (bit ``b``
-    selects the ``b``-th smallest id of the round); ``evaluate(t, mask)``
-    is a batch of one. Consecutive tables must agree where they describe
+    each as a sorted id tuple in ``rounds``, which ``players(t)`` returns.
+    ``evaluate_many(t, masks)`` reads round ``t``'s table, indexed by
+    subset bitmask (bit ``b`` selects ``players(t)[b]``);
+    ``evaluate(t, mask)`` is a batch of one. Consecutive tables must agree where they describe
     the same state: finishing round t equals starting round t+1 with the
     empty subset.
     """
@@ -54,17 +54,21 @@ class TableGame:
             )
         self.range_bound = float(range_bound)
 
+    def players(self, round_index: int) -> tuple[int, ...]:
+        if not 0 <= round_index < len(self.rounds):
+            raise ValueError(
+                f"round {round_index} was not realized; the game has "
+                f"{len(self.rounds)} rounds"
+            )
+        return self.rounds[round_index]
+
     def evaluate(self, round_index: int, mask: int) -> float:
         return float(self.evaluate_many(round_index, [mask])[0])
 
     def evaluate_many(self, round_index: int, masks: Sequence[int]) -> np.ndarray:
         """Utilities of round ``round_index`` under each of ``masks``, in
         order; every mask is checked before any is read."""
-        if not 0 <= round_index < len(self._tables):
-            raise ValueError(
-                f"round {round_index} was not realized; the game has "
-                f"{len(self._tables)} rounds"
-            )
+        self.players(round_index)  # refuses an unrealized round
         table = self._tables[round_index]
         for mask in masks:
             if not 0 <= mask < len(table):

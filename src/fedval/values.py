@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Collection, Iterable, Protocol, Sequence, runtime_checkable
+from typing import Iterable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -29,20 +29,19 @@ class EnumerationRefusedError(RuntimeError):
 class UtilityOracle(Protocol):
     """Deterministic utility of the realized rounds, queried one round at a time.
 
-    ``evaluate(t, mask)`` is the utility after the realized rounds before
-    ``t`` plus the members of round ``t`` selected by ``mask``: bit ``b``
-    selects the ``b``-th smallest of the round's participant ids. Mask 0
-    is the state entering round ``t``. Identical queries yield identical
-    outputs.
-
-    An oracle may also answer ``evaluate_many(t, masks)``: the utilities
-    of ``masks``, in order, as a float64 array, each bitwise what
-    ``evaluate`` returns. :class:`RoundUtility` then hands it a value
-    function's masks in one call instead of one ``evaluate`` per mask.
-    Both shipped oracles, ``RoundOracle`` and ``TableGame``, answer it.
+    ``players(t)`` is the ascending tuple of round ``t``'s participant
+    ids; every value function credits exactly these. ``evaluate_many(t,
+    masks)`` is a float64 array holding, in order, the utility after the
+    realized rounds before ``t`` plus the members of round ``t`` that
+    each mask selects: bit ``b`` selects ``players(t)[b]``. Mask 0 is the
+    state entering round ``t``. Identical queries yield identical
+    outputs. Both shipped oracles, ``RoundOracle`` and ``TableGame``,
+    also answer ``evaluate(t, mask)`` as a batch of one.
     """
 
-    def evaluate(self, round_index: int, mask: int) -> float: ...
+    def players(self, round_index: int) -> tuple[int, ...]: ...
+
+    def evaluate_many(self, round_index: int, masks: Sequence[int]) -> np.ndarray: ...
 
 
 @dataclass
@@ -129,19 +128,12 @@ class RoundUtility:
         self._oracle = oracle
         self._round_index = round_index
 
-    def __call__(
-        self, masks: np.ndarray, *, progress_unit: str | None = None
-    ) -> np.ndarray:
+    def __call__(self, masks: np.ndarray) -> np.ndarray:
         """Utilities of ``masks``, an array of any shape.
 
-        Each distinct mask goes to the oracle once, in order of first
-        appearance in row-major order: all in one call when the oracle
-        has an ``evaluate_many(t, masks)`` method, else one ``evaluate``
-        call per mask. With ``progress_unit``, an oracle failure is
-        re-raised as a ``RuntimeError`` saying how many leading rows of
-        ``masks`` had every mask evaluated, counted in that unit (none
-        when the one batch call fails, since it returns no utility);
-        otherwise the oracle's exception propagates as is.
+        The distinct masks go to the oracle in one ``evaluate_many`` call,
+        in order of first appearance in row-major order; the oracle's
+        error, if any, propagates as is.
         """
         masks = np.asarray(masks)
         slot_of: dict[int, int] = {}
@@ -150,36 +142,11 @@ class RoundUtility:
             dtype=np.intp,
             count=masks.size,
         )
-        evaluate_many = getattr(self._oracle, "evaluate_many", None)
-        evaluate, t = self._oracle.evaluate, self._round_index
-        done = 0
-        try:
-            if evaluate_many is not None:
-                utilities = evaluate_many(t, list(slot_of))
-            else:
-                utilities = np.empty(len(slot_of), dtype=np.float64)
-                for mask in slot_of:
-                    utilities[done] = evaluate(t, mask)
-                    done += 1
-        except Exception as exc:
-            if progress_unit is None:
-                raise
-            # Slots are numbered as masks first appear, so a row is fully
-            # evaluated once every slot up to its running maximum is.
-            rows = slots.reshape(len(masks), -1).max(axis=1)
-            completed = int(np.count_nonzero(np.maximum.accumulate(rows) < done))
-            raise RuntimeError(
-                f"utility oracle failed after {completed} of {len(masks)} "
-                f"{progress_unit}"
-            ) from exc
+        utilities = self._oracle.evaluate_many(self._round_index, list(slot_of))
         return utilities[slots].reshape(masks.shape)
 
 
-def exact_federated_round_shapley(
-    oracle: UtilityOracle,
-    round_index: int,
-    round_players: Collection[int],
-) -> ValueVector:
+def exact_federated_round_shapley(oracle: UtilityOracle, round_index: int) -> ValueVector:
     """Per-round Shapley values conditioned on the realized history.
 
     Each participant of round ``round_index`` receives its average
@@ -188,7 +155,7 @@ def exact_federated_round_shapley(
     the realized earlier rounds. The values sum to the round's utility
     improvement.
     """
-    ids = sorted(round_players)
+    ids = oracle.players(round_index)
     m = len(ids)
     if m == 0:
         return ValueVector({}, round_index)
@@ -213,22 +180,15 @@ def exact_federated_round_shapley(
     return ValueVector(values, round_index)
 
 
-def exact_shapley(oracle: UtilityOracle, players: Collection[int]) -> ValueVector:
-    """Shapley values of a single-coalition game (round 0 of ``oracle``)
-    by full subset enumeration."""
-    return exact_federated_round_shapley(oracle, 0, players)
+def exact_shapley_permutation_form(oracle: UtilityOracle) -> ValueVector:
+    """Shapley values of round 0 of ``oracle`` averaged over every
+    ordering of its players.
 
-
-def exact_shapley_permutation_form(
-    oracle: UtilityOracle, players: Collection[int]
-) -> ValueVector:
-    """Shapley values of a single-coalition game (round 0 of ``oracle``)
-    averaged over every ordering of the players.
-
-    Agrees with :func:`exact_shapley`; kept as an independent cross-check
-    since the two enumerations share nothing beyond the oracle calls.
+    Agrees with :func:`exact_federated_round_shapley`; kept as an
+    independent cross-check since the two enumerations share nothing
+    beyond the oracle calls.
     """
-    ids = sorted(players)
+    ids = oracle.players(0)
     m = len(ids)
     if m == 0:
         return ValueVector({}, 0)
@@ -252,13 +212,9 @@ def exact_shapley_permutation_form(
     return ValueVector({pid: float(acc[b]) for b, pid in enumerate(ids)}, 0)
 
 
-def federated_loo_round(
-    oracle: UtilityOracle,
-    round_index: int,
-    round_players: Collection[int],
-) -> ValueVector:
+def federated_loo_round(oracle: UtilityOracle, round_index: int) -> ValueVector:
     """Utility drop from removing one participant from the round's aggregate."""
-    ids = sorted(round_players)
+    ids = oracle.players(round_index)
     if not ids:
         return ValueVector({}, round_index)
     full = (1 << len(ids)) - 1

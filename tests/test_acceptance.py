@@ -70,7 +70,7 @@ def permutation_contract():
     m = 4
     count = permutation_sample_count(params, m)
     game = random_table_game([range(m)], np.random.default_rng(20240501))
-    exact = exact_federated_round_shapley(game, 0, range(m))
+    exact = exact_federated_round_shapley(game, 0)
     span = game.evaluate(0, (1 << m) - 1) - game.evaluate(0, 0)
     start = time.monotonic()
     within = 0
@@ -103,8 +103,8 @@ def test_criterion_01_value_axioms():
     for _ in range(40):
         game = random_process(rng)
         oracles += 1
-        for t, block in enumerate(game.rounds):
-            values = exact_federated_round_shapley(game, t, block)
+        for t in range(len(game.rounds)):
+            values = exact_federated_round_shapley(game, t)
             gain = round_gain(game, t)
             worst = max(worst, abs(sum(values.values.values()) - gain))
 
@@ -122,7 +122,7 @@ def test_criterion_01_value_axioms():
         game = stitched_game([ids, ids], [pair_worth, pair_worth])
         oracles += 1
         for t in range(2):
-            values = exact_federated_round_shapley(game, t, ids)
+            values = exact_federated_round_shapley(game, t)
             worst = max(worst, abs(values.get(0) - values.get(1)))
 
     for _ in range(30):
@@ -137,7 +137,7 @@ def test_criterion_01_value_axioms():
         game = stitched_game([ids, ids], [null_worth, null_worth])
         oracles += 1
         for t in range(2):
-            values = exact_federated_round_shapley(game, t, ids)
+            values = exact_federated_round_shapley(game, t)
             worst = max(worst, abs(values.get(3)))
 
     # Additivity of values across summed utilities.
@@ -148,9 +148,9 @@ def test_criterion_01_value_axioms():
         combined = sum_games(first, second)
         oracles += 2
         for t, block in enumerate(combined.rounds):
-            a = exact_federated_round_shapley(first, t, block)
-            b = exact_federated_round_shapley(second, t, block)
-            c = exact_federated_round_shapley(combined, t, block)
+            a = exact_federated_round_shapley(first, t)
+            b = exact_federated_round_shapley(second, t)
+            c = exact_federated_round_shapley(combined, t)
             worst = max(
                 worst,
                 max(abs(c.get(p) - a.get(p) - b.get(p)) for p in block),
@@ -172,8 +172,8 @@ def test_criterion_02_form_equivalence():
     for index in range(games):
         m = 2 + index % 5  # player counts 2..6
         game = random_table_game([range(m)], rng)
-        subset_form = exact_federated_round_shapley(game, 0, range(m))
-        ordering_form = exact_shapley_permutation_form(game, range(m))
+        subset_form = exact_federated_round_shapley(game, 0)
+        ordering_form = exact_shapley_permutation_form(game)
         worst = max(
             worst,
             max(abs(subset_form.get(p) - ordering_form.get(p)) for p in range(m)),
@@ -209,11 +209,11 @@ def test_criterion_04_group_testing_contract():
     m = 6
     plan = group_testing_plan(m, params)
     game = random_table_game([range(m)], np.random.default_rng(20240502))
-    exact = exact_federated_round_shapley(game, 0, range(m))
+    exact = exact_federated_round_shapley(game, 0)
     trials = 200
     within = 0
     for trial in range(trials):
-        estimate = group_testing_round(game, 0, range(m), plan, (977, trial))
+        estimate = group_testing_round(game, 0, plan, (977, trial))
         worst = max(abs(estimate.get(p) - exact.get(p)) for p in range(m))
         within += worst <= params.epsilon
     rate = within / trials

@@ -134,7 +134,7 @@ class TestPermutationSampling:
 
     def test_unbiased_over_many_single_samples(self, rng):
         game = random_table_game([range(4)], rng)
-        exact = exact_federated_round_shapley(game, 0, range(4))
+        exact = exact_federated_round_shapley(game, 0)
         draws = {pid: [] for pid in range(4)}
         for trial in range(10_000):
             values = permutation_sampling_round(game, 0, range(4), 1, trial)
@@ -153,7 +153,7 @@ class TestPermutationSampling:
         for trial in range(trials):
             rng = np.random.default_rng((991, trial))
             game = random_table_game([range(4)], rng)
-            exact = exact_federated_round_shapley(game, 0, range(4))
+            exact = exact_federated_round_shapley(game, 0)
             estimate = permutation_sampling_round(game, 0, range(4), count, rng)
             worst = max(abs(estimate.get(p) - exact.get(p)) for p in range(4))
             hits += worst <= params.epsilon
@@ -165,7 +165,7 @@ class TestGroupTesting:
         params = ApproxParams(epsilon=0.2, delta=0.2)
         plan = group_testing_plan(4, params)
         game = game_from_set_function([0, 1, 2, 3], lambda s: 0.5, range_bound=1.0)
-        values = group_testing_round(game, 0, range(4), plan, 3)
+        values = group_testing_round(game, 0, plan, 3)
         # The pivot's sampled marginals are exactly zero; other values are
         # pure difference noise within the plan's guarantee.
         assert values.get(3) == 0.0
@@ -179,7 +179,7 @@ class TestGroupTesting:
         close = 0
         trials = 100
         for trial in range(trials):
-            values = group_testing_round(game, 0, range(4), plan, (271, trial))
+            values = group_testing_round(game, 0, plan, (271, trial))
             if abs(values.get(0) - values.get(1)) <= 2 * params.epsilon:
                 close += 1
         assert close / trials >= 1.0 - params.delta
@@ -192,8 +192,8 @@ class TestGroupTesting:
         for trial in range(trials):
             rng = np.random.default_rng((5417, trial))
             game = random_table_game([range(5)], rng)
-            exact = exact_federated_round_shapley(game, 0, range(5))
-            estimate = group_testing_round(game, 0, range(5), plan, rng)
+            exact = exact_federated_round_shapley(game, 0)
+            estimate = group_testing_round(game, 0, plan, rng)
             worst = max(abs(estimate.get(p) - exact.get(p)) for p in range(5))
             hits += worst <= params.epsilon
         assert hits / trials >= 1.0 - params.delta
@@ -202,15 +202,15 @@ class TestGroupTesting:
         params = ApproxParams(epsilon=0.2, delta=0.3)
         plan = group_testing_plan(4, params)
         game = random_table_game([range(4)], rng)
-        first = group_testing_round(game, 0, range(4), plan, 99)
-        second = group_testing_round(game, 0, range(4), plan, 99)
+        first = group_testing_round(game, 0, plan, 99)
+        second = group_testing_round(game, 0, plan, 99)
         assert first.values == second.values
 
     def test_rejects_plan_size_mismatch(self, rng):
         plan = group_testing_plan(4, ApproxParams(epsilon=0.2, delta=0.3))
         game = random_table_game([range(5)], rng)
         with pytest.raises(ValueError):
-            group_testing_round(game, 0, range(5), plan, 0)
+            group_testing_round(game, 0, plan, 0)
 
     def test_returned_tests_lie_in_range(self, rng, monkeypatch):
         params = ApproxParams(epsilon=0.3, delta=0.3)
@@ -225,7 +225,7 @@ class TestGroupTesting:
                 return utilities
 
         monkeypatch.setattr(estimators_module, "RoundUtility", RecordingRoundUtility)
-        group_testing_round(game, 0, range(4), plan, 5)
+        group_testing_round(game, 0, plan, 5)
         # The first batch is the t1 tests; pivot anchoring queries after it.
         tests = batches[0]
         assert tests.shape == (plan.t1,)
@@ -236,7 +236,7 @@ class TestPivotAnchoring:
     def test_zero_differences_collapse_to_pivot(self, rng):
         plan = group_testing_plan(4, ApproxParams(epsilon=0.2, delta=0.3))
         game = random_table_game([range(4)], rng)
-        values = pivot_anchor_values(np.zeros((4, 4)), game, 0, range(4), plan, 13)
+        values = pivot_anchor_values(np.zeros((4, 4)), game, 0, plan, 13)
         level = values.get(3)
         for pid in range(4):
             assert values.get(pid) == level
@@ -246,7 +246,7 @@ class TestPivotAnchoring:
             m=1, z=0.0, subset_size_probs=np.empty(0), q_tot=0.0, t1=0, t2=25
         )
         game = random_table_game([(9,)], rng)
-        values = pivot_anchor_values(np.zeros((1, 1)), game, 0, [9], plan, 4)
+        values = pivot_anchor_values(np.zeros((1, 1)), game, 0, plan, 4)
         expected = game.evaluate(0, 1) - game.evaluate(0, 0)
         assert values.get(9) == pytest.approx(expected, abs=1e-12)
 
@@ -259,7 +259,7 @@ class TestPivotAnchoring:
         trials = 50
         for trial in range(trials):
             values = pivot_anchor_values(
-                np.zeros((5, 5)), game, 0, range(5), plan, (33, trial)
+                np.zeros((5, 5)), game, 0, plan, (33, trial)
             )
             hits += abs(values.get(4) - weights[4]) <= params.epsilon
         assert hits / trials >= 1.0 - params.delta

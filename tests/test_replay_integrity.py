@@ -2,7 +2,9 @@
 and builds only what valuing recorded rounds needs."""
 
 import json
+import re
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -184,6 +186,51 @@ def test_unchained_round_named(tmp_path, three_rounds):
     )
     with pytest.raises(SnapshotFormatError, match=r"round_00001\.fvr.*previous round"):
         load_round_records(target)
+
+
+def rewrite_selected(path, selected):
+    """Rewrite a snapshot's header ``selected``, keeping its models and
+    the leading ``len(selected)`` rows of its update matrix."""
+    with open(path, "rb") as fh:
+        magic = fh.read(len(SNAPSHOT_MAGIC))
+        header = json.loads(fh.readline())
+        before, stacked, after = (np.load(fh) for _ in range(3))
+    header["selected"] = selected
+    with open(path, "wb") as fh:
+        fh.write(magic + json.dumps(header, sort_keys=True).encode() + b"\n")
+        for array in (before, stacked[: len(selected)], after):
+            np.save(fh, array)
+
+
+def test_empty_selection_named_before_any_mean(three_rounds):
+    victim = three_rounds / "round_00001.fvr"
+    rewrite_selected(victim, [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(
+            SnapshotFormatError,
+            match=re.escape(f"{victim}: header selected names no participants"),
+        ):
+            load_round_records(three_rounds)
+
+
+@pytest.mark.parametrize("command", ["value-replay", "summarize"])
+def test_participant_ids_outside_the_config_refused(tmp_path, capsys, command):
+    # Six configured participants have ids 0..5; the arrays stay intact.
+    config, rounds = train(tmp_path, base_doc(), "run")
+    victim = rounds / "round_00000.fvr"
+    rewrite_selected(victim, [100, 101, 102])
+    out = tmp_path / "replay"
+    rc = main([
+        command, "--config", str(config), "--snapshots", str(rounds), "--out", str(out),
+    ])
+    assert rc == 1
+    assert f"error: {victim}: participant 100 is not one of the configured ids 0..5" in (
+        capsys.readouterr().err
+    )
+    assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+    assert not (out / "values.csv").exists()
+    assert not (out / "summarization.csv").exists()
 
 
 def test_intact_run_loads(three_rounds):

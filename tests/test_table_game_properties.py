@@ -8,14 +8,21 @@ fixed-input versions of these checks live in ``test_values.py``.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedval.estimators import (
+    ApproxParams,
+    group_testing_plan,
+    group_testing_round,
+    permutation_sampling_round,
+    pivot_anchor_values,
+)
 from fedval.games import random_table_game
 from fedval.values import (
     aggregate_rounds,
     exact_federated_round_shapley,
-    exact_shapley,
     exact_shapley_permutation_form,
     federated_loo_round,
 )
@@ -40,7 +47,7 @@ seeds = st.integers(0, 2**32 - 1)
 
 
 def round_values(game):
-    return [exact_federated_round_shapley(game, t, ids) for t, ids in enumerate(game.rounds)]
+    return [exact_federated_round_shapley(game, t) for t in range(len(game.rounds))]
 
 
 @settings(max_examples=60, deadline=None)
@@ -125,8 +132,8 @@ def test_additivity_under_sum_games(rounds, seed):
 def test_loo_and_shapley_recover_additive_weights(rounds, weights, base):
     game = additive_game(rounds, weights, base=base)
     for t, ids in enumerate(game.rounds):
-        loo = federated_loo_round(game, t, ids)
-        shapley = exact_federated_round_shapley(game, t, ids)
+        loo = federated_loo_round(game, t)
+        shapley = exact_federated_round_shapley(game, t)
         for pid in ids:
             assert abs(loo.get(pid) - weights[pid]) <= TOL
             assert abs(shapley.get(pid) - weights[pid]) <= TOL
@@ -140,7 +147,43 @@ def test_subset_form_agrees_with_ordering_form(rounds, seed):
         ordering = brute_force_round_values(game, t)
         for pid, value in ordering.items():
             assert abs(vector.get(pid) - value) <= TOL
-    subset_form = exact_shapley(game, game.rounds[0])
-    ordering_form = exact_shapley_permutation_form(game, game.rounds[0])
+    subset_form = exact_federated_round_shapley(game, 0)
+    ordering_form = exact_shapley_permutation_form(game)
     for pid in game.rounds[0]:
         assert abs(subset_form.get(pid) - ordering_form.get(pid)) <= TOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.integers(0, 10**6), min_size=1, max_size=5, unique=True),
+        min_size=1,
+        max_size=3,
+    ),
+    seeds,
+)
+def test_values_credit_exactly_the_rounds_players(rounds, seed):
+    game = random_table_game(rounds, np.random.default_rng(seed))
+    approx = ApproxParams(epsilon=0.5, delta=0.3)
+    for t, ids in enumerate(rounds):
+        players = game.players(t)
+        assert players == tuple(sorted(ids))
+        vectors = [
+            exact_federated_round_shapley(game, t),
+            federated_loo_round(game, t),
+            permutation_sampling_round(game, t, ids, 3, seed),
+        ]
+        if t == 0:
+            vectors.append(exact_shapley_permutation_form(game))
+        if len(ids) >= 2:
+            plan = group_testing_plan(len(ids), approx)
+            vectors.append(group_testing_round(game, t, plan, seed))
+            vectors.append(
+                pivot_anchor_values(np.zeros((len(ids), len(ids))), game, t, plan, seed)
+            )
+        for vector in vectors:
+            assert set(vector.values) == set(players)
+        listed = sorted(ids)
+        for wrong in (listed[:-1], [*listed, listed[-1] + 1], [pid + 1 for pid in listed]):
+            with pytest.raises(ValueError, match=rf"^round {t}: round_players"):
+                permutation_sampling_round(game, t, wrong, 3, seed)

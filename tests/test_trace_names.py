@@ -110,3 +110,50 @@ def test_stage_calls_per_command(tmp_path):
         counted[command] = {stage: names.count(stage) for stage in STAGE_CALLS[command]}
         assert names.count("parse_config") == 1
     assert counted == STAGE_CALLS
+
+
+def test_traced_layers_run_both_estimators(tmp_path):
+    """Every traced layer installed at once, counters included, through
+    a permutation training run and a group-testing replay of it."""
+    import yaml
+
+    from fedval import cli
+    from fedval.engine import load_round_records
+    from fedval.estimators import ApproxParams, group_testing_plan, permutation_sample_count
+
+    approx = {"epsilon": 0.5, "delta": 0.3}
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump({
+        "seed": 5,
+        "dataset": {
+            "kind": "blobs", "samples": 120, "features": 3, "classes": 2,
+            "separation": 3.0, "validation_samples": 60,
+        },
+        "partition": {"mode": "iid", "participants": 6},
+        "training": {
+            "rounds": 2, "participant_fraction": 0.5, "local_epochs": 1,
+            "batch_size": 10, "learning_rate": 0.5, "model": "logistic",
+        },
+        "valuation": {"method": "permutation", "approx": approx},
+    }))
+    trained, replayed = tmp_path / "train-and-value", tmp_path / "value-replay"
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install(tracing.LAYERS)
+    try:
+        assert cli.main(["train-and-value", "--config", str(config), "--out", str(trained)]) == 0
+        assert cli.main([
+            "value-replay", "--config", str(config), "--method", "group_testing",
+            "--snapshots", str(trained / "rounds"), "--out", str(replayed),
+        ]) == 0
+    finally:
+        tracer.uninstall()
+    params = ApproxParams(**approx)
+    sizes = [len(record.selected) for record in load_round_records(trained / "rounds")[0]]
+    assert tracer.counters["estimators.permutation_round.planned_evals"] == sum(
+        permutation_sample_count(params, m) * m for m in sizes
+    )
+    plans = [group_testing_plan(m, params) for m in sizes]
+    assert tracer.counters["estimators.group_testing_round.planned_evals"] == sum(
+        plan.t1 + plan.t2 for plan in plans
+    )

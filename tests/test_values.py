@@ -7,7 +7,6 @@ from fedval.values import (
     aggregate_rounds,
     build_report,
     exact_federated_round_shapley,
-    exact_shapley,
     exact_shapley_permutation_form,
     federated_loo_round,
     normalize_round_values,
@@ -29,16 +28,29 @@ from conftest import (
 EXACT_TOL = 1e-9
 
 
+class NeverCalled:
+    """A round of ``ids`` whose utilities must never be asked for."""
+
+    def __init__(self, ids):
+        self.ids = tuple(ids)
+
+    def players(self, round_index):
+        return self.ids
+
+    def evaluate_many(self, round_index, masks):
+        raise AssertionError("cap must refuse before any evaluation")
+
+
 class TestExactShapley:
     def test_additive_game_returns_weights(self):
         game = additive_game([(1, 2)], {1: 1.0, 2: 3.0})
-        values = exact_shapley(game, [1, 2])
+        values = exact_federated_round_shapley(game, 0)
         assert values.get(1) == pytest.approx(1.0, abs=EXACT_TOL)
         assert values.get(2) == pytest.approx(3.0, abs=EXACT_TOL)
 
     def test_cardinality_game_splits_evenly(self):
         game = game_from_set_function([0, 1, 2], lambda s: float(len(s)), range_bound=3.0)
-        values = exact_shapley(game, [0, 1, 2])
+        values = exact_federated_round_shapley(game, 0)
         for pid in range(3):
             assert values.get(pid) == pytest.approx(1.0, abs=EXACT_TOL)
 
@@ -54,29 +66,25 @@ class TestExactShapley:
         assert oracle[1] == pytest.approx(2 / 3, abs=EXACT_TOL)
         assert oracle[2] == pytest.approx(1 / 6, abs=EXACT_TOL)
         assert oracle[3] == pytest.approx(1 / 6, abs=EXACT_TOL)
-        values = exact_shapley(game, [1, 2, 3])
+        values = exact_federated_round_shapley(game, 0)
         for pid in (1, 2, 3):
             assert values.get(pid) == pytest.approx(oracle[pid], abs=EXACT_TOL)
 
     def test_cap_refused_names_exponential_cost(self):
-        class NeverCalled:
-            def evaluate(self, round_index, mask):
-                raise AssertionError("cap must refuse before any evaluation")
-
         with pytest.raises(EnumerationRefusedError, match=r"2\*\*25"):
-            exact_shapley(NeverCalled(), range(25))
+            exact_federated_round_shapley(NeverCalled(range(25)), 0)
 
 
 class TestPermutationForm:
     def test_single_player(self):
         game = game_from_set_function([1], lambda s: 0.7 if s else 0.0, range_bound=0.7)
-        values = exact_shapley_permutation_form(game, [1])
+        values = exact_shapley_permutation_form(game)
         assert values.get(1) == pytest.approx(0.7, abs=EXACT_TOL)
 
     def test_agrees_with_subset_form_on_random_game(self, rng):
         game = random_table_game([range(4)], rng)
-        subset_form = exact_shapley(game, range(4))
-        ordering_form = exact_shapley_permutation_form(game, range(4))
+        subset_form = exact_federated_round_shapley(game, 0)
+        ordering_form = exact_shapley_permutation_form(game)
         for pid in range(4):
             assert ordering_form.get(pid) == pytest.approx(
                 subset_form.get(pid), abs=EXACT_TOL
@@ -86,7 +94,7 @@ class TestPermutationForm:
         game = game_from_set_function(
             [0, 1, 2], lambda s: float(len(s)) ** 2, range_bound=9.0
         )
-        values = exact_shapley_permutation_form(game, [0, 1, 2])
+        values = exact_shapley_permutation_form(game)
         for pid in range(3):
             assert values.get(pid) == pytest.approx(3.0, abs=EXACT_TOL)
         assert sum(values.values.values()) == pytest.approx(9.0, abs=EXACT_TOL)
@@ -95,39 +103,35 @@ class TestPermutationForm:
         for _ in range(15):
             m = int(rng.integers(1, 7))
             game = random_table_game([range(m)], rng)
-            subset_form = exact_shapley(game, range(m))
-            ordering_form = exact_shapley_permutation_form(game, range(m))
+            subset_form = exact_federated_round_shapley(game, 0)
+            ordering_form = exact_shapley_permutation_form(game)
             for pid in range(m):
                 assert abs(subset_form.get(pid) - ordering_form.get(pid)) <= EXACT_TOL
 
     def test_cap_refused_names_factorial_cost(self):
-        class NeverCalled:
-            def evaluate(self, round_index, mask):
-                raise AssertionError("cap must refuse before any evaluation")
-
         with pytest.raises(EnumerationRefusedError, match="9!"):
-            exact_shapley_permutation_form(NeverCalled(), range(9))
+            exact_shapley_permutation_form(NeverCalled(range(9)))
 
 
 class TestFederatedRound:
     def test_empty_history_matches_plain_shapley(self, rng):
         game = random_table_game([range(4)], rng)
-        plain = exact_shapley(game, range(4))
-        conditioned = exact_federated_round_shapley(game, 0, range(4))
+        plain = exact_shapley_permutation_form(game)
+        conditioned = exact_federated_round_shapley(game, 0)
         for pid in range(4):
             assert conditioned.get(pid) == pytest.approx(plain.get(pid), abs=EXACT_TOL)
 
     def test_singleton_round_is_marginal(self, rng):
         game = random_table_game([(0, 1), (2,)], rng)
-        values = exact_federated_round_shapley(game, 1, [2])
+        values = exact_federated_round_shapley(game, 1)
         expected = round_gain(game, 1)
         assert values.get(2) == pytest.approx(expected, abs=EXACT_TOL)
 
     def test_additive_rounds_return_weights(self):
         weights = {1: 1.0, 2: 3.0, 3: 0.5}
         game = additive_game([(1, 2), (2, 3)], weights)
-        first = exact_federated_round_shapley(game, 0, (1, 2))
-        second = exact_federated_round_shapley(game, 1, (2, 3))
+        first = exact_federated_round_shapley(game, 0)
+        second = exact_federated_round_shapley(game, 1)
         assert first.get(1) == pytest.approx(1.0, abs=EXACT_TOL)
         assert first.get(2) == pytest.approx(3.0, abs=EXACT_TOL)
         assert second.get(2) == pytest.approx(3.0, abs=EXACT_TOL)
@@ -137,14 +141,14 @@ class TestFederatedRound:
         for _ in range(25):
             game = random_process(rng)
             for t, block in enumerate(game.rounds):
-                values = exact_federated_round_shapley(game, t, block)
+                values = exact_federated_round_shapley(game, t)
                 oracle = brute_force_round_values(game, t)
                 for pid in block:
                     assert abs(values.get(pid) - oracle[pid]) <= EXACT_TOL
 
     def test_unselected_participants_are_exactly_zero(self, rng):
         game = random_table_game([(0, 1), (2, 3)], rng)
-        values = exact_federated_round_shapley(game, 1, (2, 3))
+        values = exact_federated_round_shapley(game, 1)
         assert set(values.values) == {2, 3}
         assert values.get(0) == 0.0
         assert values.get(7) == 0.0
@@ -155,7 +159,7 @@ class TestValueAxioms:
         for _ in range(30):
             game = random_process(rng)
             for t, block in enumerate(game.rounds):
-                values = exact_federated_round_shapley(game, t, block)
+                values = exact_federated_round_shapley(game, t)
                 gain = round_gain(game, t)
                 assert abs(sum(values.values.values()) - gain) <= EXACT_TOL
 
@@ -163,8 +167,8 @@ class TestValueAxioms:
         for _ in range(20):
             game = random_process(rng)
             per_round = [
-                exact_federated_round_shapley(game, t, block)
-                for t, block in enumerate(game.rounds)
+                exact_federated_round_shapley(game, t)
+                for t in range(len(game.rounds))
             ]
             total = aggregate_rounds(per_round)
             last = len(game.rounds) - 1
@@ -186,7 +190,7 @@ class TestValueAxioms:
 
             game = stitched_game([ids, ids], [worth, worth])
             for t in range(2):
-                values = exact_federated_round_shapley(game, t, ids)
+                values = exact_federated_round_shapley(game, t)
                 assert abs(values.get(0) - values.get(1)) <= EXACT_TOL
 
     def test_null_participant_gets_zero(self, rng):
@@ -202,7 +206,7 @@ class TestValueAxioms:
 
             game = stitched_game([ids, ids], [worth, worth])
             for t in range(2):
-                values = exact_federated_round_shapley(game, t, ids)
+                values = exact_federated_round_shapley(game, t)
                 assert abs(values.get(3)) <= EXACT_TOL
 
     def test_additivity_across_utilities(self, rng):
@@ -212,9 +216,9 @@ class TestValueAxioms:
             second = random_table_game(rounds, rng)
             combined = sum_games(first, second)
             for t, block in enumerate(first.rounds):
-                a = exact_federated_round_shapley(first, t, block)
-                b = exact_federated_round_shapley(second, t, block)
-                c = exact_federated_round_shapley(combined, t, block)
+                a = exact_federated_round_shapley(first, t)
+                b = exact_federated_round_shapley(second, t)
+                c = exact_federated_round_shapley(combined, t)
                 for pid in block:
                     assert abs(c.get(pid) - (a.get(pid) + b.get(pid))) <= EXACT_TOL
 
@@ -222,20 +226,20 @@ class TestValueAxioms:
 class TestLeaveOneOut:
     def test_zero_when_removal_changes_nothing(self):
         game = game_from_set_function([0, 1], lambda s: 1.0, range_bound=1.0)
-        values = federated_loo_round(game, 0, [0, 1])
+        values = federated_loo_round(game, 0)
         assert values.get(0) == 0.0
         assert values.get(1) == 0.0
 
     def test_singleton_round_reduces_to_round_gain(self, rng):
         game = random_table_game([(0, 1), (2,)], rng)
-        values = federated_loo_round(game, 1, [2])
+        values = federated_loo_round(game, 1)
         expected = round_gain(game, 1)
         assert values.get(2) == pytest.approx(expected, abs=EXACT_TOL)
 
     def test_additive_game_recovers_weights(self):
         weights = {0: 1.0, 1: 2.0, 2: 3.0}
         game = additive_game([(0, 1, 2)], weights)
-        values = federated_loo_round(game, 0, (0, 1, 2))
+        values = federated_loo_round(game, 0)
         # Independent check: direct removal differences on the raw game
         # (ids 0..2 sit at bits 0..2).
         full = game.evaluate(0, 0b111)
@@ -286,8 +290,8 @@ class TestReport:
     def _report(self, rng):
         game = random_process(rng)
         per_round = [
-            exact_federated_round_shapley(game, t, block)
-            for t, block in enumerate(game.rounds)
+            exact_federated_round_shapley(game, t)
+            for t in range(len(game.rounds))
         ]
         deltas = [round_gain(game, t) for t in range(len(game.rounds))]
         return build_report(per_round, deltas, game.evaluate(0, 0))
