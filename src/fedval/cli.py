@@ -186,7 +186,8 @@ def _cmd_train_and_value(args: argparse.Namespace) -> int:
     def body() -> dict[str, Any]:
         prepared = prepare_experiment(cfg)
         records = run_federated_training(
-            prepared.shards, prepared.training, snapshot_dir=out / "rounds"
+            prepared.train, prepared.plan.assignment, prepared.training,
+            snapshot_dir=out / "rounds",
         )
         details = _write_values(cfg, prepared.layout, records, prepared.validation, out)
         plans = _estimator_plans(cfg, records)

@@ -33,7 +33,8 @@ class Dataset:
             raise ValueError("features must be a nonempty n x d matrix")
         if self.labels.shape != (self.features.shape[0],):
             raise ValueError("labels must align with feature rows")
-        if not np.isfinite(self.features).all():
+        # A finite sum proves every entry finite without an n x d mask.
+        if not (np.isfinite(self.features.sum()) or np.isfinite(self.features).all()):
             raise ValueError("features must be finite")
         if self.class_count < 2:
             raise ValueError("class_count must be at least 2")
@@ -44,17 +45,29 @@ class Dataset:
         return self.features.shape[0]
 
 
+# Bound on the bytes of one row chunk of a blobs draw: a chunk stays in
+# cache while its centers are added, and dropped rows cost one chunk.
+_CHUNK_BYTES = 1 << 20
+
+
 def synth_blobs(
     samples: int,
     features: int,
     class_count: int,
     separation: float,
     seed: int | np.random.Generator,
-) -> Dataset:
+    *,
+    skip: int = 0,
+    split: int | None = None,
+) -> Dataset | tuple[Dataset, Dataset]:
     """Gaussian class clusters at random unit directions scaled by ``separation``.
 
     Labels are assigned round-robin, so class priors are uniform to
-    within one sample.
+    within one sample. The noise is drawn in row chunks of at most
+    ``_CHUNK_BYTES`` straight into the returned arrays; the first ``skip``
+    rows are drawn into one reused chunk and dropped. With ``split``, the
+    kept rows come back as two datasets in separate arrays, the rows
+    before ``split`` and those from it on.
     """
     if samples < class_count:
         raise ValueError("need at least one sample per class")
@@ -64,13 +77,21 @@ def synth_blobs(
     directions = rng.normal(size=(class_count, features))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     centers = separation * directions
-    labels = np.arange(samples, dtype=np.int64) % class_count
-    # Each center is added in place to its class's rows (every
-    # class_count-th row), so the noise array is the only full-size one.
-    points = rng.normal(size=(samples, features))
-    for c in range(class_count):
-        points[c::class_count] += centers[c]
-    return Dataset(points, labels, class_count)
+    step = max(1, _CHUNK_BYTES // (8 * features))
+    dropped = np.empty((min(step, skip), features))
+    for first in range(0, skip, step):
+        rng.standard_normal(out=dropped[: skip - first])
+    cuts = [skip, samples] if split is None else [skip, split, samples]
+    parts = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        points = np.empty((hi - lo, features))
+        for first in range(lo, hi, step):
+            chunk = points[first - lo : first - lo + step]
+            rng.standard_normal(out=chunk)
+            for c in range(class_count):  # row i is of class i % class_count
+                chunk[(c - first) % class_count :: class_count] += centers[c]
+        parts.append(Dataset(points, np.arange(lo, hi) % class_count, class_count))
+    return parts[0] if split is None else tuple(parts)
 
 
 def _read_exact(fh: BinaryIO, count: int, offset: int, path: str) -> bytes:
@@ -302,16 +323,3 @@ def triggered_test_set(dataset: Dataset, spec: BackdoorSpec) -> Dataset:
         features[:, columns] = spec.trigger_value
     labels = np.full(len(dataset), spec.target_label, dtype=np.int64)
     return Dataset(features, labels, dataset.class_count)
-
-
-def split_shards(
-    dataset: Dataset, plan: PartitionPlan
-) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Materialize per-participant (features, labels) pairs."""
-    return {
-        pid: (
-            dataset.features[plan.assignment[pid]],
-            dataset.labels[plan.assignment[pid]],
-        )
-        for pid in plan.participants()
-    }

@@ -22,6 +22,7 @@ from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .datasets import Dataset
 from .estimators import (
     ApproxParams,
     group_testing_round,
@@ -50,8 +51,6 @@ from .values import (
 SNAPSHOT_MAGIC = b"FEDVALRND1\n"
 
 VALUATION_METHODS = ("exact", "permutation", "group_testing", "loo", "random")
-
-Shard = tuple[np.ndarray, np.ndarray]
 
 
 class TrainingError(RuntimeError):
@@ -127,42 +126,45 @@ def initial_model(cfg: TrainingConfig) -> np.ndarray:
 def _lockstep_sgd(
     thetas: np.ndarray,
     owners: Sequence[int],
-    shards: Sequence[Shard],
+    features: np.ndarray,
+    labels: np.ndarray,
+    shards: Sequence[np.ndarray],
     rngs: Sequence[np.random.Generator],
     cfg: TrainingConfig,
     round_index: int,
 ) -> np.ndarray:
-    """Local mini-batch SGD of k parameter rows over g equal-sized shards.
+    """Local mini-batch SGD of k parameter rows over g equal-sized shards,
+    each an array of row indices into ``features`` and ``labels``.
 
     Row i starts from ``thetas[i]`` and trains on ``shards[owners[i]]``;
-    ``thetas`` is updated in place and returned. Shard j draws its
-    per-epoch orders from ``rngs[j]`` once, and every row it owns shares
-    those orders and one gathered minibatch. The rows share a step
-    schedule, so each step stacks every row's minibatch into one (k, b, d)
-    array and takes one stacked gradient step. Features are gathered into
-    reused buffers, never stacked for whole shards; the (g, n) labels are
-    permuted once per epoch.
+    ``thetas`` is updated in place and returned. Shard j composes each
+    per-epoch order it draws from ``rngs[j]`` with its indices once, and
+    every row it owns shares those orders and one gathered minibatch. The
+    rows share a step schedule, so each step stacks every row's minibatch
+    into one (k, b, d) array and takes one stacked gradient step. Features
+    are gathered through the composed orders into reused buffers, never
+    copied for whole shards; the (g, n) labels once per epoch.
     """
     k, g = len(owners), len(shards)
-    n, width = shards[0][0].shape
+    n, width = len(shards[0]), features.shape[1]
     if n == 0:
         raise ValueError("refusing to train on an empty shard")
     rate = cfg.learning_rate * cfg.lr_decay**round_index
     batch = min(cfg.batch_size, n)
-    gathered = np.empty((g, batch, width), shards[0][0].dtype)
+    gathered = np.empty((g, batch, width), features.dtype)
     # Owners are numbered by first appearance, so k == g means one row each.
     rows = gathered if k == g else np.empty((k, batch, width), gathered.dtype)
     for _ in range(cfg.local_epochs):
-        orders = [rng.permutation(n) for rng in rngs]
-        labels = np.stack([y[order] for (_, y), order in zip(shards, orders)])[owners]
+        orders = [idx[rng.permutation(n)] for idx, rng in zip(shards, rngs)]
+        epoch_labels = np.stack([labels[order] for order in orders])[owners]
         for start in range(0, n, cfg.batch_size):
             stop = min(start + cfg.batch_size, n)
-            for buffer, (x, _), order in zip(gathered, shards, orders):
-                buffer[: stop - start] = x[order[start:stop]]
+            for buffer, order in zip(gathered, orders):
+                buffer[: stop - start] = features[order[start:stop]]
             if k != g:
                 np.take(gathered[:, : stop - start], owners, axis=0, out=rows[:, : stop - start])
             _, grads = loss_and_gradient(
-                cfg.layout, thetas, rows[:, : stop - start], labels[:, start:stop]
+                cfg.layout, thetas, rows[:, : stop - start], epoch_labels[:, start:stop]
             )
             thetas -= rate * grads
     return thetas
@@ -171,7 +173,8 @@ def _lockstep_sgd(
 def _train_jobs(
     starts: np.ndarray,
     jobs: Sequence[tuple[int, int]],
-    shards: Mapping[int, Shard],
+    data: Dataset,
+    shards: Mapping[int, np.ndarray],
     cfg: TrainingConfig,
     round_index: int,
 ) -> np.ndarray:
@@ -180,12 +183,12 @@ def _train_jobs(
 
     Participant ``pid`` draws from ``substream(seed, "local", round_index,
     pid)``, so its update depends only on its incoming model. Jobs whose
-    shards have equal sizes run the same step schedule and train in
-    lockstep.
+    shards (row indices into ``data``) have equal sizes run the same step
+    schedule and train in lockstep.
     """
     groups: dict[int, list[int]] = {}
     for i, (_, pid) in enumerate(jobs):
-        groups.setdefault(shards[pid][0].shape[0], []).append(i)
+        groups.setdefault(len(shards[pid]), []).append(i)
     trained = np.empty((len(jobs), starts.shape[1]))
     for group in groups.values():
         pids = list(dict.fromkeys(jobs[i][1] for i in group))
@@ -193,6 +196,8 @@ def _train_jobs(
         trained[group] = _lockstep_sgd(
             starts[[jobs[i][0] for i in group]],
             [owner[jobs[i][1]] for i in group],
+            data.features,
+            data.labels,
             [shards[pid] for pid in pids],
             [substream(cfg.seed, "local", round_index, pid) for pid in pids],
             cfg,
@@ -221,14 +226,16 @@ def participant_update(
     """Local mini-batch SGD from the global model on one shard, drawing
     its epoch orders from ``rng``."""
     start = np.array(global_params, dtype=np.float64)[None]
-    theta = _lockstep_sgd(start, [0], [(features, labels)], [rng], cfg, round_index)[0]
+    rows = np.arange(len(labels))
+    theta = _lockstep_sgd(start, [0], features, labels, [rows], [rng], cfg, round_index)[0]
     _check_finite(theta, round_index, participant_id)
     return theta
 
 
 def train_round(
     global_params: np.ndarray,
-    shards: Mapping[int, Shard],
+    data: Dataset,
+    shards: Mapping[int, np.ndarray],
     participants: Sequence[int],
     cfg: TrainingConfig,
     round_index: int,
@@ -238,7 +245,7 @@ def train_round(
     the first diverging participant in the given order.
     """
     start = np.asarray(global_params, dtype=np.float64)[None]
-    thetas = _train_jobs(start, [(0, pid) for pid in participants], shards, cfg, round_index)
+    thetas = _train_jobs(start, [(0, pid) for pid in participants], data, shards, cfg, round_index)
     for pid, theta in zip(participants, thetas):
         _check_finite(theta, round_index, pid)
     return dict(zip(participants, thetas))
@@ -471,7 +478,8 @@ def value_rounds(
 
 
 def run_federated_training(
-    shards: Mapping[int, Shard],
+    data: Dataset,
+    shards: Mapping[int, np.ndarray],
     cfg: TrainingConfig,
     *,
     snapshot_dir: str | Path | None = None,
@@ -479,7 +487,8 @@ def run_federated_training(
     """Run the full federated process and return its round records; the
     final model is the last record's ``global_after``.
 
-    The trajectory depends only on the shards, the config and its seed.
+    Participant ``pid`` trains on the rows ``shards[pid]`` of ``data``.
+    The trajectory depends only on those rows, the config and its seed.
     With a ``snapshot_dir``, each round is persisted as it completes, so a
     training failure leaves the finished rounds on disk.
     """
@@ -492,7 +501,7 @@ def run_federated_training(
     for t in range(cfg.rounds):
         chosen = substream(cfg.seed, "select", t).choice(len(ids), size=m, replace=False)
         selected = tuple(sorted(ids[j] for j in chosen))
-        updates = train_round(theta, shards, selected, cfg, t)
+        updates = train_round(theta, data, shards, selected, cfg, t)
         after = np.mean([updates[pid] for pid in selected], axis=0)
         record = RoundRecord(t, theta.copy(), selected, updates, after.copy())
         records.append(record)
@@ -534,7 +543,8 @@ def _retained(keep: KeepRule, t: int, selected: tuple[int, ...]) -> tuple[int, .
 def _advance_grid(
     models: list[np.ndarray | None],
     children: Sequence[tuple[int, tuple[int, ...]]],
-    shards: Mapping[int, Shard],
+    data: Dataset,
+    shards: Mapping[int, np.ndarray],
     cfg: TrainingConfig,
     t: int,
     selected_count: int,
@@ -561,7 +571,7 @@ def _advance_grid(
             for i, parent in enumerate(batch)
             for pid in sorted({pid for c in by_parent[parent] for pid in children[c][1]})
         ]
-        trained = _train_jobs(np.stack([models[p] for p in batch]), jobs, shards, cfg, t)
+        trained = _train_jobs(np.stack([models[p] for p in batch]), jobs, data, shards, cfg, t)
         row_of = {job: row for row, job in enumerate(jobs)}
         for i, parent in enumerate(batch):
             for c in by_parent[parent]:
@@ -574,7 +584,8 @@ def _advance_grid(
 
 
 def rerun_with_selections(
-    shards: Mapping[int, Shard],
+    data: Dataset,
+    shards: Mapping[int, np.ndarray],
     cfg: TrainingConfig,
     selections: Sequence[Sequence[int]],
     keeps: Sequence[KeepRule],
@@ -603,7 +614,7 @@ def rerun_with_selections(
         children: dict[tuple[int, tuple[int, ...]], int] = {}
         for r, plan in enumerate(plans):
             model_of[r] = children.setdefault((model_of[r], plan[t]), len(children))
-        models = _advance_grid(models, list(children), shards, cfg, t, len(rounds[t]))
+        models = _advance_grid(models, list(children), data, shards, cfg, t, len(rounds[t]))
     return [models[i] for i in model_of]
 
 
@@ -779,11 +790,14 @@ def load_round_records(directory: str | Path) -> tuple[list[RoundRecord], ModelL
     return records, layout
 
 
-def check_initial_model(records: Sequence[RoundRecord], cfg: TrainingConfig) -> None:
-    """Refuse records whose round 0 does not start from ``cfg``'s initial
-    model, so that replaying them under ``cfg`` values the run it trains."""
+def check_initial_model(
+    records: Sequence[RoundRecord], cfg: TrainingConfig, directory: str | Path
+) -> None:
+    """Refuse records from ``directory`` whose round 0 does not start from
+    ``cfg``'s initial model, so that replaying them under ``cfg`` values the run it trains."""
     if not _bitwise_equal(records[0].global_before, initial_model(cfg)):
         raise SnapshotFormatError(
-            f"{snapshot_name(0)}: incoming model is not the initial model of the "
-            f"configured seed and init_scale; the snapshots come from another run"
+            f"{Path(directory) / snapshot_name(0)}: incoming model is not the initial "
+            f"model of the configured seed and init_scale; the snapshots come from "
+            f"another run"
         )

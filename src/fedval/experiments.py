@@ -31,7 +31,6 @@ from .datasets import (
     load_idx,
     partition_iid,
     partition_noniid_shards,
-    split_shards,
     synth_blobs,
     triggered_test_set,
 )
@@ -88,33 +87,35 @@ def detection_curve(
 
 @dataclass
 class PreparedExperiment:
-    """Everything derived from a config before training starts."""
+    """Everything derived from a config before training starts.
+
+    A participant's shard is its rows ``plan.assignment[pid]`` of the one
+    (corrupted) ``train`` set, never a copy; ``train`` and ``validation``
+    are separate arrays, so neither keeps the other alive.
+    """
 
     layout: ModelLayout
     training: TrainingConfig
+    train: Dataset
     validation: Dataset
     plan: PartitionPlan
-    shards: dict[int, tuple[np.ndarray, np.ndarray]]
     affected: tuple[int, ...]
     triggered: Dataset | None
+
+
+def _draw_blobs(cfg: ExperimentConfig, spec: BlobsSpec, **part: int):
+    # One draw for both splits, training rows first, so they share the
+    # same class geometry.
+    return synth_blobs(
+        spec.samples + spec.validation_samples, spec.features, spec.classes,
+        spec.separation, substream(cfg.seed, "data"), **part,
+    )
 
 
 def _build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
     spec = cfg.dataset
     if isinstance(spec, BlobsSpec):
-        # One draw for both splits so they share the same class geometry.
-        full = synth_blobs(
-            spec.samples + spec.validation_samples,
-            spec.features, spec.classes, spec.separation,
-            substream(cfg.seed, "data"),
-        )
-        train = Dataset(
-            full.features[: spec.samples], full.labels[: spec.samples], full.class_count
-        )
-        validation = Dataset(
-            full.features[spec.samples :], full.labels[spec.samples :], full.class_count
-        )
-        return train, validation
+        return _draw_blobs(cfg, spec, split=spec.samples)
     assert isinstance(spec, IdxSpec)
     full = load_idx(spec.images, spec.labels, class_count=spec.class_count)
     order = substream(cfg.seed, "data").permutation(len(full))
@@ -166,7 +167,11 @@ def _layout(cfg: ExperimentConfig, train: Dataset) -> ModelLayout:
 
 def prepare_validation(cfg: ExperimentConfig) -> tuple[ModelLayout, Dataset]:
     """The model layout and validation set of a config, for valuing recorded
-    rounds: no partition, corruption or shard split."""
+    rounds: no partition or corruption. A blobs config's training rows are
+    drawn and dropped chunk by chunk, so only the validation rows are held."""
+    if isinstance(cfg.dataset, BlobsSpec):
+        validation = _draw_blobs(cfg, cfg.dataset, skip=cfg.dataset.samples)
+        return _layout(cfg, validation), validation
     train, validation = _build_datasets(cfg)
     return _layout(cfg, train), validation
 
@@ -209,9 +214,9 @@ def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
     return PreparedExperiment(
         layout=layout,
         training=cfg.training.to_training_config(layout, cfg.seed),
+        train=train,
         validation=validation,
         plan=plan,
-        shards=split_shards(train, plan),
         affected=affected,
         triggered=triggered,
     )
@@ -234,7 +239,7 @@ def load_recorded_run(
                 f"{Path(snapshots) / snapshot_name(record.round_index)}: participant "
                 f"{stray[0]} is not one of the configured ids 0..{participants - 1}"
             )
-    check_initial_model(records, cfg.training.to_training_config(layout, cfg.seed))
+    check_initial_model(records, cfg.training.to_training_config(layout, cfg.seed), snapshots)
     return records
 
 
@@ -272,7 +277,7 @@ def _shapley_and_loo(
 def _run_detection(cfg: ExperimentConfig) -> DetectionOutcome:
     prepared = prepare_experiment(cfg)
     validation = prepared.validation
-    records = run_federated_training(prepared.shards, prepared.training)
+    records = run_federated_training(prepared.train, prepared.plan.assignment, prepared.training)
     sv_report, loo_report = _shapley_and_loo(cfg, prepared.layout, records, validation)
     universe = prepared.plan.participants()
     reports = {
@@ -371,9 +376,10 @@ def run_summarization(
     directory to reuse a persisted run instead of training it.
     """
     prepared = prepare_experiment(cfg)
+    shards = prepared.plan.assignment
     validation = (prepared.validation.features, prepared.validation.labels)
     if snapshots is None:
-        records = run_federated_training(prepared.shards, prepared.training)
+        records = run_federated_training(prepared.train, shards, prepared.training)
     else:
         records = load_recorded_run(cfg, snapshots, prepared.layout)
     sv_report, loo_report = _shapley_and_loo(
@@ -394,7 +400,7 @@ def run_summarization(
         keeps += [_keep_lowest_dropped(vector, fraction) for vector in totals.values()]
         keeps += [_keep_random_dropped(cfg.seed, repeat, fraction) for repeat in range(repeats)]
     # One lockstep grid of every replay; final models come back in rule order.
-    finals = rerun_with_selections(prepared.shards, prepared.training, selections, keeps)
+    finals = rerun_with_selections(prepared.train, shards, prepared.training, selections, keeps)
     scores = iter([evaluate_utility(prepared.layout, params, *validation) for params in finals])
     accuracy: dict[str, list[float]] = {name: [] for name in (*totals, "random")}
     for _ in fractions:

@@ -29,6 +29,39 @@ def mean_label_entropy(dataset: Dataset, plan: PartitionPlan) -> float:
     return float(np.mean(entropies))
 
 
+def reference_blobs(
+    samples: int, features: int, class_count: int, separation: float, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Independent oracle for ``synth_blobs``: every row's center plus the
+    noise, drawn in one shot from the same generator."""
+    rng = np.random.default_rng(seed)
+    directions = rng.normal(size=(class_count, features))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    labels = np.arange(samples) % class_count
+    return (separation * directions)[labels] + rng.normal(size=(samples, features)), labels
+
+
+def index_shards(
+    parts: Mapping[int, tuple[np.ndarray, np.ndarray]],
+    class_count: int,
+    rng: np.random.Generator,
+) -> tuple[Dataset, dict[int, np.ndarray]]:
+    """One training set holding every participant's (features, labels)
+    rows at shuffled positions, and each participant's shard as its row
+    indices into it, in the participant's row order."""
+    ids = list(parts)
+    positions = rng.permutation(sum(len(parts[pid][1]) for pid in ids))
+    shards, start = {}, 0
+    for pid in ids:
+        shards[pid] = positions[start : start + len(parts[pid][1])]
+        start += len(shards[pid])
+    features = np.empty((len(positions), parts[ids[0]][0].shape[1]))
+    labels = np.empty(len(positions), dtype=np.int64)
+    for pid in ids:
+        features[shards[pid]], labels[shards[pid]] = parts[pid]
+    return Dataset(features, labels, class_count), shards
+
+
 def random_process(
     rng: np.random.Generator, max_players: int = 6, max_rounds: int = 3
 ) -> TableGame:

@@ -407,7 +407,9 @@ def test_criterion_11_round_norm_decay():
         doc["seed"] = seed
         cfg = config_from_dict(doc)
         prepared = prepare_experiment(cfg)
-        records = run_federated_training(prepared.shards, prepared.training)
+        records = run_federated_training(
+            prepared.train, prepared.plan.assignment, prepared.training
+        )
         oracle = RoundOracle(
             prepared.layout, records, prepared.validation.features, prepared.validation.labels
         )

@@ -1,9 +1,15 @@
 import gzip
 import struct
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fedval import datasets
+from fedval.config import config_from_dict
 from fedval.datasets import (
     BackdoorSpec,
     Dataset,
@@ -14,14 +20,15 @@ from fedval.datasets import (
     load_idx,
     partition_iid,
     partition_noniid_shards,
-    split_shards,
     synth_blobs,
     triggered_test_set,
 )
-from fedval.engine import TrainingConfig, participant_update
+from fedval.engine import TrainingConfig, participant_update, train_round
+from fedval.experiments import prepare_experiment, prepare_validation
 from fedval.models import ModelLayout, accuracy
+from fedval.seeding import substream
 
-from conftest import mean_label_entropy
+from conftest import mean_label_entropy, reference_blobs
 
 
 def write_idx_pair(tmp_path, images, labels, *, gz=False, image_magic=2051, label_magic=2049):
@@ -83,11 +90,7 @@ class TestBlobs:
     def test_matches_centers_plus_noise(self, samples, classes):
         """Bitwise the sum of each label's center and the noise, drawn from
         the same generator."""
-        rng = np.random.default_rng(5)
-        directions = rng.normal(size=(classes, 6))
-        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-        labels = np.arange(samples) % classes
-        expected = (2.5 * directions)[labels] + rng.normal(size=(samples, 6))
+        expected, labels = reference_blobs(samples, 6, classes, 2.5, 5)
         data = synth_blobs(samples, 6, classes, 2.5, 5)
         assert data.features.tobytes() == expected.tobytes()
         assert np.array_equal(data.labels, labels)
@@ -95,6 +98,107 @@ class TestBlobs:
     def test_rejects_fewer_samples_than_classes(self):
         with pytest.raises(ValueError):
             synth_blobs(2, 4, 3, 1.0, 0)
+
+    @pytest.mark.parametrize("skip, split", [(-1, None), (9, None), (0, 0), (3, 2), (0, 9)])
+    def test_refuses_an_empty_part(self, skip, split):
+        with pytest.raises(ValueError):
+            synth_blobs(9, 4, 3, 1.0, 0, skip=skip, split=split)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    samples=st.integers(2, 61),
+    features=st.integers(1, 9),
+    classes=st.integers(2, 7),
+    cut=st.data(),
+    # 0 draws one row per chunk; 24 bytes three 1-feature rows.
+    chunk_bytes=st.sampled_from([0, 24, datasets._CHUNK_BYTES]),
+    seed=st.integers(0, 2**16),
+)
+def test_chunked_blobs_equal_one_draw(samples, features, classes, cut, chunk_bytes, seed):
+    samples = max(samples, classes)
+    skip = cut.draw(st.integers(0, samples - 1), label="skip")
+    splits = st.none() if skip + 1 == samples else st.none() | st.integers(skip + 1, samples - 1)
+    split = cut.draw(splits, label="split")
+    expected, labels = reference_blobs(samples, features, classes, 1.7, seed)
+    with mock.patch.object(datasets, "_CHUNK_BYTES", chunk_bytes):
+        drawn = synth_blobs(samples, features, classes, 1.7, seed, skip=skip, split=split)
+    parts = [drawn] if split is None else list(drawn)
+    bounds = [skip, samples] if split is None else [skip, split, samples]
+    for part, lo, hi in zip(parts, bounds, bounds[1:]):
+        assert part.class_count == classes
+        assert (part.features == expected[lo:hi]).all()
+        assert part.features.tobytes() == expected[lo:hi].tobytes()
+        assert (part.labels == labels[lo:hi]).all()
+    if split is not None:
+        # Separate arrays, so one split never keeps the other alive.
+        assert not np.shares_memory(parts[0].features, parts[1].features)
+
+
+def blobs_config(samples, features, classes, validation_samples):
+    return config_from_dict({
+        "seed": 13,
+        "dataset": {
+            "kind": "blobs", "samples": samples, "features": features,
+            "classes": classes, "separation": 2.0,
+            "validation_samples": validation_samples,
+        },
+        "partition": {"mode": "iid", "participants": 5},
+        "corruption": {"kind": "label_flip", "flip_ratio": 0.5, "affected_count": 2},
+        "training": {
+            "rounds": 1, "participant_fraction": 0.4, "local_epochs": 1,
+            "batch_size": 8, "learning_rate": 0.5, "model": "logistic",
+        },
+        "valuation": {"method": "exact"},
+    })
+
+
+@pytest.mark.parametrize("chunk_bytes", [0, datasets._CHUNK_BYTES])
+def test_replay_validation_equals_the_prepared_split(chunk_bytes):
+    # 203 training rows skip a count that 4 classes do not divide.
+    cfg = blobs_config(203, 7, 4, 61)
+    with mock.patch.object(datasets, "_CHUNK_BYTES", chunk_bytes):
+        _, validation = prepare_validation(cfg)
+        prepared = prepare_experiment(cfg)
+    assert validation.features.tobytes() == prepared.validation.features.tobytes()
+    assert validation.labels.tobytes() == prepared.validation.labels.tobytes()
+    assert prepared.train.features.shape == (203, 7) and validation.features.shape == (61, 7)
+
+
+def traced_peak(fn):
+    """The result of ``fn()`` and the peak bytes it allocated beyond what
+    was allocated when it started, as tracemalloc (which numpy reports its
+    array buffers to) saw them. A first, untraced call pays for one-time
+    imports and caches."""
+    fn()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBound:
+    """A 784-feature draw holds only the rows it keeps."""
+
+    CFG = blobs_config(3000, 784, 10, 600)
+
+    def test_prepared_experiment_holds_train_and_validation_once(self):
+        prepared, peak = traced_peak(lambda: prepare_experiment(self.CFG))
+        kept = sum(
+            array.nbytes
+            for data in (prepared.train, prepared.validation)
+            for array in (data.features, data.labels)
+        )
+        assert peak <= 1.10 * kept
+
+    def test_replay_validation_holds_only_validation_rows(self):
+        (_, validation), peak = traced_peak(lambda: prepare_validation(self.CFG))
+        assert validation.features.shape == (600, 784)
+        kept = validation.features.nbytes + validation.labels.nbytes
+        assert peak < kept + 2 * datasets._CHUNK_BYTES
 
 
 class TestIdxLoader:
@@ -328,10 +432,22 @@ class TestBackdoor:
             implant_backdoor(data, plan, spec, 1)
 
 
-class TestSplitShards:
-    def test_shapes_align_with_plan(self):
-        data = synth_blobs(60, 3, 3, 1.0, 0)
+class TestIndexShards:
+    def test_index_shards_cover_the_plan_and_train_like_copied_rows(self):
+        data = synth_blobs(62, 3, 3, 1.0, 0)
         plan = partition_iid(data, 6, 0)
-        shards = split_shards(data, plan)
-        for pid, (features, labels) in shards.items():
-            assert features.shape[0] == labels.shape[0] == len(plan.assignment[pid])
+        pids = plan.participants()
+        rows = np.concatenate([plan.assignment[pid] for pid in pids])
+        assert np.array_equal(np.sort(rows), np.arange(len(data)))
+        # Shards of 11 and 10 rows train in two lockstep groups.
+        layout = ModelLayout("logistic", 3, 3)
+        cfg = TrainingConfig(layout, 1, 1.0, 2, 4, 0.5, seed=3)
+        theta = np.linspace(-1.0, 1.0, layout.param_count)
+        updates = train_round(theta, data, plan.assignment, pids, cfg, 0)
+        for pid in pids:
+            shard = plan.assignment[pid]
+            copied = participant_update(
+                theta, data.features[shard].copy(), data.labels[shard].copy(), cfg,
+                substream(cfg.seed, "local", 0, pid),
+            )
+            assert updates[pid].tobytes() == copied.tobytes()

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedval.datasets import partition_iid, split_shards, synth_blobs
+from fedval.datasets import Dataset, partition_iid, synth_blobs
 from fedval.engine import (
     HistoryMismatchError,
     RoundOracle,
@@ -26,16 +26,14 @@ from fedval.estimators import ApproxParams, permutation_sampling_round
 from fedval.models import ModelLayout, loss_and_gradient
 from fedval.values import exact_federated_round_shapley, value_record_lines
 
+from conftest import index_shards
+
 
 def small_setup(seed=7, participants=6, classes=3, samples=480):
     data = synth_blobs(samples + 240, 5, classes, 3.0, seed)
-    train_X, train_y = data.features[:samples], data.labels[:samples]
+    train = Dataset(data.features[:samples], data.labels[:samples], classes)
     val = (data.features[samples:], data.labels[samples:])
-    from fedval.datasets import Dataset
-
-    train = Dataset(train_X, train_y, classes)
-    plan = partition_iid(train, participants, seed + 1)
-    shards = split_shards(train, plan)
+    shards = partition_iid(train, participants, seed + 1).assignment
     layout = ModelLayout("logistic", 5, classes)
     cfg = TrainingConfig(
         layout=layout,
@@ -46,7 +44,7 @@ def small_setup(seed=7, participants=6, classes=3, samples=480):
         learning_rate=0.5,
         seed=seed,
     )
-    return layout, cfg, shards, val
+    return layout, cfg, train, shards, val
 
 
 class TestConfigAndSelection:
@@ -145,25 +143,31 @@ class TestTrainRound:
         labels = rng.integers(0, 2, size=8)
         # Equal shard sizes, so both train in one lockstep group; only
         # participant 5's features overflow the logits.
-        shards = {
-            3: (rng.normal(size=(8, 4)), labels),
-            5: (rng.normal(size=(8, 4)) * 1e308, labels),
-        }
+        data, shards = index_shards(
+            {3: (rng.normal(size=(8, 4)), labels), 5: (rng.normal(size=(8, 4)), labels)}, 2, rng
+        )
+        data.features[shards[5]] *= 1e308
         with pytest.raises(TrainingError, match=r"round 4, participant 5$"):
-            train_round(np.zeros(layout.param_count), shards, (3, 5), cfg, 4)
-        update = train_round(np.zeros(layout.param_count), shards, (3,), cfg, 4)[3]
+            train_round(np.zeros(layout.param_count), data, shards, (3, 5), cfg, 4)
+        update = train_round(np.zeros(layout.param_count), data, shards, (3,), cfg, 4)[3]
         assert np.isfinite(update).all()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_first_diverging_participant_in_id_order_is_named(self, rng):
         layout = ModelLayout("logistic", 4, 2)
         cfg = TrainingConfig(layout, 1, 1.0, 1, 4, 0.5, seed=3)
-        shards = {
-            pid: (rng.normal(size=(size, 4)) * scale, rng.integers(0, 2, size=size))
-            for pid, size, scale in ((1, 8, 1.0), (2, 6, 1e308), (4, 8, 1e308))
-        }
+        data, shards = index_shards(
+            {
+                pid: (rng.normal(size=(size, 4)), rng.integers(0, 2, size=size))
+                for pid, size in ((1, 8), (2, 6), (4, 8))
+            },
+            2,
+            rng,
+        )
+        for pid in (2, 4):
+            data.features[shards[pid]] *= 1e308
         with pytest.raises(TrainingError, match=r"participant 2$"):
-            train_round(np.zeros(layout.param_count), shards, (1, 2, 4), cfg, 0)
+            train_round(np.zeros(layout.param_count), data, shards, (1, 2, 4), cfg, 0)
 
 
 class TestAggregation:
@@ -236,8 +240,8 @@ class TestUtility:
 
 class TestRoundOracle:
     def test_full_and_empty_blocks(self):
-        layout, cfg, shards, val = small_setup()
-        records = run_federated_training(shards, cfg)
+        layout, cfg, train, shards, val = small_setup()
+        records = run_federated_training(train, shards, cfg)
         oracle = RoundOracle(layout, records, *val)
         record = records[1]
         full = oracle.evaluate(1, (1 << len(record.selected)) - 1)
@@ -249,8 +253,8 @@ class TestRoundOracle:
         )
 
     def test_matches_direct_composition(self, rng):
-        layout, cfg, shards, val = small_setup()
-        records = run_federated_training(shards, cfg)
+        layout, cfg, train, shards, val = small_setup()
+        records = run_federated_training(train, shards, cfg)
         oracle = RoundOracle(layout, records, *val)
         record = records[2]
         ids = sorted(record.selected)
@@ -264,8 +268,8 @@ class TestRoundOracle:
             assert oracle.evaluate(2, mask) == expected
 
     def test_unrealized_history_rejected(self):
-        layout, cfg, shards, val = small_setup()
-        records = run_federated_training(shards, cfg)
+        layout, cfg, train, shards, val = small_setup()
+        records = run_federated_training(train, shards, cfg)
         oracle = RoundOracle(layout, records, *val)
         beyond = len(records)
         with pytest.raises(HistoryMismatchError, match=f"round {beyond} was not recorded"):
@@ -274,8 +278,8 @@ class TestRoundOracle:
             oracle.evaluate(-1, 0)
 
     def test_stray_participant_rejected(self):
-        layout, cfg, shards, val = small_setup()
-        records = run_federated_training(shards, cfg)
+        layout, cfg, train, shards, val = small_setup()
+        records = run_federated_training(train, shards, cfg)
         oracle = RoundOracle(layout, records, *val)
         m = len(records[0].selected)
         for mask in (1 << m, -1):
@@ -309,11 +313,11 @@ class TestRoundOracle:
 
 
 def recorded_run(arch):
-    layout, cfg, shards, val = small_setup()
+    layout, cfg, train, shards, val = small_setup()
     if arch == "mlp":
         layout = ModelLayout("mlp", 5, 3, hidden_units=4)
         cfg = replace(cfg, layout=layout, init_scale=0.1)
-    return layout, cfg, run_federated_training(shards, cfg), val
+    return layout, cfg, run_federated_training(train, shards, cfg), val
 
 
 class TestSharedOracle:
@@ -352,27 +356,24 @@ class TestSharedOracle:
 
 class TestFederatedTraining:
     def test_single_round_exact_composition(self):
-        layout, cfg, shards, val = small_setup()
+        layout, cfg, train, shards, val = small_setup()
         cfg = TrainingConfig(
             layout=layout, rounds=1, participant_fraction=1.0, local_epochs=1,
             batch_size=16, learning_rate=0.5, seed=3,
         )
-        records = run_federated_training(shards, cfg)
+        records = run_federated_training(train, shards, cfg)
         report = value_rounds(RoundOracle(layout, records, *val), "exact", seed=cfg.seed)
         direct = exact_federated_round_shapley(RoundOracle(layout, records, *val), 0)
         assert report.per_round[0].values == direct.values
 
     def test_telescoping_total(self):
         data = synth_blobs(700, 5, 3, 3.0, 21)
-        from fedval.datasets import Dataset
-
         train = Dataset(data.features[:500], data.labels[:500], 3)
         val = (data.features[500:], data.labels[500:])
-        plan = partition_iid(train, 10, 22)
-        shards = split_shards(train, plan)
+        shards = partition_iid(train, 10, 22).assignment
         layout = ModelLayout("logistic", 5, 3)
         cfg = TrainingConfig(layout, 3, 0.3, 1, 16, 0.5, seed=23)
-        records = run_federated_training(shards, cfg)
+        records = run_federated_training(train, shards, cfg)
         oracle = RoundOracle(layout, records, *val)
         report = value_rounds(oracle, "exact", seed=cfg.seed)
         total = sum(report.total.values.values())
@@ -381,8 +382,8 @@ class TestFederatedTraining:
         assert abs(total - (final - report.initial_utility)) <= 1e-9
 
     def test_fedavg_consistency(self):
-        layout, cfg, shards, val = small_setup()
-        for record in run_federated_training(shards, cfg):
+        layout, cfg, train, shards, val = small_setup()
+        for record in run_federated_training(train, shards, cfg):
             recomputed = np.mean([record.updates[p] for p in record.selected], axis=0)
             assert np.abs(recomputed - record.global_after).max() <= 1e-9
             assert len(record.selected) == round_size(
@@ -390,9 +391,9 @@ class TestFederatedTraining:
             )
 
     def test_seed_determinism_end_to_end(self):
-        layout, cfg, shards, val = small_setup()
-        first = run_federated_training(shards, cfg)
-        second = run_federated_training(shards, cfg)
+        layout, cfg, train, shards, val = small_setup()
+        first = run_federated_training(train, shards, cfg)
+        second = run_federated_training(train, shards, cfg)
         for a, b in zip(first, second):
             assert a.selected == b.selected
             assert np.array_equal(a.global_before, b.global_before)
@@ -401,27 +402,27 @@ class TestFederatedTraining:
                 assert np.array_equal(a.updates[pid], b.updates[pid])
 
     def test_estimator_methods_run(self):
-        layout, cfg, shards, val = small_setup()
+        layout, cfg, train, shards, val = small_setup()
         approx = ApproxParams(epsilon=0.3, delta=0.3)
-        oracle = RoundOracle(layout, run_federated_training(shards, cfg), *val)
+        oracle = RoundOracle(layout, run_federated_training(train, shards, cfg), *val)
         for method in ("permutation", "group_testing"):
             report = value_rounds(oracle, method, approx=approx, seed=cfg.seed)
             assert len(report.per_round) == cfg.rounds
 
     def test_missing_approx_rejected(self):
-        layout, cfg, shards, val = small_setup()
-        oracle = RoundOracle(layout, run_federated_training(shards, cfg), *val)
+        layout, cfg, train, shards, val = small_setup()
+        oracle = RoundOracle(layout, run_federated_training(train, shards, cfg), *val)
         with pytest.raises(ValueError, match="approximation parameters"):
             value_rounds(oracle, "permutation", seed=cfg.seed)
 
     def test_single_participant_round_group_testing_falls_back(self):
-        layout, cfg, shards, val = small_setup(participants=3)
+        layout, cfg, train, shards, val = small_setup(participants=3)
         cfg = TrainingConfig(
             layout=layout, rounds=2, participant_fraction=0.1, local_epochs=1,
             batch_size=16, learning_rate=0.5, seed=4,
         )
         approx = ApproxParams(epsilon=0.3, delta=0.3)
-        oracle = RoundOracle(layout, run_federated_training(shards, cfg), *val)
+        oracle = RoundOracle(layout, run_federated_training(train, shards, cfg), *val)
         estimated = value_rounds(oracle, "group_testing", approx=approx, seed=cfg.seed)
         loo = value_rounds(oracle, "loo", seed=cfg.seed)
         for round_est, round_loo in zip(estimated.per_round, loo.per_round):
@@ -430,49 +431,49 @@ class TestFederatedTraining:
 
 class TestReplay:
     def test_rerun_reproduces_final_params(self):
-        layout, cfg, shards, val = small_setup()
-        records = run_federated_training(shards, cfg)
+        layout, cfg, train, shards, val = small_setup()
+        records = run_federated_training(train, shards, cfg)
         selections = [record.selected for record in records]
-        [replayed] = rerun_with_selections(shards, cfg, selections, [lambda t, sel: sel])
+        [replayed] = rerun_with_selections(train, shards, cfg, selections, [lambda t, sel: sel])
         assert np.array_equal(replayed, records[-1].global_after)
 
     def test_dismissal_changes_trajectory(self):
-        layout, cfg, shards, val = small_setup()
-        records = run_federated_training(shards, cfg)
+        layout, cfg, train, shards, val = small_setup()
+        records = run_federated_training(train, shards, cfg)
         selections = [record.selected for record in records]
-        [dropped] = rerun_with_selections(shards, cfg, selections, [lambda t, sel: sel[1:]])
+        [dropped] = rerun_with_selections(train, shards, cfg, selections, [lambda t, sel: sel[1:]])
         assert not np.array_equal(dropped, records[-1].global_after)
 
     def test_empty_retention_rejected(self):
-        layout, cfg, shards, val = small_setup()
-        selections = [record.selected for record in run_federated_training(shards, cfg)]
+        layout, cfg, train, shards, val = small_setup()
+        selections = [record.selected for record in run_federated_training(train, shards, cfg)]
         with pytest.raises(ValueError, match="retain no participants"):
-            rerun_with_selections(shards, cfg, selections, [lambda t, sel: ()])
+            rerun_with_selections(train, shards, cfg, selections, [lambda t, sel: ()])
 
 
 class TestPartialProgress:
     def test_training_failure_persists_completed_rounds(self, tmp_path, monkeypatch):
         import fedval.engine as engine_module
 
-        layout, cfg, shards, val = small_setup()
+        layout, cfg, train, shards, val = small_setup()
         real_round = engine_module.train_round
 
-        def failing_round(global_params, shards, participants, cfg, round_index):
+        def failing_round(global_params, data, shards, participants, cfg, round_index):
             if round_index == 2:
                 raise TrainingError("training diverged at round 2, participant 0")
-            return real_round(global_params, shards, participants, cfg, round_index)
+            return real_round(global_params, data, shards, participants, cfg, round_index)
 
         monkeypatch.setattr(engine_module, "train_round", failing_round)
         with pytest.raises(TrainingError):
-            run_federated_training(shards, cfg, snapshot_dir=tmp_path / "rounds")
+            run_federated_training(train, shards, cfg, snapshot_dir=tmp_path / "rounds")
         records, _ = load_round_records(tmp_path / "rounds")
         assert [r.round_index for r in records] == [0, 1]
 
 
 class TestSnapshots:
     def test_roundtrip_bitwise(self, tmp_path):
-        layout, cfg, shards, val = small_setup()
-        trained = run_federated_training(shards, cfg)
+        layout, cfg, train, shards, val = small_setup()
+        trained = run_federated_training(train, shards, cfg)
         save_round_records(trained, layout, tmp_path / "rounds")
         records, loaded_layout = load_round_records(tmp_path / "rounds")
         assert loaded_layout == layout
@@ -486,8 +487,8 @@ class TestSnapshots:
                 assert np.array_equal(a.updates[pid], b.updates[pid])
 
     def test_replayed_valuation_identical(self, tmp_path):
-        layout, cfg, shards, val = small_setup()
-        trained = run_federated_training(shards, cfg)
+        layout, cfg, train, shards, val = small_setup()
+        trained = run_federated_training(train, shards, cfg)
         report = value_rounds(RoundOracle(layout, trained, *val), "exact", seed=cfg.seed)
         save_round_records(trained, layout, tmp_path / "rounds")
         records, loaded_layout = load_round_records(tmp_path / "rounds")
@@ -499,16 +500,16 @@ class TestSnapshots:
         ]
 
     def test_bad_magic_rejected(self, tmp_path):
-        layout, cfg, shards, val = small_setup()
-        save_round_records(run_federated_training(shards, cfg), layout, tmp_path / "rounds")
+        layout, cfg, train, shards, val = small_setup()
+        save_round_records(run_federated_training(train, shards, cfg), layout, tmp_path / "rounds")
         victim = sorted((tmp_path / "rounds").glob("*.fvr"))[0]
         victim.write_bytes(b"junk" + victim.read_bytes()[4:])
         with pytest.raises(SnapshotFormatError, match="magic"):
             load_round_records(tmp_path / "rounds")
 
     def test_tampered_aggregate_rejected(self, tmp_path):
-        layout, cfg, shards, val = small_setup()
-        records = run_federated_training(shards, cfg)
+        layout, cfg, train, shards, val = small_setup()
+        records = run_federated_training(train, shards, cfg)
         records[1].global_after[0] += 0.5
         save_round_records(records, layout, tmp_path / "rounds")
         with pytest.raises(SnapshotFormatError, match="disagrees"):

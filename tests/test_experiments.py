@@ -236,10 +236,12 @@ class TestPreparation:
     def test_validation_split_shares_geometry(self):
         cfg = config_from_dict(tiny_doc())
         prepared = prepare_experiment(cfg)
-        assert sum(x.shape[0] for x, _ in prepared.shards.values()) == 360
+        shards = prepared.plan.assignment.values()
+        assert sum(len(rows) for rows in shards) == len(prepared.train) == 360
         assert prepared.validation.features.shape[0] == 240
         assert prepared.validation.class_count == prepared.layout.n_classes == 3
-        for _, labels in prepared.shards.values():
+        for rows in shards:
+            labels = prepared.train.labels[rows]
             assert set(labels.tolist()) <= set(range(prepared.validation.class_count))
 
     def test_normalized_flag_rescales_report(self, tmp_path):

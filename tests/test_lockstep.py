@@ -28,6 +28,8 @@ from fedval.engine import (
 from fedval.models import ModelLayout, loss_and_gradient
 from fedval.seeding import substream
 
+from conftest import index_shards
+
 
 @st.composite
 def layouts(draw):
@@ -113,20 +115,21 @@ def test_lockstep_round_matches_per_participant_loop(
     rng = np.random.default_rng(seed)
     # Unsorted ids: updates come back keyed in the order given.
     participants = tuple(rng.choice(50, size=len(sizes), replace=False).tolist())
-    shards = {
+    parts = {
         pid: (rng.normal(size=(n, layout.n_features)), rng.integers(0, layout.n_classes, n))
         for pid, n in zip(participants, sizes)
     }
+    data, shards = index_shards(parts, layout.n_classes, rng)
     cfg = TrainingConfig(
         layout, round_index + 1, 1.0, local_epochs, batch_size, learning_rate,
         seed=seed, lr_decay=lr_decay,
     )
     theta = random_params(layout, rng)
-    updates = train_round(theta, shards, participants, cfg, round_index)
+    updates = train_round(theta, data, shards, participants, cfg, round_index)
     assert list(updates) == list(participants)
     for pid in participants:
         expected = reference_update(
-            theta, *shards[pid], cfg, substream(seed, "local", round_index, pid), round_index
+            theta, *parts[pid], cfg, substream(seed, "local", round_index, pid), round_index
         )
         assert updates[pid].tobytes() == expected.tobytes()
 
@@ -154,12 +157,12 @@ def test_stacked_gradient_is_the_flat_gradient_per_slice(layout, k, n, seed):
         assert grads[i].tobytes() == grad.tobytes() == plain_grad.tobytes()
 
 
-def replay_alone(shards, cfg, selections, keep):
+def replay_alone(data, shards, cfg, selections, keep):
     """One rule's retrain replay as a plain loop of ``train_round`` calls."""
     theta = initial_model(cfg)
     for t, selection in enumerate(selections):
         selected = tuple(sorted(selection))
-        updates = train_round(theta, shards, tuple(sorted(keep(t, selected))), cfg, t)
+        updates = train_round(theta, data, shards, tuple(sorted(keep(t, selected))), cfg, t)
         theta = np.mean(list(updates.values()), axis=0)
     return theta
 
@@ -177,10 +180,14 @@ def grids(draw):
     # Mixed shard sizes split each round into several lockstep groups.
     sizes = draw(st.lists(st.sampled_from([4, 7, 12]), min_size=2, max_size=6))
     ids = rng.choice(40, size=len(sizes), replace=False).tolist()
-    shards = {
-        pid: (rng.normal(size=(n, layout.n_features)), rng.integers(0, layout.n_classes, n))
-        for pid, n in zip(ids, sizes)
-    }
+    data, shards = index_shards(
+        {
+            pid: (rng.normal(size=(n, layout.n_features)), rng.integers(0, layout.n_classes, n))
+            for pid, n in zip(ids, sizes)
+        },
+        layout.n_classes,
+        rng,
+    )
     rounds = draw(st.integers(1, 4))
     selections = [
         tuple(draw(st.lists(st.sampled_from(ids), min_size=1, unique=True)))
@@ -205,7 +212,7 @@ def grids(draw):
         lr_decay=draw(st.sampled_from([1.0, 0.9, 0.5])),
         init_scale=draw(st.sampled_from([0.0, 0.3])),
     )
-    return cfg, shards, selections, tables
+    return cfg, data, shards, selections, tables
 
 
 @settings(max_examples=60, deadline=None)
@@ -216,7 +223,7 @@ def grids(draw):
     slice_bytes=st.sampled_from([engine._SLICE_BYTES, 0, 20_000]),
 )
 def test_grid_replays_match_one_replay_per_rule(case, twice, slice_bytes):
-    cfg, shards, selections, tables = case
+    cfg, data, shards, selections, tables = case
     keeps = [table_rule(table) for table in tables]
     repeated = twice % len(keeps)
     keeps.append(keeps[repeated])  # the same rule given twice
@@ -230,10 +237,10 @@ def test_grid_replays_match_one_replay_per_rule(case, twice, slice_bytes):
 
     with mock.patch.object(engine, "_SLICE_BYTES", slice_bytes), \
             mock.patch.object(engine, "_train_jobs", counted):
-        finals = rerun_with_selections(shards, cfg, selections, keeps)
+        finals = rerun_with_selections(data, shards, cfg, selections, keeps)
     assert len(finals) == len(keeps)
     for keep, table, final in zip(keeps, tables, finals):
-        expected = replay_alone(shards, cfg, selections, keep)
+        expected = replay_alone(data, shards, cfg, selections, keep)
         assert final.tobytes() == expected.tobytes()
     # Equal tables share one model, and each distinct (retained prefix,
     # participant) update trains once.
@@ -251,24 +258,24 @@ def test_grid_replays_match_one_replay_per_rule(case, twice, slice_bytes):
 def small_grid():
     layout = ModelLayout("logistic", 3, 2)
     rng = np.random.default_rng(4)
-    shards = {pid: (rng.normal(size=(6, 3)), rng.integers(0, 2, 6)) for pid in range(4)}
+    parts = {pid: (rng.normal(size=(6, 3)), rng.integers(0, 2, 6)) for pid in range(4)}
+    data, shards = index_shards(parts, 2, rng)
     cfg = TrainingConfig(layout, 3, 1.0, 1, 4, 0.3, seed=4)
-    return cfg, shards, [(0, 1, 2, 3)] * 3
+    return cfg, data, shards, [(0, 1, 2, 3)] * 3
 
 
 def test_diverging_replay_names_its_round_and_participant():
-    cfg, shards, selections = small_grid()
+    cfg, data, shards, selections = small_grid()
     # Participant 2's huge features overflow its first trained model.
-    features, labels = shards[2]
-    shards[2] = (features * 1e200, labels)
+    data.features[shards[2]] *= 1e200
     clean = table_rule([(0, 1), (0, 1), (0, 1)])
     late = table_rule([(0, 1), (1, 3), (1, 2, 3)])
     message = "training diverged at round 2, participant 2"
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingError, match=message):
-            replay_alone(shards, cfg, selections, late)
+            replay_alone(data, shards, cfg, selections, late)
         with pytest.raises(TrainingError, match=message):
-            rerun_with_selections(shards, cfg, selections, [clean, late, clean])
+            rerun_with_selections(data, shards, cfg, selections, [clean, late, clean])
 
 
 @pytest.mark.parametrize(
@@ -284,9 +291,9 @@ def test_diverging_replay_names_its_round_and_participant():
     ],
 )
 def test_grid_refuses_bad_retained_sets_before_training(tables, message):
-    cfg, shards, selections = small_grid()
+    cfg, data, shards, selections = small_grid()
     untouched = mock.patch.object(
         engine, "_train_jobs", side_effect=AssertionError("trained before validating")
     )
     with untouched, pytest.raises(ValueError, match=message):
-        rerun_with_selections(shards, cfg, selections, [table_rule(t) for t in tables])
+        rerun_with_selections(data, shards, cfg, selections, [table_rule(t) for t in tables])

@@ -67,9 +67,10 @@ def test_snapshots_of_another_seed_refused(tmp_path, capsys, command):
         command, "--config", str(config), "--snapshots", str(rounds), "--out", str(out),
     ])
     assert rc == 1
-    assert "round_00000.fvr: incoming model is not the initial model" in (
-        capsys.readouterr().err
-    )
+    err = capsys.readouterr().err
+    assert "round_00000.fvr: incoming model is not the initial model" in err
+    # The refused snapshot directory is named, not just the file.
+    assert f"{rounds / 'round_00000.fvr'}: incoming model" in err
     assert not (out / "values.csv").exists()
     assert not (out / "summarization.csv").exists()
 
@@ -100,7 +101,7 @@ def test_snapshots_of_the_configured_run_accepted(tmp_path):
     config, rounds = train(tmp_path, doc, "seed7")
     records, _ = load_round_records(rounds)
     prepared = prepare_experiment(config_from_dict(doc))
-    check_initial_model(records, prepared.training)
+    check_initial_model(records, prepared.training, rounds)
     assert main([
         "summarize", "--config", str(config), "--snapshots", str(rounds),
         "--out", str(tmp_path / "summary"),
@@ -357,7 +358,7 @@ def test_value_replay_skips_partition_and_corruption(tmp_path, monkeypatch):
     def unused(*args, **kwargs):
         raise AssertionError("value-replay needs no training partition")
 
-    for name in ("partition_iid", "flip_labels", "split_shards"):
+    for name in ("partition_iid", "flip_labels"):
         monkeypatch.setattr(experiments, name, unused)
     out = tmp_path / "replay"
     assert main([
