@@ -29,6 +29,7 @@ from .config import (
 )
 from .datasets import Dataset
 from .engine import (
+    VALUATION_METHODS,
     RoundOracle,
     RoundRecord,
     evaluate_utility,
@@ -391,10 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
         if method_flag:
             p.add_argument(
                 "--method",
-                choices=(
-                    "exact", "permutation", "perm", "group_testing", "gt",
-                    "loo", "random",
-                ),
+                choices=(*VALUATION_METHODS, *_METHOD_ALIASES),
                 default=None,
                 help="override the valuation method",
             )

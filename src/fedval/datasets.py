@@ -285,6 +285,14 @@ def flip_labels(
     return Dataset(dataset.features, labels, dataset.class_count)
 
 
+def _trigger_columns(dataset: Dataset, spec: BackdoorSpec) -> np.ndarray:
+    """The trigger's feature columns, each checked to lie in ``dataset``."""
+    columns = np.asarray(spec.trigger_indices, dtype=np.int64)
+    if columns.size and (columns.min() < 0 or columns.max() >= dataset.features.shape[1]):
+        raise ValueError("trigger indices fall outside the feature dimensions")
+    return columns
+
+
 def implant_backdoor(
     dataset: Dataset,
     plan: PartitionPlan,
@@ -295,9 +303,7 @@ def implant_backdoor(
     in-shard shuffle) the first ``mix_per_batch`` samples get the trigger
     stamped onto their features and their label set to the target."""
     _check_affected(plan, spec.affected)
-    columns = np.asarray(spec.trigger_indices, dtype=np.int64)
-    if columns.size and (columns.min() < 0 or columns.max() >= dataset.features.shape[1]):
-        raise ValueError("trigger indices fall outside the feature dimensions")
+    columns = _trigger_columns(dataset, spec)
     rng = np.random.default_rng(seed)
     features = dataset.features.copy()
     labels = dataset.labels.copy()
@@ -315,9 +321,7 @@ def implant_backdoor(
 def triggered_test_set(dataset: Dataset, spec: BackdoorSpec) -> Dataset:
     """Copy of ``dataset`` with the trigger stamped on every sample and all
     labels set to the target, for measuring attack success."""
-    columns = np.asarray(spec.trigger_indices, dtype=np.int64)
-    if columns.size and (columns.min() < 0 or columns.max() >= dataset.features.shape[1]):
-        raise ValueError("trigger indices fall outside the feature dimensions")
+    columns = _trigger_columns(dataset, spec)
     features = dataset.features.copy()
     if columns.size:
         features[:, columns] = spec.trigger_value

@@ -104,12 +104,16 @@ class TrainingConfig:
 
 @dataclass
 class RoundRecord:
-    """Frozen state of one round: incoming model, updates, outgoing average."""
+    """Frozen state of one round: incoming model, updates, outgoing average.
+
+    ``selected`` is ascending, and row ``b`` of the (len(selected), P)
+    ``updates`` is ``selected[b]``'s: the participant bit ``b`` of a mask
+    selects."""
 
     round_index: int
     global_before: np.ndarray
     selected: tuple[int, ...]
-    updates: dict[int, np.ndarray]
+    updates: np.ndarray
     global_after: np.ndarray
 
 
@@ -239,30 +243,31 @@ def train_round(
     participants: Sequence[int],
     cfg: TrainingConfig,
     round_index: int,
-) -> dict[int, np.ndarray]:
-    """Every participant's local update in one round, keyed in the given
-    order: the one-model case of the lockstep kernel. A divergence names
-    the first diverging participant in the given order.
+) -> np.ndarray:
+    """Every participant's local update in one round, as rows in the
+    order of ``participants``: the one-model case of the lockstep kernel.
+    A divergence names the first diverging participant in the given order.
     """
     start = np.asarray(global_params, dtype=np.float64)[None]
     thetas = _train_jobs(start, [(0, pid) for pid in participants], data, shards, cfg, round_index)
     for pid, theta in zip(participants, thetas):
         _check_finite(theta, round_index, pid)
-    return dict(zip(participants, thetas))
+    return thetas
 
 
 def aggregate_subset(record: RoundRecord, subset: Iterable[int]) -> np.ndarray:
     """Average of the chosen participants' updates; the incoming global
     model when the subset is empty."""
+    row_of = {pid: b for b, pid in enumerate(record.selected)}
     members = sorted(subset)
-    unknown = [pid for pid in members if pid not in record.updates]
+    unknown = [pid for pid in members if pid not in row_of]
     if unknown:
         raise ValueError(
             f"participants {unknown} were not selected in round {record.round_index}"
         )
     if not members:
         return record.global_before.copy()
-    return np.mean([record.updates[pid] for pid in members], axis=0)
+    return record.updates[[row_of[pid] for pid in members]].mean(axis=0)
 
 
 def evaluate_utility(
@@ -289,27 +294,27 @@ _UTILITY_SLICE_BYTES = 2 << 20
 class RoundOracle:
     """Utility of recorded training states under partial round aggregation.
 
-    ``players(t)`` is round ``t``'s recorded selection in ascending id
-    order, and ``evaluate_many(t, masks)`` the utilities of the recorded
-    rounds before ``t`` followed by the members of round ``t`` that each
-    mask selects (bit ``b`` is ``players(t)[b]``), resolved against that
-    round's stored updates (no retraining); ``evaluate(t, mask)`` is a
-    batch of one. Results are kept in one cache keyed by ``(t, mask)``,
-    which is safe because evaluation is deterministic, so every value
-    rule run on one oracle shares the utilities the others computed.
+    ``players(t)`` is round ``t``'s recorded ``selected``, which must be
+    strictly ascending, so bit ``b`` of a mask selects row ``b`` of the
+    round's ``updates``. ``evaluate_many(t, masks)`` gives the utilities
+    of the recorded rounds before ``t`` followed by the members of round
+    ``t`` that each mask selects, resolved against that round's stored
+    updates (no retraining); ``evaluate(t, mask)`` is a batch of one.
+    Results are kept in one cache keyed by ``(t, mask)``, which is safe
+    because evaluation is deterministic, so every value rule run on one
+    oracle shares the utilities the others computed.
 
     Mask 0 is the stored incoming model and the full mask the stored
     outgoing one. Logits of a logistic model are affine in its
     parameters, so a proper subset's logits are the mean of its members'
     logits: those are computed once per round, kept only while that round
-    is queried, and summed in bit (ascending id) order. The MLP averages
-    the members' parameters instead, in one stacked kernel: for a slice
-    of uncached masks, each mask's member updates are gathered in bit
-    order and summed row by row, and the slice's averages run one stacked
-    forward pass. ``evaluate_many`` hands the kernel all of a call's
-    uncached MLP subsets, in slices bounded by ``_UTILITY_SLICE_BYTES``.
-    Each utility is bitwise the accuracy of ``aggregate_subset``'s
-    average.
+    is queried, and summed in bit (row) order. The MLP averages the
+    members' parameters instead, in one stacked kernel: for a slice of
+    uncached masks, each mask's member rows are gathered in bit order and
+    summed row by row, and the slice's averages run one stacked forward
+    pass. ``evaluate_many`` hands the kernel all of a call's uncached MLP
+    subsets, in slices bounded by ``_UTILITY_SLICE_BYTES``. Each utility
+    is bitwise the accuracy of ``aggregate_subset``'s average.
     """
 
     def __init__(
@@ -324,6 +329,14 @@ class RoundOracle:
         for position, record in enumerate(records):
             if record.round_index != position:
                 raise ValueError("round records must be consecutive from round 0")
+            ids = list(record.selected)
+            if ids != sorted(set(ids)):
+                raise ValueError(f"round {position}: selected {ids} is not strictly ascending")
+            if np.shape(record.updates) != (len(ids), layout.param_count):
+                raise ValueError(
+                    f"round {position}: updates have shape {np.shape(record.updates)}, "
+                    f"not one row of {layout.param_count} per selected participant"
+                )
         if features.shape[0] == 0:
             raise ValueError("validation set must be nonempty")
         if features.ndim != 2 or features.shape[1] != layout.n_features:
@@ -350,18 +363,22 @@ class RoundOracle:
                 f"round {round_index} was not recorded; the run has "
                 f"{len(self.records)} rounds"
             )
-        return tuple(sorted(self.records[round_index].selected))
+        return self.records[round_index].selected
 
     def evaluate(self, round_index: int, mask: int) -> float:
         return float(self.evaluate_many(round_index, [mask])[0])
 
-    def evaluate_many(self, round_index: int, masks: Sequence[int]) -> np.ndarray:
+    def evaluate_many(self, round_index: int, masks: np.ndarray | Sequence[int]) -> np.ndarray:
         """Utilities of round ``round_index`` under each of ``masks``, in
-        order. Every mask is checked before any is evaluated, and each
-        distinct uncached mask is then computed once into the cache."""
+        order; masks may repeat. Every mask is checked before any is
+        evaluated, and each distinct uncached mask is then computed once
+        into the cache, in order of first appearance."""
         m = len(self.players(round_index))
         full = (1 << m) - 1
-        for mask in masks:
+        if isinstance(masks, np.ndarray):
+            masks = masks.tolist()  # cache keys stay Python ints
+        distinct = dict.fromkeys(masks)
+        for mask in distinct:
             if not 0 <= mask <= full:
                 raise HistoryMismatchError(
                     f"mask {mask:#x} selects outside the {m} participants of "
@@ -369,7 +386,7 @@ class RoundOracle:
                 )
         record, cache = self.records[round_index], self._cache
         subsets: list[int] = []
-        for mask in dict.fromkeys(masks):
+        for mask in distinct:
             if (round_index, mask) in cache:
                 continue
             if mask == 0 or mask == full:
@@ -391,10 +408,8 @@ class RoundOracle:
         if self._logits_round != record.round_index:
             # Release the previous round's logits before computing these.
             self._logits_round, self._member_logits = None, []
-            self._member_logits = [
-                logits(self._layout, record.updates[pid], self._features)
-                for pid in sorted(record.selected)
-            ]
+            # A list, so that each mask's walk does not make a view per row.
+            self._member_logits = list(logits(self._layout, record.updates, self._features))
             self._logits_round = record.round_index
         members = [row for b, row in enumerate(self._member_logits) if mask >> b & 1]
         averaged = members[0].copy()
@@ -414,8 +429,7 @@ class RoundOracle:
         # Row m is zero: it pads every mask's members to the slice's
         # largest subset. Adding zero changes a sum at most in the sign of
         # a zero, which no score comparison sees.
-        updates = np.zeros((m + 1, layout.param_count))
-        updates[:m] = [record.updates[pid] for pid in sorted(record.selected)]
+        updates = np.concatenate([record.updates, np.zeros((1, layout.param_count))])
         # Bytes per mask: its gathered rows and average, then per sample
         # its hidden activations, scores and argmax.
         per_mask = 8 * ((m + 1) * layout.param_count
@@ -502,7 +516,7 @@ def run_federated_training(
         chosen = substream(cfg.seed, "select", t).choice(len(ids), size=m, replace=False)
         selected = tuple(sorted(ids[j] for j in chosen))
         updates = train_round(theta, data, shards, selected, cfg, t)
-        after = np.mean([updates[pid] for pid in selected], axis=0)
+        after = updates.mean(axis=0)
         record = RoundRecord(t, theta.copy(), selected, updates, after.copy())
         records.append(record)
         if snapshot_dir is not None:
@@ -655,11 +669,7 @@ def save_round_records(
             fh.write(SNAPSHOT_MAGIC)
             fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
             np.save(fh, record.global_before, allow_pickle=False)
-            np.save(
-                fh,
-                np.stack([record.updates[pid] for pid in record.selected]),
-                allow_pickle=False,
-            )
+            np.save(fh, record.updates, allow_pickle=False)
             np.save(fh, record.global_after, allow_pickle=False)
 
 
@@ -681,9 +691,9 @@ def _bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
 def _header_layout_and_selected(
     path: Path, header: dict
 ) -> tuple[ModelLayout, tuple[int, ...]]:
-    """The model layout and the distinct participant ids a snapshot
-    header names; a missing or ill-typed field, or a round without
-    participants, names ``path``."""
+    """The model layout and the ascending participant ids a snapshot
+    header names; a missing or ill-typed field, a round without
+    participants, or ids that repeat or descend, names ``path``."""
     if "layout" not in header:
         raise SnapshotFormatError(f"{path}: header has no layout")
     try:
@@ -698,11 +708,11 @@ def _header_layout_and_selected(
         )
     if not selected:
         raise SnapshotFormatError(f"{path}: header selected names no participants")
-    repeated = [pid for i, pid in enumerate(selected) if pid in selected[:i]]
-    if repeated:
-        raise SnapshotFormatError(
-            f"{path}: header selected repeats participant {repeated[0]}"
-        )
+    if selected != sorted(set(selected)):
+        repeated = [pid for i, pid in enumerate(selected) if pid in selected[:i]]
+        problem = (f"repeats participant {repeated[0]}" if repeated
+                   else f"must list participant ids in ascending order, got {selected}")
+        raise SnapshotFormatError(f"{path}: header selected {problem}")
     return layout, tuple(selected)
 
 
@@ -711,10 +721,10 @@ def load_round_records(directory: str | Path) -> tuple[list[RoundRecord], ModelL
 
     Round indices must run from 0 without gaps and agree with each
     file's header, each header must name a layout and one or more
-    distinct participant ids, every array must be complete and finite,
-    every stored aggregate must match its updates, and every incoming
-    model must be bitwise the previous round's outcome. Each failure
-    names the offending file.
+    participant ids in strictly ascending order, every array must be
+    complete and finite, every stored aggregate must match its updates,
+    and every incoming model must be bitwise the previous round's
+    outcome. Each failure names the offending file.
     """
     directory = Path(directory)
     paths = sorted(directory.glob("round_*.fvr"), key=_snapshot_index)
@@ -777,15 +787,7 @@ def load_round_records(directory: str | Path) -> tuple[list[RoundRecord], ModelL
                 f"{path}: incoming model is not the previous round's outcome; "
                 f"the snapshots do not come from one run"
             )
-        records.append(
-            RoundRecord(
-                round_index=position,
-                global_before=global_before,
-                selected=selected,
-                updates={pid: stacked[i] for i, pid in enumerate(selected)},
-                global_after=global_after,
-            )
-        )
+        records.append(RoundRecord(position, global_before, selected, stacked, global_after))
     assert layout is not None
     return records, layout
 

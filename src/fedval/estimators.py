@@ -16,7 +16,7 @@ from typing import Collection
 
 import numpy as np
 
-from .values import RoundUtility, UtilityOracle, ValueVector, mask_bits
+from .values import UtilityOracle, ValueVector, mask_bits
 
 
 @dataclass(frozen=True)
@@ -169,8 +169,8 @@ def permutation_sampling_round(
     bits = mask_bits(m)
     prefixes = np.zeros((sample_count, m + 1), dtype=bits.dtype)
     np.cumsum(bits[orderings], axis=1, out=prefixes[:, 1:])
-    utilities = RoundUtility(oracle, round_index)(prefixes)
-    marginals = np.diff(utilities, axis=1)
+    utilities = oracle.evaluate_many(round_index, prefixes.ravel())
+    marginals = np.diff(utilities.reshape(prefixes.shape), axis=1)
     # Unbuffered, in row order: each participant's credits add up in the
     # same sequence as a walk over the orderings one by one.
     acc = np.zeros(m, dtype=np.float64)
@@ -205,7 +205,7 @@ def group_testing_round(
         membership, order, np.arange(m)[None, :] < sizes[:, None], axis=1
     )
     masks = membership @ mask_bits(m)
-    test_utilities = RoundUtility(oracle, round_index)(masks)
+    test_utilities = oracle.evaluate_many(round_index, masks)
     # Per-participant accumulants; the difference matrix is their outer
     # difference, so it is antisymmetric by construction.
     loads = (plan.z / plan.t1) * (test_utilities @ membership)
@@ -248,9 +248,9 @@ def pivot_anchor_values(
     masks = others @ bits[:-1]
     # One (with, without) pair per sample, so the oracle sees the masks
     # in the order of a sample-by-sample walk.
-    paired = RoundUtility(oracle, round_index)(
-        np.stack([masks | bits[-1], masks], axis=1)
-    )
+    paired = oracle.evaluate_many(
+        round_index, np.stack([masks | bits[-1], masks], axis=1).ravel()
+    ).reshape(-1, 2)
     total = 0.0
     for with_pivot, without in paired.tolist():
         total += with_pivot - without

@@ -31,9 +31,11 @@ class UtilityOracle(Protocol):
 
     ``players(t)`` is the ascending tuple of round ``t``'s participant
     ids; every value function credits exactly these. ``evaluate_many(t,
-    masks)`` is a float64 array holding, in order, the utility after the
-    realized rounds before ``t`` plus the members of round ``t`` that
-    each mask selects: bit ``b`` selects ``players(t)[b]``. Mask 0 is the
+    masks)`` takes a 1-D int array (of Python ints from ``mask_bits``
+    once a round has 64 or more players) or a sequence of ints, which may
+    repeat, and returns one float64 per mask, in order: the utility after
+    the realized rounds before ``t`` plus the members of round ``t`` that
+    the mask selects. Bit ``b`` selects ``players(t)[b]``; mask 0 is the
     state entering round ``t``. Identical queries yield identical
     outputs. Both shipped oracles, ``RoundOracle`` and ``TableGame``,
     also answer ``evaluate(t, mask)`` as a batch of one.
@@ -41,7 +43,7 @@ class UtilityOracle(Protocol):
 
     def players(self, round_index: int) -> tuple[int, ...]: ...
 
-    def evaluate_many(self, round_index: int, masks: Sequence[int]) -> np.ndarray: ...
+    def evaluate_many(self, round_index: int, masks: np.ndarray | Sequence[int]) -> np.ndarray: ...
 
 
 @dataclass
@@ -118,34 +120,6 @@ def mask_bits(m: int) -> np.ndarray:
     return np.array([1 << b for b in range(m)], dtype=object)
 
 
-class RoundUtility:
-    """Utilities of subsets of one round's participants, by bitmask.
-
-    The helper keeps no memo: the one cache, if any, is the oracle's.
-    """
-
-    def __init__(self, oracle: UtilityOracle, round_index: int) -> None:
-        self._oracle = oracle
-        self._round_index = round_index
-
-    def __call__(self, masks: np.ndarray) -> np.ndarray:
-        """Utilities of ``masks``, an array of any shape.
-
-        The distinct masks go to the oracle in one ``evaluate_many`` call,
-        in order of first appearance in row-major order; the oracle's
-        error, if any, propagates as is.
-        """
-        masks = np.asarray(masks)
-        slot_of: dict[int, int] = {}
-        slots = np.fromiter(
-            (slot_of.setdefault(mask, len(slot_of)) for mask in masks.ravel().tolist()),
-            dtype=np.intp,
-            count=masks.size,
-        )
-        utilities = self._oracle.evaluate_many(self._round_index, list(slot_of))
-        return utilities[slots].reshape(masks.shape)
-
-
 def exact_federated_round_shapley(oracle: UtilityOracle, round_index: int) -> ValueVector:
     """Per-round Shapley values conditioned on the realized history.
 
@@ -165,12 +139,12 @@ def exact_federated_round_shapley(oracle: UtilityOracle, round_index: int) -> Va
             f"{1 << m} utility evaluations (cap {SUBSET_ENUMERATION_CAP}); "
             f"the cost grows as 2**m"
         )
-    utilities = RoundUtility(oracle, round_index)(np.arange(1 << m))
+    masks = np.arange(1 << m)
+    utilities = oracle.evaluate_many(round_index, masks)
     sizes = _popcounts(1 << m)
     weight_by_size = np.array(
         [1.0 / (m * math.comb(m - 1, s)) for s in range(m)], dtype=np.float64
     )
-    masks = np.arange(1 << m)
     values: dict[int, float] = {}
     for b, pid in enumerate(ids):
         bit = 1 << b
@@ -198,7 +172,7 @@ def exact_shapley_permutation_form(oracle: UtilityOracle) -> ValueVector:
             f"{math.factorial(m)} passes (cap {PERMUTATION_ENUMERATION_CAP}); "
             f"the cost grows as m!"
         )
-    utilities = RoundUtility(oracle, 0)(np.arange(1 << m))
+    utilities = oracle.evaluate_many(0, np.arange(1 << m))
     acc = np.zeros(m, dtype=np.float64)
     for perm in itertools.permutations(range(m)):
         mask = 0
@@ -219,8 +193,8 @@ def federated_loo_round(oracle: UtilityOracle, round_index: int) -> ValueVector:
         return ValueVector({}, round_index)
     full = (1 << len(ids)) - 1
     # Python-int masks: a round may have more players than int64 has bits.
-    utilities = RoundUtility(oracle, round_index)(
-        np.array([full, *(full ^ (1 << b) for b in range(len(ids)))], dtype=object)
+    utilities = oracle.evaluate_many(
+        round_index, [full, *(full ^ (1 << b) for b in range(len(ids)))]
     )
     values = {pid: float(utilities[0] - utilities[1 + b]) for b, pid in enumerate(ids)}
     return ValueVector(values, round_index)

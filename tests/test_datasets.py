@@ -431,6 +431,18 @@ class TestBackdoor:
         with pytest.raises(ValueError, match="trigger"):
             implant_backdoor(data, plan, spec, 1)
 
+    def test_trigger_at_the_feature_width_rejected_by_both(self):
+        data, plan = self._setup()
+        spec = BackdoorSpec(
+            affected=frozenset({1}), trigger_indices=(0, data.features.shape[1]),
+            trigger_value=1.0, target_label=0, mix_per_batch=4, batch_size=16,
+        )
+        message = "trigger indices fall outside the feature dimensions"
+        with pytest.raises(ValueError, match=message):
+            implant_backdoor(data, plan, spec, 1)
+        with pytest.raises(ValueError, match=message):
+            triggered_test_set(data, spec)
+
 
 class TestIndexShards:
     def test_index_shards_cover_the_plan_and_train_like_copied_rows(self):
@@ -444,10 +456,10 @@ class TestIndexShards:
         cfg = TrainingConfig(layout, 1, 1.0, 2, 4, 0.5, seed=3)
         theta = np.linspace(-1.0, 1.0, layout.param_count)
         updates = train_round(theta, data, plan.assignment, pids, cfg, 0)
-        for pid in pids:
+        for pid, update in zip(pids, updates):
             shard = plan.assignment[pid]
             copied = participant_update(
                 theta, data.features[shard].copy(), data.labels[shard].copy(), cfg,
                 substream(cfg.seed, "local", 0, pid),
             )
-            assert updates[pid].tobytes() == copied.tobytes()
+            assert update.tobytes() == copied.tobytes()

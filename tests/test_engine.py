@@ -149,7 +149,7 @@ class TestTrainRound:
         data.features[shards[5]] *= 1e308
         with pytest.raises(TrainingError, match=r"round 4, participant 5$"):
             train_round(np.zeros(layout.param_count), data, shards, (3, 5), cfg, 4)
-        update = train_round(np.zeros(layout.param_count), data, shards, (3,), cfg, 4)[3]
+        update = train_round(np.zeros(layout.param_count), data, shards, (3,), cfg, 4)[0]
         assert np.isfinite(update).all()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -173,14 +173,15 @@ class TestTrainRound:
 class TestAggregation:
     def _record(self, rng):
         dim = 4
-        updates = {pid: rng.normal(size=dim) for pid in (1, 3, 5)}
+        # Rows follow the selection: row 1 is participant 3.
+        updates = rng.normal(size=(3, dim))
         before = rng.normal(size=dim)
-        after = np.mean([updates[pid] for pid in (1, 3, 5)], axis=0)
+        after = updates.mean(axis=0)
         return RoundRecord(0, before, (1, 3, 5), updates, after)
 
     def test_singleton_subset(self, rng):
         record = self._record(rng)
-        assert np.array_equal(aggregate_subset(record, [3]), record.updates[3])
+        assert np.array_equal(aggregate_subset(record, [3]), record.updates[1])
 
     def test_full_subset_matches_global_after(self, rng):
         record = self._record(rng)
@@ -191,7 +192,7 @@ class TestAggregation:
         assert np.array_equal(aggregate_subset(record, ()), record.global_before)
 
     def test_mean_of_two(self):
-        updates = {0: np.array([1.0, 0.0]), 1: np.array([0.0, 1.0])}
+        updates = np.array([[1.0, 0.0], [0.0, 1.0]])
         record = RoundRecord(
             0, np.zeros(2), (0, 1), updates, np.array([0.5, 0.5])
         )
@@ -311,6 +312,19 @@ class TestRoundOracle:
         ):
             RoundOracle(layout, records, rows[:, :4], labels[:50])
 
+    def test_records_out_of_bit_order_refused(self):
+        layout, _, records, val = recorded_run("logistic")
+        last = records[-1]
+        descending = replace(last, selected=last.selected[::-1])
+        with pytest.raises(ValueError, match=rf"round 2: selected \[{descending.selected[0]}, "):
+            RoundOracle(layout, [*records[:-1], descending], *val)
+        m = len(last.selected)
+        extra_row = replace(last, updates=np.vstack([last.updates, last.updates[:1]]))
+        with pytest.raises(
+            ValueError, match=rf"round 2: updates have shape \({m + 1}, {layout.param_count}\), not"
+        ):
+            RoundOracle(layout, [*records[:-1], extra_row], *val)
+
 
 def recorded_run(arch):
     layout, cfg, train, shards, val = small_setup()
@@ -384,7 +398,7 @@ class TestFederatedTraining:
     def test_fedavg_consistency(self):
         layout, cfg, train, shards, val = small_setup()
         for record in run_federated_training(train, shards, cfg):
-            recomputed = np.mean([record.updates[p] for p in record.selected], axis=0)
+            recomputed = record.updates.mean(axis=0)
             assert np.abs(recomputed - record.global_after).max() <= 1e-9
             assert len(record.selected) == round_size(
                 cfg.participant_fraction, len(shards)
@@ -398,8 +412,7 @@ class TestFederatedTraining:
             assert a.selected == b.selected
             assert np.array_equal(a.global_before, b.global_before)
             assert np.array_equal(a.global_after, b.global_after)
-            for pid in a.selected:
-                assert np.array_equal(a.updates[pid], b.updates[pid])
+            assert np.array_equal(a.updates, b.updates)
 
     def test_estimator_methods_run(self):
         layout, cfg, train, shards, val = small_setup()
@@ -483,8 +496,7 @@ class TestSnapshots:
             assert a.selected == b.selected
             assert np.array_equal(a.global_before, b.global_before)
             assert np.array_equal(a.global_after, b.global_after)
-            for pid in b.selected:
-                assert np.array_equal(a.updates[pid], b.updates[pid])
+            assert np.array_equal(a.updates, b.updates)
 
     def test_replayed_valuation_identical(self, tmp_path):
         layout, cfg, train, shards, val = small_setup()

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from fedval import estimators as estimators_module
 from fedval.estimators import (
     ApproxParams,
     GroupTestingPlan,
@@ -15,7 +14,7 @@ from fedval.estimators import (
     pivot_anchor_values,
 )
 from fedval.games import random_table_game
-from fedval.values import RoundUtility, exact_federated_round_shapley
+from fedval.values import exact_federated_round_shapley
 
 from conftest import additive_game, game_from_set_function
 
@@ -217,14 +216,14 @@ class TestGroupTesting:
         plan = group_testing_plan(4, params)
         game = random_table_game([range(4)], rng)
         batches = []
+        lookup = game.evaluate_many
 
-        class RecordingRoundUtility(RoundUtility):
-            def __call__(self, masks, **kwargs):
-                utilities = super().__call__(masks, **kwargs)
-                batches.append(utilities)
-                return utilities
+        def recording_evaluate_many(round_index, masks):
+            utilities = lookup(round_index, masks)
+            batches.append(utilities)
+            return utilities
 
-        monkeypatch.setattr(estimators_module, "RoundUtility", RecordingRoundUtility)
+        monkeypatch.setattr(game, "evaluate_many", recording_evaluate_many)
         group_testing_round(game, 0, plan, 5)
         # The first batch is the t1 tests; pivot anchoring queries after it.
         tests = batches[0]

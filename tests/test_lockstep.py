@@ -113,7 +113,7 @@ def test_lockstep_round_matches_per_participant_loop(
     # Mixed shard sizes put several lockstep groups in one round; sizes
     # that batch_size does not divide end each epoch on a partial batch.
     rng = np.random.default_rng(seed)
-    # Unsorted ids: updates come back keyed in the order given.
+    # Unsorted ids: row i of the updates is participants[i]'s.
     participants = tuple(rng.choice(50, size=len(sizes), replace=False).tolist())
     parts = {
         pid: (rng.normal(size=(n, layout.n_features)), rng.integers(0, layout.n_classes, n))
@@ -126,12 +126,12 @@ def test_lockstep_round_matches_per_participant_loop(
     )
     theta = random_params(layout, rng)
     updates = train_round(theta, data, shards, participants, cfg, round_index)
-    assert list(updates) == list(participants)
-    for pid in participants:
+    assert updates.shape == (len(participants), layout.param_count)
+    for row, pid in zip(updates, participants):
         expected = reference_update(
             theta, *parts[pid], cfg, substream(seed, "local", round_index, pid), round_index
         )
-        assert updates[pid].tobytes() == expected.tobytes()
+        assert row.tobytes() == expected.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -163,7 +163,7 @@ def replay_alone(data, shards, cfg, selections, keep):
     for t, selection in enumerate(selections):
         selected = tuple(sorted(selection))
         updates = train_round(theta, data, shards, tuple(sorted(keep(t, selected))), cfg, t)
-        theta = np.mean(list(updates.values()), axis=0)
+        theta = updates.mean(axis=0)
     return theta
 
 

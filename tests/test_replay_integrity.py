@@ -154,6 +154,30 @@ def test_repeated_participant_in_header_refused(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("command", ["value-replay", "summarize"])
+def test_permuted_header_ids_refused(tmp_path, capsys, command):
+    # The round's own ids with the third moved first: every update row
+    # stays, so without the order check bit b of a mask would credit
+    # another participant with row b.
+    config, rounds = train(tmp_path, base_doc(), "run")
+    victim = rounds / "round_00000.fvr"
+    rewrite_header(victim, lambda h: {
+        **h, "selected": [h["selected"][2], *h["selected"][:2], *h["selected"][3:]]
+    })
+    out = tmp_path / "replay"
+    rc = main([
+        command, "--config", str(config), "--snapshots", str(rounds), "--out", str(out),
+    ])
+    assert rc == 1
+    assert (
+        f"error: {victim}: header selected must list participant ids in ascending order"
+        in capsys.readouterr().err
+    )
+    assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+    assert not (out / "values.csv").exists()
+    assert not (out / "summarization.csv").exists()
+
+
 @pytest.mark.parametrize("edit", [
     pytest.param(lambda h: {k: v for k, v in h.items() if k != "layout"}, id="no_layout"),
     pytest.param(lambda h: list(h.items()), id="list_header"),
@@ -260,7 +284,7 @@ def test_non_finite_snapshot_named(tmp_path, capsys, array):
     if array == "global_after":
         last.global_after[0] = np.nan
     else:
-        last.updates[last.selected[0]][0] = np.nan
+        last.updates[0, 0] = np.nan
     save_round_records([last], layout, rounds)
     replay_refused(
         tmp_path, capsys, config, rounds,

@@ -4,11 +4,11 @@
 member logits, and an MLP's from slices of stacked parameter averages;
 these tests hold both to the parameter-average definition on random
 rounds, the MLP bitwise whatever the slice bound, request order and mix
-of batched and scalar requests. The estimators reach utilities through
-``RoundUtility`` with deduplicated bitmasks; these tests hold them to
-the one-call-per-draw loops they replaced, on rounds wider than int64
-masks too. ``TableGame`` answers each ``RoundUtility`` call in one batch
-too, bitwise as its per-mask lookups.
+of batched and scalar requests. The estimators pass their masks, repeats
+and all, to the oracle's ``evaluate_many``; these tests hold them to the
+one-call-per-draw loops they replaced, on rounds wider than int64 masks
+too. ``TableGame`` answers each value rule's queries in one batch per
+draw, bitwise as its per-mask lookups.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from fedval.estimators import (
 from fedval.games import random_table_game
 from fedval.models import ModelLayout, logits
 from fedval.values import (
-    RoundUtility,
     exact_federated_round_shapley,
     exact_shapley_permutation_form,
     federated_loo_round,
@@ -58,8 +57,8 @@ def random_records(rng, layout, rounds, m, *, quantized):
     before = draw()
     for t in range(rounds):
         selected = tuple(sorted(int(p) for p in rng.choice(3 * m, size=m, replace=False)))
-        updates = {pid: draw() for pid in selected}
-        after = np.mean([updates[pid] for pid in selected], axis=0)
+        updates = np.array([draw() for _ in selected])
+        after = updates.mean(axis=0)
         records.append(RoundRecord(t, before.copy(), selected, updates, after.copy()))
         before = after
     return records
@@ -77,7 +76,7 @@ def near_tie_count(layout, params, features):
 
 
 def members(record, mask):
-    return [pid for b, pid in enumerate(sorted(record.selected)) if mask >> b & 1]
+    return [pid for b, pid in enumerate(record.selected) if mask >> b & 1]
 
 
 round_shapes = st.fixed_dictionaries({
@@ -181,7 +180,7 @@ def test_mlp_subset_utilities_equal_parameter_average(shape, shuffler):
         for t, record in enumerate(records):
             masks = list(range(1 << len(record.selected))) * 2
             shuffler.shuffle(masks)
-            got = RoundUtility(batched, t)(np.array(masks))
+            got = batched.evaluate_many(t, np.array(masks))
             assert got.tolist() == [expected[t, mask] for mask in masks]
         # Scalar calls and small batches across rounds, in shuffled order.
         mixed = RoundOracle(layout, records, features, labels)
@@ -193,7 +192,7 @@ def test_mlp_subset_utilities_equal_parameter_average(shape, shuffler):
                 continue
             size = 1 << len(records[t].selected)
             masks = [mask, *(shuffler.randrange(size) for _ in range(3))]
-            got = RoundUtility(mixed, t)(np.array(masks))
+            got = mixed.evaluate_many(t, np.array(masks))
             assert got.tolist() == [expected[t, b] for b in masks]
 
 
@@ -202,12 +201,10 @@ def test_mlp_members_summed_in_ascending_id_order():
     order give (1 + 2**60) - 2**60 = 0, in reverse order 1. Only the first
     leaves the class-1 output bias at 0, so the tie goes to class 0."""
     layout = ModelLayout("mlp", 1, 2, hidden_units=1)
-    biases = {0: 1.0, 1: 2.0**60, 2: -(2.0**60), 3: 0.0}
-    updates = {pid: np.zeros(layout.param_count) for pid in biases}
-    for pid, bias in biases.items():
-        updates[pid][-1] = bias
+    updates = np.zeros((4, layout.param_count))
+    updates[:, -1] = [1.0, 2.0**60, -(2.0**60), 0.0]
     before = np.zeros(layout.param_count)
-    after = np.mean([updates[pid] for pid in sorted(updates)], axis=0)
+    after = updates.mean(axis=0)
     record = RoundRecord(0, before, (0, 1, 2, 3), updates, after)
     features, labels = np.ones((5, 1)), np.zeros(5, dtype=int)
     assert evaluate_utility(layout, aggregate_subset(record, [0, 1, 2]), features, labels) == 1.0
@@ -289,23 +286,34 @@ def test_estimates_unchanged_by_deduplicated_masks(seed, m, samples, epsilon):
     assert grouped.values == _reference_group_testing(game, ids, plan, seed)
 
 
-def test_round_utility_evaluates_distinct_masks_in_order_of_appearance():
+def test_oracle_evaluates_distinct_masks_in_order_of_appearance():
+    rng = np.random.default_rng(4)
+    layout = ModelLayout("mlp", 3, 3, hidden_units=4)
+    records = random_records(rng, layout, 1, 4, quantized=False)
+    features = rng.normal(size=(20, 3))
+    labels = rng.integers(0, 3, size=20)
+    reference = AggregateSubsetOracle(layout, records[0], features, labels)
+    oracle = RoundOracle(layout, records, features, labels)
+    subset_utilities = RoundOracle._subset_utilities
     calls = []
 
-    class CountingGame:
-        def evaluate_many(self, round_index, masks):
-            calls.append((round_index, list(masks)))
-            if len(calls) > 1:
-                raise KeyError("backend gone")
-            return np.array([float(bin(mask).count("1")) for mask in masks])
+    def counted(self, record, masks):
+        calls.append(list(masks))
+        if len(calls) > 1:
+            raise KeyError("backend gone")
+        return subset_utilities(self, record, masks)
 
-    utility = RoundUtility(CountingGame(), 4)
-    assert utility(np.array([[3, 0], [3, 7]])).tolist() == [[2.0, 0.0], [2.0, 3.0]]
-    # Masks 3, 0 and 7 of round 4, once each, in one batch.
-    assert calls == [(4, [3, 0, 7])]
-    # The oracle's own error reaches the caller.
-    with pytest.raises(KeyError):
-        utility(np.array([1]))
+    batch = [3, 0, 3, 7, 0]
+    with mock.patch.object(RoundOracle, "_subset_utilities", counted):
+        got = oracle.evaluate_many(0, np.array(batch))
+        assert got.tolist() == [reference.evaluate(0, mask) for mask in batch]
+        # Proper subsets 3 and 7, once each, in one call; cache keys stay
+        # Python ints.
+        assert calls == [[3, 7]]
+        assert all(type(mask) is int for _, mask in oracle._cache)
+        # The kernel's own error reaches the caller.
+        with pytest.raises(KeyError):
+            oracle.evaluate_many(0, [1])
 
 
 def refusal(call):
@@ -343,16 +351,17 @@ def test_table_game_batch_equals_per_mask_lookups(rounds, seed, data):
         )
 
 
-@pytest.mark.parametrize("value", [
-    lambda game, ids: exact_federated_round_shapley(game, 0),
-    lambda game, ids: exact_shapley_permutation_form(game),
-    lambda game, ids: federated_loo_round(game, 0),
-    lambda game, ids: permutation_sampling_round(game, 0, ids, 20, 3),
-    lambda game, ids: group_testing_round(
+@pytest.mark.parametrize("value, calls", [
+    (lambda game, ids: exact_federated_round_shapley(game, 0), 1),
+    (lambda game, ids: exact_shapley_permutation_form(game), 1),
+    (lambda game, ids: federated_loo_round(game, 0), 1),
+    (lambda game, ids: permutation_sampling_round(game, 0, ids, 20, 3), 1),
+    # The tests, then the pivot.
+    (lambda game, ids: group_testing_round(
         game, 0, group_testing_plan(len(ids), ApproxParams(0.5, 0.3)), 3
-    ),
+    ), 2),
 ], ids=["exact", "ordering_form", "loo", "permutation", "group_testing"])
-def test_table_game_answers_each_round_utility_in_one_batch(value):
+def test_table_game_answers_each_round_utility_in_one_batch(value, calls):
     ids = [2, 3, 5, 8]
     game = random_table_game([ids], np.random.default_rng(11))
     lookup = game.evaluate_many
@@ -370,12 +379,8 @@ def test_table_game_answers_each_round_utility_in_one_batch(value):
     assert batches == [1]  # a lookup is a batch of one
     batches.clear()
     game.evaluate = per_mask
-    with mock.patch.object(
-        RoundUtility, "__call__", autospec=True, side_effect=RoundUtility.__call__
-    ) as round_utility:
-        value(game, ids)
-    assert round_utility.call_count >= 1
-    assert len(batches) == round_utility.call_count
+    value(game, ids)
+    assert len(batches) == calls
 
 
 class AdditiveGame:
