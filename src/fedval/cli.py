@@ -15,7 +15,7 @@ import sys
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from .engine import (
 )
 from .estimators import (
     ApproxParams,
-    GroupTestingPlan,
     group_testing_plan,
     permutation_sample_count,
     permutation_sampling_round,
@@ -88,7 +87,7 @@ def _load_config(args: argparse.Namespace) -> tuple[ExperimentConfig, str]:
     digest = config_digest(args.config)
     if args.seed is not None:
         cfg = _override(cfg, f"--seed {args.seed}", seed=args.seed)
-    if getattr(args, "method", None):
+    if args.method:
         method = _METHOD_ALIASES.get(args.method, args.method)
         valuation = _override(cfg.valuation, f"--method {args.method}", method=method)
         cfg = replace(cfg, valuation=valuation)
@@ -131,19 +130,6 @@ def _run_with_manifest(
     return 0
 
 
-def _estimator_plans(
-    cfg: ExperimentConfig, records: Sequence[RoundRecord]
-) -> list[tuple[int, int | GroupTestingPlan]]:
-    """Each round's sample count or group-testing plan, as ``value_rounds``
-    uses it; rounds without one are left out."""
-    method, approx = cfg.valuation.method, cfg.valuation.approx
-    plans = [
-        (record.round_index, round_plan(method, approx, len(record.selected)))
-        for record in records
-    ]
-    return [(t, plan) for t, plan in plans if plan is not None]
-
-
 def _write_values(
     cfg: ExperimentConfig,
     layout: ModelLayout,
@@ -154,11 +140,11 @@ def _write_values(
     """Value recorded rounds by the configured method into ``values.csv``;
     returns the manifest's valuation details, which under an estimator
     include each round's sample count or group-testing plan."""
-    method = cfg.valuation.method
+    method, approx = cfg.valuation.method, cfg.valuation.approx
     report = value_rounds(
         RoundOracle(layout, records, validation.features, validation.labels),
         method,
-        approx=cfg.valuation.approx,
+        approx=approx,
         seed=cfg.seed,
     )
     if cfg.valuation.normalized:
@@ -169,7 +155,12 @@ def _write_values(
         "valuation_method": method,
         "normalized": cfg.valuation.normalized,
     }
-    plans = _estimator_plans(cfg, records)
+    # Each round's sample count or plan, as value_rounds worked it out.
+    plans = [
+        (record.round_index, round_plan(method, approx, len(record.selected)))
+        for record in records
+    ]
+    plans = [(t, plan) for t, plan in plans if plan is not None]
     if method == "permutation":
         details["permutation_sample_counts"] = [[t, count] for t, count in plans]
     elif plans:
@@ -191,15 +182,6 @@ def _cmd_train_and_value(args: argparse.Namespace) -> int:
             snapshot_dir=out / "rounds",
         )
         details = _write_values(cfg, prepared.layout, records, prepared.validation, out)
-        plans = _estimator_plans(cfg, records)
-        if args.verbose and cfg.valuation.method == "group_testing" and plans:
-            lines = ["round,m,t1,t2,q_tot,z"]
-            for t, plan in plans:
-                lines.append(
-                    f"{t},{plan.m},{plan.t1},{plan.t2},"
-                    f"{format_float(plan.q_tot)},{format_float(plan.z)}"
-                )
-            _write_lines(out / "estimator_plans.csv", lines)
         details["participants"] = cfg.partition.participants
         details["final_accuracy"] = evaluate_utility(
             prepared.layout,
@@ -244,13 +226,14 @@ def _write_detection(out: Path, outcome: DetectionOutcome) -> None:
 
 def _cmd_detect(args: argparse.Namespace) -> int:
     cfg, digest = _load_config(args)
+    backend = shapley_backend(cfg)
     out = _resolve_out(args, cfg)
 
     def body() -> dict[str, Any]:
         outcome = args.protocol(cfg)
         _write_detection(out, outcome)
         details: dict[str, Any] = {
-            "valuation_method": shapley_backend(cfg),
+            "valuation_method": backend,
             "affected": list(outcome.affected),
             "auc": {m: outcome.curves[m].auc for m in sorted(outcome.curves)},
         }
@@ -272,6 +255,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
     cfg, digest = _load_config(args)
+    backend = shapley_backend(cfg)
     snapshots = None if args.snapshots is None else Path(args.snapshots)
     if snapshots is not None and not snapshots.is_dir():
         raise ConfigError(f"snapshot directory not found: {snapshots}")
@@ -289,7 +273,7 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
                 )
         _write_lines(out / "summarization.csv", lines)
         return {
-            "valuation_method": shapley_backend(cfg),
+            "valuation_method": backend,
             "baseline_accuracy": result.baseline_accuracy,
             "dismiss_fractions": list(result.dismiss_fractions),
         }
@@ -381,45 +365,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, *, method_flag: bool = False) -> None:
+    def add_common(p: argparse.ArgumentParser, *, normalized_flag: bool = False) -> None:
         p.add_argument("--config", required=True, help="experiment config (YAML)")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
         p.add_argument(
-            "--verbose", action="store_true",
-            help="write estimator_plans.csv (read by train-and-value only)",
+            "--method",
+            choices=(*VALUATION_METHODS, *_METHOD_ALIASES),
+            default=None,
+            help="override the valuation method",
         )
-        if method_flag:
-            p.add_argument(
-                "--method",
-                choices=(*VALUATION_METHODS, *_METHOD_ALIASES),
-                default=None,
-                help="override the valuation method",
-            )
+        if normalized_flag:
             p.add_argument(
                 "--normalized", action="store_true",
                 help="report per-round values scaled to unit norm",
             )
 
     p = sub.add_parser("train-and-value", help="train and value every round")
-    add_common(p, method_flag=True)
+    add_common(p, normalized_flag=True)
     p.set_defaults(handler=_cmd_train_and_value)
 
     p = sub.add_parser("value-replay", help="recompute values from round snapshots")
-    add_common(p, method_flag=True)
+    add_common(p, normalized_flag=True)
     p.add_argument("--snapshots", required=True, help="round snapshot directory")
     p.set_defaults(handler=_cmd_value_replay)
 
     p = sub.add_parser("noisy-detect", help="noisy-participant detection protocol")
-    add_common(p, method_flag=True)
+    add_common(p)
     p.set_defaults(handler=_cmd_detect, protocol=run_noisy_detection)
 
     p = sub.add_parser("backdoor-detect", help="backdoor-participant detection protocol")
-    add_common(p, method_flag=True)
+    add_common(p)
     p.set_defaults(handler=_cmd_detect, protocol=run_backdoor_detection)
 
     p = sub.add_parser("summarize", help="participant-dismissal summarization protocol")
-    add_common(p, method_flag=True)
+    add_common(p, normalized_flag=True)
     p.add_argument(
         "--snapshots", default=None,
         help="reuse a persisted run's round snapshots instead of retraining",

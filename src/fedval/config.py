@@ -150,7 +150,7 @@ class LabelFlipConfig(_Section):
 
 @dataclass(frozen=True)
 class BackdoorConfig(_Section):
-    trigger_indices: tuple[int, ...]
+    trigger_indices: tuple[int, ...] = _key(min=0)
     trigger_value: float
     target_label: int = _key(min=0)
     mix_per_batch: int = _key(20, min=1)
@@ -249,6 +249,21 @@ class ExperimentConfig(_Section):
         if isinstance(self.dataset, BlobsSpec):
             if self.partition.participants > self.dataset.samples:
                 raise ValueError("partition.participants: exceeds dataset samples")
+        backdoor = self.corruption
+        if isinstance(self.dataset, BlobsSpec) and isinstance(backdoor, BackdoorConfig):
+            # An idx dataset's class and feature counts are only known once
+            # it is loaded; the backdoor checks its own bounds then.
+            if backdoor.target_label >= self.dataset.classes:
+                raise ValueError(
+                    f"corruption.target_label: must be below dataset.classes "
+                    f"({self.dataset.classes}), got {backdoor.target_label}"
+                )
+            for index, feature in enumerate(backdoor.trigger_indices):
+                if feature >= self.dataset.features:
+                    raise ValueError(
+                        f"corruption.trigger_indices[{index}]: must be below "
+                        f"dataset.features ({self.dataset.features}), got {feature}"
+                    )
         if self.corruption is not None:
             # Participant ids are 0 .. participants - 1 in every partition mode.
             participants = self.partition.participants

@@ -191,7 +191,6 @@ def partition_iid(
 def partition_noniid_shards(
     dataset: Dataset,
     participants: int,
-    shard_count: int,
     shards_per_participant: int,
     seed: int | np.random.Generator,
 ) -> PartitionPlan:
@@ -201,11 +200,7 @@ def partition_noniid_shards(
     consecutive labels, which skews local label distributions.
     """
     n = len(dataset)
-    if shard_count != participants * shards_per_participant:
-        raise ValueError(
-            f"shard_count {shard_count} must equal participants * "
-            f"shards_per_participant = {participants * shards_per_participant}"
-        )
+    shard_count = participants * shards_per_participant
     if n % shard_count != 0:
         raise ValueError(f"shard_count {shard_count} does not divide {n} samples")
     rng = np.random.default_rng(seed)

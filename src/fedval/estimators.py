@@ -19,42 +19,34 @@ import numpy as np
 from .values import UtilityOracle, ValueVector, mask_bits
 
 
+# How the paired-test scheme splits its budget between difference
+# estimation and the pivot (Jia et al., AISTATS 2019).
+_C_EPS = _C_DELTA = 2.0
+
+
 @dataclass(frozen=True)
 class ApproxParams:
-    """Accuracy target for the estimators.
-
-    ``epsilon``/``delta``: per-coordinate error bound and failure
-    probability. ``range_bound``: upper bound of the utility range.
-    ``c_eps``/``c_delta``: how the paired-test scheme splits its budget
-    between difference estimation and the pivot (both must exceed 1).
-    """
+    """Accuracy target for the estimators: the per-coordinate error bound
+    ``epsilon`` and failure probability ``delta``. Utilities are
+    validation accuracies, so their range is 1."""
 
     epsilon: float
     delta: float
-    range_bound: float = 1.0
-    c_eps: float = 2.0
-    c_delta: float = 2.0
 
     def __post_init__(self) -> None:
         if self.epsilon <= 0:
             raise ValueError(f"epsilon: must be positive, got {self.epsilon}")
         if not 0 < self.delta < 1:
             raise ValueError(f"delta: must lie in (0, 1), got {self.delta}")
-        if self.range_bound <= 0:
-            raise ValueError(f"range_bound: must be positive, got {self.range_bound}")
-        if self.c_eps <= 1:
-            raise ValueError(f"c_eps: must exceed 1, got {self.c_eps}")
-        if self.c_delta <= 1:
-            raise ValueError(f"c_delta: must exceed 1, got {self.c_delta}")
 
 
 def permutation_sample_count(params: ApproxParams, m: int) -> int:
     """Orderings needed for the per-coordinate (epsilon, delta) guarantee,
-    from the Hoeffding bound on averages of [0, r]-bounded marginals."""
+    from the Hoeffding bound on averages of [0, 1]-bounded marginals."""
     if m < 1:
         raise ValueError(f"participant count must be at least 1, got {m}")
-    r, eps, delta = params.range_bound, params.epsilon, params.delta
-    count = (2.0 * r * r / (eps * eps)) * math.log(2.0 * m / delta)
+    eps, delta = params.epsilon, params.delta
+    count = (2.0 / (eps * eps)) * math.log(2.0 * m / delta)
     return max(1, math.ceil(count))
 
 
@@ -97,14 +89,13 @@ def group_testing_plan(m: int, params: ApproxParams) -> GroupTestingPlan:
     q_tot = (m - 2) / m * probs[0] + float(np.dot(probs[1:], balance[1:]))
     if q_tot >= 1.0:
         raise ValueError(f"degenerate plan: size-distribution overlap {q_tot} >= 1")
-    r, eps, delta = params.range_bound, params.epsilon, params.delta
-    c_eps, c_delta = params.c_eps, params.c_delta
+    eps, delta = params.epsilon, params.delta
     spread = 1.0 - q_tot * q_tot
-    rate = h_bernstein(2.0 * eps / (z * r * c_eps * spread))
-    t1 = math.ceil(4.0 / (spread * rate) * math.log(c_delta * (m - 1) / (2.0 * delta)))
+    rate = h_bernstein(2.0 * eps / (z * _C_EPS * spread))
+    t1 = math.ceil(4.0 / (spread * rate) * math.log(_C_DELTA * (m - 1) / (2.0 * delta)))
     t2 = math.ceil(
-        4.0 * r * r * c_eps * c_eps / ((c_eps - 1.0) ** 2 * eps * eps)
-        * math.log(2.0 * c_delta / ((c_delta - 1.0) * delta))
+        4.0 * _C_EPS * _C_EPS / ((_C_EPS - 1.0) ** 2 * eps * eps)
+        * math.log(2.0 * _C_DELTA / ((_C_DELTA - 1.0) * delta))
     )
     return GroupTestingPlan(
         m=m,

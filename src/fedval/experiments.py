@@ -183,11 +183,9 @@ def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
             train, cfg.partition.participants, substream(cfg.seed, "partition")
         )
     else:
-        shard_count = cfg.partition.participants * cfg.partition.shards_per_participant
         plan = partition_noniid_shards(
             train,
             cfg.partition.participants,
-            shard_count,
             cfg.partition.shards_per_participant,
             substream(cfg.seed, "partition"),
         )
@@ -252,11 +250,15 @@ class DetectionOutcome:
 
 
 def shapley_backend(cfg: ExperimentConfig) -> str:
-    """The Shapley method the protocols run: the configured estimator, or
-    exact when the configured method is not a Shapley method."""
-    if cfg.valuation.method in ("exact", "permutation", "group_testing"):
-        return cfg.valuation.method
-    return "exact"
+    """The Shapley method the protocols run: the configured one, which must
+    be exact or an estimator (the protocols add LOO and random themselves)."""
+    method = cfg.valuation.method
+    if method not in ("exact", "permutation", "group_testing"):
+        raise ConfigError(
+            f"valuation.method: the protocols run exact, permutation or "
+            f"group_testing Shapley values, got {method!r}"
+        )
+    return method
 
 
 def _shapley_and_loo(

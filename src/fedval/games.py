@@ -31,7 +31,7 @@ class TableGame:
         round_sets: Iterable[Collection[int]],
         tables: Iterable[np.ndarray],
         *,
-        range_bound: float = 1.0,
+        bound: float = 1.0,
     ) -> None:
         self.rounds = tuple(tuple(sorted(block)) for block in round_sets)
         if not self.rounds:
@@ -48,11 +48,9 @@ class TableGame:
                 )
         low = min(float(table.min()) for table in self._tables)
         high = max(float(table.max()) for table in self._tables)
-        if low < -_BOUND_SLACK or high > range_bound + _BOUND_SLACK:
-            raise ValueError(
-                f"utilities [{low}, {high}] fall outside [0, {range_bound}]"
-            )
-        self.range_bound = float(range_bound)
+        if low < -_BOUND_SLACK or high > bound + _BOUND_SLACK:
+            raise ValueError(f"utilities [{low}, {high}] fall outside [0, {bound}]")
+        self.bound = float(bound)
 
     def players(self, round_index: int) -> tuple[int, ...]:
         if not 0 <= round_index < len(self.rounds):
@@ -79,9 +77,9 @@ class TableGame:
         return table[np.array(masks, dtype=np.intp)]
 
 
-def _stitch_and_fit(raw: list[np.ndarray], range_bound: float) -> list[np.ndarray]:
+def _stitch_and_fit(raw: list[np.ndarray]) -> list[np.ndarray]:
     # Anchor each round so its empty subset equals the previous round's
-    # end, then map everything into [0, range_bound] with one affine
+    # end, then map everything into [0, 1] with one affine
     # transform (which preserves the anchoring).
     stitched: list[np.ndarray] = []
     offset = 0.0
@@ -92,18 +90,16 @@ def _stitch_and_fit(raw: list[np.ndarray], range_bound: float) -> list[np.ndarra
     low = min(float(table.min()) for table in stitched)
     high = max(float(table.max()) for table in stitched)
     span = high - low
-    scale = range_bound / span if span > 0 else 0.0
+    scale = 1.0 / span if span > 0 else 0.0
     return [(table - low) * scale for table in stitched]
 
 
 def random_table_game(
     round_sets: Iterable[Collection[int]],
     rng: np.random.Generator,
-    *,
-    range_bound: float = 1.0,
 ) -> TableGame:
     """Random bounded game: independent uniform utility per reachable state,
-    rescaled into ``[0, range_bound]``."""
+    rescaled into ``[0, 1]``."""
     rounds = [sorted(block) for block in round_sets]
     raw = [rng.uniform(0.0, 1.0, size=1 << len(block)) for block in rounds]
-    return TableGame(rounds, _stitch_and_fit(raw, range_bound), range_bound=range_bound)
+    return TableGame(rounds, _stitch_and_fit(raw))

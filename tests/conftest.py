@@ -126,11 +126,9 @@ def _set_function_table(
 def stitched_game(
     round_sets: Iterable[Collection[int]],
     round_functions: Sequence[Callable[[frozenset[int]], float]],
-    *,
-    range_bound: float = 1.0,
 ) -> TableGame:
     """Game built from one set function per round, re-anchored so rounds
-    chain consistently and fitted into ``[0, range_bound]``.
+    chain consistently and fitted into ``[0, 1]``.
 
     Anchoring and fitting are affine, so within-round structure of each
     function (symmetries, null players, marginal ratios) is preserved.
@@ -139,7 +137,7 @@ def stitched_game(
     if len(round_functions) != len(rounds):
         raise ValueError("one set function per round required")
     raw = [_set_function_table(block, fn) for block, fn in zip(rounds, round_functions)]
-    return TableGame(rounds, _stitch_and_fit(raw, range_bound), range_bound=range_bound)
+    return TableGame(rounds, _stitch_and_fit(raw))
 
 
 def additive_game(
@@ -164,19 +162,17 @@ def additive_game(
         tables.append(carried + marginal)
         carried = float(tables[-1][-1])
     bound = max(carried, 1.0)
-    return TableGame(rounds, tables, range_bound=bound)
+    return TableGame(rounds, tables, bound=bound)
 
 
 def game_from_set_function(
     players: Collection[int],
     set_function: Callable[[frozenset[int]], float],
     *,
-    range_bound: float,
+    bound: float,
 ) -> TableGame:
     """Single-round game with utilities given directly by ``set_function``."""
-    return TableGame(
-        [players], [_set_function_table(players, set_function)], range_bound=range_bound
-    )
+    return TableGame([players], [_set_function_table(players, set_function)], bound=bound)
 
 
 def sum_games(first: TableGame, second: TableGame) -> TableGame:
@@ -184,9 +180,7 @@ def sum_games(first: TableGame, second: TableGame) -> TableGame:
     if first.rounds != second.rounds:
         raise ValueError("games must share the same realized rounds")
     tables = [a + b for a, b in zip(first._tables, second._tables)]
-    return TableGame(
-        first.rounds, tables, range_bound=first.range_bound + second.range_bound
-    )
+    return TableGame(first.rounds, tables, bound=first.bound + second.bound)
 
 
 def read_value_records(path: str | Path) -> ValuationReport:

@@ -199,7 +199,7 @@ def test_criterion_03_permutation_sampling_contract(permutation_contract):
 
 def test_criterion_04_group_testing_contract():
     start = time.monotonic()
-    params = ApproxParams(epsilon=0.1, delta=0.2, c_eps=2.0, c_delta=2.0)
+    params = ApproxParams(epsilon=0.1, delta=0.2)
     hand = group_testing_plan(4, params)
     plan_ok = (
         abs(hand.z - 11 / 3) <= 1e-12
@@ -228,7 +228,7 @@ def test_criterion_04_group_testing_contract():
 
 
 def test_criterion_05_complexity_crossover():
-    params = ApproxParams(epsilon=0.1, delta=0.1, range_bound=1.0)
+    params = ApproxParams(epsilon=0.1, delta=0.1)
     totals = {}
     for m in (10, 50, 100, 500):
         plan = group_testing_plan(m, params)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 import yaml
@@ -308,26 +309,7 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["details"]["valuation_method"] == "permutation"
 
-    def test_group_testing_verbose_diagnostics(self, tmp_path):
-        doc = base_doc(valuation={
-            "method": "group_testing",
-            "approx": {"epsilon": 0.3, "delta": 0.3},
-        })
-        path = write_config(tmp_path, doc)
-        out = tmp_path / "gt"
-        assert main([
-            "train-and-value", "--config", str(path), "--out", str(out), "--verbose",
-        ]) == 0
-        plans = (out / "estimator_plans.csv").read_text().splitlines()
-        assert plans[0] == "round,m,t1,t2,q_tot,z"
-        assert len(plans) == 1 + 2  # one plan per round
-        assert not (out / "estimator_tests.csv").exists()
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["details"]["group_testing_plans"]
-
     def test_shipped_configs_parse(self):
-        from pathlib import Path
-
         shipped = sorted(Path(__file__).resolve().parents[1].glob("configs/*.yaml"))
         assert len(shipped) >= 4
         for path in shipped:
@@ -416,7 +398,7 @@ class TestEstimatorPlans:
         estimated = tmp_path / "gt"
         exact = tmp_path / "exact"
         assert main([
-            "train-and-value", "--config", str(path), "--out", str(estimated), "--verbose",
+            "train-and-value", "--config", str(path), "--out", str(estimated),
         ]) == 0
         assert main([
             "train-and-value", "--config", str(path), "--out", str(exact),
@@ -424,7 +406,6 @@ class TestEstimatorPlans:
         ]) == 0
         assert all(len(r.selected) == 1 for r in load_round_records(estimated / "rounds")[0])
         assert "group_testing_plans" not in manifest_details(estimated)
-        assert not (estimated / "estimator_plans.csv").exists()
         assert (estimated / "values.csv").read_bytes() == (exact / "values.csv").read_bytes()
 
     def test_replay_records_the_training_plans(self, tmp_path):
@@ -444,6 +425,80 @@ class TestEstimatorPlans:
         plans = manifest_details(trained)["group_testing_plans"]
         assert plans
         assert manifest_details(replayed)["group_testing_plans"] == plans
+
+
+SHIPPED = Path(__file__).resolve().parents[1] / "configs"
+PROTOCOLS = ("noisy-detect", "backdoor-detect", "summarize")
+
+
+def shipped_doc(name, **edits):
+    """A shipped config's document with each (dotted path, value) set."""
+    doc = yaml.safe_load((SHIPPED / name).read_text())
+    for dotted, value in edits.items():
+        *parents, key = dotted.split(".")
+        node = doc
+        for part in parents:
+            node = node[part]
+        node[key] = value
+    return doc
+
+
+class TestRefusedSettings:
+    """Settings that did nothing, or voided the estimator guarantee, are
+    refused before anything is written."""
+
+    def test_range_bound_refused_naming_approx(self, tmp_path, capsys):
+        doc = shipped_doc("train_value_small.yaml", **{"valuation.approx.range_bound": 0.01})
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["train-and-value", "--config", str(config), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert f"{config}.valuation.approx: unknown keys ['range_bound']" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("command, flag", [
+        *((command, "--verbose") for command in ("train-and-value", "value-replay", *PROTOCOLS)),
+        ("noisy-detect", "--normalized"),
+        ("backdoor-detect", "--normalized"),
+    ])
+    def test_flags_a_command_does_not_read_are_refused(self, tmp_path, command, flag):
+        out = tmp_path / "out"
+        snapshots = ["--snapshots", str(tmp_path)] if command == "value-replay" else []
+        with pytest.raises(SystemExit) as caught:
+            main([command, "--config", str(SHIPPED / "train_value_small.yaml"),
+                  "--out", str(out), *snapshots, flag])
+        assert caught.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", PROTOCOLS)
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_protocols_refuse_methods_other_than_shapley(self, tmp_path, capsys, command, how):
+        backdoor = command == "backdoor-detect"
+        name = "backdoor_detection.yaml" if backdoor else "noisy_detection_iid.yaml"
+        out = tmp_path / "out"
+        if how == "flag":
+            argv = [command, "--config", str(SHIPPED / name), "--method", "loo"]
+        else:
+            doc = shipped_doc(name, **{"valuation.method": "random"})
+            argv = [command, "--config", str(write_config(tmp_path, doc))]
+        assert main([*argv, "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "valuation.method:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, path", [
+        ("target_label", 7, "corruption.target_label"),
+        ("trigger_indices", [8, 12], "corruption.trigger_indices[1]"),
+    ])
+    def test_backdoor_outside_the_dataset_refused_at_parse(
+        self, tmp_path, capsys, key, value, path
+    ):
+        doc = shipped_doc("backdoor_detection.yaml", **{f"corruption.{key}": value})
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["backdoor-detect", "--config", str(config), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert f"{config}.{path}:" in capsys.readouterr().err
 
 
 def test_every_exported_name_resolves():

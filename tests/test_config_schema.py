@@ -157,7 +157,13 @@ REJECTIONS = [
      "config.corruption.trigger_value:"),
     ("trigger-item-type", [("corruption", {**BACKDOOR, "trigger_indices": [0, 1.5]})],
      "config.corruption.trigger_indices[1]:"),
+    ("trigger-item-min", [("corruption", {**BACKDOOR, "trigger_indices": [0, -1]})],
+     "config.corruption.trigger_indices[1]:"),
+    ("trigger-item-beyond-features", [("corruption", {**BACKDOOR, "trigger_indices": [1, 4]})],
+     "config.corruption.trigger_indices[1]:"),
     ("target-label-min", [("corruption", {**BACKDOOR, "target_label": -1})],
+     "config.corruption.target_label:"),
+    ("target-label-beyond-classes", [("corruption", {**BACKDOOR, "target_label": 3})],
      "config.corruption.target_label:"),
     ("mix-min", [("corruption", {**BACKDOOR, "mix_per_batch": 0})],
      "config.corruption.mix_per_batch:"),
@@ -209,12 +215,14 @@ REJECTIONS = [
      "config.valuation.approx.epsilon:"),
     ("delta-bound", [("valuation", APPROX), ("valuation.approx.delta", 1.0)],
      "config.valuation.approx.delta:"),
-    ("range-bound-bound", [("valuation", APPROX), ("valuation.approx.range_bound", 0.0)],
-     "config.valuation.approx.range_bound:"),
-    ("c-eps-bound", [("valuation", APPROX), ("valuation.approx.c_eps", 1.0)],
-     "config.valuation.approx.c_eps:"),
-    ("c-delta-bound", [("valuation", APPROX), ("valuation.approx.c_delta", 0.5)],
-     "config.valuation.approx.c_delta:"),
+    # The utility range is 1 and the budget split is fixed, so these keys
+    # are refused whatever their value, even the one the code uses.
+    ("range-bound-bound", [("valuation", APPROX), ("valuation.approx.range_bound", 1.0)],
+     "config.valuation.approx: unknown keys ['range_bound']"),
+    ("c-eps-bound", [("valuation", APPROX), ("valuation.approx.c_eps", 2.0)],
+     "config.valuation.approx: unknown keys ['c_eps']"),
+    ("c-delta-bound", [("valuation", APPROX), ("valuation.approx.c_delta", 2.0)],
+     "config.valuation.approx: unknown keys ['c_delta']"),
     # experiment
     ("experiment-unknown", [("experiment.repeats", 2)],
      "config.experiment: unknown keys ['repeats']"),
@@ -269,10 +277,7 @@ def affected(participants):
     )
 
 
-APPROX_DOC = fixed(
-    {"epsilon": unit(), "delta": unit(0.01, 0.99)},
-    {"range_bound": unit(0.1, 5.0), "c_eps": unit(1.01, 5.0), "c_delta": unit(1.01, 5.0)},
-)
+APPROX_DOC = fixed({"epsilon": unit(), "delta": unit(0.01, 0.99)})
 
 
 def with_affected(body, participants):
@@ -308,13 +313,20 @@ PARTITIONS = st.one_of(
 )
 
 
-def corruptions(participants):
+def corruptions(participants, dataset):
+    """Corruptions of the partition's ids; a backdoor on blobs stays within
+    the dataset's features and classes (idx counts are known only at load)."""
+    blobs = dataset["kind"] == "blobs"
+    features = dataset["features"] if blobs else 10
+    classes = dataset["classes"] if blobs else 10
     return st.one_of(
         with_affected(fixed({"kind": st.just("label_flip"), "flip_ratio": unit()}), participants),
         with_affected(fixed(
             {
-                "kind": st.just("backdoor"), "trigger_indices": st.lists(st.integers(0, 9)),
-                "trigger_value": st.floats(-10, 10), "target_label": st.integers(0, 9),
+                "kind": st.just("backdoor"),
+                "trigger_indices": st.lists(st.integers(0, features - 1)),
+                "trigger_value": st.floats(-10, 10),
+                "target_label": st.integers(0, classes - 1),
             },
             {"mix_per_batch": st.integers(1, 20), "poison_batch_size": st.integers(20, 100)},
         ), participants),
@@ -348,11 +360,12 @@ VALUATIONS = st.one_of(
         {"normalized": st.booleans()},
     ),
 )
-DOCUMENTS = PARTITIONS.flatmap(lambda partition: fixed(
-    {"seed": st.integers(0, 2**32), "dataset": DATASETS, "partition": st.just(partition),
-     "training": TRAINING},
+DOCUMENTS = st.tuples(PARTITIONS, DATASETS).flatmap(lambda parts: fixed(
+    {"seed": st.integers(0, 2**32), "dataset": st.just(parts[1]),
+     "partition": st.just(parts[0]), "training": TRAINING},
     {
-        "valuation": VALUATIONS, "corruption": corruptions(partition["participants"]),
+        "valuation": VALUATIONS,
+        "corruption": corruptions(parts[0]["participants"], parts[1]),
         "output_dir": NAME,
         "experiment": fixed({}, {
             "dismiss_fractions": st.lists(unit(0.0, 0.9), min_size=1, max_size=10),

@@ -273,22 +273,17 @@ class TestIidPartition:
 class TestShardPartition:
     def test_reference_geometry(self):
         data = Dataset(np.zeros((60000, 1)), np.arange(60000) % 10, 10)
-        plan = partition_noniid_shards(data, 100, 200, 2, 0)
+        plan = partition_noniid_shards(data, 100, 2, 0)
         assert all(len(plan.assignment[p]) == 600 for p in plan.participants())
-
-    def test_shard_count_consistency_enforced(self):
-        data = synth_blobs(400, 3, 4, 1.0, 0)
-        with pytest.raises(ValueError, match="must equal"):
-            partition_noniid_shards(data, 10, 30, 2, 0)
 
     def test_divisibility_enforced(self):
         data = synth_blobs(401, 3, 4, 1.0, 0)
         with pytest.raises(ValueError, match="does not divide"):
-            partition_noniid_shards(data, 10, 20, 2, 0)
+            partition_noniid_shards(data, 10, 2, 0)
 
     def test_label_span_per_participant_is_bounded(self):
         data = synth_blobs(800, 3, 8, 1.0, 4)
-        plan = partition_noniid_shards(data, 20, 40, 2, 1)
+        plan = partition_noniid_shards(data, 20, 2, 1)
         shard_size = 800 // 40
         sorted_labels = np.sort(data.labels)
         max_classes_per_shard = max(
@@ -301,14 +296,14 @@ class TestShardPartition:
 
     def test_partition_is_exact(self):
         data = synth_blobs(600, 3, 5, 1.0, 0)
-        plan = partition_noniid_shards(data, 10, 30, 3, 2)
+        plan = partition_noniid_shards(data, 10, 3, 2)
         combined = np.concatenate([plan.assignment[p] for p in plan.participants()])
         assert len(np.unique(combined)) == 600
 
     def test_skew_lowers_label_entropy_on_blobs(self):
         data = synth_blobs(1000, 4, 5, 1.0, 6)
         iid = partition_iid(data, 20, 7)
-        skewed = partition_noniid_shards(data, 20, 40, 2, 7)
+        skewed = partition_noniid_shards(data, 20, 2, 7)
         assert mean_label_entropy(data, skewed) < mean_label_entropy(data, iid)
 
     def test_skew_lowers_label_entropy_on_digit_images(self, tmp_path):
@@ -316,7 +311,7 @@ class TestShardPartition:
         image_path, label_path = write_idx_pair(tmp_path, images, labels)
         data = load_idx(image_path, label_path)
         iid = partition_iid(data, 10, 3)
-        skewed = partition_noniid_shards(data, 10, 20, 2, 3)
+        skewed = partition_noniid_shards(data, 10, 2, 3)
         assert mean_label_entropy(data, skewed) < mean_label_entropy(data, iid)
 
 

@@ -49,7 +49,7 @@ class TestExactShapley:
         assert values.get(2) == pytest.approx(3.0, abs=EXACT_TOL)
 
     def test_cardinality_game_splits_evenly(self):
-        game = game_from_set_function([0, 1, 2], lambda s: float(len(s)), range_bound=3.0)
+        game = game_from_set_function([0, 1, 2], lambda s: float(len(s)), bound=3.0)
         values = exact_federated_round_shapley(game, 0)
         for pid in range(3):
             assert values.get(pid) == pytest.approx(1.0, abs=EXACT_TOL)
@@ -61,7 +61,7 @@ class TestExactShapley:
         def worth(s):
             return 1.0 if ({1, 2} <= s or {1, 3} <= s) else 0.0
 
-        game = game_from_set_function([1, 2, 3], worth, range_bound=1.0)
+        game = game_from_set_function([1, 2, 3], worth, bound=1.0)
         oracle = brute_force_round_values(game, 0)
         assert oracle[1] == pytest.approx(2 / 3, abs=EXACT_TOL)
         assert oracle[2] == pytest.approx(1 / 6, abs=EXACT_TOL)
@@ -77,7 +77,7 @@ class TestExactShapley:
 
 class TestPermutationForm:
     def test_single_player(self):
-        game = game_from_set_function([1], lambda s: 0.7 if s else 0.0, range_bound=0.7)
+        game = game_from_set_function([1], lambda s: 0.7 if s else 0.0, bound=0.7)
         values = exact_shapley_permutation_form(game)
         assert values.get(1) == pytest.approx(0.7, abs=EXACT_TOL)
 
@@ -92,7 +92,7 @@ class TestPermutationForm:
 
     def test_squared_cardinality_game(self):
         game = game_from_set_function(
-            [0, 1, 2], lambda s: float(len(s)) ** 2, range_bound=9.0
+            [0, 1, 2], lambda s: float(len(s)) ** 2, bound=9.0
         )
         values = exact_shapley_permutation_form(game)
         for pid in range(3):
@@ -225,7 +225,7 @@ class TestValueAxioms:
 
 class TestLeaveOneOut:
     def test_zero_when_removal_changes_nothing(self):
-        game = game_from_set_function([0, 1], lambda s: 1.0, range_bound=1.0)
+        game = game_from_set_function([0, 1], lambda s: 1.0, bound=1.0)
         values = federated_loo_round(game, 0)
         assert values.get(0) == 0.0
         assert values.get(1) == 0.0
