@@ -33,6 +33,7 @@ from .engine import (
     RoundOracle,
     RoundRecord,
     evaluate_utility,
+    load_round_records,
     run_federated_training,
     value_rounds,
 )
@@ -45,7 +46,7 @@ from .estimators import (
 )
 from .experiments import (
     DetectionOutcome,
-    load_recorded_run,
+    check_recorded_run,
     prepare_experiment,
     prepare_validation,
     run_backdoor_detection,
@@ -202,8 +203,9 @@ def _cmd_value_replay(args: argparse.Namespace) -> int:
     out = _resolve_out(args, cfg)
 
     def body() -> dict[str, Any]:
+        loaded = load_round_records(snapshots)
         layout, validation = prepare_validation(cfg)
-        records = load_recorded_run(cfg, snapshots, layout)
+        records = check_recorded_run(cfg, snapshots, loaded, layout)
         return {
             **_write_values(cfg, layout, records, validation, out),
             "snapshots": str(snapshots),

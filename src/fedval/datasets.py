@@ -113,16 +113,35 @@ def _open_maybe_gzip(path: str | Path) -> BinaryIO:
     return fh
 
 
-def load_idx(
+@dataclass(frozen=True)
+class IdxImages:
+    """An IDX image/label pair as stored: one row of raw uint8 pixels per
+    image, so that only the rows a caller keeps are ever scaled."""
+
+    pixels: np.ndarray
+    labels: np.ndarray
+    class_count: int
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def rows(self, index: np.ndarray | slice) -> Dataset:
+        """The images at ``index``, pixels scaled to [0, 1]."""
+        features = self.pixels[index].astype(np.float64)
+        features /= 255.0
+        return Dataset(features, self.labels[index], self.class_count)
+
+
+def read_idx(
     images_path: str | Path,
     labels_path: str | Path,
     *,
     class_count: int | None = None,
-) -> Dataset:
-    """Load an image/label pair of IDX containers (plain or gzipped).
+) -> IdxImages:
+    """Read an image/label pair of IDX containers (plain or gzipped).
 
-    Pixels are scaled to [0, 1] and flattened to one row per image. The
-    two files' record counts are cross-checked.
+    Images are flattened to one row each. The two files' record counts
+    are cross-checked.
     """
     with _open_maybe_gzip(images_path) as fh:
         magic, count, rows, cols = struct.unpack(
@@ -147,14 +166,24 @@ def load_idx(
             f"{labels_path}: {label_count} labels but {images_path} holds "
             f"{count} images"
         )
-    features = np.frombuffer(pixels, dtype=np.uint8).astype(np.float64) / 255.0
     labels = np.frombuffer(raw_labels, dtype=np.uint8).astype(np.int64)
     inferred = int(labels.max()) + 1 if label_count else 0
-    return Dataset(
-        features.reshape(count, rows * cols),
+    return IdxImages(
+        np.frombuffer(pixels, dtype=np.uint8).reshape(count, rows * cols),
         labels,
         class_count if class_count is not None else max(inferred, 2),
     )
+
+
+def load_idx(
+    images_path: str | Path,
+    labels_path: str | Path,
+    *,
+    class_count: int | None = None,
+) -> Dataset:
+    """Every image of an IDX pair (see :func:`read_idx`), pixels scaled to
+    [0, 1]."""
+    return read_idx(images_path, labels_path, class_count=class_count).rows(slice(None))
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ import math
 import os
 import re
 import tempfile
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,6 +37,7 @@ from .models import (
     init_params,
     logits,
     loss_and_gradient,
+    mlp_logits_into,
 )
 from .seeding import substream
 from .values import (
@@ -283,11 +285,10 @@ def evaluate_utility(
 
 
 # Bound on the bytes one slice of a round's MLP subset utilities works in
-# (see ``RoundOracle._subset_utilities``). It keeps a slice's arrays
-# within a core's L2 cache (2 MB on the 2-core Xeon this was tuned on).
-# At 4 MB, 17 masks of a 20-feature, 16-unit MLP over 1000 samples, the
-# allocator returned each slice's arrays to the system and faulted them
-# back in: 224k page faults in one valuation, against 4k at 2 MB.
+# (see ``RoundOracle._subset_utilities``), per worker thread: each worker
+# holds arrays of this size, which keep its slices within its core's L2
+# cache (2 MB on the 2-core Xeon this was tuned on). Results do not
+# depend on it, nor on the number of workers.
 _UTILITY_SLICE_BYTES = 2 << 20
 
 
@@ -313,8 +314,9 @@ class RoundOracle:
     uncached masks, each mask's member rows are gathered in bit order and
     summed row by row, and the slice's averages run one stacked forward
     pass. ``evaluate_many`` hands the kernel all of a call's uncached MLP
-    subsets, in slices bounded by ``_UTILITY_SLICE_BYTES``. Each utility
-    is bitwise the accuracy of ``aggregate_subset``'s average.
+    subsets, in slices bounded by ``_UTILITY_SLICE_BYTES``, which run on
+    one thread per CPU the process may use. Each utility is bitwise the
+    accuracy of ``aggregate_subset``'s average, whichever thread runs it.
     """
 
     def __init__(
@@ -420,33 +422,104 @@ class RoundOracle:
 
     def _subset_utilities(self, record: RoundRecord, masks: list[int]) -> list[float]:
         """MLP utilities of proper-subset ``masks`` of ``record``'s round,
-        computed a slice of masks at a time."""
+        computed a slice of masks at a time, each slice on one of the
+        threads of ``_run_on_threads``."""
         if not masks:
             return []
-        layout, features = self._layout, self._features
+        layout, features, labels = self._layout, self._features, self._labels
         m, n = len(record.selected), features.shape[0]
+        size, h, c = layout.param_count, layout.hidden_units, layout.n_classes
         bits = mask_bits(m)
         # Row m is zero: it pads every mask's members to the slice's
         # largest subset. Adding zero changes a sum at most in the sign of
         # a zero, which no score comparison sees.
-        updates = np.concatenate([record.updates, np.zeros((1, layout.param_count))])
+        updates = np.concatenate([record.updates, np.zeros((1, size))])
         # Bytes per mask: its gathered rows and average, then per sample
         # its hidden activations, scores and argmax.
-        per_mask = 8 * ((m + 1) * layout.param_count
-                        + n * (layout.hidden_units + layout.n_classes + 1))
+        per_mask = 8 * ((m + 1) * size + n * (h + c + 1))
         step = max(1, _UTILITY_SLICE_BYTES // per_mask)
-        utilities: list[float] = []
-        for first in range(0, len(masks), step):
-            chunk = np.array(masks[first : first + step], dtype=bits.dtype)
-            members = (chunk[:, None] & bits) != 0
-            counts = members.sum(axis=1)
-            rows = np.sort(np.where(members, np.arange(m), m), axis=1)[:, : counts.max()]
-            params = updates[rows].sum(axis=1)
-            params /= counts[:, None]
-            scores = logits(layout, params, features)
-            hits = np.count_nonzero(scores.argmax(axis=2) == self._labels, axis=1)
-            utilities.extend((hits / n).tolist())
-        return utilities
+        firsts = range(0, len(masks), step)
+        width = min(step, len(masks))
+        utilities = np.empty(len(masks))
+
+        def worker() -> Callable[[int], None]:
+            # Allocated here, in the calling thread: each worker writes
+            # every slice into a prefix of its own arrays.
+            gathered, averaged = np.empty(width * m * size), np.empty(width * size)
+            hidden, scores = np.empty(width * n * h), np.empty(width * n * c)
+            best, hits = np.empty(width * n, dtype=np.intp), np.empty(width * n, dtype=bool)
+
+            def run(first: int) -> None:
+                chunk = np.array(masks[first : first + step], dtype=bits.dtype)
+                k = len(chunk)
+                members = (chunk[:, None] & bits) != 0
+                counts = members.sum(axis=1)
+                rows = np.sort(np.where(members, np.arange(m), m), axis=1)[:, : counts.max()]
+                stacked = np.take(
+                    updates, rows, axis=0, mode="clip",
+                    out=_prefix(gathered, *rows.shape, size),
+                )
+                params = np.sum(stacked, axis=1, out=_prefix(averaged, k, size))
+                params /= counts[:, None]
+                out = mlp_logits_into(
+                    layout, params, features, _prefix(hidden, k, n, h), _prefix(scores, k, n, c)
+                )
+                chosen = np.argmax(out, axis=2, out=_prefix(best, k, n))
+                right = np.equal(chosen, labels, out=_prefix(hits, k, n))
+                np.divide(np.count_nonzero(right, axis=1), n, out=utilities[first : first + k])
+
+            return run
+
+        workers = [worker() for _ in range(min(_utility_workers(), len(firsts)))]
+        _run_on_threads(firsts, workers)
+        return utilities.tolist()
+
+
+def _prefix(buffer: np.ndarray, *shape: int) -> np.ndarray:
+    """The leading elements of a flat ``buffer`` as a C-contiguous array of ``shape``."""
+    return buffer[: math.prod(shape)].reshape(shape)
+
+
+def _utility_workers() -> int:
+    """Threads for a call's MLP subset utilities: one per CPU this process
+    may run on, or per CPU where the platform keeps no affinity mask."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_on_threads(tasks: Sequence[int], workers: Sequence[Callable[[int], None]]) -> None:
+    """Call one of ``workers`` on each of ``tasks``, every worker on its own
+    thread and the first on the calling one, so a single worker starts no
+    thread. Workers take tasks in order until none is left or one has
+    raised; every thread is joined before the first exception raised is
+    re-raised, unchanged."""
+    pending = iter(tasks)
+    lock = threading.Lock()
+    errors: list[BaseException] = []
+
+    def drain(worker: Callable[[int], None]) -> None:
+        try:
+            while True:
+                with lock:
+                    task = None if errors else next(pending, None)
+                if task is None:
+                    return
+                worker(task)
+        except BaseException as error:  # re-raised by the calling thread
+            with lock:
+                errors.append(error)
+
+    threads = [threading.Thread(target=drain, args=(worker,)) for worker in workers[1:]]
+    for thread in threads:
+        thread.start()
+    try:
+        drain(workers[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def value_rounds(

@@ -180,8 +180,9 @@ def group_testing_round(
 
     Runs ``plan.t1`` tests, each drawing a subset whose size follows the
     plan's distribution, and turns the recorded membership/utility pairs
-    into estimates of all pairwise value differences; the absolute level
-    comes from :func:`pivot_anchor_values`. Unlike ordering sampling the
+    into per-participant loads, whose differences estimate the pairwise
+    value differences; the absolute level comes from
+    :func:`pivot_anchor_values`. Unlike ordering sampling the
     estimated values only approximately sum to the round's utility
     improvement; the guarantee is per-coordinate.
     """
@@ -197,36 +198,31 @@ def group_testing_round(
     )
     masks = membership @ mask_bits(m)
     test_utilities = oracle.evaluate_many(round_index, masks)
-    # Per-participant accumulants; the difference matrix is their outer
-    # difference, so it is antisymmetric by construction.
     loads = (plan.z / plan.t1) * (test_utilities @ membership)
-    differences = loads[:, None] - loads[None, :]
-    return pivot_anchor_values(differences, oracle, round_index, plan, rng)
+    return pivot_anchor_values(loads, oracle, round_index, plan, rng)
 
 
 def pivot_anchor_values(
-    pairwise_differences: np.ndarray,
+    loads: np.ndarray,
     oracle: UtilityOracle,
     round_index: int,
     plan: GroupTestingPlan,
     seed: int | np.random.Generator,
 ) -> ValueVector:
-    """Recover absolute values from pairwise differences.
+    """Recover absolute values from per-participant ``loads``, whose
+    differences estimate the pairwise value differences.
 
     The pivot is the highest participant id. Its value is estimated from
     ``plan.t2`` sampled marginal contributions, drawing first a subset
     size uniformly from ``0..m-1`` and then a uniform subset of the other
     participants at that size, which makes the estimate unbiased for the
-    pivot's exact value. Everyone else is the pivot plus the estimated
-    difference.
+    pivot's exact value. Participant ``b`` is the pivot plus
+    ``loads[b] - loads[-1]``.
     """
     ids = oracle.players(round_index)
     m = len(ids)
-    if pairwise_differences.shape != (m, m):
-        raise ValueError(
-            f"difference matrix shape {pairwise_differences.shape} does not "
-            f"match {m} participants"
-        )
+    if loads.shape != (m,):
+        raise ValueError(f"loads shape {loads.shape} does not match {m} participants")
     rng = np.random.default_rng(seed)
     bits = mask_bits(m)
     sizes = rng.integers(0, m, size=plan.t2)
@@ -247,7 +243,7 @@ def pivot_anchor_values(
         total += with_pivot - without
     pivot_estimate = total / plan.t2
     values = {
-        pid: float(pivot_estimate + pairwise_differences[b, m - 1])
+        pid: float(pivot_estimate + (loads[b] - loads[-1]))
         for b, pid in enumerate(ids)
     }
     return ValueVector(values, round_index)

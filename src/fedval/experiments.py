@@ -24,6 +24,7 @@ from .config import (
 from .datasets import (
     BackdoorSpec,
     Dataset,
+    IdxImages,
     LabelFlipSpec,
     PartitionPlan,
     flip_labels,
@@ -31,6 +32,7 @@ from .datasets import (
     load_idx,
     partition_iid,
     partition_noniid_shards,
+    read_idx,
     synth_blobs,
     triggered_test_set,
 )
@@ -116,29 +118,32 @@ def _build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
     spec = cfg.dataset
     if isinstance(spec, BlobsSpec):
         return _draw_blobs(cfg, spec, split=spec.samples)
+    images, train_order, validation = _split_idx(cfg)
+    return images.rows(train_order), validation
+
+
+def _split_idx(cfg: ExperimentConfig) -> tuple[IdxImages, np.ndarray, Dataset]:
+    """The training file's raw images, the order of its training rows, and
+    the validation set: a held-out share of those images, or the
+    validation file. Only the validation rows are scaled here."""
+    spec = cfg.dataset
     assert isinstance(spec, IdxSpec)
-    full = load_idx(spec.images, spec.labels, class_count=spec.class_count)
-    order = substream(cfg.seed, "data").permutation(len(full))
+    images = read_idx(spec.images, spec.labels, class_count=spec.class_count)
+    order = substream(cfg.seed, "data").permutation(len(images))
     if spec.validation_images is not None:
         validation = load_idx(
-            spec.validation_images, spec.validation_labels, class_count=full.class_count
+            spec.validation_images, spec.validation_labels, class_count=images.class_count
         )
         train_order = order
     else:
         assert spec.validation_samples is not None
-        if spec.validation_samples >= len(full):
+        if spec.validation_samples >= len(images):
             raise ValueError("validation split would consume the whole dataset")
-        held_out = order[: spec.validation_samples]
-        validation = Dataset(
-            full.features[held_out], full.labels[held_out], full.class_count
-        )
+        validation = images.rows(order[: spec.validation_samples])
         train_order = order[spec.validation_samples :]
     if spec.limit is not None:
         train_order = train_order[: spec.limit]
-    train = Dataset(full.features[train_order], full.labels[train_order], full.class_count)
-    if validation.class_count != train.class_count:
-        raise ValueError("validation and training class counts differ")
-    return train, validation
+    return images, train_order, validation
 
 
 def _resolve_affected(
@@ -156,11 +161,11 @@ def _resolve_affected(
     return tuple(sorted(participants[i] for i in chosen))
 
 
-def _layout(cfg: ExperimentConfig, train: Dataset) -> ModelLayout:
+def _layout(cfg: ExperimentConfig, n_features: int, class_count: int) -> ModelLayout:
     return ModelLayout(
         arch=cfg.training.model,
-        n_features=train.features.shape[1],
-        n_classes=train.class_count,
+        n_features=n_features,
+        n_classes=class_count,
         hidden_units=cfg.training.hidden_units,
     )
 
@@ -168,12 +173,13 @@ def _layout(cfg: ExperimentConfig, train: Dataset) -> ModelLayout:
 def prepare_validation(cfg: ExperimentConfig) -> tuple[ModelLayout, Dataset]:
     """The model layout and validation set of a config, for valuing recorded
     rounds: no partition or corruption. A blobs config's training rows are
-    drawn and dropped chunk by chunk, so only the validation rows are held."""
+    drawn and dropped chunk by chunk, and an IDX file's are never scaled,
+    so only the validation rows are held."""
     if isinstance(cfg.dataset, BlobsSpec):
         validation = _draw_blobs(cfg, cfg.dataset, skip=cfg.dataset.samples)
-        return _layout(cfg, validation), validation
-    train, validation = _build_datasets(cfg)
-    return _layout(cfg, train), validation
+        return _layout(cfg, cfg.dataset.features, cfg.dataset.classes), validation
+    images, _, validation = _split_idx(cfg)
+    return _layout(cfg, images.pixels.shape[1], images.class_count), validation
 
 
 def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
@@ -208,7 +214,7 @@ def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
             )
             train = implant_backdoor(train, plan, spec, substream(cfg.seed, "corrupt"))
             triggered = triggered_test_set(validation, spec)
-    layout = _layout(cfg, train)
+    layout = _layout(cfg, train.features.shape[1], train.class_count)
     return PreparedExperiment(
         layout=layout,
         training=cfg.training.to_training_config(layout, cfg.seed),
@@ -220,13 +226,17 @@ def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
     )
 
 
-def load_recorded_run(
-    cfg: ExperimentConfig, snapshots: str | Path, layout: ModelLayout
+def check_recorded_run(
+    cfg: ExperimentConfig,
+    snapshots: str | Path,
+    loaded: tuple[list[RoundRecord], ModelLayout],
+    layout: ModelLayout,
 ) -> list[RoundRecord]:
-    """The round records of a snapshot directory, refused unless they form
-    one run of ``layout`` over ``cfg``'s participants that starts from
-    ``cfg``'s initial model."""
-    records, recorded_layout = load_round_records(snapshots)
+    """The round records ``load_round_records(snapshots)`` returned, refused
+    unless they form one run of ``layout`` over ``cfg``'s participants that
+    starts from ``cfg``'s initial model. The snapshots are loaded first, so
+    a directory the loader refuses costs no data preparation."""
+    records, recorded_layout = loaded
     if recorded_layout != layout:
         raise ConfigError("snapshot layout does not match the configured model/dataset")
     participants = cfg.partition.participants
@@ -377,13 +387,14 @@ def run_summarization(
     averaged over the configured number of repeats. Pass a ``snapshots``
     directory to reuse a persisted run instead of training it.
     """
+    loaded = None if snapshots is None else load_round_records(snapshots)
     prepared = prepare_experiment(cfg)
     shards = prepared.plan.assignment
     validation = (prepared.validation.features, prepared.validation.labels)
-    if snapshots is None:
+    if loaded is None:
         records = run_federated_training(prepared.train, shards, prepared.training)
     else:
-        records = load_recorded_run(cfg, snapshots, prepared.layout)
+        records = check_recorded_run(cfg, snapshots, loaded, prepared.layout)
     sv_report, loo_report = _shapley_and_loo(
         cfg, prepared.layout, records, prepared.validation
     )

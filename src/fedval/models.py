@@ -119,11 +119,29 @@ def logits(layout: ModelLayout, theta: np.ndarray, features: np.ndarray) -> np.n
     if layout.arch == "logistic":
         weights, bias = _unpack_logistic(layout, theta)
         return features @ weights + bias
+    lead, n = theta.shape[:-1], features.shape[0]
+    return mlp_logits_into(
+        layout, theta, features,
+        np.empty((*lead, n, layout.hidden_units)), np.empty((*lead, n, layout.n_classes)),
+    )
+
+
+def mlp_logits_into(
+    layout: ModelLayout,
+    theta: np.ndarray,
+    features: np.ndarray,
+    hidden: np.ndarray,
+    scores: np.ndarray,
+) -> np.ndarray:
+    """An MLP's ``logits``, computed in caller-owned arrays and returned as
+    ``scores``: ``hidden`` (k, n, h) takes the hidden activations and
+    ``scores`` (k, n, c) the class scores of a stack ``theta`` (k, P), or
+    (n, h) and (n, c) of one vector. No other array is allocated."""
     w1, b1, w2, b2 = _unpack_mlp(layout, theta)
-    hidden = features @ w1
+    np.matmul(features, w1, out=hidden)
     hidden += b1
     np.maximum(hidden, 0.0, out=hidden)
-    scores = hidden @ w2
+    np.matmul(hidden, w2, out=scores)
     scores += b2
     return scores
 

@@ -165,6 +165,39 @@ def test_replay_validation_equals_the_prepared_split(chunk_bytes):
     assert prepared.train.features.shape == (203, 7) and validation.features.shape == (61, 7)
 
 
+def idx_config(image_path, label_path, validation_samples):
+    return config_from_dict({
+        "seed": 13,
+        "dataset": {
+            "kind": "idx", "images": str(image_path), "labels": str(label_path),
+            "validation_samples": validation_samples,
+        },
+        "partition": {"mode": "iid", "participants": 5},
+        "training": {
+            "rounds": 1, "participant_fraction": 0.4, "local_epochs": 1,
+            "batch_size": 8, "learning_rate": 0.5, "model": "logistic",
+        },
+        "valuation": {"method": "exact"},
+    })
+
+
+def test_idx_split_scales_the_rows_of_one_permutation(tmp_path):
+    images, labels = digits_fixture(count=300, side=5)
+    cfg = idx_config(*write_idx_pair(tmp_path, images, labels), 40)
+    layout, validation = prepare_validation(cfg)
+    prepared = prepare_experiment(cfg)
+    pixels = images.reshape(300, 25)
+    order = substream(13, "data").permutation(300)
+    expected = {"validation": order[:40], "train": order[40:]}
+    for name, data in (("validation", validation), ("validation", prepared.validation),
+                       ("train", prepared.train)):
+        rows = expected[name]
+        assert data.features.tobytes() == (pixels[rows] / 255.0).tobytes()
+        assert np.array_equal(data.labels, labels[rows])
+    assert layout == prepared.layout
+    assert (layout.n_features, layout.n_classes) == (25, 10)
+
+
 def traced_peak(fn):
     """The result of ``fn()`` and the peak bytes it allocated beyond what
     was allocated when it started, as tracemalloc (which numpy reports its
@@ -199,6 +232,16 @@ class TestMemoryBound:
         assert validation.features.shape == (600, 784)
         kept = validation.features.nbytes + validation.labels.nbytes
         assert peak < kept + 2 * datasets._CHUNK_BYTES
+
+
+    def test_idx_replay_validation_holds_only_validation_rows(self, tmp_path):
+        images, labels = digits_fixture(count=6000, side=28)
+        cfg = idx_config(*write_idx_pair(tmp_path, images, labels), 1000)
+        (_, validation), peak = traced_peak(lambda: prepare_validation(cfg))
+        assert validation.features.shape == (1000, 784)
+        kept = validation.features.nbytes + validation.labels.nbytes
+        # The file's bytes are read once, unscaled; no training row is scaled.
+        assert peak <= kept + images.nbytes + (1 << 20)
 
 
 class TestIdxLoader:

@@ -221,7 +221,7 @@ class TestPivotAnchoring:
     def test_zero_differences_collapse_to_pivot(self, rng):
         plan = group_testing_plan(4, ApproxParams(epsilon=0.2, delta=0.3))
         game = random_table_game([range(4)], rng)
-        values = pivot_anchor_values(np.zeros((4, 4)), game, 0, plan, 13)
+        values = pivot_anchor_values(np.zeros(4), game, 0, plan, 13)
         level = values.get(3)
         for pid in range(4):
             assert values.get(pid) == level
@@ -231,7 +231,7 @@ class TestPivotAnchoring:
             m=1, z=0.0, subset_size_probs=np.empty(0), q_tot=0.0, t1=0, t2=25
         )
         game = random_table_game([(9,)], rng)
-        values = pivot_anchor_values(np.zeros((1, 1)), game, 0, plan, 4)
+        values = pivot_anchor_values(np.zeros(1), game, 0, plan, 4)
         expected = game.evaluate(0, 1) - game.evaluate(0, 0)
         assert values.get(9) == pytest.approx(expected, abs=1e-12)
 
@@ -244,23 +244,23 @@ class TestPivotAnchoring:
         trials = 50
         for trial in range(trials):
             values = pivot_anchor_values(
-                np.zeros((5, 5)), game, 0, plan, (33, trial)
+                np.zeros(5), game, 0, plan, (33, trial)
             )
             hits += abs(values.get(4) - weights[4]) <= params.epsilon
         assert hits / trials >= 1.0 - params.delta
 
-    def test_difference_matrix_is_antisymmetric_by_construction(self, rng):
-        # The matrix handed to the anchoring step is an outer difference
-        # of per-participant loads, so antisymmetry is exact and pivot
-        # transitivity holds to rounding.
+    def test_values_offset_the_pivot_by_load_differences(self, rng):
+        # Participant b is the pivot (the highest id) plus loads[b] minus
+        # the pivot's load, in that order and sign.
+        plan = group_testing_plan(7, ApproxParams(epsilon=0.2, delta=0.3))
+        game = random_table_game([range(7)], rng)
         loads = rng.normal(size=7)
-        diffs = loads[:, None] - loads[None, :]
-        assert np.array_equal(diffs, -diffs.T)
-        for i in range(7):
-            for j in range(7):
-                assert diffs[i, j] - (diffs[i, 6] - diffs[j, 6]) == pytest.approx(
-                    0.0, abs=1e-12
-                )
+        pivot = pivot_anchor_values(np.zeros(7), game, 0, plan, 5).get(6)
+        values = pivot_anchor_values(loads, game, 0, plan, 5)
+        for b in range(7):
+            assert values.get(b) == pivot + (loads[b] - loads[6])
+        with pytest.raises(ValueError, match="loads shape"):
+            pivot_anchor_values(np.zeros((7, 7)), game, 0, plan, 5)
 
 
 class TestBudgets:

@@ -324,6 +324,26 @@ def test_summarize_records_refused_snapshots_in_manifest(tmp_path, capsys):
     assert not (out / "summarization.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["value-replay", "summarize"])
+def test_refused_snapshots_cost_no_data_preparation(tmp_path, capsys, monkeypatch, command):
+    import fedval.experiments as experiments
+
+    config, rounds = train(tmp_path, base_doc(), "run")
+    victim = rounds / "round_00001.fvr"
+    victim.write_bytes(victim.read_bytes()[:200])
+
+    def unused(*args, **kwargs):
+        raise AssertionError(f"{command} prepared data before loading the snapshots")
+
+    monkeypatch.setattr(experiments, "synth_blobs", unused)
+    rc = main([
+        command, "--config", str(config), "--snapshots", str(rounds),
+        "--out", str(tmp_path / "replay"),
+    ])
+    assert rc == 1
+    assert str(victim) + ": " in capsys.readouterr().err
+
+
 def test_failed_snapshot_write_leaves_no_file(three_rounds, tmp_path, monkeypatch):
     records, layout = load_round_records(three_rounds)
     real_save = np.save

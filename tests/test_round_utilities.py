@@ -3,8 +3,8 @@
 ``RoundOracle`` values a logistic model's proper subsets from averaged
 member logits, and an MLP's from slices of stacked parameter averages;
 these tests hold both to the parameter-average definition on random
-rounds, the MLP bitwise whatever the slice bound, request order and mix
-of batched and scalar requests. The estimators pass their masks, repeats
+rounds, the MLP bitwise whatever the slice bound, worker thread count,
+request order and mix of batched and scalar requests. The estimators pass their masks, repeats
 and all, to the oracle's ``evaluate_many``; these tests hold them to the
 one-call-per-draw loops they replaced, on rounds wider than int64 masks
 too. ``TableGame`` answers each value rule's queries in one batch per
@@ -14,6 +14,8 @@ draw, bitwise as its per-mask lookups.
 from __future__ import annotations
 
 import math
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -150,6 +152,8 @@ mlp_round_shapes = st.fixed_dictionaries({
     # 0 puts every mask in its own slice; the small bounds give slices of
     # a few masks each.
     "slice_bytes": st.sampled_from([0, 2_000, 10_000, engine._UTILITY_SLICE_BYTES]),
+    # Threads a call's slices run on; 1 is the serial path.
+    "workers": st.sampled_from([1, 2, 3]),
 })
 
 
@@ -174,7 +178,8 @@ def test_mlp_subset_utilities_equal_parameter_average(shape, shuffler):
         for t, record in enumerate(records)
         for mask in range(1 << len(record.selected))
     }
-    with mock.patch.object(engine, "_UTILITY_SLICE_BYTES", shape["slice_bytes"]):
+    with mock.patch.object(engine, "_UTILITY_SLICE_BYTES", shape["slice_bytes"]), \
+            mock.patch.object(engine, "_utility_workers", lambda: shape["workers"]):
         # Every mask of a round in one batch, shuffled and with repeats.
         batched = RoundOracle(layout, records, features, labels)
         for t, record in enumerate(records):
@@ -194,6 +199,66 @@ def test_mlp_subset_utilities_equal_parameter_average(shape, shuffler):
             masks = [mask, *(shuffler.randrange(size) for _ in range(3))]
             got = mixed.evaluate_many(t, np.array(masks))
             assert got.tolist() == [expected[t, b] for b in masks]
+
+
+def mlp_round(m=6, samples=30):
+    rng = np.random.default_rng(m)
+    layout = ModelLayout("mlp", 3, 3, hidden_units=4)
+    records = random_records(rng, layout, 1, m, quantized=False)
+    features = rng.normal(size=(samples, 3))
+    labels = rng.integers(0, 3, size=samples)
+    return layout, records, features, labels
+
+
+def test_worker_exception_leaves_the_call_uncached():
+    layout, records, features, labels = mlp_round()
+    oracle = RoundOracle(layout, records, features, labels)
+    subsets = list(range(1, (1 << 6) - 1))
+    failure = KeyError("worker failed")
+    forward, calls, lock = engine.mlp_logits_into, [], threading.Lock()
+
+    def fail_fifth(*args):
+        with lock:
+            calls.append(threading.get_ident())
+            if len(calls) == 5:
+                raise failure
+        return forward(*args)
+
+    threads = threading.active_count()
+    with mock.patch.object(engine, "_UTILITY_SLICE_BYTES", 0), \
+            mock.patch.object(engine, "_utility_workers", lambda: 3), \
+            mock.patch.object(engine, "mlp_logits_into", fail_fifth):
+        with pytest.raises(KeyError) as info:
+            oracle.evaluate_many(0, subsets)
+    assert info.value is failure
+    assert oracle._cache == {}
+    assert threading.active_count() == threads
+    # Workers stop taking slices once one has raised.
+    assert len(calls) < len(subsets)
+    reference = AggregateSubsetOracle(layout, records[0], features, labels)
+    assert oracle.evaluate_many(0, subsets).tolist() == [
+        reference.evaluate(0, mask) for mask in subsets
+    ]
+
+
+def test_more_workers_than_cpus_fill_every_slice():
+    """Eight threads taking one-mask slices, switching every microsecond:
+    a slice taken twice or never would differ from the serial run."""
+    layout, records, features, labels = mlp_round(m=8)
+    masks = list(range(1, (1 << 8) - 1))
+    serial = RoundOracle(layout, records, features, labels)
+    with mock.patch.object(engine, "_utility_workers", lambda: 1):
+        expected = serial.evaluate_many(0, masks).tolist()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(engine, "_UTILITY_SLICE_BYTES", 0), \
+                mock.patch.object(engine, "_utility_workers", lambda: 8):
+            for _ in range(5):
+                oracle = RoundOracle(layout, records, features, labels)
+                assert oracle.evaluate_many(0, masks).tolist() == expected
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_mlp_members_summed_in_ascending_id_order():

@@ -179,7 +179,7 @@ def test_values_credit_exactly_the_rounds_players(rounds, seed):
             plan = group_testing_plan(len(ids), approx)
             vectors.append(group_testing_round(game, t, plan, seed))
             vectors.append(
-                pivot_anchor_values(np.zeros((len(ids), len(ids))), game, t, plan, seed)
+                pivot_anchor_values(np.zeros(len(ids)), game, t, plan, seed)
             )
         for vector in vectors:
             assert set(vector.values) == set(players)
