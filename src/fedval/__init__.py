@@ -20,7 +20,6 @@ from .values import (
     aggregate_rounds,
     build_report,
     exact_federated_round_shapley,
-    exact_shapley_permutation_form,
     federated_loo_round,
     normalize_round_values,
     write_value_records,
@@ -36,7 +35,6 @@ __all__ = [
     "aggregate_rounds",
     "build_report",
     "exact_federated_round_shapley",
-    "exact_shapley_permutation_form",
     "federated_loo_round",
     "group_testing_plan",
     "group_testing_round",

@@ -1,8 +1,7 @@
 """Command-line front end.
 
 Subcommands cover the full pipeline: train-and-value, value-replay from
-round snapshots, the detection and summarization protocols, and a
-self-contained exact-vs-estimator check on synthetic games. Result
+round snapshots, and the detection and summarization protocols. Result
 tables are plain delimited text with stable formatting, so identical
 configs and seeds produce byte-identical files; timestamps live only in
 the run manifest.
@@ -16,8 +15,6 @@ from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable
-
-import numpy as np
 
 from .config import (
     ConfigError,
@@ -37,14 +34,9 @@ from .engine import (
     run_federated_training,
     value_rounds,
 )
-from .estimators import (
-    ApproxParams,
-    group_testing_plan,
-    permutation_sample_count,
-    permutation_sampling_round,
-    round_plan,
-)
+from .estimators import round_plan
 from .experiments import (
+    SHAPLEY_METHODS,
     DetectionOutcome,
     check_recorded_run,
     prepare_experiment,
@@ -54,14 +46,8 @@ from .experiments import (
     run_summarization,
     shapley_backend,
 )
-from .games import random_table_game
 from .models import ModelLayout
-from .values import (
-    exact_federated_round_shapley,
-    exact_shapley_permutation_form,
-    format_float,
-    write_value_records,
-)
+from .values import format_float, write_value_records
 
 
 _METHOD_ALIASES = {"perm": "permutation", "gt": "group_testing"}
@@ -283,83 +269,6 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
     return _run_with_manifest("summarize", cfg, digest, out, body)
 
 
-def _check_permutation_contract(
-    m: int, epsilon: float, delta: float, trials: int, seed: int
-) -> tuple[bool, str]:
-    params = ApproxParams(epsilon=epsilon, delta=delta)
-    count = permutation_sample_count(params, m)
-    players = range(m)
-    failures = 0
-    telescope_bad = 0
-    for trial in range(trials):
-        rng = np.random.default_rng((seed, trial))
-        game = random_table_game([players], rng)
-        exact = exact_federated_round_shapley(game, 0)
-        estimate = permutation_sampling_round(game, 0, players, count, rng)
-        worst = max(
-            abs(estimate.get(pid) - exact.get(pid)) for pid in players
-        )
-        if worst > epsilon:
-            failures += 1
-        total = sum(estimate.values.values())
-        span = game.evaluate(0, (1 << m) - 1) - game.evaluate(0, 0)
-        if abs(total - span) > 1e-9:
-            telescope_bad += 1
-    rate = 1.0 - failures / trials
-    ok = rate >= 1.0 - delta and telescope_bad == 0
-    return ok, (
-        f"within epsilon in {rate:.1%} of {trials} trials "
-        f"(need {1.0 - delta:.0%}), {telescope_bad} telescoping violations, "
-        f"{count} orderings per trial"
-    )
-
-
-def _check_form_agreement(games: int, seed: int) -> tuple[bool, str]:
-    worst = 0.0
-    for index in range(games):
-        rng = np.random.default_rng((seed, 7000 + index))
-        m = 2 + index % 5
-        players = range(m)
-        game = random_table_game([players], rng)
-        subset_form = exact_federated_round_shapley(game, 0)
-        ordering_form = exact_shapley_permutation_form(game)
-        worst = max(
-            worst,
-            max(abs(subset_form.get(p) - ordering_form.get(p)) for p in players),
-        )
-    return worst <= 1e-9, f"max disagreement {worst:.2e} over {games} games (cap 1e-09)"
-
-
-def _check_plan_values() -> tuple[bool, str]:
-    plan = group_testing_plan(4, ApproxParams(epsilon=0.1, delta=0.1))
-    checks = (
-        abs(plan.z - 11.0 / 3.0) <= 1e-12,
-        np.allclose(plan.subset_size_probs, [4 / 11, 3 / 11, 4 / 11], atol=1e-12),
-        abs(plan.q_tot - 5.0 / 11.0) <= 1e-12,
-    )
-    return all(checks), f"z={plan.z:.6f}, q_tot={plan.q_tot:.6f} for m=4"
-
-
-def _cmd_exact_check(args: argparse.Namespace) -> int:
-    checks = [
-        ("subset-vs-ordering agreement", _check_form_agreement(args.games, args.seed)),
-        ("sampling-plan constants", _check_plan_values()),
-        (
-            "ordering-sampling contract",
-            _check_permutation_contract(
-                args.players, args.epsilon, args.delta, args.trials, args.seed
-            ),
-        ),
-    ]
-    failed = 0
-    for name, (ok, detail) in checks:
-        status = "PASS" if ok else "FAIL"
-        print(f"{status} {name}: {detail}")
-        if not ok:
-            failed += 1
-    return 1 if failed else 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fedval",
@@ -367,13 +276,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, *, normalized_flag: bool = False) -> None:
+    def add_common(
+        p: argparse.ArgumentParser,
+        *,
+        methods: tuple[str, ...] = VALUATION_METHODS,
+        normalized_flag: bool = False,
+    ) -> None:
         p.add_argument("--config", required=True, help="experiment config (YAML)")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
         p.add_argument(
             "--method",
-            choices=(*VALUATION_METHODS, *_METHOD_ALIASES),
+            choices=(*methods, *_METHOD_ALIASES),
             default=None,
             help="override the valuation method",
         )
@@ -393,31 +307,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_value_replay)
 
     p = sub.add_parser("noisy-detect", help="noisy-participant detection protocol")
-    add_common(p)
+    add_common(p, methods=SHAPLEY_METHODS)
     p.set_defaults(handler=_cmd_detect, protocol=run_noisy_detection)
 
     p = sub.add_parser("backdoor-detect", help="backdoor-participant detection protocol")
-    add_common(p)
+    add_common(p, methods=SHAPLEY_METHODS)
     p.set_defaults(handler=_cmd_detect, protocol=run_backdoor_detection)
 
     p = sub.add_parser("summarize", help="participant-dismissal summarization protocol")
-    add_common(p, normalized_flag=True)
+    add_common(p, methods=SHAPLEY_METHODS, normalized_flag=True)
     p.add_argument(
         "--snapshots", default=None,
         help="reuse a persisted run's round snapshots instead of retraining",
     )
     p.set_defaults(handler=_cmd_summarize)
-
-    p = sub.add_parser(
-        "exact-check", help="check the estimators against exact values on synthetic games"
-    )
-    p.add_argument("--players", type=int, default=4)
-    p.add_argument("--epsilon", type=float, default=0.05)
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--games", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=_cmd_exact_check)
 
     return parser
 

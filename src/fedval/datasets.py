@@ -105,12 +105,11 @@ def _read_exact(fh: BinaryIO, count: int, offset: int, path: str) -> bytes:
 
 
 def _open_maybe_gzip(path: str | Path) -> BinaryIO:
-    fh = open(path, "rb")
-    head = fh.read(2)
-    fh.seek(0)
+    with open(path, "rb") as fh:
+        head = fh.read(2)
     if head == b"\x1f\x8b":
-        return gzip.open(fh, "rb")  # type: ignore[return-value]
-    return fh
+        return gzip.open(path, "rb")  # type: ignore[return-value]
+    return open(path, "rb")
 
 
 @dataclass(frozen=True)

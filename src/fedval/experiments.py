@@ -204,6 +204,13 @@ def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
             train = flip_labels(train, plan, spec, substream(cfg.seed, "corrupt"))
         else:
             assert isinstance(cfg.corruption, BackdoorConfig)
+            # Parse time checks this bound on blobs; an idx dataset's class
+            # count is known only once it is loaded.
+            if cfg.corruption.target_label >= train.class_count:
+                raise ConfigError(
+                    f"corruption.target_label: must be below the loaded class count "
+                    f"({train.class_count}), got {cfg.corruption.target_label}"
+                )
             spec = BackdoorSpec(
                 affected=frozenset(affected),
                 trigger_indices=cfg.corruption.trigger_indices,
@@ -259,11 +266,15 @@ class DetectionOutcome:
     clean_accuracy: float | None = None
 
 
+# The valuation methods the protocols accept as their Shapley backend.
+SHAPLEY_METHODS = ("exact", "permutation", "group_testing")
+
+
 def shapley_backend(cfg: ExperimentConfig) -> str:
     """The Shapley method the protocols run: the configured one, which must
     be exact or an estimator (the protocols add LOO and random themselves)."""
     method = cfg.valuation.method
-    if method not in ("exact", "permutation", "group_testing"):
+    if method not in SHAPLEY_METHODS:
         raise ConfigError(
             f"valuation.method: the protocols run exact, permutation or "
             f"group_testing Shapley values, got {method!r}"

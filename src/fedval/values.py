@@ -1,14 +1,12 @@
 """Per-round cooperative valuation of federated participants.
 
-Exact Shapley values of a single coalition (subset and permutation
-forms), the per-round variant conditioned on the realized training
+Exact per-round Shapley values conditioned on the realized training
 history, leave-one-out values, and aggregation of per-round results
 into a run-level report.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -18,7 +16,6 @@ from typing import Iterable, Protocol, Sequence, runtime_checkable
 import numpy as np
 
 SUBSET_ENUMERATION_CAP = 20
-PERMUTATION_ENUMERATION_CAP = 8
 
 
 class EnumerationRefusedError(RuntimeError):
@@ -37,8 +34,8 @@ class UtilityOracle(Protocol):
     the realized rounds before ``t`` plus the members of round ``t`` that
     the mask selects. Bit ``b`` selects ``players(t)[b]``; mask 0 is the
     state entering round ``t``. Identical queries yield identical
-    outputs. Both shipped oracles, ``RoundOracle`` and ``TableGame``,
-    also answer ``evaluate(t, mask)`` as a batch of one.
+    outputs. ``engine.RoundOracle`` also answers ``evaluate(t, mask)`` as
+    a batch of one.
     """
 
     def players(self, round_index: int) -> tuple[int, ...]: ...
@@ -152,38 +149,6 @@ def exact_federated_round_shapley(oracle: UtilityOracle, round_index: int) -> Va
         marginals = utilities[without | bit] - utilities[without]
         values[pid] = float(weight_by_size[sizes[without]] @ marginals)
     return ValueVector(values, round_index)
-
-
-def exact_shapley_permutation_form(oracle: UtilityOracle) -> ValueVector:
-    """Shapley values of round 0 of ``oracle`` averaged over every
-    ordering of its players.
-
-    Agrees with :func:`exact_federated_round_shapley`; kept as an
-    independent cross-check since the two enumerations share nothing
-    beyond the oracle calls.
-    """
-    ids = oracle.players(0)
-    m = len(ids)
-    if m == 0:
-        return ValueVector({}, 0)
-    if m > PERMUTATION_ENUMERATION_CAP:
-        raise EnumerationRefusedError(
-            f"exact ordering enumeration for {m} players needs {m}! = "
-            f"{math.factorial(m)} passes (cap {PERMUTATION_ENUMERATION_CAP}); "
-            f"the cost grows as m!"
-        )
-    utilities = oracle.evaluate_many(0, np.arange(1 << m))
-    acc = np.zeros(m, dtype=np.float64)
-    for perm in itertools.permutations(range(m)):
-        mask = 0
-        previous = utilities[0]
-        for b in perm:
-            mask |= 1 << b
-            current = utilities[mask]
-            acc[b] += current - previous
-            previous = current
-    acc /= math.factorial(m)
-    return ValueVector({pid: float(acc[b]) for b, pid in enumerate(ids)}, 0)
 
 
 def federated_loo_round(oracle: UtilityOracle, round_index: int) -> ValueVector:

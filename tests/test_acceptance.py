@@ -28,11 +28,17 @@ from fedval.experiments import (
     run_noisy_detection,
     run_summarization,
 )
-from fedval.games import random_table_game
 from fedval.models import ModelLayout, loss_and_gradient
-from fedval.values import exact_federated_round_shapley, exact_shapley_permutation_form
+from fedval.values import exact_federated_round_shapley
 
-from conftest import random_process, round_gain, stitched_game, sum_games
+from conftest import (
+    exact_shapley_permutation_form,
+    random_process,
+    random_table_game,
+    round_gain,
+    stitched_game,
+    sum_games,
+)
 
 EXACT_TOL = 1e-9
 

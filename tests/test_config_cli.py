@@ -1,11 +1,13 @@
+import argparse
 import json
+import re
 from pathlib import Path
 
 import pytest
 import yaml
 
 import fedval
-from fedval.cli import main
+from fedval.cli import build_parser, main
 from fedval.config import (
     ConfigError,
     config_from_dict,
@@ -110,6 +112,20 @@ class TestParsing:
         assert cfg.experiment.random_repeats == 3
         assert cfg.valuation.normalized is False
         assert cfg.training.lr_decay == 1.0
+
+
+COMMANDS = {"train-and-value", "value-replay", "noisy-detect", "backdoor-detect", "summarize"}
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_command_surface_matches_readme():
+    subparsers = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert set(subparsers.choices) == COMMANDS
+    documented = re.findall(r"^fedval (\S+)", README.read_text(), flags=re.MULTILINE)
+    assert set(documented) == COMMANDS
 
 
 class TestCli:
@@ -315,13 +331,6 @@ class TestCli:
         for path in shipped:
             parse_config(path)
 
-    def test_exact_check_passes_at_default_parameters(self, capsys):
-        # Defaults are 4 players, epsilon 0.05, delta 0.1, 100 trials.
-        rc = main(["exact-check"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert out.count("PASS") == 3 and "FAIL" not in out
-
     def test_manifest_digest_matches_config_bytes(self, tmp_path):
         import hashlib
 
@@ -478,10 +487,16 @@ class TestRefusedSettings:
         name = "backdoor_detection.yaml" if backdoor else "noisy_detection_iid.yaml"
         out = tmp_path / "out"
         if how == "flag":
-            argv = [command, "--config", str(SHIPPED / name), "--method", "loo"]
-        else:
-            doc = shipped_doc(name, **{"valuation.method": "random"})
-            argv = [command, "--config", str(write_config(tmp_path, doc))]
+            # argparse offers the protocols only Shapley methods.
+            with pytest.raises(SystemExit) as caught:
+                main([command, "--config", str(SHIPPED / name), "--method", "loo",
+                      "--out", str(out)])
+            assert caught.value.code == 2
+            assert not out.exists()
+            assert "invalid choice: 'loo'" in capsys.readouterr().err
+            return
+        doc = shipped_doc(name, **{"valuation.method": "random"})
+        argv = [command, "--config", str(write_config(tmp_path, doc))]
         assert main([*argv, "--out", str(out)]) == 1
         assert not out.exists()
         assert "valuation.method:" in capsys.readouterr().err

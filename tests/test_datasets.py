@@ -5,10 +5,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedval import datasets
+from fedval import datasets, experiments
+from fedval.cli import main
 from fedval.config import config_from_dict
 from fedval.datasets import (
     BackdoorSpec,
@@ -196,6 +198,35 @@ def test_idx_split_scales_the_rows_of_one_permutation(tmp_path):
         assert np.array_equal(data.labels, labels[rows])
     assert layout == prepared.layout
     assert (layout.n_features, layout.n_classes) == (25, 10)
+
+
+def test_idx_backdoor_target_beyond_the_loaded_classes_refused(tmp_path, capsys):
+    images, labels = digits_fixture(count=300, side=5)
+    image_path, label_path = write_idx_pair(tmp_path, images, labels)
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump({
+        "seed": 13,
+        "dataset": {
+            "kind": "idx", "images": str(image_path), "labels": str(label_path),
+            "validation_samples": 40,
+        },
+        "partition": {"mode": "iid", "participants": 5},
+        "corruption": {
+            "kind": "backdoor", "trigger_indices": [0], "trigger_value": 1.0,
+            "target_label": 12, "affected_count": 1,
+        },
+        "training": {
+            "rounds": 1, "participant_fraction": 0.4, "local_epochs": 1,
+            "batch_size": 8, "learning_rate": 0.5, "model": "logistic",
+        },
+        "valuation": {"method": "exact"},
+    }))
+    with mock.patch.object(experiments, "implant_backdoor", side_effect=AssertionError):
+        rc = main(["backdoor-detect", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "corruption.target_label:" in err
+    assert "(10)" in err and "got 12" in err
 
 
 def traced_peak(fn):

@@ -13,10 +13,9 @@ from fedval.estimators import (
     permutation_sampling_round,
     pivot_anchor_values,
 )
-from fedval.games import random_table_game
 from fedval.values import exact_federated_round_shapley
 
-from conftest import additive_game, game_from_set_function
+from conftest import additive_game, game_from_set_function, random_table_game
 
 
 class TestApproxParams:

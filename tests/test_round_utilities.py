@@ -36,13 +36,10 @@ from fedval.estimators import (
     group_testing_round,
     permutation_sampling_round,
 )
-from fedval.games import random_table_game
 from fedval.models import ModelLayout, logits
-from fedval.values import (
-    exact_federated_round_shapley,
-    exact_shapley_permutation_form,
-    federated_loo_round,
-)
+from fedval.values import exact_federated_round_shapley, federated_loo_round
+
+from conftest import exact_shapley_permutation_form, random_table_game
 
 TIE_RTOL = 1e-12
 

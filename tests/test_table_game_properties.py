@@ -19,18 +19,18 @@ from fedval.estimators import (
     permutation_sampling_round,
     pivot_anchor_values,
 )
-from fedval.games import random_table_game
 from fedval.values import (
     aggregate_rounds,
     exact_federated_round_shapley,
-    exact_shapley_permutation_form,
     federated_loo_round,
 )
 
 from conftest import (
     additive_game,
     brute_force_round_values,
+    exact_shapley_permutation_form,
     full_mask,
+    random_table_game,
     round_gain,
     stitched_game,
     sum_games,

@@ -1,13 +1,11 @@
 import pytest
 
-from fedval.games import random_table_game
 from fedval.values import (
     EnumerationRefusedError,
     ValueVector,
     aggregate_rounds,
     build_report,
     exact_federated_round_shapley,
-    exact_shapley_permutation_form,
     federated_loo_round,
     normalize_round_values,
     write_value_records,
@@ -16,9 +14,11 @@ from fedval.values import (
 from conftest import (
     additive_game,
     brute_force_round_values,
+    exact_shapley_permutation_form,
     full_mask,
     game_from_set_function,
     random_process,
+    random_table_game,
     read_value_records,
     round_gain,
     stitched_game,
