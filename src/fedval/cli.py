@@ -31,7 +31,6 @@ from .engine import (
     RoundRecord,
     evaluate_utility,
     load_round_records,
-    run_federated_training,
     value_rounds,
 )
 from .estimators import round_plan
@@ -164,10 +163,7 @@ def _cmd_train_and_value(args: argparse.Namespace) -> int:
 
     def body() -> dict[str, Any]:
         prepared = prepare_experiment(cfg)
-        records = run_federated_training(
-            prepared.train, prepared.plan.assignment, prepared.training,
-            snapshot_dir=out / "rounds",
-        )
+        records = prepared.train_once(snapshot_dir=out / "rounds")
         details = _write_values(cfg, prepared.layout, records, prepared.validation, out)
         details["participants"] = cfg.partition.participants
         details["final_accuracy"] = evaluate_utility(

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 import gzip
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -59,20 +60,24 @@ def synth_blobs(
     *,
     skip: int = 0,
     split: int | None = None,
-) -> Dataset | tuple[Dataset, Dataset]:
+) -> Dataset | tuple[Dataset, Callable[[], Dataset]]:
     """Gaussian class clusters at random unit directions scaled by ``separation``.
 
     Labels are assigned round-robin, so class priors are uniform to
     within one sample. The noise is drawn in row chunks of at most
     ``_CHUNK_BYTES`` straight into the returned arrays; the first ``skip``
     rows are drawn into one reused chunk and dropped. With ``split``, the
-    kept rows come back as two datasets in separate arrays, the rows
-    before ``split`` and those from it on.
+    rows before ``split`` come back as a dataset, and those from it on as
+    a cached callable that draws them on its first call, continuing the
+    generator where the first part stopped, into separate arrays.
     """
     if samples < class_count:
         raise ValueError("need at least one sample per class")
     if features < 1 or class_count < 2:
         raise ValueError("invalid dimensions")
+    cuts = [skip, samples] if split is None else [skip, split, samples]
+    if skip < 0 or any(lo >= hi for lo, hi in zip(cuts, cuts[1:])):
+        raise ValueError("every part needs at least one row")
     rng = np.random.default_rng(seed)
     directions = rng.normal(size=(class_count, features))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
@@ -81,17 +86,21 @@ def synth_blobs(
     dropped = np.empty((min(step, skip), features))
     for first in range(0, skip, step):
         rng.standard_normal(out=dropped[: skip - first])
-    cuts = [skip, samples] if split is None else [skip, split, samples]
-    parts = []
-    for lo, hi in zip(cuts, cuts[1:]):
+
+    def rows(lo: int, hi: int) -> Dataset:
+        # The next rows of the one generator: rows lo..hi of the draw.
         points = np.empty((hi - lo, features))
         for first in range(lo, hi, step):
             chunk = points[first - lo : first - lo + step]
             rng.standard_normal(out=chunk)
             for c in range(class_count):  # row i is of class i % class_count
                 chunk[(c - first) % class_count :: class_count] += centers[c]
-        parts.append(Dataset(points, np.arange(lo, hi) % class_count, class_count))
-    return parts[0] if split is None else tuple(parts)
+        return Dataset(points, np.arange(lo, hi) % class_count, class_count)
+
+    if split is None:
+        return rows(skip, samples)
+    head = rows(skip, split)
+    return head, functools.cache(functools.partial(rows, split, samples))
 
 
 def _read_exact(fh: BinaryIO, count: int, offset: int, path: str) -> bytes:
@@ -197,7 +206,9 @@ class PartitionPlan:
 
 def _check_partition(assignment: dict[int, np.ndarray], n: int) -> None:
     combined = np.concatenate([assignment[pid] for pid in sorted(assignment)])
-    if len(combined) != n or len(np.unique(combined)) != n:
+    # Sorted, a partition of 0..n-1 is exactly arange(n); np.unique would
+    # also import numpy.ma, a cost every run would pay.
+    if not np.array_equal(np.sort(combined), np.arange(n)):
         raise AssertionError("assignment is not a partition of the dataset")
 
 

@@ -172,7 +172,10 @@ def _lockstep_sgd(
             _, grads = loss_and_gradient(
                 cfg.layout, thetas, rows[:, : stop - start], epoch_labels[:, start:stop]
             )
-            thetas -= rate * grads
+            # Scaled in place: the same IEEE products as ``rate * grads``,
+            # without a fresh (k, P) array per step.
+            np.multiply(grads, rate, out=grads)
+            thetas -= grads
     return thetas
 
 
@@ -609,13 +612,13 @@ _SLICE_BYTES = 4 << 20
 
 
 def _row_bytes(cfg: TrainingConfig) -> int:
-    """Bytes one training row works in during a lockstep step: four
-    parameter-sized arrays (start, trained copy, gradient, scaled step)
-    and, per minibatch sample, a few copies of its features and
+    """Bytes one training row works in during a lockstep step: three
+    parameter-sized arrays (start, trained copy, gradient, which is scaled
+    in place) and, per minibatch sample, a few copies of its features and
     activations."""
     layout = cfg.layout
     per_sample = 3 * (layout.n_features + layout.hidden_units + layout.n_classes)
-    return 8 * (4 * layout.param_count + cfg.batch_size * per_sample)
+    return 8 * (3 * layout.param_count + cfg.batch_size * per_sample)
 
 
 def _retained(keep: KeepRule, t: int, selected: tuple[int, ...]) -> tuple[int, ...]:

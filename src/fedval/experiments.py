@@ -93,16 +93,34 @@ class PreparedExperiment:
 
     A participant's shard is its rows ``plan.assignment[pid]`` of the one
     (corrupted) ``train`` set, never a copy; ``train`` and ``validation``
-    are separate arrays, so neither keeps the other alive.
+    are separate arrays, so neither keeps the other alive. A blobs
+    config's validation rows are drawn on the first read of
+    ``validation``, and ``train_once`` lets go of ``train``, so a command
+    that trains once holds each set only while a stage reads it.
     """
 
     layout: ModelLayout
     training: TrainingConfig
-    train: Dataset
-    validation: Dataset
+    train: Dataset | None
+    draw_validation: Callable[[], Dataset]
     plan: PartitionPlan
     affected: tuple[int, ...]
     triggered: Dataset | None
+
+    @property
+    def validation(self) -> Dataset:
+        """The validation set, the same object on every read."""
+        return self.draw_validation()
+
+    def train_once(self, snapshot_dir: str | Path | None = None) -> list[RoundRecord]:
+        """The round records of one federated training run, after which
+        ``train`` is None: for a caller that values them and never
+        retrains, so the training rows are released before valuation."""
+        train, self.train = self.train, None
+        assert train is not None, "the training rows were already released"
+        return run_federated_training(
+            train, self.plan.assignment, self.training, snapshot_dir=snapshot_dir
+        )
 
 
 def _draw_blobs(cfg: ExperimentConfig, spec: BlobsSpec, **part: int):
@@ -114,12 +132,14 @@ def _draw_blobs(cfg: ExperimentConfig, spec: BlobsSpec, **part: int):
     )
 
 
-def _build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
+def _build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Callable[[], Dataset]]:
+    """The training set and a callable returning the validation set; a
+    blobs config's validation rows are drawn on its first call."""
     spec = cfg.dataset
     if isinstance(spec, BlobsSpec):
         return _draw_blobs(cfg, spec, split=spec.samples)
     images, train_order, validation = _split_idx(cfg)
-    return images.rows(train_order), validation
+    return images.rows(train_order), lambda: validation
 
 
 def _split_idx(cfg: ExperimentConfig) -> tuple[IdxImages, np.ndarray, Dataset]:
@@ -183,7 +203,7 @@ def prepare_validation(cfg: ExperimentConfig) -> tuple[ModelLayout, Dataset]:
 
 
 def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
-    train, validation = _build_datasets(cfg)
+    train, draw_validation = _build_datasets(cfg)
     if cfg.partition.mode == "iid":
         plan = partition_iid(
             train, cfg.partition.participants, substream(cfg.seed, "partition")
@@ -220,13 +240,14 @@ def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
                 batch_size=cfg.corruption.poison_batch_size,
             )
             train = implant_backdoor(train, plan, spec, substream(cfg.seed, "corrupt"))
-            triggered = triggered_test_set(validation, spec)
+            # The triggered set needs the validation rows now.
+            triggered = triggered_test_set(draw_validation(), spec)
     layout = _layout(cfg, train.features.shape[1], train.class_count)
     return PreparedExperiment(
         layout=layout,
         training=cfg.training.to_training_config(layout, cfg.seed),
         train=train,
-        validation=validation,
+        draw_validation=draw_validation,
         plan=plan,
         affected=affected,
         triggered=triggered,
@@ -299,8 +320,8 @@ def _shapley_and_loo(
 
 def _run_detection(cfg: ExperimentConfig) -> DetectionOutcome:
     prepared = prepare_experiment(cfg)
+    records = prepared.train_once()
     validation = prepared.validation
-    records = run_federated_training(prepared.train, prepared.plan.assignment, prepared.training)
     sv_report, loo_report = _shapley_and_loo(cfg, prepared.layout, records, validation)
     universe = prepared.plan.participants()
     reports = {
@@ -401,11 +422,11 @@ def run_summarization(
     loaded = None if snapshots is None else load_round_records(snapshots)
     prepared = prepare_experiment(cfg)
     shards = prepared.plan.assignment
-    validation = (prepared.validation.features, prepared.validation.labels)
     if loaded is None:
         records = run_federated_training(prepared.train, shards, prepared.training)
     else:
         records = check_recorded_run(cfg, snapshots, loaded, prepared.layout)
+    validation = (prepared.validation.features, prepared.validation.labels)
     sv_report, loo_report = _shapley_and_loo(
         cfg, prepared.layout, records, prepared.validation
     )

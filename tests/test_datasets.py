@@ -1,5 +1,7 @@
 import gzip
 import struct
+import subprocess
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -31,6 +33,8 @@ from fedval.models import ModelLayout, accuracy
 from fedval.seeding import substream
 
 from conftest import mean_label_entropy, reference_blobs
+from test_blas_threads import cli_env
+from test_config_cli import base_doc
 
 
 def write_idx_pair(tmp_path, images, labels, *, gz=False, image_magic=2051, label_magic=2049):
@@ -125,7 +129,7 @@ def test_chunked_blobs_equal_one_draw(samples, features, classes, cut, chunk_byt
     expected, labels = reference_blobs(samples, features, classes, 1.7, seed)
     with mock.patch.object(datasets, "_CHUNK_BYTES", chunk_bytes):
         drawn = synth_blobs(samples, features, classes, 1.7, seed, skip=skip, split=split)
-    parts = [drawn] if split is None else list(drawn)
+    parts = [drawn] if split is None else [drawn[0], drawn[1]()]
     bounds = [skip, samples] if split is None else [skip, split, samples]
     for part, lo, hi in zip(parts, bounds, bounds[1:]):
         assert part.class_count == classes
@@ -155,16 +159,29 @@ def blobs_config(samples, features, classes, validation_samples):
     })
 
 
-@pytest.mark.parametrize("chunk_bytes", [0, datasets._CHUNK_BYTES])
-def test_replay_validation_equals_the_prepared_split(chunk_bytes):
-    # 203 training rows skip a count that 4 classes do not divide.
-    cfg = blobs_config(203, 7, 4, 61)
+# 203 training rows skip a count that 4 classes do not divide. 784
+# features fill a _CHUNK_BYTES chunk with 167 rows, so 250 training rows
+# end mid-chunk and 167 and 334 on a chunk boundary.
+@pytest.mark.parametrize("samples, features, classes, validation_samples, chunk_bytes", [
+    pytest.param(203, 7, 4, 61, chunk_bytes, id=str(chunk_bytes))
+    for chunk_bytes in (0, datasets._CHUNK_BYTES)
+] + [
+    pytest.param(samples, 784, 10, 120, datasets._CHUNK_BYTES, id=f"{samples}x784")
+    for samples in (250, 334, 167)
+])
+def test_replay_validation_equals_the_prepared_split(
+    samples, features, classes, validation_samples, chunk_bytes
+):
+    cfg = blobs_config(samples, features, classes, validation_samples)
     with mock.patch.object(datasets, "_CHUNK_BYTES", chunk_bytes):
         _, validation = prepare_validation(cfg)
         prepared = prepare_experiment(cfg)
+        # The prepared validation rows are drawn here, on first read.
+        assert prepared.validation is prepared.validation
     assert validation.features.tobytes() == prepared.validation.features.tobytes()
     assert validation.labels.tobytes() == prepared.validation.labels.tobytes()
-    assert prepared.train.features.shape == (203, 7) and validation.features.shape == (61, 7)
+    assert prepared.train.features.shape == (samples, features)
+    assert validation.features.shape == (validation_samples, features)
 
 
 def idx_config(image_path, label_path, validation_samples):
@@ -249,14 +266,12 @@ class TestMemoryBound:
 
     CFG = blobs_config(3000, 784, 10, 600)
 
-    def test_prepared_experiment_holds_train_and_validation_once(self):
+    def test_prepared_experiment_holds_only_training_rows(self):
+        # The validation rows are drawn on first read, after this peak.
         prepared, peak = traced_peak(lambda: prepare_experiment(self.CFG))
-        kept = sum(
-            array.nbytes
-            for data in (prepared.train, prepared.validation)
-            for array in (data.features, data.labels)
-        )
+        kept = prepared.train.features.nbytes + prepared.train.labels.nbytes
         assert peak <= 1.10 * kept
+        assert prepared.validation.features.shape == (600, 784)
 
     def test_replay_validation_holds_only_validation_rows(self):
         (_, validation), peak = traced_peak(lambda: prepare_validation(self.CFG))
@@ -342,6 +357,34 @@ class TestIidPartition:
         data = synth_blobs(5, 3, 2, 1.0, 0)
         with pytest.raises(ValueError):
             partition_iid(data, 6, 0)
+
+
+@pytest.mark.parametrize("pieces", [
+    [range(0, 8), [12]],  # n distinct indices, one outside 0..n-1
+    [range(0, 8), [7]],
+    [range(0, 8)],
+    [range(0, 10)],
+], ids=["outside", "repeated", "short", "long"])
+def test_check_partition_refuses_a_non_partition(pieces):
+    assignment = {pid: np.array(piece) for pid, piece in enumerate(pieces)}
+    with pytest.raises(AssertionError, match="not a partition"):
+        datasets._check_partition(assignment, 9)
+
+
+def test_training_and_valuing_never_imports_numpy_ma(tmp_path):
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(base_doc()))
+    script = (
+        "import sys; from fedval.cli import main; "
+        f"rc = main(['train-and-value', '--config', {str(config)!r}, "
+        f"'--out', {str(tmp_path / 'out')!r}]); "
+        "print(rc, 'numpy.ma' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=cli_env(), check=True,
+        capture_output=True, text=True,
+    )
+    assert done.stdout.split() == ["0", "False"]
 
 
 class TestShardPartition:

@@ -1,9 +1,11 @@
 import re
+import weakref
 
 import numpy as np
 import pytest
 import yaml
 
+from fedval import cli, engine, experiments
 from fedval.cli import main
 from fedval.config import ConfigError, config_from_dict
 from fedval.engine import VALUATION_METHODS
@@ -253,3 +255,31 @@ class TestPreparation:
         report = read_value_records(tmp_path / "values.csv")
         for norm in report.round_value_norms:
             assert norm == pytest.approx(1.0, abs=1e-9) or norm == 0.0
+
+
+@pytest.mark.parametrize("command", ["train-and-value", "noisy-detect"])
+def test_training_rows_released_before_valuation(tmp_path, monkeypatch, command):
+    # Neither command retrains, so no stage after training reads its rows.
+    watched, alive_at_oracle = [], []
+    real_prepare = experiments.prepare_experiment
+
+    def prepare(cfg):
+        prepared = real_prepare(cfg)
+        watched.append(weakref.ref(prepared.train.features))
+        return prepared
+
+    real_init = engine.RoundOracle.__init__
+
+    def init(self, *args, **kwargs):
+        alive_at_oracle.append([ref() is not None for ref in watched])
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "prepare_experiment", prepare)
+    monkeypatch.setattr(cli, "prepare_experiment", prepare)
+    monkeypatch.setattr(engine.RoundOracle, "__init__", init)
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(tiny_doc(
+        corruption={"kind": "label_flip", "flip_ratio": 0.5, "affected_count": 2},
+    )))
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert alive_at_oracle == [[False]]
