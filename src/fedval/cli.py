@@ -258,6 +258,7 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
         _write_lines(out / "summarization.csv", lines)
         return {
             "valuation_method": backend,
+            "normalized": cfg.valuation.normalized,
             "baseline_accuracy": result.baseline_accuracy,
             "dismiss_fractions": list(result.dismiss_fractions),
         }

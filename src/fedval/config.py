@@ -83,9 +83,12 @@ class _Section:
                     raise ValueError(f"{where}: {problem}")
 
 
-def _exactly_one_affected(corruption: LabelFlipConfig | BackdoorConfig) -> None:
+def _check_affected_keys(corruption: LabelFlipConfig | BackdoorConfig) -> None:
     if (corruption.affected is None) == (corruption.affected_count is None):
         raise ValueError("exactly one of affected / affected_count is required")
+    for index, pid in enumerate(corruption.affected or ()):
+        if pid in corruption.affected[:index]:
+            raise ValueError(f"affected[{index}]: repeats participant {pid}")
 
 
 @dataclass(frozen=True)
@@ -145,7 +148,7 @@ class LabelFlipConfig(_Section):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        _exactly_one_affected(self)
+        _check_affected_keys(self)
 
 
 @dataclass(frozen=True)
@@ -162,7 +165,7 @@ class BackdoorConfig(_Section):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        _exactly_one_affected(self)
+        _check_affected_keys(self)
         if self.mix_per_batch > self.poison_batch_size:
             raise ValueError(
                 f"mix_per_batch: cannot exceed poison_batch_size "

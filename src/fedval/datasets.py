@@ -7,9 +7,12 @@ import gzip
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Callable
+from typing import TYPE_CHECKING, BinaryIO, Callable
 
 import numpy as np
+
+if TYPE_CHECKING:  # config imports engine, which imports this module
+    from .config import BackdoorConfig, LabelFlipConfig
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -149,7 +152,8 @@ def read_idx(
     """Read an image/label pair of IDX containers (plain or gzipped).
 
     Images are flattened to one row each. The two files' record counts
-    are cross-checked.
+    are cross-checked, and so is every label against ``class_count`` when
+    it is given.
     """
     with _open_maybe_gzip(images_path) as fh:
         magic, count, rows, cols = struct.unpack(
@@ -176,6 +180,10 @@ def read_idx(
         )
     labels = np.frombuffer(raw_labels, dtype=np.uint8).astype(np.int64)
     inferred = int(labels.max()) + 1 if label_count else 0
+    if class_count is not None and inferred > class_count:
+        raise ValueError(
+            f"{labels_path}: holds label {inferred - 1}, but class_count is {class_count}"
+        )
     return IdxImages(
         np.frombuffer(pixels, dtype=np.uint8).reshape(count, rows * cols),
         labels,
@@ -256,61 +264,34 @@ def partition_noniid_shards(
     return PartitionPlan(assignment)
 
 
-@dataclass(frozen=True)
-class LabelFlipSpec:
-    """Relabel a fraction of each affected participant's samples."""
-
-    affected: frozenset[int]
-    flip_ratio: float
-
-    def __post_init__(self) -> None:
-        if not 0 < self.flip_ratio <= 1:
-            raise ValueError(f"flip_ratio must lie in (0, 1], got {self.flip_ratio}")
-
-
-@dataclass(frozen=True)
-class BackdoorSpec:
-    """Stamp a trigger pattern and retarget labels on a per-batch quota.
-
-    ``mix_per_batch`` poisoned samples per ``batch_size`` window of each
-    affected participant's shard.
-    """
-
-    affected: frozenset[int]
-    trigger_indices: tuple[int, ...]
-    trigger_value: float
-    target_label: int
-    mix_per_batch: int
-    batch_size: int
-
-    def __post_init__(self) -> None:
-        if self.mix_per_batch < 1 or self.batch_size < 1:
-            raise ValueError("mix_per_batch and batch_size must be positive")
-        if self.mix_per_batch > self.batch_size:
-            raise ValueError("mix_per_batch cannot exceed batch_size")
-
-
-def _check_affected(plan: PartitionPlan, affected: frozenset[int]) -> None:
-    unknown = affected - set(plan.assignment)
+def _check_affected(
+    plan: PartitionPlan, corruption: LabelFlipConfig | BackdoorConfig
+) -> list[int]:
+    """The section's participant ids in ascending order, refused while only
+    ``affected_count`` is set or if one is not in ``plan``."""
+    if corruption.affected is None:
+        raise ValueError("corruption.affected: unresolved; name the participants")
+    unknown = set(corruption.affected) - set(plan.assignment)
     if unknown:
         raise ValueError(f"affected participants not in partition: {sorted(unknown)}")
+    return sorted(corruption.affected)
 
 
 def flip_labels(
     dataset: Dataset,
     plan: PartitionPlan,
-    spec: LabelFlipSpec,
+    corruption: LabelFlipConfig,
     seed: int | np.random.Generator,
 ) -> Dataset:
     """Reassign a ``flip_ratio`` fraction of each affected shard's labels
     uniformly to a different class. Exactly ``floor(ratio * shard)`` labels
     change per affected participant; other shards are untouched."""
-    _check_affected(plan, spec.affected)
+    affected = _check_affected(plan, corruption)
     rng = np.random.default_rng(seed)
     labels = dataset.labels.copy()
-    for pid in sorted(spec.affected):
+    for pid in affected:
         indices = plan.assignment[pid]
-        flip_count = int(len(indices) * spec.flip_ratio)
+        flip_count = int(len(indices) * corruption.flip_ratio)
         if flip_count == 0:
             continue
         chosen = indices[rng.choice(len(indices), size=flip_count, replace=False)]
@@ -319,10 +300,10 @@ def flip_labels(
     return Dataset(dataset.features, labels, dataset.class_count)
 
 
-def _trigger_columns(dataset: Dataset, spec: BackdoorSpec) -> np.ndarray:
-    """The trigger's feature columns, each checked to lie in ``dataset``."""
-    columns = np.asarray(spec.trigger_indices, dtype=np.int64)
-    if columns.size and (columns.min() < 0 or columns.max() >= dataset.features.shape[1]):
+def _trigger_columns(dataset: Dataset, corruption: BackdoorConfig) -> np.ndarray:
+    """The trigger's feature columns, refused past ``dataset``'s width."""
+    columns = np.asarray(corruption.trigger_indices, dtype=np.int64)
+    if columns.size and columns.max() >= dataset.features.shape[1]:
         raise ValueError("trigger indices fall outside the feature dimensions")
     return columns
 
@@ -330,34 +311,36 @@ def _trigger_columns(dataset: Dataset, spec: BackdoorSpec) -> np.ndarray:
 def implant_backdoor(
     dataset: Dataset,
     plan: PartitionPlan,
-    spec: BackdoorSpec,
+    corruption: BackdoorConfig,
     seed: int | np.random.Generator,
 ) -> Dataset:
-    """Poison affected shards: in every ``batch_size`` window (after an
-    in-shard shuffle) the first ``mix_per_batch`` samples get the trigger
-    stamped onto their features and their label set to the target."""
-    _check_affected(plan, spec.affected)
-    columns = _trigger_columns(dataset, spec)
+    """Poison the shards of ``corruption.affected``: in every
+    ``poison_batch_size`` window (after an in-shard shuffle) the first
+    ``mix_per_batch`` samples get the trigger stamped onto their features
+    and their label set to ``target_label``."""
+    affected = _check_affected(plan, corruption)
+    columns = _trigger_columns(dataset, corruption)
     rng = np.random.default_rng(seed)
     features = dataset.features.copy()
     labels = dataset.labels.copy()
-    for pid in sorted(spec.affected):
+    for pid in affected:
         indices = plan.assignment[pid].copy()
         rng.shuffle(indices)
-        for start in range(0, len(indices), spec.batch_size):
-            hit = indices[start : start + spec.batch_size][: spec.mix_per_batch]
+        for start in range(0, len(indices), corruption.poison_batch_size):
+            # The section holds mix_per_batch to at most poison_batch_size.
+            hit = indices[start : start + corruption.mix_per_batch]
             if columns.size:
-                features[np.ix_(hit, columns)] = spec.trigger_value
-            labels[hit] = spec.target_label
+                features[np.ix_(hit, columns)] = corruption.trigger_value
+            labels[hit] = corruption.target_label
     return Dataset(features, labels, dataset.class_count)
 
 
-def triggered_test_set(dataset: Dataset, spec: BackdoorSpec) -> Dataset:
+def triggered_test_set(dataset: Dataset, corruption: BackdoorConfig) -> Dataset:
     """Copy of ``dataset`` with the trigger stamped on every sample and all
     labels set to the target, for measuring attack success."""
-    columns = _trigger_columns(dataset, spec)
+    columns = _trigger_columns(dataset, corruption)
     features = dataset.features.copy()
     if columns.size:
-        features[:, columns] = spec.trigger_value
-    labels = np.full(len(dataset), spec.target_label, dtype=np.int64)
+        features[:, columns] = corruption.trigger_value
+    labels = np.full(len(dataset), corruption.target_label, dtype=np.int64)
     return Dataset(features, labels, dataset.class_count)

@@ -7,7 +7,7 @@ the valuation rule alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -22,10 +22,8 @@ from .config import (
     LabelFlipConfig,
 )
 from .datasets import (
-    BackdoorSpec,
     Dataset,
     IdxImages,
-    LabelFlipSpec,
     PartitionPlan,
     flip_labels,
     implant_backdoor,
@@ -97,6 +95,8 @@ class PreparedExperiment:
     config's validation rows are drawn on the first read of
     ``validation``, and ``train_once`` lets go of ``train``, so a command
     that trains once holds each set only while a stage reads it.
+    ``corruption`` is the config's section as applied to ``train``, its
+    participants resolved (see :func:`_resolve_corruption`).
     """
 
     layout: ModelLayout
@@ -104,8 +104,7 @@ class PreparedExperiment:
     train: Dataset | None
     draw_validation: Callable[[], Dataset]
     plan: PartitionPlan
-    affected: tuple[int, ...]
-    triggered: Dataset | None
+    corruption: LabelFlipConfig | BackdoorConfig | None
 
     @property
     def validation(self) -> Dataset:
@@ -166,19 +165,22 @@ def _split_idx(cfg: ExperimentConfig) -> tuple[IdxImages, np.ndarray, Dataset]:
     return images, train_order, validation
 
 
-def _resolve_affected(
+def _resolve_corruption(
     cfg: ExperimentConfig, plan: PartitionPlan
-) -> tuple[int, ...]:
-    """The corrupted participants; ``ExperimentConfig`` has already checked
-    them against the partition's ids."""
+) -> LabelFlipConfig | BackdoorConfig | None:
+    """The corruption section with ``affected`` naming its participants in
+    ascending order and ``affected_count`` None; ``ExperimentConfig`` has
+    already checked named ids against the partition's."""
     corruption = cfg.corruption
-    assert corruption is not None
-    if corruption.affected is not None:
-        return tuple(sorted(corruption.affected))
-    participants = plan.participants()
-    rng = substream(cfg.seed, "corrupt-select")
-    chosen = rng.choice(len(participants), size=corruption.affected_count, replace=False)
-    return tuple(sorted(participants[i] for i in chosen))
+    if corruption is None:
+        return None
+    affected = corruption.affected
+    if affected is None:
+        participants = plan.participants()
+        rng = substream(cfg.seed, "corrupt-select")
+        chosen = rng.choice(len(participants), size=corruption.affected_count, replace=False)
+        affected = tuple(participants[i] for i in chosen)
+    return replace(corruption, affected=tuple(sorted(affected)), affected_count=None)
 
 
 def _layout(cfg: ExperimentConfig, n_features: int, class_count: int) -> ModelLayout:
@@ -215,33 +217,18 @@ def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
             cfg.partition.shards_per_participant,
             substream(cfg.seed, "partition"),
         )
-    affected: tuple[int, ...] = ()
-    triggered: Dataset | None = None
-    if cfg.corruption is not None:
-        affected = _resolve_affected(cfg, plan)
-        if isinstance(cfg.corruption, LabelFlipConfig):
-            spec = LabelFlipSpec(frozenset(affected), cfg.corruption.flip_ratio)
-            train = flip_labels(train, plan, spec, substream(cfg.seed, "corrupt"))
-        else:
-            assert isinstance(cfg.corruption, BackdoorConfig)
-            # Parse time checks this bound on blobs; an idx dataset's class
-            # count is known only once it is loaded.
-            if cfg.corruption.target_label >= train.class_count:
-                raise ConfigError(
-                    f"corruption.target_label: must be below the loaded class count "
-                    f"({train.class_count}), got {cfg.corruption.target_label}"
-                )
-            spec = BackdoorSpec(
-                affected=frozenset(affected),
-                trigger_indices=cfg.corruption.trigger_indices,
-                trigger_value=cfg.corruption.trigger_value,
-                target_label=cfg.corruption.target_label,
-                mix_per_batch=cfg.corruption.mix_per_batch,
-                batch_size=cfg.corruption.poison_batch_size,
+    corruption = _resolve_corruption(cfg, plan)
+    if isinstance(corruption, LabelFlipConfig):
+        train = flip_labels(train, plan, corruption, substream(cfg.seed, "corrupt"))
+    elif isinstance(corruption, BackdoorConfig):
+        # Parse time checks this bound on blobs; an idx dataset's class
+        # count is known only once it is loaded.
+        if corruption.target_label >= train.class_count:
+            raise ConfigError(
+                f"corruption.target_label: must be below the loaded class count "
+                f"({train.class_count}), got {corruption.target_label}"
             )
-            train = implant_backdoor(train, plan, spec, substream(cfg.seed, "corrupt"))
-            # The triggered set needs the validation rows now.
-            triggered = triggered_test_set(draw_validation(), spec)
+        train = implant_backdoor(train, plan, corruption, substream(cfg.seed, "corrupt"))
     layout = _layout(cfg, train.features.shape[1], train.class_count)
     return PreparedExperiment(
         layout=layout,
@@ -249,8 +236,7 @@ def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
         train=train,
         draw_validation=draw_validation,
         plan=plan,
-        affected=affected,
-        triggered=triggered,
+        corruption=corruption,
     )
 
 
@@ -261,12 +247,18 @@ def check_recorded_run(
     layout: ModelLayout,
 ) -> list[RoundRecord]:
     """The round records ``load_round_records(snapshots)`` returned, refused
-    unless they form one run of ``layout`` over ``cfg``'s participants that
-    starts from ``cfg``'s initial model. The snapshots are loaded first, so
-    a directory the loader refuses costs no data preparation."""
+    unless they form one run of ``cfg.training.rounds`` rounds of ``layout``
+    over ``cfg``'s participants that starts from ``cfg``'s initial model.
+    The snapshots are loaded first, so a directory the loader refuses costs
+    no data preparation."""
     records, recorded_layout = loaded
     if recorded_layout != layout:
         raise ConfigError("snapshot layout does not match the configured model/dataset")
+    if len(records) != cfg.training.rounds:
+        raise SnapshotFormatError(
+            f"{snapshots}: holds {len(records)} rounds, but training.rounds is "
+            f"{cfg.training.rounds}"
+        )
     participants = cfg.partition.participants
     for record in records:
         stray = [pid for pid in record.selected if not 0 <= pid < participants]
@@ -333,15 +325,16 @@ def _run_detection(cfg: ExperimentConfig) -> DetectionOutcome:
     }
     outcome = DetectionOutcome(
         curves={
-            name: detection_curve(values, prepared.affected, universe)
+            name: detection_curve(values, prepared.corruption.affected, universe)
             for name, values in reports.items()
         },
-        affected=prepared.affected,
+        affected=prepared.corruption.affected,
     )
-    if prepared.triggered is not None:
+    if isinstance(prepared.corruption, BackdoorConfig):
         final = records[-1].global_after
+        triggered = triggered_test_set(validation, prepared.corruption)
         outcome.attack_success_rate = evaluate_utility(
-            prepared.layout, final, prepared.triggered.features, prepared.triggered.labels
+            prepared.layout, final, triggered.features, triggered.labels
         )
         outcome.clean_accuracy = evaluate_utility(
             prepared.layout, final, validation.features, validation.labels

@@ -240,14 +240,17 @@ class TestCli:
     ])
     def test_protocol_manifests_record_the_method(self, tmp_path, command, corruption):
         doc = base_doc(
-            valuation={"method": "permutation", "approx": APPROX},
+            valuation={"method": "permutation", "approx": APPROX, "normalized": True},
             experiment={"dismiss_fractions": [0.0, 0.5], "random_repeats": 1},
         )
         if corruption is not None:
             doc["corruption"] = corruption
         out = tmp_path / "out"
         assert main([command, "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
-        assert manifest_details(out)["valuation_method"] == "permutation"
+        details = manifest_details(out)
+        assert details["valuation_method"] == "permutation"
+        # Only summarize ranks by the setting; detection reports both forms.
+        assert details.get("normalized") is (True if command == "summarize" else None)
 
     def test_noisy_detect_outputs(self, tmp_path):
         path = write_config(tmp_path, base_doc(

@@ -147,6 +147,9 @@ REJECTIONS = [
     ("affected-negative",
      [("corruption.affected_count", DROP), ("corruption.affected", [-1])],
      "config.corruption.affected[0]:"),
+    ("affected-repeated",
+     [("corruption.affected_count", DROP), ("corruption.affected", [3, 3, 5])],
+     "config.corruption.affected[1]: repeats participant 3"),
     ("affected-count-exceeds-participants", [("corruption.affected_count", 7)],
      "config.corruption.affected_count:"),
     ("backdoor-missing", [("corruption", {**BACKDOOR, "trigger_indices": DROP})],
@@ -272,7 +275,7 @@ COUNT = st.integers(1, 50)
 def affected(participants):
     """Affected ids or a count that the partition's ids 0..participants-1 admit."""
     return st.one_of(
-        fixed({"affected": st.lists(st.integers(0, participants - 1), max_size=5)}),
+        fixed({"affected": st.lists(st.integers(0, participants - 1), max_size=5, unique=True)}),
         fixed({"affected_count": st.integers(1, min(10, participants))}),
     )
 

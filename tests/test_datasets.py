@@ -13,12 +13,10 @@ from hypothesis import strategies as st
 
 from fedval import datasets, experiments
 from fedval.cli import main
-from fedval.config import config_from_dict
+from fedval.config import BackdoorConfig, LabelFlipConfig, config_from_dict
 from fedval.datasets import (
-    BackdoorSpec,
     Dataset,
     IdxFormatError,
-    LabelFlipSpec,
     flip_labels,
     implant_backdoor,
     load_idx,
@@ -246,6 +244,36 @@ def test_idx_backdoor_target_beyond_the_loaded_classes_refused(tmp_path, capsys)
     assert "(10)" in err and "got 12" in err
 
 
+@pytest.mark.parametrize("stray", ["train", "valid"])
+def test_idx_label_beyond_class_count_names_its_file(tmp_path, capsys, stray):
+    images, labels = digits_fixture(count=300, side=5)
+    pairs = {}
+    for name in ("train", "valid"):
+        (tmp_path / name).mkdir()
+        kept = labels if name == stray else labels % 4
+        pairs[name] = write_idx_pair(tmp_path / name, images, kept)
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump({
+        "seed": 13,
+        "dataset": {
+            "kind": "idx", "images": str(pairs["train"][0]), "labels": str(pairs["train"][1]),
+            "validation_images": str(pairs["valid"][0]),
+            "validation_labels": str(pairs["valid"][1]), "class_count": 4,
+        },
+        "partition": {"mode": "iid", "participants": 5},
+        "training": {
+            "rounds": 1, "participant_fraction": 0.4, "local_epochs": 1,
+            "batch_size": 8, "learning_rate": 0.5, "model": "logistic",
+        },
+    }))
+    out = tmp_path / "out"
+    assert main(["train-and-value", "--config", str(config), "--out", str(out)]) == 1
+    assert f"error: {pairs[stray][1]}: holds label 9, but class_count is 4" in (
+        capsys.readouterr().err
+    )
+    assert not (out / "values.csv").exists()
+
+
 def traced_peak(fn):
     """The result of ``fn()`` and the peak bytes it allocated beyond what
     was allocated when it started, as tracemalloc (which numpy reports its
@@ -440,7 +468,7 @@ class TestLabelFlips:
 
     def test_exact_flip_count(self):
         data, plan = self._setup()
-        spec = LabelFlipSpec(frozenset({2, 5}), 0.3)
+        spec = LabelFlipConfig(0.3, affected=(2, 5))
         flipped = flip_labels(data, plan, spec, 3)
         for pid in (2, 5):
             idx = plan.assignment[pid]
@@ -449,7 +477,7 @@ class TestLabelFlips:
 
     def test_unaffected_shards_untouched(self):
         data, plan = self._setup()
-        spec = LabelFlipSpec(frozenset({2, 5}), 0.3)
+        spec = LabelFlipConfig(0.3, affected=(2, 5))
         flipped = flip_labels(data, plan, spec, 3)
         for pid in plan.participants():
             if pid in (2, 5):
@@ -460,14 +488,14 @@ class TestLabelFlips:
 
     def test_binary_flip_is_complement(self):
         data, plan = self._setup(classes=2)
-        spec = LabelFlipSpec(frozenset({1}), 1.0)
+        spec = LabelFlipConfig(1.0, affected=(1,))
         flipped = flip_labels(data, plan, spec, 4)
         idx = plan.assignment[1]
         assert np.array_equal(flipped.labels[idx], 1 - data.labels[idx])
 
     def test_deterministic(self):
         data, plan = self._setup()
-        spec = LabelFlipSpec(frozenset({0}), 0.5)
+        spec = LabelFlipConfig(0.5, affected=(0,))
         assert np.array_equal(
             flip_labels(data, plan, spec, 9).labels,
             flip_labels(data, plan, spec, 9).labels,
@@ -476,7 +504,7 @@ class TestLabelFlips:
     def test_affected_must_exist(self):
         data, plan = self._setup()
         with pytest.raises(ValueError, match="affected"):
-            flip_labels(data, plan, LabelFlipSpec(frozenset({99}), 0.5), 0)
+            flip_labels(data, plan, LabelFlipConfig(0.5, affected=(99,)), 0)
 
 
 class TestBackdoor:
@@ -487,9 +515,9 @@ class TestBackdoor:
 
     def test_quota_per_batch_window(self):
         data, plan = self._setup()
-        spec = BackdoorSpec(
-            affected=frozenset({1}), trigger_indices=(4, 5), trigger_value=9.0,
-            target_label=0, mix_per_batch=5, batch_size=16,
+        spec = BackdoorConfig(
+            affected=(1,), trigger_indices=(4, 5), trigger_value=9.0,
+            target_label=0, mix_per_batch=5, poison_batch_size=16,
         )
         poisoned = implant_backdoor(data, plan, spec, 1)
         idx = plan.assignment[1]
@@ -500,9 +528,9 @@ class TestBackdoor:
 
     def test_empty_trigger_changes_only_labels(self):
         data, plan = self._setup()
-        spec = BackdoorSpec(
-            affected=frozenset({2}), trigger_indices=(), trigger_value=9.0,
-            target_label=1, mix_per_batch=4, batch_size=16,
+        spec = BackdoorConfig(
+            affected=(2,), trigger_indices=(), trigger_value=9.0,
+            target_label=1, mix_per_batch=4, poison_batch_size=16,
         )
         poisoned = implant_backdoor(data, plan, spec, 1)
         assert np.array_equal(poisoned.features, data.features)
@@ -511,9 +539,9 @@ class TestBackdoor:
 
     def test_unaffected_untouched(self):
         data, plan = self._setup()
-        spec = BackdoorSpec(
-            affected=frozenset({1}), trigger_indices=(0,), trigger_value=9.0,
-            target_label=0, mix_per_batch=4, batch_size=16,
+        spec = BackdoorConfig(
+            affected=(1,), trigger_indices=(0,), trigger_value=9.0,
+            target_label=0, mix_per_batch=4, poison_batch_size=16,
         )
         poisoned = implant_backdoor(data, plan, spec, 1)
         for pid in (0, 2, 3):
@@ -523,9 +551,9 @@ class TestBackdoor:
 
     def test_triggered_test_set_targets_everything(self):
         data, _ = self._setup()
-        spec = BackdoorSpec(
-            affected=frozenset({1}), trigger_indices=(2, 3), trigger_value=7.5,
-            target_label=3, mix_per_batch=4, batch_size=16,
+        spec = BackdoorConfig(
+            affected=(1,), trigger_indices=(2, 3), trigger_value=7.5,
+            target_label=3, mix_per_batch=4, poison_batch_size=16,
         )
         probe = triggered_test_set(data, spec)
         assert (probe.labels == 3).all()
@@ -536,24 +564,35 @@ class TestBackdoor:
 
     def test_out_of_bounds_trigger_rejected(self):
         data, plan = self._setup()
-        spec = BackdoorSpec(
-            affected=frozenset({1}), trigger_indices=(17,), trigger_value=1.0,
-            target_label=0, mix_per_batch=4, batch_size=16,
+        spec = BackdoorConfig(
+            affected=(1,), trigger_indices=(17,), trigger_value=1.0,
+            target_label=0, mix_per_batch=4, poison_batch_size=16,
         )
         with pytest.raises(ValueError, match="trigger"):
             implant_backdoor(data, plan, spec, 1)
 
     def test_trigger_at_the_feature_width_rejected_by_both(self):
         data, plan = self._setup()
-        spec = BackdoorSpec(
-            affected=frozenset({1}), trigger_indices=(0, data.features.shape[1]),
-            trigger_value=1.0, target_label=0, mix_per_batch=4, batch_size=16,
+        spec = BackdoorConfig(
+            affected=(1,), trigger_indices=(0, data.features.shape[1]),
+            trigger_value=1.0, target_label=0, mix_per_batch=4, poison_batch_size=16,
         )
         message = "trigger indices fall outside the feature dimensions"
         with pytest.raises(ValueError, match=message):
             implant_backdoor(data, plan, spec, 1)
         with pytest.raises(ValueError, match=message):
             triggered_test_set(data, spec)
+
+
+@pytest.mark.parametrize("corrupt, section", [
+    (flip_labels, LabelFlipConfig(0.5, affected_count=2)),
+    (implant_backdoor, BackdoorConfig((0,), 1.0, 0, affected_count=2)),
+])
+def test_unresolved_section_refused(corrupt, section):
+    data = synth_blobs(64, 3, 2, 1.0, 0)
+    plan = partition_iid(data, 4, 1)
+    with pytest.raises(ValueError, match=r"^corruption\.affected: unresolved"):
+        corrupt(data, plan, section, 0)
 
 
 class TestIndexShards:

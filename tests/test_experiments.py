@@ -40,6 +40,13 @@ def tiny_doc(**overrides):
     return doc
 
 
+LABEL_FLIP = {"kind": "label_flip", "flip_ratio": 0.5, "affected_count": 2}
+BACKDOOR = {
+    "kind": "backdoor", "trigger_indices": [3, 4], "trigger_value": 6.0,
+    "target_label": 0, "mix_per_batch": 8, "poison_batch_size": 16, "affected_count": 2,
+}
+
+
 class TestDetectionCurve:
     def test_perfect_ranking_saturates_early(self):
         values = ValueVector({0: -1.0, 1: -2.0, 2: 0.5, 3: 0.6, 4: 0.7})
@@ -141,17 +148,36 @@ class TestNoisyDetection:
 
 class TestBackdoorDetection:
     def test_reports_attack_success(self):
-        cfg = config_from_dict(tiny_doc(
-            corruption={
-                "kind": "backdoor", "trigger_indices": [3, 4], "trigger_value": 6.0,
-                "target_label": 0, "mix_per_batch": 8, "poison_batch_size": 16,
-                "affected_count": 2,
-            },
-        ))
+        cfg = config_from_dict(tiny_doc(corruption=BACKDOOR))
         outcome = run_backdoor_detection(cfg)
         assert outcome.attack_success_rate is not None
         assert 0.0 <= outcome.attack_success_rate <= 1.0
         assert 0.0 <= outcome.clean_accuracy <= 1.0
+
+    def test_validation_rows_drawn_after_training(self, monkeypatch):
+        # The triggered test set is built from them once training returns,
+        # so they are not held through training.
+        events = []
+        real_blobs, real_train = experiments.synth_blobs, experiments.run_federated_training
+
+        def blobs(*args, **kwargs):
+            train, draw = real_blobs(*args, **kwargs)
+
+            def recorded():
+                events.append("validation drawn")
+                return draw()
+
+            return train, recorded
+
+        def train(*args, **kwargs):
+            records = real_train(*args, **kwargs)
+            events.append("training returned")
+            return records
+
+        monkeypatch.setattr(experiments, "synth_blobs", blobs)
+        monkeypatch.setattr(experiments, "run_federated_training", train)
+        run_backdoor_detection(config_from_dict(tiny_doc(corruption=BACKDOOR)))
+        assert events[:2] == ["training returned", "validation drawn"]
 
     def test_zero_strength_trigger_leaves_no_signal(self):
         # Trigger stamps nothing and the target label matches nothing new:
@@ -257,9 +283,11 @@ class TestPreparation:
             assert norm == pytest.approx(1.0, abs=1e-9) or norm == 0.0
 
 
-@pytest.mark.parametrize("command", ["train-and-value", "noisy-detect"])
-def test_training_rows_released_before_valuation(tmp_path, monkeypatch, command):
-    # Neither command retrains, so no stage after training reads its rows.
+@pytest.mark.parametrize("command, corruption", [
+    ("train-and-value", LABEL_FLIP), ("noisy-detect", LABEL_FLIP), ("backdoor-detect", BACKDOOR),
+], ids=["train-and-value", "noisy-detect", "backdoor-detect"])
+def test_training_rows_released_before_valuation(tmp_path, monkeypatch, command, corruption):
+    # None of these commands retrains, so no stage after training reads its rows.
     watched, alive_at_oracle = [], []
     real_prepare = experiments.prepare_experiment
 
@@ -278,8 +306,6 @@ def test_training_rows_released_before_valuation(tmp_path, monkeypatch, command)
     monkeypatch.setattr(cli, "prepare_experiment", prepare)
     monkeypatch.setattr(engine.RoundOracle, "__init__", init)
     config = tmp_path / "config.yaml"
-    config.write_text(yaml.safe_dump(tiny_doc(
-        corruption={"kind": "label_flip", "flip_ratio": 0.5, "affected_count": 2},
-    )))
+    config.write_text(yaml.safe_dump(tiny_doc(corruption=corruption)))
     assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
     assert alive_at_oracle == [[False]]

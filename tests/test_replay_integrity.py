@@ -258,6 +258,26 @@ def test_participant_ids_outside_the_config_refused(tmp_path, capsys, command):
     assert not (out / "summarization.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["value-replay", "summarize"])
+@pytest.mark.parametrize("configured", [1, 3])
+def test_round_count_other_than_configured_refused(tmp_path, capsys, command, configured):
+    # 3 configured rounds over 2 recorded is a run whose training failed.
+    doc = base_doc()
+    _, rounds = train(tmp_path, doc, "run")
+    doc["training"]["rounds"] = configured
+    config = write_config(tmp_path, doc, name="other.yaml")
+    out = tmp_path / "replay"
+    rc = main([
+        command, "--config", str(config), "--snapshots", str(rounds), "--out", str(out),
+    ])
+    assert rc == 1
+    assert f"error: {rounds}: holds 2 rounds, but training.rounds is {configured}" in (
+        capsys.readouterr().err
+    )
+    assert not (out / "values.csv").exists()
+    assert not (out / "summarization.csv").exists()
+
+
 def test_intact_run_loads(three_rounds):
     records, _ = load_round_records(three_rounds)
     assert [r.round_index for r in records] == [0, 1, 2]
