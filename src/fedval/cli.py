@@ -164,10 +164,11 @@ def _cmd_train_and_value(args: argparse.Namespace) -> int:
     def body() -> dict[str, Any]:
         prepared = prepare_experiment(cfg)
         records = prepared.train_once(snapshot_dir=out / "rounds")
-        details = _write_values(cfg, prepared.layout, records, prepared.validation, out)
+        layout = prepared.training.layout
+        details = _write_values(cfg, layout, records, prepared.validation, out)
         details["participants"] = cfg.partition.participants
         details["final_accuracy"] = evaluate_utility(
-            prepared.layout,
+            layout,
             records[-1].global_after,
             prepared.validation.features,
             prepared.validation.labels,
@@ -186,10 +187,10 @@ def _cmd_value_replay(args: argparse.Namespace) -> int:
 
     def body() -> dict[str, Any]:
         loaded = load_round_records(snapshots)
-        layout, validation = prepare_validation(cfg)
-        records = check_recorded_run(cfg, snapshots, loaded, layout)
+        training, validation = prepare_validation(cfg)
+        records = check_recorded_run(cfg, snapshots, loaded, training)
         return {
-            **_write_values(cfg, layout, records, validation, out),
+            **_write_values(cfg, training.layout, records, validation, out),
             "snapshots": str(snapshots),
         }
 

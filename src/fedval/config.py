@@ -32,6 +32,7 @@ import json
 import re
 import types
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Union, get_args, get_origin, get_type_hints
 
@@ -39,7 +40,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .engine import VALUATION_METHODS, TrainingConfig, write_atomically
+from .engine import VALUATION_METHODS, write_atomically
 from .estimators import ApproxParams
 from .models import ARCHITECTURES, ModelLayout
 
@@ -86,6 +87,8 @@ class _Section:
 def _check_affected_keys(corruption: LabelFlipConfig | BackdoorConfig) -> None:
     if (corruption.affected is None) == (corruption.affected_count is None):
         raise ValueError("exactly one of affected / affected_count is required")
+    if corruption.affected == ():
+        raise ValueError("affected: must name at least one participant")
     for index, pid in enumerate(corruption.affected or ()):
         if pid in corruption.affected[:index]:
             raise ValueError(f"affected[{index}]: repeats participant {pid}")
@@ -181,7 +184,7 @@ class TrainingSpec(_Section):
     batch_size: int = _key(min=1)
     learning_rate: float = _key(above=0.0)
     model: str = _key(choices=ARCHITECTURES)
-    lr_decay: float = _key(1.0, above=0.0, max=1.0)
+    lr_decay: float = _key(1.0, above=0.0, max=1.0)  # per round; 1.0 is constant
     hidden_units: int = _key(0, min=0)
     init_scale: float = _key(0.0, min=0.0)
 
@@ -197,18 +200,19 @@ class TrainingSpec(_Section):
                 "all-zero start only the output bias receives gradient, so it never learns"
             )
 
-    def to_training_config(self, layout: ModelLayout, seed: int) -> TrainingConfig:
-        return TrainingConfig(
-            layout=layout,
-            rounds=self.rounds,
-            participant_fraction=self.participant_fraction,
-            local_epochs=self.local_epochs,
-            batch_size=self.batch_size,
-            learning_rate=self.learning_rate,
-            seed=seed,
-            lr_decay=self.lr_decay,
-            init_scale=self.init_scale,
-        )
+
+@dataclass(frozen=True, kw_only=True)
+class TrainingConfig(TrainingSpec):
+    """The ``training`` section resolved against its dataset and the master
+    seed: what the engine trains from. Every rule of the section holds."""
+
+    n_features: int = _key(min=1)
+    n_classes: int = _key(min=2)
+    seed: int = _key(min=0)
+
+    @cached_property
+    def layout(self) -> ModelLayout:
+        return ModelLayout(self.model, self.n_features, self.n_classes, self.hidden_units)
 
 
 @dataclass(frozen=True)

@@ -191,17 +191,6 @@ def read_idx(
     )
 
 
-def load_idx(
-    images_path: str | Path,
-    labels_path: str | Path,
-    *,
-    class_count: int | None = None,
-) -> Dataset:
-    """Every image of an IDX pair (see :func:`read_idx`), pixels scaled to
-    [0, 1]."""
-    return read_idx(images_path, labels_path, class_count=class_count).rows(slice(None))
-
-
 @dataclass(frozen=True)
 class PartitionPlan:
     """Assignment of dataset row indices to participants."""

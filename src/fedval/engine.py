@@ -19,7 +19,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -50,6 +50,9 @@ from .values import (
     random_values,
 )
 
+if TYPE_CHECKING:  # config imports this module
+    from .config import TrainingConfig
+
 SNAPSHOT_MAGIC = b"FEDVALRND1\n"
 
 VALUATION_METHODS = ("exact", "permutation", "group_testing", "loo", "random")
@@ -65,43 +68,6 @@ class HistoryMismatchError(ValueError):
 
 class SnapshotFormatError(ValueError):
     """A round snapshot file is malformed."""
-
-
-@dataclass(frozen=True)
-class TrainingConfig:
-    """Hyperparameters of one federated run.
-
-    ``learning_rate`` may be zero for direct calls (a no-op update);
-    declarative configs reject that. ``lr_decay`` multiplies the rate
-    once per round, 1.0 meaning constant.
-    """
-
-    layout: ModelLayout
-    rounds: int
-    participant_fraction: float
-    local_epochs: int
-    batch_size: int
-    learning_rate: float
-    seed: int
-    lr_decay: float = 1.0
-    init_scale: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.rounds < 1:
-            raise ValueError(f"rounds must be at least 1, got {self.rounds}")
-        if not 0 < self.participant_fraction <= 1:
-            raise ValueError(
-                f"participant_fraction must lie in (0, 1], got "
-                f"{self.participant_fraction}"
-            )
-        if self.local_epochs < 1 or self.batch_size < 1:
-            raise ValueError("local_epochs and batch_size must be positive")
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be non-negative, got {self.learning_rate}")
-        if not 0 < self.lr_decay <= 1:
-            raise ValueError(f"lr_decay must lie in (0, 1], got {self.lr_decay}")
-        if self.init_scale < 0:
-            raise ValueError("init_scale must be non-negative")
 
 
 @dataclass
@@ -309,17 +275,18 @@ class RoundOracle:
     oracle shares the utilities the others computed.
 
     Mask 0 is the stored incoming model and the full mask the stored
-    outgoing one. Logits of a logistic model are affine in its
-    parameters, so a proper subset's logits are the mean of its members'
-    logits: those are computed once per round, kept only while that round
-    is queried, and summed in bit (row) order. The MLP averages the
-    members' parameters instead, in one stacked kernel: for a slice of
-    uncached masks, each mask's member rows are gathered in bit order and
-    summed row by row, and the slice's averages run one stacked forward
-    pass. ``evaluate_many`` hands the kernel all of a call's uncached MLP
-    subsets, in slices bounded by ``_UTILITY_SLICE_BYTES``, which run on
-    one thread per CPU the process may use. Each utility is bitwise the
-    accuracy of ``aggregate_subset``'s average, whichever thread runs it.
+    outgoing one. ``evaluate_many`` hands all of a call's uncached proper
+    subsets to one kernel, chosen by architecture. Logits of a logistic
+    model are affine in its parameters, so a proper subset's logits are
+    the mean of its members' logits: those are computed once per call,
+    dropped when it returns, and summed in bit (row) order. The MLP
+    averages the members' parameters instead, in one stacked kernel: for
+    a slice of masks, each mask's member rows are gathered in bit order
+    and summed row by row, and the slice's averages run one stacked
+    forward pass. Slices are bounded by ``_UTILITY_SLICE_BYTES`` and run
+    on one thread per CPU the process may use. Each MLP utility is
+    bitwise the accuracy of ``aggregate_subset``'s average, whichever
+    thread runs it.
     """
 
     def __init__(
@@ -359,8 +326,6 @@ class RoundOracle:
         self._features = features
         self._labels = labels
         self._cache: dict[tuple[int, int], float] = {}
-        self._logits_round: int | None = None
-        self._member_logits: list[np.ndarray] = []
 
     def players(self, round_index: int) -> tuple[int, ...]:
         if not 0 <= round_index < len(self.records):
@@ -377,7 +342,7 @@ class RoundOracle:
         """Utilities of round ``round_index`` under each of ``masks``, in
         order; masks may repeat. Every mask is checked before any is
         evaluated, and each distinct uncached mask is then computed once
-        into the cache, in order of first appearance."""
+        into the cache."""
         m = len(self.players(round_index))
         full = (1 << m) - 1
         if isinstance(masks, np.ndarray):
@@ -399,36 +364,36 @@ class RoundOracle:
                 cache[round_index, mask] = evaluate_utility(
                     self._layout, params, self._features, self._labels
                 )
-            elif self._layout.arch == "logistic":
-                cache[round_index, mask] = self._averaged_logits_accuracy(record, mask)
             else:
                 subsets.append(mask)
-        for mask, value in zip(subsets, self._subset_utilities(record, subsets)):
-            cache[round_index, mask] = value
+        if subsets:
+            logistic = self._layout.arch == "logistic"
+            kernel = self._averaged_logits_utilities if logistic else self._subset_utilities
+            for mask, value in zip(subsets, kernel(record, subsets)):
+                cache[round_index, mask] = value
         return np.fromiter(
             (cache[round_index, mask] for mask in masks), dtype=np.float64, count=len(masks)
         )
 
-    def _averaged_logits_accuracy(self, record: RoundRecord, mask: int) -> float:
-        if self._logits_round != record.round_index:
-            # Release the previous round's logits before computing these.
-            self._logits_round, self._member_logits = None, []
-            # A list, so that each mask's walk does not make a view per row.
-            self._member_logits = list(logits(self._layout, record.updates, self._features))
-            self._logits_round = record.round_index
-        members = [row for b, row in enumerate(self._member_logits) if mask >> b & 1]
-        averaged = members[0].copy()
-        for row in members[1:]:
-            averaged += row
-        averaged /= len(members)
-        return accuracy_from_logits(averaged, self._labels)
+    def _averaged_logits_utilities(self, record: RoundRecord, masks: list[int]) -> list[float]:
+        """Logistic utilities of proper-subset ``masks`` of ``record``'s
+        round, from its members' logits."""
+        # A list, so that each mask's walk does not make a view per row.
+        member_logits = list(logits(self._layout, record.updates, self._features))
+        utilities = []
+        for mask in masks:
+            members = [row for b, row in enumerate(member_logits) if mask >> b & 1]
+            averaged = members[0].copy()
+            for row in members[1:]:
+                averaged += row
+            averaged /= len(members)
+            utilities.append(accuracy_from_logits(averaged, self._labels))
+        return utilities
 
     def _subset_utilities(self, record: RoundRecord, masks: list[int]) -> list[float]:
         """MLP utilities of proper-subset ``masks`` of ``record``'s round,
         computed a slice of masks at a time, each slice on one of the
         threads of ``_run_on_threads``."""
-        if not masks:
-            return []
         layout, features, labels = self._layout, self._features, self._labels
         m, n = len(record.selected), features.shape[0]
         size, h, c = layout.param_count, layout.hidden_units, layout.n_classes
@@ -798,9 +763,9 @@ def load_round_records(directory: str | Path) -> tuple[list[RoundRecord], ModelL
     Round indices must run from 0 without gaps and agree with each
     file's header, each header must name a layout and one or more
     participant ids in strictly ascending order, every array must be
-    complete and finite, every stored aggregate must match its updates,
-    and every incoming model must be bitwise the previous round's
-    outcome. Each failure names the offending file.
+    complete and finite, every stored aggregate must be bitwise the mean
+    of its updates, and every incoming model must be bitwise the previous
+    round's outcome. Each failure names the offending file.
     """
     directory = Path(directory)
     paths = sorted(directory.glob("round_*.fvr"), key=_snapshot_index)
@@ -852,9 +817,8 @@ def load_round_records(directory: str | Path) -> tuple[list[RoundRecord], ModelL
             raise SnapshotFormatError(f"{path}: update matrix shape mismatch")
         if not all(np.isfinite(a).all() for a in (global_before, stacked, global_after)):
             raise SnapshotFormatError(f"{path}: stored arrays hold non-finite values")
-        recomputed = stacked.mean(axis=0)
-        # Written so that a NaN on either side fails it.
-        if not np.abs(recomputed - global_after).max() <= 1e-9:
+        # Training stores exactly this mean.
+        if not _bitwise_equal(stacked.mean(axis=0), global_after):
             raise SnapshotFormatError(
                 f"{path}: stored aggregate disagrees with the stored updates"
             )

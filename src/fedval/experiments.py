@@ -7,7 +7,7 @@ the valuation rule alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -20,6 +20,7 @@ from .config import (
     ExperimentConfig,
     IdxSpec,
     LabelFlipConfig,
+    TrainingConfig,
 )
 from .datasets import (
     Dataset,
@@ -27,7 +28,6 @@ from .datasets import (
     PartitionPlan,
     flip_labels,
     implant_backdoor,
-    load_idx,
     partition_iid,
     partition_noniid_shards,
     read_idx,
@@ -39,7 +39,6 @@ from .engine import (
     RoundOracle,
     RoundRecord,
     SnapshotFormatError,
-    TrainingConfig,
     check_initial_model,
     evaluate_utility,
     load_round_records,
@@ -99,7 +98,6 @@ class PreparedExperiment:
     participants resolved (see :func:`_resolve_corruption`).
     """
 
-    layout: ModelLayout
     training: TrainingConfig
     train: Dataset | None
     draw_validation: Callable[[], Dataset]
@@ -150,9 +148,16 @@ def _split_idx(cfg: ExperimentConfig) -> tuple[IdxImages, np.ndarray, Dataset]:
     images = read_idx(spec.images, spec.labels, class_count=spec.class_count)
     order = substream(cfg.seed, "data").permutation(len(images))
     if spec.validation_images is not None:
-        validation = load_idx(
-            spec.validation_images, spec.validation_labels, class_count=images.class_count
+        held = read_idx(
+            spec.validation_images, spec.validation_labels, class_count=spec.class_count
         )
+        if held.class_count > images.class_count:  # only when class_count is unset
+            raise ValueError(
+                f"{spec.validation_labels}: holds label {held.class_count - 1}, but the "
+                f"training labels {spec.labels} hold {images.class_count} classes; set "
+                f"dataset.class_count to cover both"
+            )
+        validation = replace(held, class_count=images.class_count).rows(slice(None))
         train_order = order
     else:
         assert spec.validation_samples is not None
@@ -183,25 +188,22 @@ def _resolve_corruption(
     return replace(corruption, affected=tuple(sorted(affected)), affected_count=None)
 
 
-def _layout(cfg: ExperimentConfig, n_features: int, class_count: int) -> ModelLayout:
-    return ModelLayout(
-        arch=cfg.training.model,
-        n_features=n_features,
-        n_classes=class_count,
-        hidden_units=cfg.training.hidden_units,
+def _training(cfg: ExperimentConfig, n_features: int, n_classes: int) -> TrainingConfig:
+    return TrainingConfig(
+        **asdict(cfg.training), n_features=n_features, n_classes=n_classes, seed=cfg.seed
     )
 
 
-def prepare_validation(cfg: ExperimentConfig) -> tuple[ModelLayout, Dataset]:
-    """The model layout and validation set of a config, for valuing recorded
-    rounds: no partition or corruption. A blobs config's training rows are
-    drawn and dropped chunk by chunk, and an IDX file's are never scaled,
-    so only the validation rows are held."""
+def prepare_validation(cfg: ExperimentConfig) -> tuple[TrainingConfig, Dataset]:
+    """The resolved training section and the validation set of a config,
+    for valuing recorded rounds: no partition or corruption. A blobs
+    config's training rows are drawn and dropped chunk by chunk, and an
+    IDX file's are never scaled, so only the validation rows are held."""
     if isinstance(cfg.dataset, BlobsSpec):
         validation = _draw_blobs(cfg, cfg.dataset, skip=cfg.dataset.samples)
-        return _layout(cfg, cfg.dataset.features, cfg.dataset.classes), validation
+        return _training(cfg, cfg.dataset.features, cfg.dataset.classes), validation
     images, _, validation = _split_idx(cfg)
-    return _layout(cfg, images.pixels.shape[1], images.class_count), validation
+    return _training(cfg, images.pixels.shape[1], images.class_count), validation
 
 
 def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
@@ -229,10 +231,8 @@ def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
                 f"({train.class_count}), got {corruption.target_label}"
             )
         train = implant_backdoor(train, plan, corruption, substream(cfg.seed, "corrupt"))
-    layout = _layout(cfg, train.features.shape[1], train.class_count)
     return PreparedExperiment(
-        layout=layout,
-        training=cfg.training.to_training_config(layout, cfg.seed),
+        training=_training(cfg, train.features.shape[1], train.class_count),
         train=train,
         draw_validation=draw_validation,
         plan=plan,
@@ -244,20 +244,20 @@ def check_recorded_run(
     cfg: ExperimentConfig,
     snapshots: str | Path,
     loaded: tuple[list[RoundRecord], ModelLayout],
-    layout: ModelLayout,
+    training: TrainingConfig,
 ) -> list[RoundRecord]:
     """The round records ``load_round_records(snapshots)`` returned, refused
-    unless they form one run of ``cfg.training.rounds`` rounds of ``layout``
-    over ``cfg``'s participants that starts from ``cfg``'s initial model.
-    The snapshots are loaded first, so a directory the loader refuses costs
-    no data preparation."""
+    unless they form the run ``training`` (``cfg``'s resolved section)
+    trains over ``cfg``'s participants: as many rounds, of its layout,
+    from its initial model. The snapshots are loaded first, so a directory
+    the loader refuses costs no data preparation."""
     records, recorded_layout = loaded
-    if recorded_layout != layout:
+    if recorded_layout != training.layout:
         raise ConfigError("snapshot layout does not match the configured model/dataset")
-    if len(records) != cfg.training.rounds:
+    if len(records) != training.rounds:
         raise SnapshotFormatError(
             f"{snapshots}: holds {len(records)} rounds, but training.rounds is "
-            f"{cfg.training.rounds}"
+            f"{training.rounds}"
         )
     participants = cfg.partition.participants
     for record in records:
@@ -267,7 +267,7 @@ def check_recorded_run(
                 f"{Path(snapshots) / snapshot_name(record.round_index)}: participant "
                 f"{stray[0]} is not one of the configured ids 0..{participants - 1}"
             )
-    check_initial_model(records, cfg.training.to_training_config(layout, cfg.seed), snapshots)
+    check_initial_model(records, training, snapshots)
     return records
 
 
@@ -314,7 +314,8 @@ def _run_detection(cfg: ExperimentConfig) -> DetectionOutcome:
     prepared = prepare_experiment(cfg)
     records = prepared.train_once()
     validation = prepared.validation
-    sv_report, loo_report = _shapley_and_loo(cfg, prepared.layout, records, validation)
+    layout = prepared.training.layout
+    sv_report, loo_report = _shapley_and_loo(cfg, layout, records, validation)
     universe = prepared.plan.participants()
     reports = {
         "fed_sv": sv_report.total,
@@ -334,10 +335,10 @@ def _run_detection(cfg: ExperimentConfig) -> DetectionOutcome:
         final = records[-1].global_after
         triggered = triggered_test_set(validation, prepared.corruption)
         outcome.attack_success_rate = evaluate_utility(
-            prepared.layout, final, triggered.features, triggered.labels
+            layout, final, triggered.features, triggered.labels
         )
         outcome.clean_accuracy = evaluate_utility(
-            prepared.layout, final, validation.features, validation.labels
+            layout, final, validation.features, validation.labels
         )
     return outcome
 
@@ -414,22 +415,18 @@ def run_summarization(
     """
     loaded = None if snapshots is None else load_round_records(snapshots)
     prepared = prepare_experiment(cfg)
-    shards = prepared.plan.assignment
+    shards, layout = prepared.plan.assignment, prepared.training.layout
     if loaded is None:
         records = run_federated_training(prepared.train, shards, prepared.training)
     else:
-        records = check_recorded_run(cfg, snapshots, loaded, prepared.layout)
+        records = check_recorded_run(cfg, snapshots, loaded, prepared.training)
     validation = (prepared.validation.features, prepared.validation.labels)
-    sv_report, loo_report = _shapley_and_loo(
-        cfg, prepared.layout, records, prepared.validation
-    )
+    sv_report, loo_report = _shapley_and_loo(cfg, layout, records, prepared.validation)
     if cfg.valuation.normalized:
         sv_report = sv_report.normalized()
     totals = {"fed_sv": sv_report.total, "fed_loo": loo_report.total}
     selections = [record.selected for record in records]
-    baseline_accuracy = evaluate_utility(
-        prepared.layout, records[-1].global_after, *validation
-    )
+    baseline_accuracy = evaluate_utility(layout, records[-1].global_after, *validation)
 
     fractions = cfg.experiment.dismiss_fractions
     repeats = cfg.experiment.random_repeats
@@ -439,7 +436,7 @@ def run_summarization(
         keeps += [_keep_random_dropped(cfg.seed, repeat, fraction) for repeat in range(repeats)]
     # One lockstep grid of every replay; final models come back in rule order.
     finals = rerun_with_selections(prepared.train, shards, prepared.training, selections, keeps)
-    scores = iter([evaluate_utility(prepared.layout, params, *validation) for params in finals])
+    scores = iter([evaluate_utility(layout, params, *validation) for params in finals])
     accuracy: dict[str, list[float]] = {name: [] for name in (*totals, "random")}
     for _ in fractions:
         for name in totals:

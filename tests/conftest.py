@@ -10,7 +10,9 @@ from typing import Callable, Collection, Iterable, Mapping, Sequence
 import numpy as np
 import pytest
 
+from fedval.config import TrainingConfig
 from fedval.datasets import Dataset, PartitionPlan
+from fedval.models import ModelLayout
 from fedval.values import (
     _RECORD_HEADER,
     EnumerationRefusedError,
@@ -27,6 +29,16 @@ PERMUTATION_ENUMERATION_CAP = 8
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+def training(layout: ModelLayout, *hyperparameters, **keys) -> TrainingConfig:
+    """The resolved training section of ``layout``'s model: ``rounds``,
+    ``participant_fraction``, ``local_epochs``, ``batch_size`` and
+    ``learning_rate`` in that order, then any other key by name."""
+    return TrainingConfig(
+        *hyperparameters, model=layout.arch, n_features=layout.n_features,
+        n_classes=layout.n_classes, hidden_units=layout.hidden_units, **keys,
+    )
 
 
 def mean_label_entropy(dataset: Dataset, plan: PartitionPlan) -> float:

@@ -417,7 +417,7 @@ def test_criterion_11_round_norm_decay():
             prepared.train, prepared.plan.assignment, prepared.training
         )
         oracle = RoundOracle(
-            prepared.layout, records, prepared.validation.features, prepared.validation.labels
+            prepared.training.layout, records, prepared.validation.features, prepared.validation.labels
         )
         norms = value_rounds(oracle, "exact", seed=cfg.seed).round_value_norms
         quarter = len(norms) // 4

@@ -13,7 +13,14 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedval.config import ConfigError, config_from_dict, config_to_dict, parse_config
+from fedval.config import (
+    ConfigError,
+    TrainingConfig,
+    config_from_dict,
+    config_to_dict,
+    parse_config,
+)
+from fedval.models import ModelLayout
 
 DROP = object()
 
@@ -63,6 +70,31 @@ def edited(*edits):
             node[key] = copy.deepcopy(value)
     return doc
 
+
+# The bounds and rules of the training section; the resolved
+# ``TrainingConfig`` inherits every one of them.
+TRAINING_RULES = [
+    ("rounds-min", [("training.rounds", 0)], "config.training.rounds:"),
+    ("fraction-exclusive", [("training.participant_fraction", 0.0)],
+     "config.training.participant_fraction:"),
+    ("fraction-max", [("training.participant_fraction", 1.2)],
+     "config.training.participant_fraction:"),
+    ("local-epochs-min", [("training.local_epochs", 0)], "config.training.local_epochs:"),
+    ("batch-size-min", [("training.batch_size", 0)], "config.training.batch_size:"),
+    ("learning-rate-exclusive", [("training.learning_rate", 0.0)],
+     "config.training.learning_rate:"),
+    ("lr-decay-exclusive", [("training.lr_decay", 0.0)], "config.training.lr_decay:"),
+    ("lr-decay-max", [("training.lr_decay", 1.5)], "config.training.lr_decay:"),
+    ("model-choice", [("training.model", "cnn")], "config.training.model:"),
+    ("hidden-units-min", [("training.hidden_units", -1)], "config.training.hidden_units:"),
+    ("init-scale-min", [("training.init_scale", -0.1)], "config.training.init_scale:"),
+    ("logistic-hidden-units", [("training.hidden_units", 4)],
+     "config.training.hidden_units:"),
+    ("mlp-hidden-units", [*MLP, ("training.hidden_units", 0)],
+     "config.training.hidden_units:"),
+    ("mlp-init-scale", [*MLP, ("training.init_scale", 0.0)],
+     "config.training.init_scale:"),
+]
 
 # (case id, edits, expected start of the message)
 REJECTIONS = [
@@ -147,6 +179,9 @@ REJECTIONS = [
     ("affected-negative",
      [("corruption.affected_count", DROP), ("corruption.affected", [-1])],
      "config.corruption.affected[0]:"),
+    ("affected-empty",
+     [("corruption.affected_count", DROP), ("corruption.affected", [])],
+     "config.corruption.affected: must name at least one participant"),
     ("affected-repeated",
      [("corruption.affected_count", DROP), ("corruption.affected", [3, 3, 5])],
      "config.corruption.affected[1]: repeats participant 3"),
@@ -179,27 +214,8 @@ REJECTIONS = [
      "config.training: unknown keys ['momentum']"),
     ("training-missing", [("training.rounds", DROP)],
      "config.training: missing required key 'rounds'"),
-    ("rounds-min", [("training.rounds", 0)], "config.training.rounds:"),
     ("rounds-bool", [("training.rounds", True)], "config.training.rounds:"),
-    ("fraction-exclusive", [("training.participant_fraction", 0.0)],
-     "config.training.participant_fraction:"),
-    ("fraction-max", [("training.participant_fraction", 1.2)],
-     "config.training.participant_fraction:"),
-    ("local-epochs-min", [("training.local_epochs", 0)], "config.training.local_epochs:"),
-    ("batch-size-min", [("training.batch_size", 0)], "config.training.batch_size:"),
-    ("learning-rate-exclusive", [("training.learning_rate", 0.0)],
-     "config.training.learning_rate:"),
-    ("lr-decay-exclusive", [("training.lr_decay", 0.0)], "config.training.lr_decay:"),
-    ("lr-decay-max", [("training.lr_decay", 1.5)], "config.training.lr_decay:"),
-    ("model-choice", [("training.model", "cnn")], "config.training.model:"),
-    ("hidden-units-min", [("training.hidden_units", -1)], "config.training.hidden_units:"),
-    ("init-scale-min", [("training.init_scale", -0.1)], "config.training.init_scale:"),
-    ("logistic-hidden-units", [("training.hidden_units", 4)],
-     "config.training.hidden_units:"),
-    ("mlp-hidden-units", [*MLP, ("training.hidden_units", 0)],
-     "config.training.hidden_units:"),
-    ("mlp-init-scale", [*MLP, ("training.init_scale", 0.0)],
-     "config.training.init_scale:"),
+    *TRAINING_RULES,
     # valuation
     ("valuation-unknown", [("valuation.metric", "accuracy")],
      "config.valuation: unknown keys ['metric']"),
@@ -253,6 +269,43 @@ def test_each_rule_is_refused_with_the_key_path(edits, expected):
     assert message.startswith(expected), message
 
 
+def resolved_training(*edits, **keys):
+    """``valid_doc``'s training section, edited, resolved against a 4-feature,
+    3-class dataset and seed 3 unless ``keys`` say otherwise."""
+    return TrainingConfig(
+        **{**edited(*edits)["training"], "n_features": 4, "n_classes": 3, "seed": 3, **keys}
+    )
+
+
+# (case id, edits, keys the resolution adds, expected start of the message)
+RESOLVED_TRAINING_RULES = [
+    (name, edits, {}, expected.removeprefix("config.training."))
+    for name, edits, expected in TRAINING_RULES
+] + [
+    ("n-features-min", [], {"n_features": 0}, "n_features:"),
+    ("n-classes-min", [], {"n_classes": 1}, "n_classes:"),
+    ("seed-negative", [], {"seed": -1}, "seed:"),
+]
+
+
+@pytest.mark.parametrize(
+    "edits, keys, expected",
+    [row[1:] for row in RESOLVED_TRAINING_RULES],
+    ids=[row[0] for row in RESOLVED_TRAINING_RULES],
+)
+def test_resolved_training_refuses_each_rule(edits, keys, expected):
+    with pytest.raises(ValueError) as caught:
+        resolved_training(*edits, **keys)
+    message = str(caught.value)
+    assert message.startswith(expected), message
+
+
+def test_resolved_training_builds_its_layout_once():
+    cfg = resolved_training(*MLP)
+    assert cfg.layout is cfg.layout
+    assert cfg.layout == ModelLayout("mlp", 4, 3, hidden_units=4)
+
+
 def test_null_means_absent_for_keys_that_default_to_none():
     nulls = {"validation_images": None, "validation_labels": None, "limit": None}
     spelled_out = edited(("dataset", {**IDX, **nulls}), ("corruption", None), ("output_dir", None))
@@ -275,7 +328,9 @@ COUNT = st.integers(1, 50)
 def affected(participants):
     """Affected ids or a count that the partition's ids 0..participants-1 admit."""
     return st.one_of(
-        fixed({"affected": st.lists(st.integers(0, participants - 1), max_size=5, unique=True)}),
+        fixed({"affected": st.lists(
+            st.integers(0, participants - 1), min_size=1, max_size=5, unique=True
+        )}),
         fixed({"affected_count": st.integers(1, min(10, participants))}),
     )
 

@@ -19,20 +19,25 @@ from fedval.datasets import (
     IdxFormatError,
     flip_labels,
     implant_backdoor,
-    load_idx,
     partition_iid,
     partition_noniid_shards,
+    read_idx,
     synth_blobs,
     triggered_test_set,
 )
-from fedval.engine import TrainingConfig, participant_update, train_round
+from fedval.engine import participant_update, train_round
 from fedval.experiments import prepare_experiment, prepare_validation
 from fedval.models import ModelLayout, accuracy
 from fedval.seeding import substream
 
-from conftest import mean_label_entropy, reference_blobs
+from conftest import mean_label_entropy, reference_blobs, training
 from test_blas_threads import cli_env
 from test_config_cli import base_doc
+
+
+def load_idx(images_path, labels_path):
+    """Every image of an IDX pair, pixels scaled to [0, 1]."""
+    return read_idx(images_path, labels_path).rows(slice(None))
 
 
 def write_idx_pair(tmp_path, images, labels, *, gz=False, image_magic=2051, label_magic=2049):
@@ -83,7 +88,7 @@ class TestBlobs:
     def test_high_separation_is_linearly_separable(self):
         data = synth_blobs(90, 5, 3, 80.0, 2)
         layout = ModelLayout("logistic", 5, 3)
-        cfg = TrainingConfig(layout, 1, 1.0, 25, 15, 0.5, seed=0)
+        cfg = training(layout, 1, 1.0, 25, 15, 0.5, seed=0)
         theta = participant_update(
             np.zeros(layout.param_count), data.features, data.labels, cfg,
             np.random.default_rng(0),
@@ -201,7 +206,7 @@ def idx_config(image_path, label_path, validation_samples):
 def test_idx_split_scales_the_rows_of_one_permutation(tmp_path):
     images, labels = digits_fixture(count=300, side=5)
     cfg = idx_config(*write_idx_pair(tmp_path, images, labels), 40)
-    layout, validation = prepare_validation(cfg)
+    training_config, validation = prepare_validation(cfg)
     prepared = prepare_experiment(cfg)
     pixels = images.reshape(300, 25)
     order = substream(13, "data").permutation(300)
@@ -211,7 +216,8 @@ def test_idx_split_scales_the_rows_of_one_permutation(tmp_path):
         rows = expected[name]
         assert data.features.tobytes() == (pixels[rows] / 255.0).tobytes()
         assert np.array_equal(data.labels, labels[rows])
-    assert layout == prepared.layout
+    assert training_config == prepared.training
+    layout = training_config.layout
     assert (layout.n_features, layout.n_classes) == (25, 10)
 
 
@@ -244,8 +250,20 @@ def test_idx_backdoor_target_beyond_the_loaded_classes_refused(tmp_path, capsys)
     assert "(10)" in err and "got 12" in err
 
 
-@pytest.mark.parametrize("stray", ["train", "valid"])
-def test_idx_label_beyond_class_count_names_its_file(tmp_path, capsys, stray):
+@pytest.mark.parametrize(
+    "stray, class_count, refusal",
+    [
+        ("train", 4, "holds label 9, but class_count is 4"),
+        ("valid", 4, "holds label 9, but class_count is 4"),
+        # Without the key, the training labels fix the class count.
+        ("valid", None, "holds label 9, but the training labels {train} hold 4 classes; "
+         "set dataset.class_count to cover both"),
+    ],
+    ids=["train", "valid", "valid-unset"],
+)
+def test_idx_label_beyond_class_count_names_its_file(
+    tmp_path, capsys, stray, class_count, refusal
+):
     images, labels = digits_fixture(count=300, side=5)
     pairs = {}
     for name in ("train", "valid"):
@@ -258,7 +276,7 @@ def test_idx_label_beyond_class_count_names_its_file(tmp_path, capsys, stray):
         "dataset": {
             "kind": "idx", "images": str(pairs["train"][0]), "labels": str(pairs["train"][1]),
             "validation_images": str(pairs["valid"][0]),
-            "validation_labels": str(pairs["valid"][1]), "class_count": 4,
+            "validation_labels": str(pairs["valid"][1]), "class_count": class_count,
         },
         "partition": {"mode": "iid", "participants": 5},
         "training": {
@@ -268,9 +286,8 @@ def test_idx_label_beyond_class_count_names_its_file(tmp_path, capsys, stray):
     }))
     out = tmp_path / "out"
     assert main(["train-and-value", "--config", str(config), "--out", str(out)]) == 1
-    assert f"error: {pairs[stray][1]}: holds label 9, but class_count is 4" in (
-        capsys.readouterr().err
-    )
+    refusal = refusal.format(train=pairs["train"][1])
+    assert f"error: {pairs[stray][1]}: {refusal}\n" in capsys.readouterr().err
     assert not (out / "values.csv").exists()
 
 
@@ -604,7 +621,7 @@ class TestIndexShards:
         assert np.array_equal(np.sort(rows), np.arange(len(data)))
         # Shards of 11 and 10 rows train in two lockstep groups.
         layout = ModelLayout("logistic", 3, 3)
-        cfg = TrainingConfig(layout, 1, 1.0, 2, 4, 0.5, seed=3)
+        cfg = training(layout, 1, 1.0, 2, 4, 0.5, seed=3)
         theta = np.linspace(-1.0, 1.0, layout.param_count)
         updates = train_round(theta, data, plan.assignment, pids, cfg, 0)
         for pid, update in zip(pids, updates):

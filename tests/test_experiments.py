@@ -267,7 +267,7 @@ class TestPreparation:
         shards = prepared.plan.assignment.values()
         assert sum(len(rows) for rows in shards) == len(prepared.train) == 360
         assert prepared.validation.features.shape[0] == 240
-        assert prepared.validation.class_count == prepared.layout.n_classes == 3
+        assert prepared.validation.class_count == prepared.training.layout.n_classes == 3
         for rows in shards:
             labels = prepared.train.labels[rows]
             assert set(labels.tolist()) <= set(range(prepared.validation.class_count))

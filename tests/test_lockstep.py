@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from fedval import engine
 from fedval.engine import (
-    TrainingConfig,
     TrainingError,
     initial_model,
     rerun_with_selections,
@@ -28,7 +27,7 @@ from fedval.engine import (
 from fedval.models import ModelLayout, loss_and_gradient
 from fedval.seeding import substream
 
-from conftest import index_shards
+from conftest import index_shards, training
 
 
 @st.composite
@@ -120,9 +119,9 @@ def test_lockstep_round_matches_per_participant_loop(
         for pid, n in zip(participants, sizes)
     }
     data, shards = index_shards(parts, layout.n_classes, rng)
-    cfg = TrainingConfig(
+    cfg = training(
         layout, round_index + 1, 1.0, local_epochs, batch_size, learning_rate,
-        seed=seed, lr_decay=lr_decay,
+        seed=seed, lr_decay=lr_decay, init_scale=0.3,
     )
     theta = random_params(layout, rng)
     updates = train_round(theta, data, shards, participants, cfg, round_index)
@@ -203,14 +202,15 @@ def grids(draw):
     for _ in range(draw(st.integers(0, 4))):
         split = draw(st.integers(0, rounds))
         tables.append(base[:split] + [subset(selection) for selection in selections[split:]])
-    cfg = TrainingConfig(
+    cfg = training(
         layout, rounds, 1.0,
         local_epochs=draw(st.integers(1, 3)),
         batch_size=draw(st.integers(1, 13)),
         learning_rate=draw(st.sampled_from([0.05, 0.3, 1.0])),
         seed=seed,
         lr_decay=draw(st.sampled_from([1.0, 0.9, 0.5])),
-        init_scale=draw(st.sampled_from([0.0, 0.3])),
+        # A zero start is refused for an MLP.
+        init_scale=draw(st.sampled_from([0.0, 0.3] if layout.arch == "logistic" else [0.3])),
     )
     return cfg, data, shards, selections, tables
 
@@ -260,7 +260,7 @@ def small_grid():
     rng = np.random.default_rng(4)
     parts = {pid: (rng.normal(size=(6, 3)), rng.integers(0, 2, 6)) for pid in range(4)}
     data, shards = index_shards(parts, 2, rng)
-    cfg = TrainingConfig(layout, 3, 1.0, 1, 4, 0.3, seed=4)
+    cfg = training(layout, 3, 1.0, 1, 4, 0.3, seed=4)
     return cfg, data, shards, [(0, 1, 2, 3)] * 3
 
 

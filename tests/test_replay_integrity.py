@@ -213,6 +213,21 @@ def test_unchained_round_named(tmp_path, three_rounds):
         load_round_records(target)
 
 
+def test_aggregate_one_ulp_from_the_mean_named(tmp_path):
+    # One round, so no later incoming model shows the change.
+    doc = base_doc()
+    doc["training"]["rounds"] = 1
+    _, rounds = train(tmp_path, doc, "run")
+    [record], layout = load_round_records(rounds)
+    record.global_after[0] = np.nextafter(record.global_after[0], np.inf)
+    save_round_records([record], layout, rounds)
+    victim = rounds / "round_00000.fvr"
+    with pytest.raises(
+        SnapshotFormatError, match=re.escape(f"{victim}: stored aggregate disagrees")
+    ):
+        load_round_records(rounds)
+
+
 def rewrite_selected(path, selected):
     """Rewrite a snapshot's header ``selected``, keeping its models and
     the leading ``len(selected)`` rows of its update matrix."""
@@ -405,9 +420,9 @@ def test_mlp_with_zero_init_rejected():
 )
 def test_replay_validation_matches_full_preparation(corruption):
     cfg = config_from_dict(base_doc(corruption=corruption))
-    layout, validation = prepare_validation(cfg)
+    training, validation = prepare_validation(cfg)
     prepared = prepare_experiment(cfg)
-    assert layout == prepared.layout
+    assert training == prepared.training
     assert validation.features.tobytes() == prepared.validation.features.tobytes()
     assert validation.labels.tobytes() == prepared.validation.labels.tobytes()
     assert validation.class_count == prepared.validation.class_count

@@ -378,6 +378,34 @@ def test_oracle_evaluates_distinct_masks_in_order_of_appearance():
             oracle.evaluate_many(0, [1])
 
 
+def test_logistic_member_logits_live_for_one_call():
+    rng = np.random.default_rng(5)
+    layout = ModelLayout("logistic", 3, 3)
+    records = random_records(rng, layout, 2, 4, quantized=False)
+    features = rng.normal(size=(20, 3))
+    labels = rng.integers(0, 3, size=20)
+    per_mask = RoundOracle(layout, records, features, labels)
+    oracle = RoundOracle(layout, records, features, labels)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return logits(*args)
+
+    batch = [3, 0, 5, 3, 15, 6]
+    with mock.patch.object(engine, "logits", counted):
+        got = oracle.evaluate_many(0, batch)
+        # Subsets 3, 5 and 6 share one computation of the member logits.
+        assert len(calls) == 1 and calls[0] is records[0].updates
+        oracle.evaluate_many(0, [6, 5])  # cached
+        assert len(calls) == 1
+        oracle.evaluate_many(0, [9])
+        assert len(calls) == 2
+    assert got.tolist() == [per_mask.evaluate(0, mask) for mask in batch]
+    # No logits outlive the call that computed them.
+    assert set(vars(oracle)) == {"_layout", "records", "_features", "_labels", "_cache"}
+
+
 def refusal(call):
     with pytest.raises(ValueError) as info:
         call()
