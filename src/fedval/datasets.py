@@ -61,49 +61,70 @@ def synth_blobs(
     separation: float,
     seed: int | np.random.Generator,
     *,
-    skip: int = 0,
+    held: np.ndarray | None = None,
     split: int | None = None,
 ) -> Dataset | tuple[Dataset, Callable[[], Dataset]]:
     """Gaussian class clusters at random unit directions scaled by ``separation``.
 
     Labels are assigned round-robin, so class priors are uniform to
-    within one sample. The noise is drawn in row chunks of at most
-    ``_CHUNK_BYTES`` straight into the returned arrays; the first ``skip``
-    rows are drawn into one reused chunk and dropped. With ``split``, the
-    rows before ``split`` come back as a dataset, and those from it on as
-    a cached callable that draws them on its first call, continuing the
-    generator where the first part stopped, into separate arrays.
+    within one sample. Only the rows ``held`` (ascending row indices; all
+    rows by default) come back, bitwise as one full draw gives them. The
+    noise is drawn in row chunks of at most ``_CHUNK_BYTES``, runs of held
+    rows straight into the returned arrays, other rows into one reused
+    buffer and dropped. With ``split``, ``held`` indexes the rows before
+    ``split``, and all rows from it on come back as a cached callable that
+    draws them on its first call, continuing the generator where the first
+    part stopped, into separate arrays.
     """
     if samples < class_count:
         raise ValueError("need at least one sample per class")
     if features < 1 or class_count < 2:
         raise ValueError("invalid dimensions")
-    cuts = [skip, samples] if split is None else [skip, split, samples]
-    if skip < 0 or any(lo >= hi for lo, hi in zip(cuts, cuts[1:])):
+    end = samples if split is None else split
+    index = np.arange(end) if held is None else np.asarray(held, dtype=np.int64)
+    if split is not None and not 0 < split < samples:
         raise ValueError("every part needs at least one row")
+    if not len(index) or index[0] < 0 or index[-1] >= end or (np.diff(index) <= 0).any():
+        raise ValueError("held must name at least one row of the part, ascending")
     rng = np.random.default_rng(seed)
     directions = rng.normal(size=(class_count, features))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     centers = separation * directions
     step = max(1, _CHUNK_BYTES // (8 * features))
-    dropped = np.empty((min(step, skip), features))
-    for first in range(0, skip, step):
-        rng.standard_normal(out=dropped[: skip - first])
+    dropped = np.empty((0, features))
 
-    def rows(lo: int, hi: int) -> Dataset:
-        # The next rows of the one generator: rows lo..hi of the draw.
-        points = np.empty((hi - lo, features))
+    def rows(lo: int, hi: int, index: np.ndarray) -> Dataset:
+        # Rows ``index`` of the generator's next rows lo..hi.
+        nonlocal dropped
+        points = np.empty((len(index), features))
         for first in range(lo, hi, step):
-            chunk = points[first - lo : first - lo + step]
-            rng.standard_normal(out=chunk)
-            for c in range(class_count):  # row i is of class i % class_count
-                chunk[(c - first) % class_count :: class_count] += centers[c]
-        return Dataset(points, np.arange(lo, hi) % class_count, class_count)
+            last = min(first + step, hi)
+            a, b = np.searchsorted(index, (first, last))
+            kept = index[a:b]
+            # Cut the chunk at each end of a run of held rows, so that each
+            # piece is held whole, drawn straight into its rows, or dropped.
+            runs = np.flatnonzero(np.diff(kept) != 1) + 1
+            ends = (kept[np.r_[0, runs]], kept[np.r_[runs - 1, -1]] + 1) if b > a else ()
+            cuts = np.sort(np.concatenate(([first], *ends, [last])))
+            at = (np.searchsorted(kept, cuts) + a).tolist()
+            for start, stop, i, j in zip(cuts.tolist(), cuts[1:].tolist(), at, at[1:]):
+                if j > i:
+                    piece = points[i:j]
+                    rng.standard_normal(out=piece)
+                    # Row start + k is of class (start + k) % class_count.
+                    for k in range(min(class_count, j - i)):
+                        piece[k::class_count] += centers[(start + k) % class_count]
+                elif stop > start:
+                    if len(dropped) < stop - start:
+                        dropped = np.empty((stop - start, features))
+                    rng.standard_normal(out=dropped[: stop - start])
+        return Dataset(points, index % class_count, class_count)
 
     if split is None:
-        return rows(skip, samples)
-    head = rows(skip, split)
-    return head, functools.cache(functools.partial(rows, split, samples))
+        return rows(0, samples, index)
+    head = rows(0, split, index)
+    tail = functools.partial(rows, split, samples, np.arange(split, samples))
+    return head, functools.cache(tail)
 
 
 def _read_exact(fh: BinaryIO, count: int, offset: int, path: str) -> bytes:
@@ -191,6 +212,13 @@ def read_idx(
     )
 
 
+def _held_positions(held: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each of ``rows`` sits in ``held`` (ascending row indices), and
+    whether ``held`` holds it there."""
+    at = np.minimum(np.searchsorted(held, rows), len(held) - 1)
+    return at, held[at] == rows
+
+
 @dataclass(frozen=True)
 class PartitionPlan:
     """Assignment of dataset row indices to participants."""
@@ -199,6 +227,13 @@ class PartitionPlan:
 
     def participants(self) -> list[int]:
         return sorted(self.assignment)
+
+    def over(self, held: np.ndarray) -> PartitionPlan:
+        """The plan over a dataset of the rows ``held`` (ascending row
+        indices): each shard as the positions there of its held rows, in
+        shard order; every participant keeps its id."""
+        positions = {pid: _held_positions(held, rows) for pid, rows in self.assignment.items()}
+        return PartitionPlan({pid: at[ok] for pid, (at, ok) in positions.items()})
 
 
 def _check_partition(assignment: dict[int, np.ndarray], n: int) -> None:
@@ -210,10 +245,11 @@ def _check_partition(assignment: dict[int, np.ndarray], n: int) -> None:
 
 
 def partition_iid(
-    dataset: Dataset, participants: int, seed: int | np.random.Generator
+    labels: np.ndarray, participants: int, seed: int | np.random.Generator
 ) -> PartitionPlan:
-    """Uniform shuffle followed by contiguous near-equal splits."""
-    n = len(dataset)
+    """Uniform shuffle of the rows of ``labels`` followed by contiguous
+    near-equal splits."""
+    n = len(labels)
     if participants < 1 or participants > n:
         raise ValueError(f"cannot split {n} samples across {participants} participants")
     rng = np.random.default_rng(seed)
@@ -225,22 +261,23 @@ def partition_iid(
 
 
 def partition_noniid_shards(
-    dataset: Dataset,
+    labels: np.ndarray,
     participants: int,
     shards_per_participant: int,
     seed: int | np.random.Generator,
 ) -> PartitionPlan:
-    """Label-sorted shards dealt randomly, a fixed number per participant.
+    """Label-sorted shards of the rows of ``labels`` dealt randomly, a
+    fixed number per participant.
 
     Each participant then sees at most ``shards_per_participant`` runs of
     consecutive labels, which skews local label distributions.
     """
-    n = len(dataset)
+    n = len(labels)
     shard_count = participants * shards_per_participant
     if n % shard_count != 0:
         raise ValueError(f"shard_count {shard_count} does not divide {n} samples")
     rng = np.random.default_rng(seed)
-    order = np.argsort(dataset.labels, kind="stable")
+    order = np.argsort(labels, kind="stable")
     shards = order.reshape(shard_count, n // shard_count)
     dealt = rng.permutation(shard_count)
     assignment = {
@@ -266,27 +303,34 @@ def _check_affected(
     return sorted(corruption.affected)
 
 
+# The corruptions below draw from their generator exactly as over the
+# whole partitioned dataset, participant by participant, and change in
+# place only the rows that ``data`` holds: ``data`` holds the rows
+# ``held`` (ascending row indices) of the dataset that ``plan`` partitions.
+
+
 def flip_labels(
-    dataset: Dataset,
+    data: Dataset,
     plan: PartitionPlan,
     corruption: LabelFlipConfig,
     seed: int | np.random.Generator,
-) -> Dataset:
+    held: np.ndarray,
+) -> None:
     """Reassign a ``flip_ratio`` fraction of each affected shard's labels
     uniformly to a different class. Exactly ``floor(ratio * shard)`` labels
     change per affected participant; other shards are untouched."""
     affected = _check_affected(plan, corruption)
     rng = np.random.default_rng(seed)
-    labels = dataset.labels.copy()
     for pid in affected:
         indices = plan.assignment[pid]
         flip_count = int(len(indices) * corruption.flip_ratio)
         if flip_count == 0:
             continue
         chosen = indices[rng.choice(len(indices), size=flip_count, replace=False)]
-        offsets = rng.integers(1, dataset.class_count, size=flip_count)
-        labels[chosen] = (labels[chosen] + offsets) % dataset.class_count
-    return Dataset(dataset.features, labels, dataset.class_count)
+        offsets = rng.integers(1, data.class_count, size=flip_count)
+        at, ok = _held_positions(held, chosen)
+        rows = at[ok]
+        data.labels[rows] = (data.labels[rows] + offsets[ok]) % data.class_count
 
 
 def _trigger_columns(dataset: Dataset, corruption: BackdoorConfig) -> np.ndarray:
@@ -298,30 +342,32 @@ def _trigger_columns(dataset: Dataset, corruption: BackdoorConfig) -> np.ndarray
 
 
 def implant_backdoor(
-    dataset: Dataset,
+    data: Dataset,
     plan: PartitionPlan,
     corruption: BackdoorConfig,
     seed: int | np.random.Generator,
-) -> Dataset:
+    held: np.ndarray,
+) -> None:
     """Poison the shards of ``corruption.affected``: in every
     ``poison_batch_size`` window (after an in-shard shuffle) the first
     ``mix_per_batch`` samples get the trigger stamped onto their features
     and their label set to ``target_label``."""
     affected = _check_affected(plan, corruption)
-    columns = _trigger_columns(dataset, corruption)
+    columns = _trigger_columns(data, corruption)
+    if corruption.target_label >= data.class_count:
+        raise ValueError("target_label must be below the dataset's class count")
     rng = np.random.default_rng(seed)
-    features = dataset.features.copy()
-    labels = dataset.labels.copy()
     for pid in affected:
         indices = plan.assignment[pid].copy()
         rng.shuffle(indices)
+        at, ok = _held_positions(held, indices)
         for start in range(0, len(indices), corruption.poison_batch_size):
             # The section holds mix_per_batch to at most poison_batch_size.
-            hit = indices[start : start + corruption.mix_per_batch]
+            window = slice(start, start + corruption.mix_per_batch)
+            hit = at[window][ok[window]]
             if columns.size:
-                features[np.ix_(hit, columns)] = corruption.trigger_value
-            labels[hit] = corruption.target_label
-    return Dataset(features, labels, dataset.class_count)
+                data.features[np.ix_(hit, columns)] = corruption.trigger_value
+            data.labels[hit] = corruption.target_label
 
 
 def triggered_test_set(dataset: Dataset, corruption: BackdoorConfig) -> Dataset:

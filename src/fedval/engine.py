@@ -532,6 +532,23 @@ def value_rounds(
     return build_report(per_round, deltas, initial)
 
 
+def round_selections(
+    cfg: TrainingConfig, participant_ids: Iterable[int]
+) -> list[tuple[int, ...]]:
+    """Each round's selection, ascending: round ``t`` draws
+    ``round_size`` of the sorted ids from ``substream(seed, "select", t)``,
+    so the schedule is fixed before any data is drawn."""
+    ids = sorted(participant_ids)
+    if not ids:
+        raise ValueError("at least one participant shard required")
+    m = round_size(cfg.participant_fraction, len(ids))
+    selections = []
+    for t in range(cfg.rounds):
+        chosen = substream(cfg.seed, "select", t).choice(len(ids), size=m, replace=False)
+        selections.append(tuple(sorted(ids[j] for j in chosen)))
+    return selections
+
+
 def run_federated_training(
     data: Dataset,
     shards: Mapping[int, np.ndarray],
@@ -542,20 +559,16 @@ def run_federated_training(
     """Run the full federated process and return its round records; the
     final model is the last record's ``global_after``.
 
-    Participant ``pid`` trains on the rows ``shards[pid]`` of ``data``.
-    The trajectory depends only on those rows, the config and its seed.
+    Participant ``pid`` trains on the rows ``shards[pid]`` of ``data``,
+    in the rounds ``round_selections(cfg, shards)`` selects it; a
+    participant no round selects may hold no rows. The trajectory depends
+    only on the selected participants' rows, the config and its seed.
     With a ``snapshot_dir``, each round is persisted as it completes, so a
     training failure leaves the finished rounds on disk.
     """
-    ids = sorted(shards)
-    if not ids:
-        raise ValueError("at least one participant shard required")
-    m = round_size(cfg.participant_fraction, len(ids))
     theta = initial_model(cfg)
     records: list[RoundRecord] = []
-    for t in range(cfg.rounds):
-        chosen = substream(cfg.seed, "select", t).choice(len(ids), size=m, replace=False)
-        selected = tuple(sorted(ids[j] for j in chosen))
+    for t, selected in enumerate(round_selections(cfg, shards)):
         updates = train_round(theta, data, shards, selected, cfg, t)
         after = updates.mean(axis=0)
         record = RoundRecord(t, theta.copy(), selected, updates, after.copy())

@@ -43,6 +43,7 @@ from .engine import (
     evaluate_utility,
     load_round_records,
     rerun_with_selections,
+    round_selections,
     run_federated_training,
     snapshot_name,
     value_rounds,
@@ -88,10 +89,13 @@ def detection_curve(
 class PreparedExperiment:
     """Everything derived from a config before training starts.
 
-    A participant's shard is its rows ``plan.assignment[pid]`` of the one
-    (corrupted) ``train`` set, never a copy; ``train`` and ``validation``
-    are separate arrays, so neither keeps the other alive. A blobs
-    config's validation rows are drawn on the first read of
+    ``train`` holds only the rows of participants that some round of
+    ``round_selections(training, plan.participants())`` selects, and
+    ``plan`` indexes those rows: a scheduled participant's shard is its
+    rows of the one (corrupted) ``train`` set, never a copy, and a
+    participant no round selects keeps its id but holds no rows. ``train``
+    and ``validation`` are separate arrays, so neither keeps the other
+    alive. A blobs config's validation rows are drawn on the first read of
     ``validation``, and ``train_once`` lets go of ``train``, so a command
     that trains once holds each set only while a stage reads it.
     ``corruption`` is the config's section as applied to ``train``, its
@@ -120,23 +124,13 @@ class PreparedExperiment:
         )
 
 
-def _draw_blobs(cfg: ExperimentConfig, spec: BlobsSpec, **part: int):
+def _draw_blobs(cfg: ExperimentConfig, spec: BlobsSpec, **part: np.ndarray | int):
     # One draw for both splits, training rows first, so they share the
     # same class geometry.
     return synth_blobs(
         spec.samples + spec.validation_samples, spec.features, spec.classes,
         spec.separation, substream(cfg.seed, "data"), **part,
     )
-
-
-def _build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Callable[[], Dataset]]:
-    """The training set and a callable returning the validation set; a
-    blobs config's validation rows are drawn on its first call."""
-    spec = cfg.dataset
-    if isinstance(spec, BlobsSpec):
-        return _draw_blobs(cfg, spec, split=spec.samples)
-    images, train_order, validation = _split_idx(cfg)
-    return images.rows(train_order), lambda: validation
 
 
 def _split_idx(cfg: ExperimentConfig) -> tuple[IdxImages, np.ndarray, Dataset]:
@@ -151,6 +145,11 @@ def _split_idx(cfg: ExperimentConfig) -> tuple[IdxImages, np.ndarray, Dataset]:
         held = read_idx(
             spec.validation_images, spec.validation_labels, class_count=spec.class_count
         )
+        if held.pixels.shape[1] != images.pixels.shape[1]:
+            raise ValueError(
+                f"{spec.validation_images}: holds images of {held.pixels.shape[1]} pixels, "
+                f"but the training images {spec.images} hold {images.pixels.shape[1]}"
+            )
         if held.class_count > images.class_count:  # only when class_count is unset
             raise ValueError(
                 f"{spec.validation_labels}: holds label {held.class_count - 1}, but the "
@@ -199,43 +198,63 @@ def prepare_validation(cfg: ExperimentConfig) -> tuple[TrainingConfig, Dataset]:
     for valuing recorded rounds: no partition or corruption. A blobs
     config's training rows are drawn and dropped chunk by chunk, and an
     IDX file's are never scaled, so only the validation rows are held."""
-    if isinstance(cfg.dataset, BlobsSpec):
-        validation = _draw_blobs(cfg, cfg.dataset, skip=cfg.dataset.samples)
-        return _training(cfg, cfg.dataset.features, cfg.dataset.classes), validation
+    spec = cfg.dataset
+    if isinstance(spec, BlobsSpec):
+        held = np.arange(spec.samples, spec.samples + spec.validation_samples)
+        validation = _draw_blobs(cfg, spec, held=held)
+        return _training(cfg, spec.features, spec.classes), validation
     images, _, validation = _split_idx(cfg)
     return _training(cfg, images.pixels.shape[1], images.class_count), validation
 
 
-def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
-    train, draw_validation = _build_datasets(cfg)
+def _partition(cfg: ExperimentConfig, labels: np.ndarray) -> PartitionPlan:
+    seed = substream(cfg.seed, "partition")
     if cfg.partition.mode == "iid":
-        plan = partition_iid(
-            train, cfg.partition.participants, substream(cfg.seed, "partition")
-        )
+        return partition_iid(labels, cfg.partition.participants, seed)
+    return partition_noniid_shards(
+        labels, cfg.partition.participants, cfg.partition.shards_per_participant, seed
+    )
+
+
+def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
+    """Partition the training rows by their labels, fix the selection
+    schedule, and then draw (blobs) or scale (IDX) and corrupt only the
+    rows of participants that some round selects."""
+    spec = cfg.dataset
+    if isinstance(spec, BlobsSpec):
+        labels = np.arange(spec.samples) % spec.classes
+        training = _training(cfg, spec.features, spec.classes)
+
+        def draw(held: np.ndarray) -> tuple[Dataset, Callable[[], Dataset]]:
+            return _draw_blobs(cfg, spec, held=held, split=spec.samples)
     else:
-        plan = partition_noniid_shards(
-            train,
-            cfg.partition.participants,
-            cfg.partition.shards_per_participant,
-            substream(cfg.seed, "partition"),
-        )
+        images, order, validation = _split_idx(cfg)
+        labels = images.labels[order]
+        training = _training(cfg, images.pixels.shape[1], images.class_count)
+
+        def draw(held: np.ndarray) -> tuple[Dataset, Callable[[], Dataset]]:
+            return images.rows(order[held]), lambda: validation
+    plan = _partition(cfg, labels)
     corruption = _resolve_corruption(cfg, plan)
+    # Parse time checks this bound on blobs; an idx dataset's class
+    # count is known only once it is loaded.
+    if isinstance(corruption, BackdoorConfig) and corruption.target_label >= training.n_classes:
+        raise ConfigError(
+            f"corruption.target_label: must be below the loaded class count "
+            f"({training.n_classes}), got {corruption.target_label}"
+        )
+    scheduled = set().union(*round_selections(training, plan.participants()))
+    held = np.sort(np.concatenate([plan.assignment[pid] for pid in sorted(scheduled)]))
+    train, draw_validation = draw(held)
     if isinstance(corruption, LabelFlipConfig):
-        train = flip_labels(train, plan, corruption, substream(cfg.seed, "corrupt"))
+        flip_labels(train, plan, corruption, substream(cfg.seed, "corrupt"), held)
     elif isinstance(corruption, BackdoorConfig):
-        # Parse time checks this bound on blobs; an idx dataset's class
-        # count is known only once it is loaded.
-        if corruption.target_label >= train.class_count:
-            raise ConfigError(
-                f"corruption.target_label: must be below the loaded class count "
-                f"({train.class_count}), got {corruption.target_label}"
-            )
-        train = implant_backdoor(train, plan, corruption, substream(cfg.seed, "corrupt"))
+        implant_backdoor(train, plan, corruption, substream(cfg.seed, "corrupt"), held)
     return PreparedExperiment(
-        training=_training(cfg, train.features.shape[1], train.class_count),
+        training=training,
         train=train,
         draw_validation=draw_validation,
-        plan=plan,
+        plan=plan.over(held),
         corruption=corruption,
     )
 
@@ -249,8 +268,9 @@ def check_recorded_run(
     """The round records ``load_round_records(snapshots)`` returned, refused
     unless they form the run ``training`` (``cfg``'s resolved section)
     trains over ``cfg``'s participants: as many rounds, of its layout,
-    from its initial model. The snapshots are loaded first, so a directory
-    the loader refuses costs no data preparation."""
+    from its initial model, each selecting what its schedule selects. The
+    snapshots are loaded first, so a directory the loader refuses costs no
+    data preparation."""
     records, recorded_layout = loaded
     if recorded_layout != training.layout:
         raise ConfigError("snapshot layout does not match the configured model/dataset")
@@ -268,6 +288,14 @@ def check_recorded_run(
                 f"{stray[0]} is not one of the configured ids 0..{participants - 1}"
             )
     check_initial_model(records, training, snapshots)
+    schedule = round_selections(training, range(participants))
+    for record, selected in zip(records, schedule):
+        if record.selected != selected:
+            raise SnapshotFormatError(
+                f"{Path(snapshots) / snapshot_name(record.round_index)}: round "
+                f"{record.round_index} selected {list(record.selected)}, but the configured "
+                f"schedule selects {list(selected)}"
+            )
     return records
 
 

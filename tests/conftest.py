@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from pathlib import Path
 from typing import Callable, Collection, Iterable, Mapping, Sequence
 
@@ -21,6 +22,14 @@ from fedval.values import (
     ValueVector,
     build_report,
 )
+
+# On a failing example, hypothesis's pytest plugin imports this module,
+# whose libcst import raises a DeprecationWarning; under the suite's
+# error::DeprecationWarning that aborts the whole session. Imported once
+# here, with the warning ignored, it is already loaded by then.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 _BOUND_SLACK = 1e-9
 PERMUTATION_ENUMERATION_CAP = 8

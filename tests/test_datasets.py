@@ -25,7 +25,12 @@ from fedval.datasets import (
     synth_blobs,
     triggered_test_set,
 )
-from fedval.engine import participant_update, train_round
+from fedval.engine import (
+    participant_update,
+    round_selections,
+    run_federated_training,
+    train_round,
+)
 from fedval.experiments import prepare_experiment, prepare_validation
 from fedval.models import ModelLayout, accuracy
 from fedval.seeding import substream
@@ -108,13 +113,20 @@ class TestBlobs:
         with pytest.raises(ValueError):
             synth_blobs(2, 4, 3, 1.0, 0)
 
+    # A dropped prefix of ``skip`` rows is the held range skip..split.
     @pytest.mark.parametrize("skip, split", [(-1, None), (9, None), (0, 0), (3, 2), (0, 9)])
     def test_refuses_an_empty_part(self, skip, split):
+        held = np.arange(skip, 9 if split is None else split)
         with pytest.raises(ValueError):
-            synth_blobs(9, 4, 3, 1.0, 0, skip=skip, split=split)
+            synth_blobs(9, 4, 3, 1.0, 0, held=held, split=split)
+
+    @pytest.mark.parametrize("held", [[2, 2, 5], [5, 2], [0, 9]], ids=["repeat", "order", "past"])
+    def test_refuses_held_rows_outside_the_part_or_out_of_order(self, held):
+        with pytest.raises(ValueError, match="held must name"):
+            synth_blobs(9, 4, 3, 1.0, 0, held=np.array(held))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
     samples=st.integers(2, 61),
     features=st.integers(1, 9),
@@ -125,23 +137,49 @@ class TestBlobs:
     seed=st.integers(0, 2**16),
 )
 def test_chunked_blobs_equal_one_draw(samples, features, classes, cut, chunk_bytes, seed):
+    # Held sets of scattered rows and of runs, so chunk edges fall inside
+    # held runs, between them and on their ends.
     samples = max(samples, classes)
-    skip = cut.draw(st.integers(0, samples - 1), label="skip")
-    splits = st.none() if skip + 1 == samples else st.none() | st.integers(skip + 1, samples - 1)
-    split = cut.draw(splits, label="split")
+    split = cut.draw(st.none() | st.integers(1, samples - 1), label="split")
+    end = samples if split is None else split
+    held = cut.draw(
+        st.sets(st.integers(0, end - 1), min_size=1).map(sorted)
+        | st.tuples(st.integers(0, end - 1), st.integers(0, end - 1)).map(
+            lambda ends: list(range(min(ends), max(ends) + 1))
+        ),
+        label="held",
+    )
     expected, labels = reference_blobs(samples, features, classes, 1.7, seed)
     with mock.patch.object(datasets, "_CHUNK_BYTES", chunk_bytes):
-        drawn = synth_blobs(samples, features, classes, 1.7, seed, skip=skip, split=split)
+        drawn = synth_blobs(
+            samples, features, classes, 1.7, seed, held=np.array(held), split=split
+        )
     parts = [drawn] if split is None else [drawn[0], drawn[1]()]
-    bounds = [skip, samples] if split is None else [skip, split, samples]
-    for part, lo, hi in zip(parts, bounds, bounds[1:]):
+    rows = [held] if split is None else [held, list(range(split, samples))]
+    for part, index in zip(parts, rows):
         assert part.class_count == classes
-        assert (part.features == expected[lo:hi]).all()
-        assert part.features.tobytes() == expected[lo:hi].tobytes()
-        assert (part.labels == labels[lo:hi]).all()
+        assert (part.features == expected[index]).all()
+        assert part.features.tobytes() == expected[index].tobytes()
+        assert (part.labels == labels[index]).all()
     if split is not None:
         # Separate arrays, so one split never keeps the other alive.
         assert not np.shares_memory(parts[0].features, parts[1].features)
+
+
+def scheduled_rows(cfg, labels, training_config):
+    """The partition of a training split with ``labels`` as ``cfg``
+    configures it, and the ascending rows of the participants that some
+    round of ``training_config``'s schedule selects."""
+    seed = substream(cfg.seed, "partition")
+    participants = cfg.partition.participants
+    if cfg.partition.mode == "iid":
+        plan = partition_iid(labels, participants, seed)
+    else:
+        plan = partition_noniid_shards(
+            labels, participants, cfg.partition.shards_per_participant, seed
+        )
+    scheduled = set().union(*round_selections(training_config, range(participants)))
+    return plan, np.sort(np.concatenate([plan.assignment[pid] for pid in sorted(scheduled)]))
 
 
 def blobs_config(samples, features, classes, validation_samples):
@@ -183,7 +221,8 @@ def test_replay_validation_equals_the_prepared_split(
         assert prepared.validation is prepared.validation
     assert validation.features.tobytes() == prepared.validation.features.tobytes()
     assert validation.labels.tobytes() == prepared.validation.labels.tobytes()
-    assert prepared.train.features.shape == (samples, features)
+    _, held = scheduled_rows(cfg, np.arange(samples) % classes, prepared.training)
+    assert prepared.train.features.shape == (len(held), features)
     assert validation.features.shape == (validation_samples, features)
 
 
@@ -210,7 +249,8 @@ def test_idx_split_scales_the_rows_of_one_permutation(tmp_path):
     prepared = prepare_experiment(cfg)
     pixels = images.reshape(300, 25)
     order = substream(13, "data").permutation(300)
-    expected = {"validation": order[:40], "train": order[40:]}
+    _, held = scheduled_rows(cfg, labels[order[40:]], prepared.training)
+    expected = {"validation": order[:40], "train": order[40:][held]}
     for name, data in (("validation", validation), ("validation", prepared.validation),
                        ("train", prepared.train)):
         rows = expected[name]
@@ -219,6 +259,100 @@ def test_idx_split_scales_the_rows_of_one_permutation(tmp_path):
     assert training_config == prepared.training
     layout = training_config.layout
     assert (layout.n_features, layout.n_classes) == (25, 10)
+
+
+# Eight participants, two selected in each of two rounds: at most four
+# are ever selected, so the rest hold no rows once prepared.
+HELD_CORRUPTIONS = {
+    "clean": None,
+    "flip": {"kind": "label_flip", "flip_ratio": 0.5, "affected_count": 6},
+    "backdoor": {
+        "kind": "backdoor", "trigger_indices": [1, 3], "trigger_value": 5.0,
+        "target_label": 0, "mix_per_batch": 3, "poison_batch_size": 8, "affected_count": 6,
+    },
+}
+
+
+def held_rows_case(tmp_path, kind, mode, corruption):
+    """A prepared experiment, with its training rows kept aside, and the
+    full training set, its partition and its round records: every row of
+    the training split drawn or scaled, partitioned and corrupted, with no
+    row left out."""
+    if kind == "blobs":
+        dataset = {
+            "kind": "blobs", "samples": 320, "features": 6, "classes": 4,
+            "separation": 2.0, "validation_samples": 80,
+        }
+    else:
+        images, labels = digits_fixture(count=400, classes=4)
+        image_path, label_path = write_idx_pair(tmp_path, images, labels)
+        dataset = {
+            "kind": "idx", "images": str(image_path), "labels": str(label_path),
+            "validation_samples": 80,
+        }
+    partition = {"mode": mode, "participants": 8}
+    if mode == "shards":
+        partition["shards_per_participant"] = 2
+    doc = {
+        "seed": 5, "dataset": dataset, "partition": partition,
+        "training": {
+            "rounds": 2, "participant_fraction": 0.25, "local_epochs": 2,
+            "batch_size": 8, "learning_rate": 0.5, "model": "logistic",
+        },
+    }
+    if HELD_CORRUPTIONS[corruption] is not None:
+        doc["corruption"] = HELD_CORRUPTIONS[corruption]
+    cfg = config_from_dict(doc)
+    prepared = prepare_experiment(cfg)
+    kept = prepared.train
+    seed = substream(cfg.seed, "data")
+    if kind == "blobs":
+        full, _ = synth_blobs(400, 6, 4, 2.0, seed, split=320)
+    else:
+        full = read_idx(image_path, label_path).rows(seed.permutation(400)[80:])
+    plan, _ = scheduled_rows(cfg, full.labels, prepared.training)
+    corrupt = {"flip": flip_labels, "backdoor": implant_backdoor}.get(corruption)
+    if corrupt is not None:
+        corrupt(full, plan, prepared.corruption, substream(cfg.seed, "corrupt"), np.arange(320))
+    records = run_federated_training(full, plan.assignment, prepared.training)
+    return prepared, kept, full, plan, records
+
+
+HELD_CASES = pytest.mark.parametrize("kind, mode, corruption", [
+    (kind, mode, corruption)
+    for kind in ("blobs", "idx") for mode in ("iid", "shards") for corruption in HELD_CORRUPTIONS
+])
+
+
+@HELD_CASES
+def test_prepared_training_holds_exactly_the_scheduled_rows(tmp_path, kind, mode, corruption):
+    prepared, kept, full, plan, records = held_rows_case(tmp_path, kind, mode, corruption)
+    scheduled = set().union(*(record.selected for record in records))
+    assert len(scheduled) < len(plan.participants())
+    held = np.sort(np.concatenate([plan.assignment[pid] for pid in sorted(scheduled)]))
+    assert kept.features.tobytes() == full.features[held].tobytes()
+    assert kept.labels.tobytes() == full.labels[held].tobytes()
+    assert prepared.plan.participants() == plan.participants()
+    for pid in plan.participants():
+        shard = prepared.plan.assignment[pid]
+        expected = plan.assignment[pid] if pid in scheduled else []
+        assert np.array_equal(held[shard], expected)
+    if prepared.corruption is not None:
+        # Affected participants outside the schedule still advance the
+        # corruption's generator before those in it.
+        affected = set(prepared.corruption.affected)
+        assert min(affected - scheduled) < max(affected & scheduled)
+
+
+@HELD_CASES
+def test_prepared_rows_train_as_the_full_rows(tmp_path, kind, mode, corruption):
+    prepared, _, _, _, records = held_rows_case(tmp_path, kind, mode, corruption)
+    trained = prepared.train_once()
+    assert len(trained) == len(records) == 2
+    for ours, reference in zip(trained, records):
+        assert ours.selected == reference.selected
+        for name in ("global_before", "updates", "global_after"):
+            assert getattr(ours, name).tobytes() == getattr(reference, name).tobytes()
 
 
 def test_idx_backdoor_target_beyond_the_loaded_classes_refused(tmp_path, capsys):
@@ -289,6 +423,36 @@ def test_idx_label_beyond_class_count_names_its_file(
     refusal = refusal.format(train=pairs["train"][1])
     assert f"error: {pairs[stray][1]}: {refusal}\n" in capsys.readouterr().err
     assert not (out / "values.csv").exists()
+
+
+def test_idx_validation_images_of_another_size_refused_before_training(tmp_path, capsys):
+    images, labels = digits_fixture(count=300, side=5)
+    small, small_labels = digits_fixture(count=60, side=4)
+    pairs = {}
+    for name, pair in (("train", (images, labels)), ("valid", (small, small_labels))):
+        (tmp_path / name).mkdir()
+        pairs[name] = write_idx_pair(tmp_path / name, *pair)
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump({
+        "seed": 13,
+        "dataset": {
+            "kind": "idx", "images": str(pairs["train"][0]), "labels": str(pairs["train"][1]),
+            "validation_images": str(pairs["valid"][0]),
+            "validation_labels": str(pairs["valid"][1]),
+        },
+        "partition": {"mode": "iid", "participants": 5},
+        "training": {
+            "rounds": 2, "participant_fraction": 0.4, "local_epochs": 1,
+            "batch_size": 8, "learning_rate": 0.5, "model": "logistic",
+        },
+    }))
+    out = tmp_path / "out"
+    assert main(["train-and-value", "--config", str(config), "--out", str(out)]) == 1
+    assert (
+        f"error: {pairs['valid'][0]}: holds images of 16 pixels, but the training "
+        f"images {pairs['train'][0]} hold 25\n"
+    ) in capsys.readouterr().err
+    assert not list(out.glob("rounds/*.fvr"))
 
 
 def traced_peak(fn):
@@ -380,20 +544,19 @@ class TestIdxLoader:
 
 class TestIidPartition:
     def test_reference_sizes(self):
-        data = Dataset(np.zeros((60000, 1)), np.arange(60000) % 10, 10)
-        plan = partition_iid(data, 100, 0)
+        plan = partition_iid(np.arange(60000) % 10, 100, 0)
         sizes = {len(plan.assignment[pid]) for pid in plan.participants()}
         assert sizes == {600}
 
     def test_single_participant_gets_everything(self):
         data = synth_blobs(40, 3, 2, 1.0, 0)
-        plan = partition_iid(data, 1, 0)
+        plan = partition_iid(data.labels, 1, 0)
         assert len(plan.assignment[0]) == 40
 
     def test_partition_is_exact(self):
         data = synth_blobs(103, 3, 2, 1.0, 0)
         for seed in range(5):
-            plan = partition_iid(data, 7, seed)
+            plan = partition_iid(data.labels, 7, seed)
             combined = np.concatenate([plan.assignment[p] for p in plan.participants()])
             assert len(combined) == 103
             assert len(np.unique(combined)) == 103
@@ -401,7 +564,7 @@ class TestIidPartition:
     def test_more_participants_than_samples_rejected(self):
         data = synth_blobs(5, 3, 2, 1.0, 0)
         with pytest.raises(ValueError):
-            partition_iid(data, 6, 0)
+            partition_iid(data.labels, 6, 0)
 
 
 @pytest.mark.parametrize("pieces", [
@@ -434,18 +597,17 @@ def test_training_and_valuing_never_imports_numpy_ma(tmp_path):
 
 class TestShardPartition:
     def test_reference_geometry(self):
-        data = Dataset(np.zeros((60000, 1)), np.arange(60000) % 10, 10)
-        plan = partition_noniid_shards(data, 100, 2, 0)
+        plan = partition_noniid_shards(np.arange(60000) % 10, 100, 2, 0)
         assert all(len(plan.assignment[p]) == 600 for p in plan.participants())
 
     def test_divisibility_enforced(self):
         data = synth_blobs(401, 3, 4, 1.0, 0)
         with pytest.raises(ValueError, match="does not divide"):
-            partition_noniid_shards(data, 10, 2, 0)
+            partition_noniid_shards(data.labels, 10, 2, 0)
 
     def test_label_span_per_participant_is_bounded(self):
         data = synth_blobs(800, 3, 8, 1.0, 4)
-        plan = partition_noniid_shards(data, 20, 2, 1)
+        plan = partition_noniid_shards(data.labels, 20, 2, 1)
         shard_size = 800 // 40
         sorted_labels = np.sort(data.labels)
         max_classes_per_shard = max(
@@ -458,35 +620,42 @@ class TestShardPartition:
 
     def test_partition_is_exact(self):
         data = synth_blobs(600, 3, 5, 1.0, 0)
-        plan = partition_noniid_shards(data, 10, 3, 2)
+        plan = partition_noniid_shards(data.labels, 10, 3, 2)
         combined = np.concatenate([plan.assignment[p] for p in plan.participants()])
         assert len(np.unique(combined)) == 600
 
     def test_skew_lowers_label_entropy_on_blobs(self):
         data = synth_blobs(1000, 4, 5, 1.0, 6)
-        iid = partition_iid(data, 20, 7)
-        skewed = partition_noniid_shards(data, 20, 2, 7)
+        iid = partition_iid(data.labels, 20, 7)
+        skewed = partition_noniid_shards(data.labels, 20, 2, 7)
         assert mean_label_entropy(data, skewed) < mean_label_entropy(data, iid)
 
     def test_skew_lowers_label_entropy_on_digit_images(self, tmp_path):
         images, labels = digits_fixture(count=400)
         image_path, label_path = write_idx_pair(tmp_path, images, labels)
         data = load_idx(image_path, label_path)
-        iid = partition_iid(data, 10, 3)
-        skewed = partition_noniid_shards(data, 10, 2, 3)
+        iid = partition_iid(data.labels, 10, 3)
+        skewed = partition_noniid_shards(data.labels, 10, 2, 3)
         assert mean_label_entropy(data, skewed) < mean_label_entropy(data, iid)
+
+
+def corrupted(corrupt, data, plan, spec, seed):
+    """A copy of ``data`` with ``corrupt`` applied to every row of it."""
+    copy = Dataset(data.features.copy(), data.labels.copy(), data.class_count)
+    corrupt(copy, plan, spec, seed, np.arange(len(data)))
+    return copy
 
 
 class TestLabelFlips:
     def _setup(self, classes=4, seed=0):
         data = synth_blobs(200, 3, classes, 1.0, seed)
-        plan = partition_iid(data, 10, seed + 1)
+        plan = partition_iid(data.labels, 10, seed + 1)
         return data, plan
 
     def test_exact_flip_count(self):
         data, plan = self._setup()
         spec = LabelFlipConfig(0.3, affected=(2, 5))
-        flipped = flip_labels(data, plan, spec, 3)
+        flipped = corrupted(flip_labels, data, plan, spec, 3)
         for pid in (2, 5):
             idx = plan.assignment[pid]
             changed = int((flipped.labels[idx] != data.labels[idx]).sum())
@@ -495,7 +664,7 @@ class TestLabelFlips:
     def test_unaffected_shards_untouched(self):
         data, plan = self._setup()
         spec = LabelFlipConfig(0.3, affected=(2, 5))
-        flipped = flip_labels(data, plan, spec, 3)
+        flipped = corrupted(flip_labels, data, plan, spec, 3)
         for pid in plan.participants():
             if pid in (2, 5):
                 continue
@@ -506,7 +675,7 @@ class TestLabelFlips:
     def test_binary_flip_is_complement(self):
         data, plan = self._setup(classes=2)
         spec = LabelFlipConfig(1.0, affected=(1,))
-        flipped = flip_labels(data, plan, spec, 4)
+        flipped = corrupted(flip_labels, data, plan, spec, 4)
         idx = plan.assignment[1]
         assert np.array_equal(flipped.labels[idx], 1 - data.labels[idx])
 
@@ -514,20 +683,20 @@ class TestLabelFlips:
         data, plan = self._setup()
         spec = LabelFlipConfig(0.5, affected=(0,))
         assert np.array_equal(
-            flip_labels(data, plan, spec, 9).labels,
-            flip_labels(data, plan, spec, 9).labels,
+            corrupted(flip_labels, data, plan, spec, 9).labels,
+            corrupted(flip_labels, data, plan, spec, 9).labels,
         )
 
     def test_affected_must_exist(self):
         data, plan = self._setup()
         with pytest.raises(ValueError, match="affected"):
-            flip_labels(data, plan, LabelFlipConfig(0.5, affected=(99,)), 0)
+            flip_labels(data, plan, LabelFlipConfig(0.5, affected=(99,)), 0, np.arange(200))
 
 
 class TestBackdoor:
     def _setup(self):
         data = synth_blobs(256, 6, 4, 1.0, 11)
-        plan = partition_iid(data, 4, 12)
+        plan = partition_iid(data.labels, 4, 12)
         return data, plan
 
     def test_quota_per_batch_window(self):
@@ -536,7 +705,7 @@ class TestBackdoor:
             affected=(1,), trigger_indices=(4, 5), trigger_value=9.0,
             target_label=0, mix_per_batch=5, poison_batch_size=16,
         )
-        poisoned = implant_backdoor(data, plan, spec, 1)
+        poisoned = corrupted(implant_backdoor, data, plan, spec, 1)
         idx = plan.assignment[1]
         assert len(idx) == 64  # 4 whole windows of 16
         stamped = int((poisoned.features[idx][:, 4] == 9.0).sum())
@@ -549,7 +718,7 @@ class TestBackdoor:
             affected=(2,), trigger_indices=(), trigger_value=9.0,
             target_label=1, mix_per_batch=4, poison_batch_size=16,
         )
-        poisoned = implant_backdoor(data, plan, spec, 1)
+        poisoned = corrupted(implant_backdoor, data, plan, spec, 1)
         assert np.array_equal(poisoned.features, data.features)
         idx = plan.assignment[2]
         assert (poisoned.labels[idx] == 1).sum() >= 4
@@ -560,7 +729,7 @@ class TestBackdoor:
             affected=(1,), trigger_indices=(0,), trigger_value=9.0,
             target_label=0, mix_per_batch=4, poison_batch_size=16,
         )
-        poisoned = implant_backdoor(data, plan, spec, 1)
+        poisoned = corrupted(implant_backdoor, data, plan, spec, 1)
         for pid in (0, 2, 3):
             idx = plan.assignment[pid]
             assert np.array_equal(poisoned.features[idx], data.features[idx])
@@ -586,7 +755,16 @@ class TestBackdoor:
             target_label=0, mix_per_batch=4, poison_batch_size=16,
         )
         with pytest.raises(ValueError, match="trigger"):
-            implant_backdoor(data, plan, spec, 1)
+            implant_backdoor(data, plan, spec, 1, np.arange(256))
+
+    def test_target_beyond_the_classes_rejected(self):
+        data, plan = self._setup()
+        spec = BackdoorConfig(
+            affected=(1,), trigger_indices=(0,), trigger_value=1.0,
+            target_label=4, mix_per_batch=4, poison_batch_size=16,
+        )
+        with pytest.raises(ValueError, match="target_label must be below"):
+            implant_backdoor(data, plan, spec, 1, np.arange(256))
 
     def test_trigger_at_the_feature_width_rejected_by_both(self):
         data, plan = self._setup()
@@ -596,7 +774,7 @@ class TestBackdoor:
         )
         message = "trigger indices fall outside the feature dimensions"
         with pytest.raises(ValueError, match=message):
-            implant_backdoor(data, plan, spec, 1)
+            implant_backdoor(data, plan, spec, 1, np.arange(256))
         with pytest.raises(ValueError, match=message):
             triggered_test_set(data, spec)
 
@@ -607,15 +785,15 @@ class TestBackdoor:
 ])
 def test_unresolved_section_refused(corrupt, section):
     data = synth_blobs(64, 3, 2, 1.0, 0)
-    plan = partition_iid(data, 4, 1)
+    plan = partition_iid(data.labels, 4, 1)
     with pytest.raises(ValueError, match=r"^corruption\.affected: unresolved"):
-        corrupt(data, plan, section, 0)
+        corrupt(data, plan, section, 0, np.arange(64))
 
 
 class TestIndexShards:
     def test_index_shards_cover_the_plan_and_train_like_copied_rows(self):
         data = synth_blobs(62, 3, 3, 1.0, 0)
-        plan = partition_iid(data, 6, 0)
+        plan = partition_iid(data.labels, 6, 0)
         pids = plan.participants()
         rows = np.concatenate([plan.assignment[pid] for pid in pids])
         assert np.array_equal(np.sort(rows), np.arange(len(data)))

@@ -32,7 +32,7 @@ def small_setup(seed=7, participants=6, classes=3, samples=480):
     data = synth_blobs(samples + 240, 5, classes, 3.0, seed)
     train = Dataset(data.features[:samples], data.labels[:samples], classes)
     val = (data.features[samples:], data.labels[samples:])
-    shards = partition_iid(train, participants, seed + 1).assignment
+    shards = partition_iid(train.labels, participants, seed + 1).assignment
     layout = ModelLayout("logistic", 5, classes)
     cfg = training(
         layout,
@@ -364,7 +364,7 @@ class TestFederatedTraining:
         data = synth_blobs(700, 5, 3, 3.0, 21)
         train = Dataset(data.features[:500], data.labels[:500], 3)
         val = (data.features[500:], data.labels[500:])
-        shards = partition_iid(train, 10, 22).assignment
+        shards = partition_iid(train.labels, 10, 22).assignment
         layout = ModelLayout("logistic", 5, 3)
         cfg = training(layout, 3, 0.3, 1, 16, 0.5, seed=23)
         records = run_federated_training(train, shards, cfg)

@@ -8,7 +8,7 @@ import yaml
 from fedval import cli, engine, experiments
 from fedval.cli import main
 from fedval.config import ConfigError, config_from_dict
-from fedval.engine import VALUATION_METHODS
+from fedval.engine import VALUATION_METHODS, round_selections
 from fedval.experiments import (
     detection_curve,
     prepare_experiment,
@@ -265,7 +265,9 @@ class TestPreparation:
         cfg = config_from_dict(tiny_doc())
         prepared = prepare_experiment(cfg)
         shards = prepared.plan.assignment.values()
-        assert sum(len(rows) for rows in shards) == len(prepared.train) == 360
+        # Six shards of 60 rows; only the scheduled participants' are held.
+        scheduled = set().union(*round_selections(prepared.training, range(6)))
+        assert sum(len(rows) for rows in shards) == len(prepared.train) == 60 * len(scheduled)
         assert prepared.validation.features.shape[0] == 240
         assert prepared.validation.class_count == prepared.training.layout.n_classes == 3
         for rows in shards:

@@ -360,6 +360,31 @@ def test_summarize_records_refused_snapshots_in_manifest(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["value-replay", "summarize"])
+def test_selection_other_than_the_schedule_refused(tmp_path, capsys, command):
+    # Round 1 credits three other configured ids; the chain, the stored
+    # aggregate and the initial model all still check out.
+    config, rounds = train(tmp_path, base_doc(), "run")
+    records, _ = load_round_records(rounds)
+    scheduled = list(records[1].selected)
+    others = sorted(set(range(6)) - set(scheduled))
+    assert len(others) == len(scheduled) == 3
+    victim = rounds / "round_00001.fvr"
+    rewrite_selected(victim, others)
+    out = tmp_path / "replay"
+    rc = main([
+        command, "--config", str(config), "--snapshots", str(rounds), "--out", str(out),
+    ])
+    assert rc == 1
+    assert (
+        f"error: {victim}: round 1 selected {others}, but the configured schedule "
+        f"selects {scheduled}\n"
+    ) in capsys.readouterr().err
+    assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+    assert not (out / "values.csv").exists()
+    assert not (out / "summarization.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["value-replay", "summarize"])
 def test_refused_snapshots_cost_no_data_preparation(tmp_path, capsys, monkeypatch, command):
     import fedval.experiments as experiments
 
