@@ -241,13 +241,10 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 def _cmd_summarize(args: argparse.Namespace) -> int:
     cfg, digest = _load_config(args)
     backend = shapley_backend(cfg)
-    snapshots = None if args.snapshots is None else Path(args.snapshots)
-    if snapshots is not None and not snapshots.is_dir():
-        raise ConfigError(f"snapshot directory not found: {snapshots}")
     out = _resolve_out(args, cfg)
 
     def body() -> dict[str, Any]:
-        result = run_summarization(cfg, snapshots)
+        result = run_summarization(cfg)
         lines = ["method,dismiss_fraction,accuracy"]
         for method in sorted(result.accuracy):
             for fraction, accuracy in zip(
@@ -314,10 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("summarize", help="participant-dismissal summarization protocol")
     add_common(p, methods=SHAPLEY_METHODS, normalized_flag=True)
-    p.add_argument(
-        "--snapshots", default=None,
-        help="reuse a persisted run's round snapshots instead of retraining",
-    )
     p.set_defaults(handler=_cmd_summarize)
 
     return parser

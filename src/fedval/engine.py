@@ -47,7 +47,6 @@ from .values import (
     exact_federated_round_shapley,
     federated_loo_round,
     mask_bits,
-    random_values,
 )
 
 if TYPE_CHECKING:  # config imports this module
@@ -55,7 +54,7 @@ if TYPE_CHECKING:  # config imports this module
 
 SNAPSHOT_MAGIC = b"FEDVALRND1\n"
 
-VALUATION_METHODS = ("exact", "permutation", "group_testing", "loo", "random")
+VALUATION_METHODS = ("exact", "permutation", "group_testing", "loo")
 
 
 class TrainingError(RuntimeError):
@@ -520,8 +519,6 @@ def value_rounds(
         plan = round_plan(method, approx, len(players))
         if method == "loo":
             vector = federated_loo_round(oracle, t)
-        elif method == "random":  # rank-only baseline
-            vector = random_values(players, rng, round_index=t)
         elif method == "permutation":
             vector = permutation_sampling_round(oracle, t, players, plan, rng)
         elif plan is not None:

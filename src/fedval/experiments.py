@@ -41,7 +41,6 @@ from .engine import (
     SnapshotFormatError,
     check_initial_model,
     evaluate_utility,
-    load_round_records,
     rerun_with_selections,
     round_selections,
     run_federated_training,
@@ -431,23 +430,16 @@ def _keep_random_dropped(
     return keep
 
 
-def run_summarization(
-    cfg: ExperimentConfig, snapshots: str | Path | None = None
-) -> SummarizationResult:
+def run_summarization(cfg: ExperimentConfig) -> SummarizationResult:
     """Replay training with the recorded per-round selections, dismissing a
     fraction of each round's lowest-valued participants per method.
 
     Values are frozen from the first (full) run; the random baseline is
-    averaged over the configured number of repeats. Pass a ``snapshots``
-    directory to reuse a persisted run instead of training it.
+    averaged over the configured number of repeats.
     """
-    loaded = None if snapshots is None else load_round_records(snapshots)
     prepared = prepare_experiment(cfg)
     shards, layout = prepared.plan.assignment, prepared.training.layout
-    if loaded is None:
-        records = run_federated_training(prepared.train, shards, prepared.training)
-    else:
-        records = check_recorded_run(cfg, snapshots, loaded, prepared.training)
+    records = run_federated_training(prepared.train, shards, prepared.training)
     validation = (prepared.validation.features, prepared.validation.labels)
     sv_report, loo_report = _shapley_and_loo(cfg, layout, records, prepared.validation)
     if cfg.valuation.normalized:

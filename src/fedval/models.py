@@ -63,18 +63,12 @@ class ModelLayout:
         )
 
 
-def init_params(
-    layout: ModelLayout,
-    rng: np.random.Generator | None = None,
-    scale: float = 0.0,
-) -> np.ndarray:
-    """Zero-initialized parameters, or Gaussian with ``scale`` when positive."""
+def init_params(layout: ModelLayout, rng: np.random.Generator, scale: float) -> np.ndarray:
+    """Zero parameters at ``scale`` 0, else Gaussian with that ``scale``."""
     if scale < 0:
         raise ValueError(f"scale must be non-negative, got {scale}")
     if scale == 0.0:
         return np.zeros(layout.param_count)
-    if rng is None:
-        raise ValueError("random initialization needs a generator")
     return rng.normal(0.0, scale, size=layout.param_count)
 
 

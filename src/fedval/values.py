@@ -63,17 +63,12 @@ class ValueVector:
         return math.sqrt(math.fsum(v * v for v in self.values.values()))
 
 
-def random_values(
-    participants: Iterable[int],
-    rng: np.random.Generator,
-    *,
-    round_index: int | None = None,
-) -> ValueVector:
+def random_values(participants: Iterable[int], rng: np.random.Generator) -> ValueVector:
     """Rank-only baseline: a uniform random value per participant, drawn
     in ascending id order."""
     ids = sorted(participants)
     draws = rng.random(len(ids))
-    return ValueVector({pid: float(draws[i]) for i, pid in enumerate(ids)}, round_index)
+    return ValueVector({pid: float(draws[i]) for i, pid in enumerate(ids)})
 
 
 def aggregate_rounds(per_round: Sequence[ValueVector]) -> ValueVector:

@@ -289,32 +289,6 @@ class TestCli:
         assert lines[0] == "method,dismiss_fraction,accuracy"
         assert len(lines) == 1 + 3 * 2  # three methods, two fractions
 
-    def test_summarize_from_snapshots_matches_fresh_run(self, tmp_path):
-        doc = base_doc(experiment={"dismiss_fractions": [0.0, 0.3], "random_repeats": 2})
-        path = write_config(tmp_path, doc)
-        trained = tmp_path / "trained"
-        assert main(["train-and-value", "--config", str(path), "--out", str(trained)]) == 0
-        fresh = tmp_path / "fresh"
-        reused = tmp_path / "reused"
-        assert main(["summarize", "--config", str(path), "--out", str(fresh)]) == 0
-        assert main([
-            "summarize", "--config", str(path), "--out", str(reused),
-            "--snapshots", str(trained / "rounds"),
-        ]) == 0
-        assert (fresh / "summarization.csv").read_bytes() == (
-            reused / "summarization.csv"
-        ).read_bytes()
-
-    def test_summarize_missing_snapshots_refused(self, tmp_path, capsys):
-        path = write_config(tmp_path, base_doc())
-        out = tmp_path / "nope"
-        rc = main([
-            "summarize", "--config", str(path), "--out", str(out),
-            "--snapshots", str(tmp_path / "absent"),
-        ])
-        assert rc != 0
-        assert not out.exists()
-
     def test_method_alias_accepted(self, tmp_path):
         doc = base_doc(valuation={
             "method": "exact", "approx": {"epsilon": 0.3, "delta": 0.3},
@@ -473,6 +447,9 @@ class TestRefusedSettings:
         *((command, "--verbose") for command in ("train-and-value", "value-replay", *PROTOCOLS)),
         ("noisy-detect", "--normalized"),
         ("backdoor-detect", "--normalized"),
+        ("summarize", "--snapshots=."),
+        ("train-and-value", "--method=random"),
+        ("value-replay", "--method=random"),
     ])
     def test_flags_a_command_does_not_read_are_refused(self, tmp_path, command, flag):
         out = tmp_path / "out"
@@ -498,7 +475,7 @@ class TestRefusedSettings:
             assert not out.exists()
             assert "invalid choice: 'loo'" in capsys.readouterr().err
             return
-        doc = shipped_doc(name, **{"valuation.method": "random"})
+        doc = shipped_doc(name, **{"valuation.method": "loo"})
         argv = [command, "--config", str(write_config(tmp_path, doc))]
         assert main([*argv, "--out", str(out)]) == 1
         assert not out.exists()

@@ -220,6 +220,7 @@ REJECTIONS = [
     ("valuation-unknown", [("valuation.metric", "accuracy")],
      "config.valuation: unknown keys ['metric']"),
     ("method-choice", [("valuation.method", "shapley")], "config.valuation.method:"),
+    ("method-random", [("valuation.method", "random")], "config.valuation.method:"),
     ("normalized-type", [("valuation.normalized", 1)], "config.valuation.normalized:"),
     ("estimator-needs-approx", [("valuation.method", "group_testing")],
      "config.valuation.approx:"),
@@ -410,7 +411,7 @@ TRAINING = st.one_of(
 VALUATIONS = st.one_of(
     fixed(
         {},
-        {"method": st.sampled_from(["exact", "loo", "random"]),
+        {"method": st.sampled_from(["exact", "loo"]),
          "normalized": st.booleans(), "approx": APPROX_DOC},
     ),
     fixed(

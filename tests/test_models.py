@@ -45,13 +45,9 @@ class TestLayout:
 
 
 class TestInit:
-    def test_zero_by_default(self):
+    def test_zero_by_default(self, rng):
         layout = ModelLayout("logistic", 3, 2)
-        assert np.array_equal(init_params(layout), np.zeros(layout.param_count))
-
-    def test_random_needs_generator(self):
-        with pytest.raises(ValueError):
-            init_params(ModelLayout("logistic", 3, 2), scale=0.1)
+        assert np.array_equal(init_params(layout, rng, 0.0), np.zeros(layout.param_count))
 
     def test_scaled_init(self, rng):
         layout = ModelLayout("mlp", 3, 2, hidden_units=4)

@@ -53,7 +53,7 @@ def test_spliced_seeds_refused_by_value_replay(tmp_path, capsys):
     assert not (tmp_path / "replay" / "values.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["value-replay", "summarize"])
+@pytest.mark.parametrize("command", ["value-replay"])
 def test_snapshots_of_another_seed_refused(tmp_path, capsys, command):
     # Rounds 0-1 of one intact run, replayed under a config whose seed
     # draws a different random initial model.
@@ -72,10 +72,9 @@ def test_snapshots_of_another_seed_refused(tmp_path, capsys, command):
     # The refused snapshot directory is named, not just the file.
     assert f"{rounds / 'round_00000.fvr'}: incoming model" in err
     assert not (out / "values.csv").exists()
-    assert not (out / "summarization.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["value-replay", "summarize"])
+@pytest.mark.parametrize("command", ["value-replay"])
 def test_snapshots_of_another_layout_refused(tmp_path, capsys, command):
     # 21 features x 2 classes and 10 features x 4 classes both give a
     # 44-parameter logistic model, and both start from zeros.
@@ -92,7 +91,6 @@ def test_snapshots_of_another_layout_refused(tmp_path, capsys, command):
     assert "snapshot layout does not match" in capsys.readouterr().err
     assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
     assert not (out / "values.csv").exists()
-    assert not (out / "summarization.csv").exists()
 
 
 def test_snapshots_of_the_configured_run_accepted(tmp_path):
@@ -103,8 +101,8 @@ def test_snapshots_of_the_configured_run_accepted(tmp_path):
     prepared = prepare_experiment(config_from_dict(doc))
     check_initial_model(records, prepared.training, rounds)
     assert main([
-        "summarize", "--config", str(config), "--snapshots", str(rounds),
-        "--out", str(tmp_path / "summary"),
+        "value-replay", "--config", str(config), "--snapshots", str(rounds),
+        "--out", str(tmp_path / "replay"),
     ]) == 0
 
 
@@ -154,7 +152,7 @@ def test_repeated_participant_in_header_refused(tmp_path, capsys):
     )
 
 
-@pytest.mark.parametrize("command", ["value-replay", "summarize"])
+@pytest.mark.parametrize("command", ["value-replay"])
 def test_permuted_header_ids_refused(tmp_path, capsys, command):
     # The round's own ids with the third moved first: every update row
     # stays, so without the order check bit b of a mask would credit
@@ -175,7 +173,6 @@ def test_permuted_header_ids_refused(tmp_path, capsys, command):
     )
     assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
     assert not (out / "values.csv").exists()
-    assert not (out / "summarization.csv").exists()
 
 
 @pytest.mark.parametrize("edit", [
@@ -254,7 +251,7 @@ def test_empty_selection_named_before_any_mean(three_rounds):
             load_round_records(three_rounds)
 
 
-@pytest.mark.parametrize("command", ["value-replay", "summarize"])
+@pytest.mark.parametrize("command", ["value-replay"])
 def test_participant_ids_outside_the_config_refused(tmp_path, capsys, command):
     # Six configured participants have ids 0..5; the arrays stay intact.
     config, rounds = train(tmp_path, base_doc(), "run")
@@ -270,10 +267,9 @@ def test_participant_ids_outside_the_config_refused(tmp_path, capsys, command):
     )
     assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
     assert not (out / "values.csv").exists()
-    assert not (out / "summarization.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["value-replay", "summarize"])
+@pytest.mark.parametrize("command", ["value-replay"])
 @pytest.mark.parametrize("configured", [1, 3])
 def test_round_count_other_than_configured_refused(tmp_path, capsys, command, configured):
     # 3 configured rounds over 2 recorded is a run whose training failed.
@@ -290,7 +286,6 @@ def test_round_count_other_than_configured_refused(tmp_path, capsys, command, co
         capsys.readouterr().err
     )
     assert not (out / "values.csv").exists()
-    assert not (out / "summarization.csv").exists()
 
 
 def test_intact_run_loads(three_rounds):
@@ -342,13 +337,13 @@ def test_truncated_snapshot_named(tmp_path, capsys, cut):
     replay_refused(tmp_path, capsys, config, rounds, str(victim) + ": ")
 
 
-def test_summarize_records_refused_snapshots_in_manifest(tmp_path, capsys):
+def test_value_replay_records_refused_snapshots_in_manifest(tmp_path, capsys):
     config, rounds = train(tmp_path, base_doc(), "run")
     victim = rounds / "round_00001.fvr"
     victim.write_bytes(victim.read_bytes()[:200])
-    out = tmp_path / "summary"
+    out = tmp_path / "replay"
     rc = main([
-        "summarize", "--config", str(config), "--snapshots", str(rounds),
+        "value-replay", "--config", str(config), "--snapshots", str(rounds),
         "--out", str(out),
     ])
     assert rc == 1
@@ -356,10 +351,10 @@ def test_summarize_records_refused_snapshots_in_manifest(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "failed"
     assert str(victim) in manifest["details"]["error"]
-    assert not (out / "summarization.csv").exists()
+    assert not (out / "values.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["value-replay", "summarize"])
+@pytest.mark.parametrize("command", ["value-replay"])
 def test_selection_other_than_the_schedule_refused(tmp_path, capsys, command):
     # Round 1 credits three other configured ids; the chain, the stored
     # aggregate and the initial model all still check out.
@@ -381,10 +376,9 @@ def test_selection_other_than_the_schedule_refused(tmp_path, capsys, command):
     ) in capsys.readouterr().err
     assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
     assert not (out / "values.csv").exists()
-    assert not (out / "summarization.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["value-replay", "summarize"])
+@pytest.mark.parametrize("command", ["value-replay"])
 def test_refused_snapshots_cost_no_data_preparation(tmp_path, capsys, monkeypatch, command):
     import fedval.experiments as experiments
 
