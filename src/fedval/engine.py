@@ -94,6 +94,27 @@ def initial_model(cfg: TrainingConfig) -> np.ndarray:
     return init_params(cfg.layout, substream(cfg.seed, "init"), cfg.init_scale)
 
 
+# Bound on the bytes one lockstep call works in (see ``_row_bytes``):
+# ``_train_jobs`` trains each group of equal shard sizes in slices of rows
+# that fit it, so every call, in a training round and in a retrain round,
+# stacks at most one slice. Narrow models fit a whole round in one slice;
+# a 784-feature model with 50-sample minibatches trains 3 rows per slice.
+# ``_advance_grid`` still batches incoming models by the same bound,
+# because the updates and incoming models a batch holds until its
+# children are averaged are not part of any one call.
+_SLICE_BYTES = 4 << 20
+
+
+def _row_bytes(cfg: TrainingConfig) -> int:
+    """Bytes one training row works in during a lockstep step: three
+    parameter-sized arrays (start, trained copy, gradient, which is scaled
+    in place) and, per minibatch sample, a few copies of its features and
+    activations."""
+    layout = cfg.layout
+    per_sample = 3 * (layout.n_features + layout.hidden_units + layout.n_classes)
+    return 8 * (3 * layout.param_count + cfg.batch_size * per_sample)
+
+
 def _lockstep_sgd(
     thetas: np.ndarray,
     owners: Sequence[int],
@@ -158,25 +179,29 @@ def _train_jobs(
     Participant ``pid`` draws from ``substream(seed, "local", round_index,
     pid)``, so its update depends only on its incoming model. Jobs whose
     shards (row indices into ``data``) have equal sizes run the same step
-    schedule and train in lockstep.
+    schedule and train in lockstep, in slices of rows that fit
+    ``_SLICE_BYTES``.
     """
     groups: dict[int, list[int]] = {}
     for i, (_, pid) in enumerate(jobs):
         groups.setdefault(len(shards[pid]), []).append(i)
+    step = max(1, _SLICE_BYTES // _row_bytes(cfg))
     trained = np.empty((len(jobs), starts.shape[1]))
     for group in groups.values():
-        pids = list(dict.fromkeys(jobs[i][1] for i in group))
-        owner = {pid: j for j, pid in enumerate(pids)}
-        trained[group] = _lockstep_sgd(
-            starts[[jobs[i][0] for i in group]],
-            [owner[jobs[i][1]] for i in group],
-            data.features,
-            data.labels,
-            [shards[pid] for pid in pids],
-            [substream(cfg.seed, "local", round_index, pid) for pid in pids],
-            cfg,
-            round_index,
-        )
+        for first in range(0, len(group), step):
+            rows = group[first : first + step]
+            pids = list(dict.fromkeys(jobs[i][1] for i in rows))
+            owner = {pid: j for j, pid in enumerate(pids)}
+            trained[rows] = _lockstep_sgd(
+                starts[[jobs[i][0] for i in rows]],
+                [owner[jobs[i][1]] for i in rows],
+                data.features,
+                data.labels,
+                [shards[pid] for pid in pids],
+                [substream(cfg.seed, "local", round_index, pid) for pid in pids],
+                cfg,
+                round_index,
+            )
     return trained
 
 
@@ -579,23 +604,6 @@ def run_federated_training(
 # The participants a retrain replay keeps of round t's sorted selection.
 KeepRule = Callable[[int, tuple[int, ...]], Iterable[int]]
 
-# Bound on the bytes one lockstep slice of a retrain round works in (see
-# ``_row_bytes``). Narrow models fit a whole round in one slice; a
-# 784-feature model trains about one incoming model per slice, which keeps
-# peak memory near that of one replay at a time.
-_SLICE_BYTES = 4 << 20
-
-
-def _row_bytes(cfg: TrainingConfig) -> int:
-    """Bytes one training row works in during a lockstep step: three
-    parameter-sized arrays (start, trained copy, gradient, which is scaled
-    in place) and, per minibatch sample, a few copies of its features and
-    activations."""
-    layout = cfg.layout
-    per_sample = 3 * (layout.n_features + layout.hidden_units + layout.n_classes)
-    return 8 * (3 * layout.param_count + cfg.batch_size * per_sample)
-
-
 def _retained(keep: KeepRule, t: int, selected: tuple[int, ...]) -> tuple[int, ...]:
     retained = tuple(sorted(set(keep(t, selected))))
     if not retained:
@@ -619,8 +627,8 @@ def _advance_grid(
 
     Each (incoming model, participant) update trains once, however many
     children average it. An incoming model trains at most
-    ``selected_count`` rows, and models are trained in slices whose rows
-    fit ``_SLICE_BYTES``; once a slice's children are averaged, its
+    ``selected_count`` rows, and models are taken in batches whose rows
+    fit ``_SLICE_BYTES``; once a batch's children are averaged, its
     updates and incoming models (set to None in ``models``) are released.
     """
     by_parent: dict[int, list[int]] = {}

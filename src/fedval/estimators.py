@@ -191,10 +191,14 @@ def group_testing_round(
         raise ValueError(f"plan was sized for {plan.m} participants, round has {m}")
     rng = np.random.default_rng(seed)
     sizes = rng.choice(np.arange(1, m), size=plan.t1, p=plan.subset_size_probs)
-    order = np.argsort(rng.random((plan.t1, m)), axis=1)
     membership = np.zeros((plan.t1, m), dtype=bool)
+    # The (t1, m) sort keys and their argsort are temporaries, freed
+    # before the oracle evaluates the tests.
     np.put_along_axis(
-        membership, order, np.arange(m)[None, :] < sizes[:, None], axis=1
+        membership,
+        np.argsort(rng.random((plan.t1, m)), axis=1),
+        np.arange(m)[None, :] < sizes[:, None],
+        axis=1,
     )
     masks = membership @ mask_bits(m)
     test_utilities = oracle.evaluate_many(round_index, masks)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -214,6 +215,31 @@ class TestGroupTesting:
         tests = batches[0]
         assert tests.shape == (plan.t1,)
         assert (tests >= 0).all() and (tests <= 1).all()
+
+
+    def test_tests_are_evaluated_without_the_sort_keys(self):
+        plan = group_testing_plan(20, ApproxParams(epsilon=0.25, delta=0.2))
+        assert plan.t1 == 14_553
+        held = []
+
+        class ZeroOracle:
+            def players(self, round_index):
+                return tuple(range(20))
+
+            def evaluate_many(self, round_index, masks):
+                if not held:  # the t1 tests; the pivot's pairs come after
+                    held.append(tracemalloc.get_traced_memory()[0] - base)
+                return np.zeros(len(masks))
+
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            group_testing_round(ZeroOracle(), 0, plan, 7)
+        finally:
+            tracemalloc.stop()
+        # Membership, sizes and masks come to about 0.5 MB; the (t1, m)
+        # sort keys or their argsort would be 2.3 MB each.
+        assert held[0] < plan.t1 * plan.m * 8
 
 
 class TestPivotAnchoring:

@@ -1,11 +1,12 @@
 """Generated-input checks of lockstep local training.
 
-``train_round`` advances every participant with the same shard size as
-one stacked SGD run, and ``rerun_with_selections`` advances a whole grid
-of retrain replays that way. These tests hold the grid bitwise to one
-``train_round`` per round per keep rule, ``train_round`` bitwise to a
-per-participant loop over the flat gradient, and the stacked gradient
-bitwise to the flat one and the flat one to the plain 2-D formulas.
+``train_round`` advances the participants with the same shard size as
+stacked SGD runs of at most one ``_SLICE_BYTES`` slice of rows each, and
+``rerun_with_selections`` advances a whole grid of retrain replays that
+way. These tests hold the grid bitwise to one ``train_round`` per round
+per keep rule, ``train_round`` bitwise to a per-participant loop over
+the flat gradient at any slice size, and the stacked gradient bitwise
+to the flat one and the flat one to the plain 2-D formulas.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from fedval.models import ModelLayout, loss_and_gradient
 from fedval.seeding import substream
 
 from conftest import index_shards, training
+from test_datasets import traced_peak
 
 
 @st.composite
@@ -105,9 +107,12 @@ def plain_loss_and_gradient(layout, theta, features, labels):
     lr_decay=st.sampled_from([1.0, 0.9, 0.5]),
     round_index=st.integers(0, 3),
     seed=st.integers(0, 2**16),
+    # 0 puts every row in its own slice.
+    slice_bytes=st.sampled_from([engine._SLICE_BYTES, 0, 20_000]),
 )
 def test_lockstep_round_matches_per_participant_loop(
-    layout, sizes, batch_size, local_epochs, learning_rate, lr_decay, round_index, seed
+    layout, sizes, batch_size, local_epochs, learning_rate, lr_decay, round_index, seed,
+    slice_bytes,
 ):
     # Mixed shard sizes put several lockstep groups in one round; sizes
     # that batch_size does not divide end each epoch on a partial batch.
@@ -124,7 +129,8 @@ def test_lockstep_round_matches_per_participant_loop(
         seed=seed, lr_decay=lr_decay, init_scale=0.3,
     )
     theta = random_params(layout, rng)
-    updates = train_round(theta, data, shards, participants, cfg, round_index)
+    with mock.patch.object(engine, "_SLICE_BYTES", slice_bytes):
+        updates = train_round(theta, data, shards, participants, cfg, round_index)
     assert updates.shape == (len(participants), layout.param_count)
     for row, pid in zip(updates, participants):
         expected = reference_update(
@@ -154,6 +160,23 @@ def test_stacked_gradient_is_the_flat_gradient_per_slice(layout, k, n, seed):
         )
         assert losses[i] == loss == plain_loss
         assert grads[i].tobytes() == grad.tobytes() == plain_grad.tobytes()
+
+
+def test_training_round_stacks_at_most_one_slice():
+    layout = ModelLayout("logistic", 784, 10)
+    rng = np.random.default_rng(5)
+    parts = {pid: (rng.normal(size=(100, 784)), rng.integers(0, 10, 100)) for pid in range(10)}
+    data, shards = index_shards(parts, 10, rng)
+    cfg = training(layout, 1, 1.0, 1, 50, 0.5, seed=5, init_scale=0.3)
+    theta = initial_model(cfg)
+    slice_bytes = engine._row_bytes(cfg)
+    # One row's working set and the (10, P) updates the round returns;
+    # stacking all 10 minibatches at once needs 3.1 MB for them alone.
+    bound = slice_bytes + len(parts) * layout.param_count * 8
+
+    with mock.patch.object(engine, "_SLICE_BYTES", slice_bytes):
+        _, peak = traced_peak(lambda: train_round(theta, data, shards, tuple(parts), cfg, 0))
+    assert peak < bound
 
 
 def replay_alone(data, shards, cfg, selections, keep):
