@@ -151,7 +151,7 @@ def _write_values(
         details["permutation_sample_counts"] = [[t, count] for t, count in plans]
     elif plans:
         details["group_testing_plans"] = [
-            [t, {"t1": plan.t1, "t2": plan.t2, "q_tot": plan.q_tot, "z": plan.z}]
+            [t, {"t1": plan.t1, "t2": plan.t2, "z": plan.z}]
             for t, plan in plans
         ]
     return details

@@ -3,25 +3,20 @@
 Two estimators for the per-round values: sampling random orderings of
 the selected participants, and a paired-test scheme that estimates all
 pairwise value differences from utilities of random subsets and anchors
-them with one directly estimated pivot value. Sample counts follow the
-concentration-bound formulas so the results carry an
-(epsilon, delta)-style guarantee per coordinate.
+them on the round's utility gain. Sample counts follow concentration
+bounds so the results carry an (epsilon, delta)-style guarantee per
+coordinate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Collection
+from typing import ClassVar, Collection
 
 import numpy as np
 
 from .values import UtilityOracle, ValueVector, mask_bits
-
-
-# How the paired-test scheme splits its budget between difference
-# estimation and the pivot (Jia et al., AISTATS 2019).
-_C_EPS = _C_DELTA = 2.0
 
 
 @dataclass(frozen=True)
@@ -62,59 +57,69 @@ class GroupTestingPlan:
     """Resolved sampling plan for the paired-test estimator.
 
     ``subset_size_probs[k - 1]`` is the probability of drawing a test
-    subset of size ``k`` (k = 1..m-1); ``t1`` tests estimate pairwise
-    differences and ``t2`` samples estimate the pivot value.
+    subset of size ``k`` (k = 1..m-1), ``z`` is the exact sum of the
+    size weights, and ``t1`` tests put every participant's value within
+    the plan's (epsilon, delta) bound.
     """
 
     m: int
     z: float
     subset_size_probs: np.ndarray
-    q_tot: float
     t1: int
-    t2: int
+    # Always 0, as the anchor samples nothing; perfbench/tracing.py counts
+    # t1 + t2 until the benchmark revision (ROADMAP item 1) drops it.
+    t2: ClassVar[int] = 0
 
 
 def group_testing_plan(m: int, params: ApproxParams) -> GroupTestingPlan:
     """Plan the paired-test estimator for ``m`` participants.
 
-    The subset-size weights ``1/k + 1/(m - k)`` are normalized by their
-    exact sum ``z = 2 * H(m - 1)`` so they form a distribution.
+    A test draws a size ``k`` with probability ``(1/k + 1/(m - k)) / z``,
+    ``z = 2 * H(m - 1)`` being the weights' exact sum, then a uniform
+    subset S of that size, with utility ``u`` in [0, 1]; ``beta_i`` marks
+    i in S. Participant i's estimate (see :func:`group_testing_round`) is
+    ``du / m`` plus the tests' mean of ``Y_i = z * u * (beta_i - k / m)``,
+    ``du`` being the round's utility gain.
+
+    - Mean: Jia et al.'s identity ``E[z * u * (beta_i - beta_j)] = s_i - s_j``,
+      averaged over the m participants j with ``sum_j s_j = du``, gives
+      ``E[Y_i] = s_i - du / m``: the estimate is unbiased.
+    - Variance: given k, ``E[(beta_i - k/m)^2] = k (m - k) / m^2``, which
+      the size probabilities ``m / (z k (m - k))`` average to
+      ``(m - 1) / (m z)``. With ``u <= 1``,
+      ``Var(Y_i) <= z^2 (m - 1) / (m z) = z (m - 1) / m =: sigma2``.
+    - Range: ``|beta_i - k/m| <= (m - 1) / m``, and every marginal lies
+      in [-1, 1], so ``|s_i - du / m| <= 1 + 1/m`` and
+      ``|Y_i - E[Y_i]| <= z (m - 1) / m + 1 + 1/m =: b``.
+
+    By Bennett's inequality (``h`` is :func:`h_bernstein`), i's mean of t1
+    tests misses by epsilon or more with probability at most
+    ``2 exp(-t1 (sigma2 / b^2) h(b epsilon / sigma2))``; over the m
+    participants that totals at most delta when
+    ``t1 = ceil((b^2 / sigma2) ln(2 m / delta) / h(b epsilon / sigma2))``.
     """
     if m < 2:
         raise ValueError(f"group testing needs at least 2 participants, got {m}")
     ks = np.arange(1, m, dtype=np.float64)
     z = 2.0 * math.fsum(1.0 / k for k in range(1, m))
     probs = (1.0 / ks + 1.0 / (m - ks)) / z
-    balance = 1.0 + 2.0 * ks * (ks - m) / (m * (m - 1))
-    q_tot = (m - 2) / m * probs[0] + float(np.dot(probs[1:], balance[1:]))
-    if q_tot >= 1.0:
-        raise ValueError(f"degenerate plan: size-distribution overlap {q_tot} >= 1")
-    eps, delta = params.epsilon, params.delta
-    spread = 1.0 - q_tot * q_tot
-    rate = h_bernstein(2.0 * eps / (z * _C_EPS * spread))
-    t1 = math.ceil(4.0 / (spread * rate) * math.log(_C_DELTA * (m - 1) / (2.0 * delta)))
-    t2 = math.ceil(
-        4.0 * _C_EPS * _C_EPS / ((_C_EPS - 1.0) ** 2 * eps * eps)
-        * math.log(2.0 * _C_DELTA / ((_C_DELTA - 1.0) * delta))
+    sigma2 = z * (m - 1) / m
+    b = sigma2 + 1.0 + 1.0 / m
+    t1 = math.ceil(
+        b * b / sigma2 * math.log(2.0 * m / params.delta)
+        / h_bernstein(b * params.epsilon / sigma2)
     )
-    return GroupTestingPlan(
-        m=m,
-        z=z,
-        subset_size_probs=probs,
-        q_tot=q_tot,
-        t1=max(1, t1),
-        t2=max(1, t2),
-    )
+    return GroupTestingPlan(m=m, z=z, subset_size_probs=probs, t1=t1)
 
 
 def round_plan(
     method: str, approx: ApproxParams | None, m: int
 ) -> int | GroupTestingPlan | None:
     """How ``method`` samples a round of ``m`` participants: the ordering
-    count under ``permutation``, the plan under ``group_testing``, and
-    None for every other method. A group-testing round of one participant
-    also gets None: no test matrix can be formed for one participant, so
-    its value is its exact marginal."""
+    count under ``permutation``, the test plan under ``group_testing``,
+    and None for every other method. A group-testing round of one
+    participant also gets None: no test matrix can be formed for one
+    participant, so its value is its exact marginal."""
     if method == "permutation":
         return permutation_sample_count(approx, m)
     if method == "group_testing" and m >= 2:
@@ -181,10 +186,10 @@ def group_testing_round(
     Runs ``plan.t1`` tests, each drawing a subset whose size follows the
     plan's distribution, and turns the recorded membership/utility pairs
     into per-participant loads, whose differences estimate the pairwise
-    value differences; the absolute level comes from
-    :func:`pivot_anchor_values`. Unlike ordering sampling the
-    estimated values only approximately sum to the round's utility
-    improvement; the guarantee is per-coordinate.
+    value differences; :func:`pivot_anchor_values` fixes their level so
+    that the values sum to the round's utility gain, as ordering
+    sampling's do. The guarantee is per coordinate (see
+    :func:`group_testing_plan`).
     """
     m = len(oracle.players(round_index))
     if m != plan.m:
@@ -203,51 +208,29 @@ def group_testing_round(
     masks = membership @ mask_bits(m)
     test_utilities = oracle.evaluate_many(round_index, masks)
     loads = (plan.z / plan.t1) * (test_utilities @ membership)
-    return pivot_anchor_values(loads, oracle, round_index, plan, rng)
+    return pivot_anchor_values(loads, oracle, round_index)
 
 
+# Kept under this name because the benchmark's tracer
+# (perfbench/tracing.py) times it; the benchmark revision (ROADMAP
+# item 1) renames it.
 def pivot_anchor_values(
-    loads: np.ndarray,
-    oracle: UtilityOracle,
-    round_index: int,
-    plan: GroupTestingPlan,
-    seed: int | np.random.Generator,
+    loads: np.ndarray, oracle: UtilityOracle, round_index: int
 ) -> ValueVector:
     """Recover absolute values from per-participant ``loads``, whose
     differences estimate the pairwise value differences.
 
-    The pivot is the highest participant id. Its value is estimated from
-    ``plan.t2`` sampled marginal contributions, drawing first a subset
-    size uniformly from ``0..m-1`` and then a uniform subset of the other
-    participants at that size, which makes the estimate unbiased for the
-    pivot's exact value. Participant ``b`` is the pivot plus
-    ``loads[b] - loads[-1]``.
+    The pivot is the mean value, which efficiency fixes at ``du / m``,
+    ``du`` being the round's utility gain from its two endpoint
+    utilities. Participant ``b`` is ``loads[b] + (du - sum(loads)) / m``
+    with the sum taken by ``math.fsum``: the least-squares fit to the
+    load differences whose values sum to ``du``.
     """
     ids = oracle.players(round_index)
     m = len(ids)
     if loads.shape != (m,):
         raise ValueError(f"loads shape {loads.shape} does not match {m} participants")
-    rng = np.random.default_rng(seed)
-    bits = mask_bits(m)
-    sizes = rng.integers(0, m, size=plan.t2)
-    others = np.zeros((plan.t2, m - 1), dtype=bool)
-    if m > 1:
-        order = np.argsort(rng.random((plan.t2, m - 1)), axis=1)
-        np.put_along_axis(
-            others, order, np.arange(m - 1)[None, :] < sizes[:, None], axis=1
-        )
-    masks = others @ bits[:-1]
-    # One (with, without) pair per sample, so the oracle sees the masks
-    # in the order of a sample-by-sample walk.
-    paired = oracle.evaluate_many(
-        round_index, np.stack([masks | bits[-1], masks], axis=1).ravel()
-    ).reshape(-1, 2)
-    total = 0.0
-    for with_pivot, without in paired.tolist():
-        total += with_pivot - without
-    pivot_estimate = total / plan.t2
-    values = {
-        pid: float(pivot_estimate + (loads[b] - loads[-1]))
-        for b, pid in enumerate(ids)
-    }
+    before, after = oracle.evaluate_many(round_index, [0, (1 << m) - 1])
+    shift = (after - before - math.fsum(loads)) / m
+    values = {pid: float(loads[b] + shift) for b, pid in enumerate(ids)}
     return ValueVector(values, round_index)

@@ -140,8 +140,21 @@ def mlp_logits_into(
     return scores
 
 
+def _row_max(scores: np.ndarray) -> np.ndarray:
+    """``scores.max(axis=-1, keepdims=True)``, bit for bit, from a chain of
+    elementwise maxima over the class columns, which skips the reduction's
+    per-row overhead. They can differ only in which zero (+0.0 or -0.0) or
+    NaN they return, so a zero or non-finite row maximum is the reduction's."""
+    top = scores[..., :1].copy()
+    for column in range(1, scores.shape[-1]):
+        np.maximum(top, scores[..., column : column + 1], out=top)
+    if top.all() and np.isfinite(top).all():
+        return top
+    return scores.max(axis=-1, keepdims=True)
+
+
 def _log_softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=-1, keepdims=True)
+    shifted = scores - _row_max(scores)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 

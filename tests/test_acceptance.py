@@ -6,6 +6,7 @@ runtime; experiment settings are the desk-scale defaults the package
 ships in its example configs.
 """
 
+import math
 import time
 
 import numpy as np
@@ -207,10 +208,14 @@ def test_criterion_04_group_testing_contract():
     start = time.monotonic()
     params = ApproxParams(epsilon=0.1, delta=0.2)
     hand = group_testing_plan(4, params)
+    # At m = 4 the variance bound is z * 3/4 = 11/4 and the range bound
+    # 11/4 + 1 + 1/4 = 4, so b^2 / sigma2 = 64/11, b * epsilon / sigma2 =
+    # 8/55 and 2m / delta = 40.
+    h = 63 / 55 * math.log(63 / 55) - 8 / 55
     plan_ok = (
         abs(hand.z - 11 / 3) <= 1e-12
         and np.allclose(hand.subset_size_probs, [4 / 11, 3 / 11, 4 / 11], atol=1e-12)
-        and abs(hand.q_tot - 5 / 11) <= 1e-12
+        and hand.t1 == math.ceil(64 / 11 * math.log(40) / h) == 2_126
     )
     m = 6
     plan = group_testing_plan(m, params)
@@ -227,8 +232,8 @@ def test_criterion_04_group_testing_contract():
     report(
         4,
         plan_ok and rate >= 0.80 and elapsed < 300,
-        f"hand-checked plan (z=11/3, q_tot=5/11) ok={plan_ok}; error <= 0.1 in "
-        f"{rate:.0%} of {trials} trials (need 80%) with t1={plan.t1}, t2={plan.t2}; "
+        f"hand-checked plan (z=11/3, t1=2126) ok={plan_ok}; error <= 0.1 in "
+        f"{rate:.0%} of {trials} trials (need 80%) with t1={plan.t1}; "
         f"{elapsed:.1f}s (budget 300s)",
     )
 
@@ -238,7 +243,7 @@ def test_criterion_05_complexity_crossover():
     totals = {}
     for m in (10, 50, 100, 500):
         plan = group_testing_plan(m, params)
-        totals[m] = (m * permutation_sample_count(params, m), plan.t1 + plan.t2)
+        totals[m] = (m * permutation_sample_count(params, m), plan.t1)
     print("\n".join(
         f"m={m}: orderings total {orderings}, paired tests total {paired}"
         for m, (orderings, paired) in totals.items()

@@ -346,7 +346,7 @@ APPROX = {"epsilon": 0.3, "delta": 0.3}
 
 
 def plan_fields(plan):
-    return {"t1": plan.t1, "t2": plan.t2, "q_tot": plan.q_tot, "z": plan.z}
+    return {"t1": plan.t1, "t2": plan.t2, "z": plan.z}
 
 
 def manifest_details(out):

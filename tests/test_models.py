@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fedval.models import (
     ModelLayout,
+    _row_max,
     accuracy,
     init_params,
     logits,
@@ -76,6 +79,30 @@ class TestGradients:
         layout = ModelLayout("logistic", 6, 4)
         with pytest.raises(ValueError):
             loss_and_gradient(layout, np.zeros(3), rng.normal(size=(2, 6)), np.zeros(2, dtype=int))
+
+
+# Scores from a small alphabet, so rows hold ties, zeros of both signs,
+# infinities and NaN, next to ordinary draws.
+SPECIAL_SCORES = [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 3), st.integers(1, 40), st.integers(1, 12)),
+    seed=st.integers(0, 2**32 - 1),
+    special_share=st.sampled_from([0.0, 0.3, 1.0]),
+)
+# Rows whose maximum is 0.0 and -0.0 at once, where the reduction and an
+# elementwise chain return different zeros.
+@example(shape=(3, 5, 10), seed=62, special_share=0.3)
+def test_row_max_is_bitwise_the_reduction(shape, seed, special_share):
+    rng = np.random.default_rng(seed)
+    scores = rng.normal(size=shape)
+    special = rng.random(shape) < special_share
+    scores[special] = rng.choice(SPECIAL_SCORES, size=int(special.sum()))
+    assert _row_max(scores).tobytes() == scores.max(axis=-1, keepdims=True).tobytes()
+    flat = scores[0]
+    assert _row_max(flat).tobytes() == flat.max(axis=-1, keepdims=True).tobytes()
 
 
 class TestPrediction:

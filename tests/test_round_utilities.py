@@ -301,7 +301,7 @@ def _reference_permutation(game, ids, sample_count, seed):
 
 def _reference_group_testing(game, ids, plan, seed):
     """Group testing of round 0 with one oracle call per test and per
-    pivot sample."""
+    endpoint, anchored so the values sum to the round's utility gain."""
     m = len(ids)
     rng = np.random.default_rng(seed)
 
@@ -316,18 +316,9 @@ def _reference_group_testing(game, ids, plan, seed):
         [utility(sum(1 << int(b) for b in np.flatnonzero(row))) for row in membership]
     )
     loads = (plan.z / plan.t1) * (tests @ membership)
-    differences = loads[:, None] - loads[None, :]
-    pivot_bit = 1 << (m - 1)
-    sizes = rng.integers(0, m, size=plan.t2)
-    order = np.argsort(rng.random((plan.t2, m - 1)), axis=1)
-    total = 0.0
-    for t in range(plan.t2):
-        mask = 0
-        for b in order[t, : sizes[t]]:
-            mask |= 1 << int(b)
-        total += utility(mask | pivot_bit) - utility(mask)
-    pivot = total / plan.t2
-    return {pid: float(pivot + differences[b, m - 1]) for b, pid in enumerate(ids)}
+    gain = utility((1 << m) - 1) - utility(0)
+    shift = (gain - math.fsum(loads)) / m
+    return {pid: float(loads[b] + shift) for b, pid in enumerate(ids)}
 
 
 @settings(max_examples=30, deadline=None)
@@ -446,7 +437,7 @@ def test_table_game_batch_equals_per_mask_lookups(rounds, seed, data):
     (lambda game, ids: exact_shapley_permutation_form(game), 1),
     (lambda game, ids: federated_loo_round(game, 0), 1),
     (lambda game, ids: permutation_sampling_round(game, 0, ids, 20, 3), 1),
-    # The tests, then the pivot.
+    # The tests, then the endpoints.
     (lambda game, ids: group_testing_round(
         game, 0, group_testing_plan(len(ids), ApproxParams(0.5, 0.3)), 3
     ), 2),
@@ -516,6 +507,8 @@ def test_wide_rounds_keep_every_player(m):
     plan = group_testing_plan(m, ApproxParams(epsilon=1.0, delta=0.3))
     grouped = group_testing_round(game, 0, plan, 11)
     assert grouped.values == _reference_group_testing(game, ids, plan, 11)
+    gain = game.evaluate(0, full) - game.evaluate(0, 0)
+    assert abs(math.fsum(grouped.values.values()) - gain) <= 1e-12
 
 
 class AggregateSubsetOracle:

@@ -7,6 +7,8 @@ fixed-input versions of these checks live in ``test_values.py``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,6 +67,20 @@ def test_round_efficiency_and_telescoping_totals(rounds, seed):
     span = game.evaluate(last, full_mask(game, last)) - game.evaluate(0, 0)
     total = sum(aggregate_rounds(per_round).values.values())
     assert abs(total - span) <= TOL * len(game.rounds)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(2, 12), min_size=1, max_size=3),
+    seeds,
+    st.sampled_from([0.3, 0.5, 1.0]),
+)
+def test_group_testing_values_sum_to_the_round_gain(sizes, seed, epsilon):
+    game = random_table_game([range(m) for m in sizes], np.random.default_rng(seed))
+    for t, ids in enumerate(game.rounds):
+        plan = group_testing_plan(len(ids), ApproxParams(epsilon=epsilon, delta=0.3))
+        values = group_testing_round(game, t, plan, seed)
+        assert abs(math.fsum(values.values.values()) - round_gain(game, t)) <= 1e-12
 
 
 def keyed_set_function(rng, key):
@@ -178,9 +194,7 @@ def test_values_credit_exactly_the_rounds_players(rounds, seed):
         if len(ids) >= 2:
             plan = group_testing_plan(len(ids), approx)
             vectors.append(group_testing_round(game, t, plan, seed))
-            vectors.append(
-                pivot_anchor_values(np.zeros(len(ids)), game, t, plan, seed)
-            )
+            vectors.append(pivot_anchor_values(np.zeros(len(ids)), game, t))
         for vector in vectors:
             assert set(vector.values) == set(players)
         listed = sorted(ids)
