@@ -33,7 +33,7 @@ from .estimators import (
 from .models import (
     ModelLayout,
     accuracy,
-    accuracy_from_logits,
+    count_label_at_max,
     init_params,
     logits,
     loss_and_gradient,
@@ -281,7 +281,10 @@ def evaluate_utility(
 # (see ``RoundOracle._subset_utilities``), per worker thread: each worker
 # holds arrays of this size, which keep its slices within its core's L2
 # cache (2 MB on the 2-core Xeon this was tuned on). Results do not
-# depend on it, nor on the number of workers.
+# depend on it, nor on the number of workers. An eighth of it bounds one
+# batch of logistic subset utilities (``_averaged_logits_utilities``),
+# whose walk also holds the member logits and their partial sums: a whole
+# slice per batch was no faster and raised peak memory.
 _UTILITY_SLICE_BYTES = 2 << 20
 
 
@@ -303,7 +306,14 @@ class RoundOracle:
     subsets to one kernel, chosen by architecture. Logits of a logistic
     model are affine in its parameters, so a proper subset's logits are
     the mean of its members' logits: those are computed once per call,
-    dropped when it returns, and summed in bit (row) order. The MLP
+    held class-major and dropped when it returns. The call's masks are
+    visited in bit-reversed order, so masks that share their low bits are
+    adjacent and reuse one partial sum per depth over those members; each
+    sum is still a left fold in bit (row) order, then divided by the
+    member count. The averages are counted in batches of at most
+    ``_UTILITY_SLICE_BYTES // 8`` bytes by ``count_label_at_max``, which
+    takes a label score at its row's single maximum as a hit and falls
+    back to argmax for a batch with a tie or NaN. The MLP
     averages the members' parameters instead, in one stacked kernel: for
     a slice of masks, each mask's member rows are gathered in bit order
     and summed row by row, and the slice's averages run one stacked
@@ -345,6 +355,8 @@ class RoundOracle:
                 f"validation labels have shape {labels.shape}, features have "
                 f"shape {features.shape}; one label per feature row required"
             )
+        if labels.min() < 0 or labels.max() >= layout.n_classes:
+            raise ValueError(f"validation labels must lie in [0, {layout.n_classes})")
         self._layout = layout
         self.records = list(records)
         self._features = features
@@ -401,18 +413,49 @@ class RoundOracle:
 
     def _averaged_logits_utilities(self, record: RoundRecord, masks: list[int]) -> list[float]:
         """Logistic utilities of proper-subset ``masks`` of ``record``'s
-        round, from its members' logits."""
-        # A list, so that each mask's walk does not make a view per row.
-        member_logits = list(logits(self._layout, record.updates, self._features))
-        utilities = []
-        for mask in masks:
-            members = [row for b, row in enumerate(member_logits) if mask >> b & 1]
-            averaged = members[0].copy()
-            for row in members[1:]:
-                averaged += row
-            averaged /= len(members)
-            utilities.append(accuracy_from_logits(averaged, self._labels))
-        return utilities
+        round, from its members' logits, each bitwise the accuracy of its
+        members' logits summed in ascending id order and divided by their
+        count."""
+        labels = self._labels
+        m, c, n = len(record.selected), self._layout.n_classes, labels.shape[0]
+        # Each member's (n, c) logits, copied class-major to (c, n); lists,
+        # so that the walk makes no view per step.
+        members = list(
+            logits(self._layout, record.updates, self._features).transpose(0, 2, 1).copy()
+        )
+        # In bit-reversed order, masks that share their low bits are adjacent.
+        order = sorted(range(len(masks)), key=lambda i: f"{masks[i]:0{m}b}"[::-1])
+        # Bytes per mask of a batch: its (c, n) average, and what
+        # count_label_at_max works in for it: a byte per score, and per
+        # sample a row maximum and two flags.
+        step = max(1, _UTILITY_SLICE_BYTES // 8 // ((9 * c + 10) * n))
+        batch = np.empty((min(step, len(masks)), c, n))
+        slots = list(batch)
+        # sums[d] is the current mask's lowest d + 1 members summed in
+        # ascending order; for d >= 1 it is held in depths[d - 1].
+        depths = list(np.empty((max(mask.bit_count() for mask in masks) - 1, c, n)))
+        sums: list[np.ndarray] = []
+        utilities = np.empty(len(masks))
+        previous = 0
+        for position, i in enumerate(order):
+            mask = masks[i]
+            differ = mask ^ previous
+            low = differ & -differ
+            # The previous mask's sums over members below the lowest
+            # differing bit are this mask's; its other members follow.
+            del sums[(mask & (low - 1)).bit_count():]
+            rest = mask & -low
+            while rest:
+                member = members[(rest & -rest).bit_length() - 1]
+                sums.append(np.add(sums[-1], member, out=depths[len(sums) - 1]) if sums else member)
+                rest &= rest - 1
+            slot = position % step
+            np.divide(sums[-1], len(sums), out=slots[slot])
+            if slot == step - 1 or position == len(masks) - 1:
+                hits = count_label_at_max(batch[: slot + 1], labels)
+                utilities[order[position - slot : position + 1]] = hits / n
+            previous = mask
+        return utilities.tolist()
 
     def _subset_utilities(self, record: RoundRecord, masks: list[int]) -> list[float]:
         """MLP utilities of proper-subset ``masks`` of ``record``'s round,

@@ -220,6 +220,31 @@ def accuracy_from_logits(scores: np.ndarray, labels: np.ndarray) -> float:
     return np.count_nonzero(scores.argmax(axis=1) == labels) / len(labels)
 
 
+def count_label_at_max(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """``np.count_nonzero(scores.argmax(axis=1) == labels, axis=1)``: per
+    slice of class-major scores (b, c, n), the samples whose highest score,
+    the first one on ties, is their label's.
+
+    Where every sample has exactly one maximum and no NaN, a sample is a hit
+    when its label's score equals the chain of elementwise maxima over the
+    class rows, which skips argmax's per-sample overhead. A tie or NaN
+    anywhere in the batch sends it to argmax, whose first-index and NaN
+    rules then decide."""
+    b, c, n = scores.shape
+    top = scores[:, 0].copy()
+    for row in range(1, c):
+        np.maximum(top, scores[:, row], out=top)
+    at_top = scores == top[:, None]
+    if np.count_nonzero(at_top) == b * n and not np.isnan(top).any():
+        # Flat position of each sample's label score in a (c, n) slice.
+        hits = np.take(at_top.reshape(b, c * n), labels * n + np.arange(n), axis=1)
+    else:
+        hits = scores.argmax(axis=1) == labels
+    # A call per slice: counting along an axis sums through a cast, which
+    # is slower for a few slices.
+    return np.fromiter((np.count_nonzero(row) for row in hits), np.intp, b)
+
+
 def accuracy(
     layout: ModelLayout, theta: np.ndarray, features: np.ndarray, labels: np.ndarray
 ) -> float:

@@ -291,6 +291,11 @@ class TestRoundOracle:
             ValueError, match=r"features have shape \(50, 4\); the layout needs \(n, 5\)"
         ):
             RoundOracle(layout, records, rows[:, :4], labels[:50])
+        for label in (-1, layout.n_classes):
+            stray = labels[:50].copy()
+            stray[7] = label
+            with pytest.raises(ValueError, match=rf"labels must lie in \[0, {layout.n_classes}\)"):
+                RoundOracle(layout, records, rows, stray)
 
     def test_records_out_of_bit_order_refused(self):
         layout, _, records, val = recorded_run("logistic")

@@ -7,6 +7,7 @@ from fedval.models import (
     ModelLayout,
     _row_max,
     accuracy,
+    count_label_at_max,
     init_params,
     logits,
     loss_and_gradient,
@@ -103,6 +104,40 @@ def test_row_max_is_bitwise_the_reduction(shape, seed, special_share):
     assert _row_max(scores).tobytes() == scores.max(axis=-1, keepdims=True).tobytes()
     flat = scores[0]
     assert _row_max(flat).tobytes() == flat.max(axis=-1, keepdims=True).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 4), st.integers(2, 12), st.integers(1, 40)),
+    seed=st.integers(0, 2**32 - 1),
+    special_share=st.sampled_from([0.0, 0.01, 0.3, 1.0]),
+)
+def test_label_at_max_count_is_the_argmax_count(shape, seed, special_share):
+    rng = np.random.default_rng(seed)
+    scores = rng.normal(size=shape)
+    special = rng.random(shape) < special_share
+    scores[special] = rng.choice(SPECIAL_SCORES, size=int(special.sum()))
+    labels = rng.integers(0, shape[1], size=shape[2])
+    expected = np.count_nonzero(scores.argmax(axis=1) == labels, axis=1)
+    assert count_label_at_max(scores, labels).tolist() == expected.tolist()
+
+
+# Samples as rows (n, c); each case is one class-major slice (1, c, n).
+@pytest.mark.parametrize("rows, labels", [
+    # One maximum a row: the label's score at the row maximum is a hit.
+    ([[1.0, 3.0, 2.0], [-0.0, -1.0, -2.0], [np.inf, 0.0, 1.0]], [1, 0, 2]),
+    # Tied maxima, including +0.0 and -0.0: argmax takes the first.
+    ([[2.0, 2.0], [-0.0, 0.0], [1.0, 0.0]], [1, 1, 0]),
+    # A NaN row beside a tied row holds as many maxima as rows; argmax
+    # takes the NaN's index in one and the first maximum in the other.
+    ([[np.nan, 1.0], [2.0, 2.0]], [0, 0]),
+    ([[1.0, np.nan], [-np.inf, -np.inf]], [1, 0]),
+], ids=["unique", "ties", "nan_beside_tie", "nan_beside_infinite_tie"])
+def test_label_at_max_count_keeps_argmax_rules(rows, labels):
+    scores = np.array(rows).T[None].copy()
+    labels = np.array(labels)
+    expected = np.count_nonzero(scores.argmax(axis=1) == labels, axis=1)
+    assert count_label_at_max(scores, labels).tolist() == expected.tolist()
 
 
 class TestPrediction:

@@ -3,8 +3,10 @@
 ``RoundOracle`` values a logistic model's proper subsets from averaged
 member logits, and an MLP's from slices of stacked parameter averages;
 these tests hold both to the parameter-average definition on random
-rounds, the MLP bitwise whatever the slice bound, worker thread count,
-request order and mix of batched and scalar requests. The estimators pass their masks, repeats
+rounds, the logistic bitwise to a walk of each mask's member logits
+whatever the batch bound, and the MLP bitwise whatever the slice bound,
+worker thread count, request order and mix of batched and scalar
+requests. The estimators pass their masks, repeats
 and all, to the oracle's ``evaluate_many``; these tests hold them to the
 one-call-per-draw loops they replaced, on rounds wider than int64 masks
 too. ``TableGame`` answers each value rule's queries in one batch per
@@ -36,10 +38,11 @@ from fedval.estimators import (
     group_testing_round,
     permutation_sampling_round,
 )
-from fedval.models import ModelLayout, logits
+from fedval.models import ModelLayout, accuracy_from_logits, logits
 from fedval.values import exact_federated_round_shapley, federated_loo_round
 
 from conftest import exact_shapley_permutation_form, random_table_game
+from test_datasets import traced_peak
 
 TIE_RTOL = 1e-12
 
@@ -135,6 +138,101 @@ def test_request_order_does_not_change_values(shape, shuffler):
     shuffled = RoundOracle(layout, records, features, labels)
     for position in positions:
         assert shuffled.evaluate(*queries[position]) == reference[position]
+
+
+def logit_walk_utilities(layout, record, features, labels, masks):
+    """Reference logistic utilities of proper-subset ``masks``, one walk
+    per mask: its members' logits summed left to right in ascending id
+    order, divided by their count, and scored by argmax."""
+    member_logits = list(logits(layout, record.updates, features))
+    utilities = []
+    for mask in masks:
+        rows = [row for b, row in enumerate(member_logits) if mask >> b & 1]
+        averaged = rows[0].copy()
+        for row in rows[1:]:
+            averaged += row
+        averaged /= len(rows)
+        utilities.append(accuracy_from_logits(averaged, labels))
+    return utilities
+
+
+def round_utilities(layout, record, features, labels, masks):
+    """Reference utilities of one round: the stored models at the empty and
+    full masks, the per-mask walk elsewhere."""
+    full = (1 << len(record.selected)) - 1
+    subsets = [b for b in masks if 0 < b < full]
+    walked = dict(zip(subsets, logit_walk_utilities(layout, record, features, labels, subsets)))
+    walked[0] = evaluate_utility(layout, record.global_before, features, labels)
+    walked[full] = evaluate_utility(layout, record.global_after, features, labels)
+    return [walked[b] for b in masks]
+
+
+logistic_walk_shapes = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**32 - 1),
+    "features": st.integers(1, 16),
+    "classes": st.integers(2, 10),
+    "samples": st.integers(1, 40),
+    "m": st.integers(1, 12),
+    "rounds": st.integers(1, 2),
+    "quantized": st.booleans(),
+    # 0 puts every mask in its own batch; the small bounds give batches of
+    # a few masks each.
+    "slice_bytes": st.sampled_from([0, 16_000, 80_000, engine._UTILITY_SLICE_BYTES]),
+})
+
+
+@settings(max_examples=40, deadline=None)
+@given(logistic_walk_shapes, st.randoms(use_true_random=False))
+def test_logistic_subset_utilities_equal_per_mask_walk(shape, shuffler):
+    rng = np.random.default_rng(shape["seed"])
+    layout = ModelLayout("logistic", shape["features"], shape["classes"])
+    records = random_records(
+        rng, layout, shape["rounds"], shape["m"], quantized=shape["quantized"]
+    )
+    features = rng.normal(size=(shape["samples"], shape["features"]))
+    if shape["quantized"]:
+        features = np.round(features)
+    labels = rng.integers(0, shape["classes"], size=shape["samples"])
+    with mock.patch.object(engine, "_UTILITY_SLICE_BYTES", shape["slice_bytes"]):
+        oracle = RoundOracle(layout, records, features, labels)
+        for t, record in enumerate(records):
+            masks = list(range(1 << len(record.selected))) * 2
+            shuffler.shuffle(masks)
+            expected = round_utilities(layout, record, features, labels, masks)
+            assert oracle.evaluate_many(t, np.array(masks)).tolist() == expected
+            # Cached subsets mixed with a fresh round's: each call walks
+            # only its own uncached masks.
+            fresh = RoundOracle(layout, records, features, labels)
+            some = masks[: len(masks) // 3]
+            fresh.evaluate_many(t, some)
+            assert fresh.evaluate_many(t, masks).tolist() == expected
+
+
+def test_logistic_call_holds_member_logits_partial_sums_and_one_batch():
+    m, c, n = 10, 4, 1_000
+    rng = np.random.default_rng(6)
+    layout = ModelLayout("logistic", 10, c)
+    records = random_records(rng, layout, 1, m, quantized=False)
+    features = rng.normal(size=(n, 10))
+    labels = rng.integers(0, c, size=n)
+    masks = list(range(1 << m))
+
+    def call():
+        return RoundOracle(layout, records, features, labels).evaluate_many(0, masks)
+
+    def stub(self, record, subsets):
+        return np.zeros(len(subsets)).tolist()
+
+    with mock.patch.object(RoundOracle, "_averaged_logits_utilities", stub):
+        _, bookkeeping = traced_peak(call)
+    _, peak = traced_peak(call)
+    # Beyond the call's own bookkeeping: the member logits, which the
+    # stacked forward pass makes twice over (the product, then the bias
+    # sum); the partial sums, fewer than m of one member's size, beside
+    # them; and one batch of masks with its count. One (c, n) average per
+    # mask of the call would alone take 32 MB.
+    member_logits = m * n * c * 8
+    assert peak < bookkeeping + 2 * member_logits + engine._UTILITY_SLICE_BYTES // 8
 
 
 mlp_round_shapes = st.fixed_dictionaries({
@@ -271,6 +369,25 @@ def test_mlp_members_summed_in_ascending_id_order():
     features, labels = np.ones((5, 1)), np.zeros(5, dtype=int)
     assert evaluate_utility(layout, aggregate_subset(record, [0, 1, 2]), features, labels) == 1.0
     assert RoundOracle(layout, [record], features, labels).evaluate(0, 0b0111) == 1.0
+
+
+def test_logistic_members_summed_in_ascending_id_order():
+    """As for the MLP: members 0, 1, 2 summed in id order leave the
+    class-1 bias logit at 0, tied with class 0, and the tie goes to the
+    label, class 0; in reverse order it is 1/3, and class 1 wins."""
+    layout = ModelLayout("logistic", 1, 2)
+    updates = np.zeros((4, layout.param_count))
+    updates[:, -1] = [1.0, 2.0**60, -(2.0**60), 0.0]
+    before = np.zeros(layout.param_count)
+    record = RoundRecord(0, before, (0, 1, 2, 3), updates, updates.mean(axis=0))
+    features, labels = np.ones((5, 1)), np.zeros(5, dtype=int)
+    assert logit_walk_utilities(layout, record, features, labels, [0b0111]) == [1.0]
+    assert RoundOracle(layout, [record], features, labels).evaluate(0, 0b0111) == 1.0
+    # With 0b0011 and 0b0110 in the call, 0b0111 extends a shared prefix sum.
+    masks = [0b0011, 0b0111, 0b0110]
+    assert RoundOracle(layout, [record], features, labels).evaluate_many(0, masks).tolist() == (
+        logit_walk_utilities(layout, record, features, labels, masks)
+    )
 
 
 def _reference_permutation(game, ids, sample_count, seed):
@@ -532,17 +649,24 @@ class AggregateSubsetOracle:
         return np.array([self.evaluate(round_index, mask) for mask in masks])
 
 
-@pytest.mark.parametrize("m", [64, 70])
-def test_wide_mlp_rounds_match_per_mask_reference(m):
+class LogitWalkOracle(AggregateSubsetOracle):
+    """Reference logistic utilities of one recorded round: the per-mask
+    walk of ``round_utilities``."""
+
+    def evaluate(self, round_index, mask):
+        assert round_index == 0
+        return round_utilities(self.layout, self.record, self.features, self.labels, [mask])[0]
+
+
+def assert_wide_round_matches(layout, m, reference_type):
     """Rounds of 64 or more players reach the oracle as Python-int masks;
-    batched MLP utilities must decode every member of them."""
+    batched utilities must decode every member of them."""
     rng = np.random.default_rng(m)
-    layout = ModelLayout("mlp", 3, 3, hidden_units=4)
     records = random_records(rng, layout, 1, m, quantized=False)
     features = rng.normal(size=(30, 3))
     labels = rng.integers(0, 3, size=30)
     ids = records[0].selected
-    reference = AggregateSubsetOracle(layout, records[0], features, labels)
+    reference = reference_type(layout, records[0], features, labels)
 
     def fresh():
         return RoundOracle(layout, records, features, labels)
@@ -559,3 +683,13 @@ def test_wide_mlp_rounds_match_per_mask_reference(m):
     plan = group_testing_plan(m, ApproxParams(epsilon=1.0, delta=0.3))
     grouped = group_testing_round(fresh(), 0, plan, 11)
     assert grouped.values == group_testing_round(reference, 0, plan, 11).values
+
+
+@pytest.mark.parametrize("m", [64, 70])
+def test_wide_mlp_rounds_match_per_mask_reference(m):
+    assert_wide_round_matches(ModelLayout("mlp", 3, 3, hidden_units=4), m, AggregateSubsetOracle)
+
+
+@pytest.mark.parametrize("m", [64, 70])
+def test_wide_logistic_rounds_match_per_mask_walk(m):
+    assert_wide_round_matches(ModelLayout("logistic", 3, 3), m, LogitWalkOracle)
