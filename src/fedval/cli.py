@@ -212,6 +212,11 @@ def _write_detection(out: Path, outcome: DetectionOutcome) -> None:
 def _cmd_detect(args: argparse.Namespace) -> int:
     cfg, digest = _load_config(args)
     backend = shapley_backend(cfg)
+    if cfg.valuation.normalized:
+        raise ConfigError(
+            "valuation.normalized: the detection protocols write both the raw "
+            "and the _norm curves, so they take no normalized setting"
+        )
     out = _resolve_out(args, cfg)
 
     def body() -> dict[str, Any]:

@@ -135,7 +135,8 @@ def _lockstep_sgd(
     rows share a step schedule, so each step stacks every row's minibatch
     into one (k, b, d) array and takes one stacked gradient step. Features
     are gathered through the composed orders into reused buffers, never
-    copied for whole shards; the (g, n) labels once per epoch.
+    copied for whole shards; the (g, n) labels once per epoch, and each
+    step's (k, b) labels from them.
     """
     k, g = len(owners), len(shards)
     n, width = len(shards[0]), features.shape[1]
@@ -148,16 +149,23 @@ def _lockstep_sgd(
     rows = gathered if k == g else np.empty((k, batch, width), gathered.dtype)
     for _ in range(cfg.local_epochs):
         orders = [idx[rng.permutation(n)] for idx, rng in zip(shards, rngs)]
-        epoch_labels = np.stack([labels[order] for order in orders])[owners]
+        epoch_labels = np.stack([labels[order] for order in orders])
         for start in range(0, n, cfg.batch_size):
             stop = min(start + cfg.batch_size, n)
+            # mode="clip" gathers straight into the buffers, where "raise"
+            # would gather into a copy first; every index is in range.
             for buffer, order in zip(gathered, orders):
-                buffer[: stop - start] = features[order[start:stop]]
+                np.take(
+                    features, order[start:stop], axis=0, mode="clip", out=buffer[: stop - start]
+                )
+            step_labels = epoch_labels[:, start:stop]
             if k != g:
-                np.take(gathered[:, : stop - start], owners, axis=0, out=rows[:, : stop - start])
-            _, grads = loss_and_gradient(
-                cfg.layout, thetas, rows[:, : stop - start], epoch_labels[:, start:stop]
-            )
+                np.take(
+                    gathered[:, : stop - start], owners, axis=0, mode="clip",
+                    out=rows[:, : stop - start],
+                )
+                step_labels = step_labels[owners]
+            _, grads = loss_and_gradient(cfg.layout, thetas, rows[:, : stop - start], step_labels)
             # Scaled in place: the same IEEE products as ``rate * grads``,
             # without a fresh (k, P) array per step.
             np.multiply(grads, rate, out=grads)
@@ -297,23 +305,27 @@ class RoundOracle:
     of the recorded rounds before ``t`` followed by the members of round
     ``t`` that each mask selects, resolved against that round's stored
     updates (no retraining); ``evaluate(t, mask)`` is a batch of one.
-    Results are kept in one cache keyed by ``(t, mask)``, which is safe
-    because evaluation is deterministic, so every value rule run on one
-    oracle shares the utilities the others computed.
+    Results are kept in one cache, a pair of arrays per round: the masks
+    computed so far, ascending (int64 below 64 players, Python ints from
+    64 on, as ``mask_bits`` splits them), and their float64 utilities,
+    16 B a utility below 64 players. A call looks its masks up by binary
+    search and merges the ones it computes in. Caching is safe because
+    evaluation is deterministic, so every value rule run on one oracle
+    shares the utilities the others computed.
 
     Mask 0 is the stored incoming model and the full mask the stored
     outgoing one. ``evaluate_many`` hands all of a call's uncached proper
-    subsets to one kernel, chosen by architecture. Logits of a logistic
-    model are affine in its parameters, so a proper subset's logits are
-    the mean of its members' logits: those are computed once per call,
-    held class-major and dropped when it returns. The call's masks are
-    visited in bit-reversed order, so masks that share their low bits are
-    adjacent and reuse one partial sum per depth over those members; each
-    sum is still a left fold in bit (row) order, then divided by the
-    member count. The averages are counted in batches of at most
-    ``_UTILITY_SLICE_BYTES // 8`` bytes by ``count_label_at_max``, which
-    takes a label score at its row's single maximum as a hit and falls
-    back to argmax for a batch with a tie or NaN. The MLP
+    subsets, ascending, to one kernel, chosen by architecture. Logits of a
+    logistic model are affine in its parameters, so a proper subset's
+    logits are the mean of its members' logits: those are computed once
+    per call, held class-major and dropped when it returns. The call's
+    masks are visited in bit-reversed order, so masks that share their low
+    bits are adjacent and reuse one partial sum per depth over those
+    members; each sum is still a left fold in bit (row) order, then
+    divided by the member count. The averages are counted in batches of at
+    most ``_UTILITY_SLICE_BYTES // 8`` bytes by ``count_label_at_max``,
+    which takes a label score at its row's single maximum as a hit and
+    falls back to argmax for a batch with a tie or NaN. The MLP
     averages the members' parameters instead, in one stacked kernel: for
     a slice of masks, each mask's member rows are gathered in bit order
     and summed row by row, and the slice's averages run one stacked
@@ -361,7 +373,11 @@ class RoundOracle:
         self.records = list(records)
         self._features = features
         self._labels = labels
-        self._cache: dict[tuple[int, int], float] = {}
+        # Per round: the masks evaluated so far, ascending, and their utilities.
+        self._cache = [
+            (np.empty(0, mask_bits(len(record.selected)).dtype), np.empty(0))
+            for record in self.records
+        ]
 
     def players(self, round_index: int) -> tuple[int, ...]:
         if not 0 <= round_index < len(self.records):
@@ -377,39 +393,44 @@ class RoundOracle:
     def evaluate_many(self, round_index: int, masks: np.ndarray | Sequence[int]) -> np.ndarray:
         """Utilities of round ``round_index`` under each of ``masks``, in
         order; masks may repeat. Every mask is checked before any is
-        evaluated, and each distinct uncached mask is then computed once
-        into the cache."""
+        evaluated, and each distinct uncached mask is then computed once,
+        in ascending order; the call's utilities are cached only once all
+        of them are computed."""
         m = len(self.players(round_index))
         full = (1 << m) - 1
-        if isinstance(masks, np.ndarray):
-            masks = masks.tolist()  # cache keys stay Python ints
-        distinct = dict.fromkeys(masks)
-        for mask in distinct:
-            if not 0 <= mask <= full:
-                raise HistoryMismatchError(
-                    f"mask {mask:#x} selects outside the {m} participants of "
-                    f"round {round_index}"
-                )
-        record, cache = self.records[round_index], self._cache
-        subsets: list[int] = []
-        for mask in distinct:
-            if (round_index, mask) in cache:
-                continue
-            if mask == 0 or mask == full:
-                params = record.global_before if mask == 0 else record.global_after
-                cache[round_index, mask] = evaluate_utility(
-                    self._layout, params, self._features, self._labels
-                )
-            else:
-                subsets.append(mask)
-        if subsets:
-            logistic = self._layout.arch == "logistic"
-            kernel = self._averaged_logits_utilities if logistic else self._subset_utilities
-            for mask, value in zip(subsets, kernel(record, subsets)):
-                cache[round_index, mask] = value
-        return np.fromiter(
-            (cache[round_index, mask] for mask in masks), dtype=np.float64, count=len(masks)
-        )
+        cached, known = self._cache[round_index]
+        try:
+            queried = np.asarray(masks, dtype=cached.dtype)
+        except OverflowError:  # a mask beyond int64, so outside the round
+            queried = np.asarray(masks, dtype=object)
+        outside = (queried < 0) | (queried > full)
+        if outside.any():
+            raise HistoryMismatchError(
+                f"mask {int(queried[outside.argmax()]):#x} selects outside the {m} "
+                f"participants of round {round_index}"
+            )
+        distinct = np.sort(queried)
+        first = np.ones(len(distinct), dtype=bool)
+        first[1:] = distinct[1:] != distinct[:-1]
+        distinct = distinct[first]
+        # A mask is uncached where no cached mask equals it.
+        at = np.searchsorted(cached, distinct)
+        missing = np.searchsorted(cached, distinct, side="right") == at
+        new, at = distinct[missing], at[missing]
+        if len(new):
+            record = self.records[round_index]
+            utilities = np.empty(len(new))
+            ends = (new == 0) | (new == full)
+            for i in np.flatnonzero(ends):
+                params = record.global_before if new[i] == 0 else record.global_after
+                utilities[i] = evaluate_utility(self._layout, params, self._features, self._labels)
+            if not ends.all():
+                logistic = self._layout.arch == "logistic"
+                kernel = self._averaged_logits_utilities if logistic else self._subset_utilities
+                utilities[~ends] = kernel(record, new[~ends].tolist())
+            cached, known = np.insert(cached, at, new), np.insert(known, at, utilities)
+            self._cache[round_index] = cached, known
+        return known[np.searchsorted(cached, queried)]
 
     def _averaged_logits_utilities(self, record: RoundRecord, masks: list[int]) -> list[float]:
         """Logistic utilities of proper-subset ``masks`` of ``record``'s

@@ -154,8 +154,12 @@ def _row_max(scores: np.ndarray) -> np.ndarray:
 
 
 def _log_softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - _row_max(scores)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    """Log-probabilities of ``scores`` along the last axis, written over
+    ``scores`` and returned: each row is shifted by its maximum, then by
+    the log of its summed exponentials."""
+    scores -= _row_max(scores)
+    scores -= np.log(np.exp(scores).sum(axis=-1, keepdims=True))
+    return scores
 
 
 def loss_and_gradient(
@@ -182,18 +186,24 @@ def loss_and_gradient(
             f"({layout.param_count},) or (k, {layout.param_count})"
         )
     k, n = labels.shape
+    # Biases are added in place and the scores turned into log-probabilities
+    # in place: the same IEEE operations without a temporary per step.
     if layout.arch == "logistic":
         weights, bias = _unpack_logistic(layout, theta)
-        log_probs = _log_softmax(features @ weights + bias)
+        scores = features @ weights
+        scores += bias
     else:
         w1, b1, w2, b2 = _unpack_mlp(layout, theta)
-        pre = features @ w1 + b1
+        pre = features @ w1
+        pre += b1
         hidden = np.maximum(pre, 0.0)
-        log_probs = _log_softmax(hidden @ w2 + b2)
+        scores = hidden @ w2
+        scores += b2
+    log_probs = _log_softmax(scores)
     # Flat position of each sample's label score in the (k, n, c) array.
     picks = np.arange(0, k * n * layout.n_classes, layout.n_classes).reshape(k, n) + labels
     losses = -log_probs.reshape(-1)[picks].sum(axis=1) / n
-    delta = np.exp(log_probs)
+    delta = np.exp(log_probs, out=log_probs)
     delta.reshape(-1)[picks] -= 1.0
     delta /= n
     # Each gradient block is written straight into its place in the layout.
@@ -226,14 +236,12 @@ def count_label_at_max(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
     the first one on ties, is their label's.
 
     Where every sample has exactly one maximum and no NaN, a sample is a hit
-    when its label's score equals the chain of elementwise maxima over the
-    class rows, which skips argmax's per-sample overhead. A tie or NaN
-    anywhere in the batch sends it to argmax, whose first-index and NaN
-    rules then decide."""
+    when its label's score equals its maximum, which skips argmax's
+    per-sample overhead. The maximum is only compared, so which zero it
+    is does not matter. A tie or NaN anywhere in the batch sends it to
+    argmax, whose first-index and NaN rules then decide."""
     b, c, n = scores.shape
-    top = scores[:, 0].copy()
-    for row in range(1, c):
-        np.maximum(top, scores[:, row], out=top)
+    top = scores.max(axis=1)
     at_top = scores == top[:, None]
     if np.count_nonzero(at_top) == b * n and not np.isnan(top).any():
         # Flat position of each sample's label score in a (c, n) slice.

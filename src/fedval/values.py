@@ -91,15 +91,6 @@ def normalize_round_values(vector: ValueVector) -> ValueVector:
     )
 
 
-def _popcounts(n_masks: int) -> np.ndarray:
-    sizes = np.zeros(n_masks, dtype=np.int64)
-    block = 1
-    while block < n_masks:
-        sizes[block : 2 * block] = sizes[:block] + 1
-        block *= 2
-    return sizes
-
-
 def mask_bits(m: int) -> np.ndarray:
     """Bit ``b`` of a round's subset masks, for ``b`` in ``0..m-1``.
 
@@ -133,7 +124,7 @@ def exact_federated_round_shapley(oracle: UtilityOracle, round_index: int) -> Va
         )
     masks = np.arange(1 << m)
     utilities = oracle.evaluate_many(round_index, masks)
-    sizes = _popcounts(1 << m)
+    sizes = np.bitwise_count(masks)
     weight_by_size = np.array(
         [1.0 / (m * math.comb(m - 1, s)) for s in range(m)], dtype=np.float64
     )

@@ -11,8 +11,10 @@ from typing import Callable, Collection, Iterable, Mapping, Sequence
 import numpy as np
 import pytest
 
+from fedval import engine
 from fedval.config import TrainingConfig
 from fedval.datasets import Dataset, PartitionPlan
+from fedval.engine import RoundOracle
 from fedval.models import ModelLayout
 from fedval.values import (
     _RECORD_HEADER,
@@ -366,3 +368,27 @@ def read_value_records(path: str | Path) -> ValuationReport:
         for t in range(len(rounds))
     ]
     return build_report(per_round, [deltas[t] for t in range(len(rounds))], initial)
+
+
+def record_evaluations(monkeypatch: pytest.MonkeyPatch) -> list:
+    """The utilities ``RoundOracle`` computes from here on, in order:
+    "endpoint" per stored model it evaluates, and the list of masks it
+    hands a subset kernel per call."""
+    evaluated: list = []
+    endpoint = engine.evaluate_utility
+
+    def counted_endpoint(*args):
+        evaluated.append("endpoint")
+        return endpoint(*args)
+
+    def counted(kernel):
+        def run(self, record, masks):
+            evaluated.append(list(masks))
+            return kernel(self, record, masks)
+
+        return run
+
+    monkeypatch.setattr(engine, "evaluate_utility", counted_endpoint)
+    for name in ("_averaged_logits_utilities", "_subset_utilities"):
+        monkeypatch.setattr(RoundOracle, name, counted(getattr(RoundOracle, name)))
+    return evaluated

@@ -239,8 +239,10 @@ class TestCli:
         ("summarize", None),
     ])
     def test_protocol_manifests_record_the_method(self, tmp_path, command, corruption):
+        # Detection refuses the setting (test_detection_refuses_normalized).
+        summarize = command == "summarize"
         doc = base_doc(
-            valuation={"method": "permutation", "approx": APPROX, "normalized": True},
+            valuation={"method": "permutation", "approx": APPROX, "normalized": summarize},
             experiment={"dismiss_fractions": [0.0, 0.5], "random_repeats": 1},
         )
         if corruption is not None:
@@ -250,7 +252,7 @@ class TestCli:
         details = manifest_details(out)
         assert details["valuation_method"] == "permutation"
         # Only summarize ranks by the setting; detection reports both forms.
-        assert details.get("normalized") is (True if command == "summarize" else None)
+        assert details.get("normalized") is (True if summarize else None)
 
     def test_noisy_detect_outputs(self, tmp_path):
         path = write_config(tmp_path, base_doc(
@@ -480,6 +482,18 @@ class TestRefusedSettings:
         assert main([*argv, "--out", str(out)]) == 1
         assert not out.exists()
         assert "valuation.method:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", PROTOCOLS[:2])
+    def test_detection_refuses_normalized(self, tmp_path, capsys, command):
+        """Detection writes both the raw and the _norm curves, so a
+        normalized setting would be silently ignored."""
+        backdoor = command == "backdoor-detect"
+        name = "backdoor_detection.yaml" if backdoor else "noisy_detection_iid.yaml"
+        doc = shipped_doc(name, **{"valuation.normalized": True})
+        out = tmp_path / "out"
+        assert main([command, "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "valuation.normalized:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value, path", [
         ("target_label", 7, "corruption.target_label"),

@@ -25,7 +25,7 @@ from fedval.estimators import ApproxParams, permutation_sampling_round
 from fedval.models import ModelLayout, loss_and_gradient
 from fedval.values import exact_federated_round_shapley, value_record_lines
 
-from conftest import index_shards, training
+from conftest import index_shards, record_evaluations, training
 
 
 def small_setup(seed=7, participants=6, classes=3, samples=480):
@@ -268,13 +268,22 @@ class TestRoundOracle:
                 oracle.evaluate(0, mask)
 
     @pytest.mark.parametrize("arch", ["logistic", "mlp"])
-    def test_batch_checked_before_any_evaluation(self, arch):
+    def test_batch_checked_before_any_evaluation(self, arch, monkeypatch):
         layout, _, records, val = recorded_run(arch)
         oracle = RoundOracle(layout, records, *val)
         m = len(records[0].selected)
+        full = (1 << m) - 1
+        evaluated = record_evaluations(monkeypatch)
         with pytest.raises(HistoryMismatchError, match="participants of round 0"):
-            oracle.evaluate_many(0, [0, 1, (1 << m) - 1, 1 << m])
-        assert oracle._cache == {}
+            oracle.evaluate_many(0, [0, 1, full, 1 << m])
+        # The first bad mask in call order is named, whatever its size.
+        for batch, bad in [([1, 1 << (m + 1), 1 << m], 1 << (m + 1)), ([1, 1 << 70, -1], 1 << 70)]:
+            with pytest.raises(HistoryMismatchError, match=f"mask {bad:#x} selects"):
+                oracle.evaluate_many(0, batch)
+        assert evaluated == []
+        # Nothing was cached: the valid masks are all computed afterwards.
+        oracle.evaluate_many(0, [full, 1, 0])
+        assert evaluated == ["endpoint", "endpoint", [1]]
         # The oracle's own refusal reaches the value function's caller.
         with pytest.raises(HistoryMismatchError, match=f"round {len(records)} was not recorded"):
             permutation_sampling_round(oracle, len(records), records[0].selected, 5, 0)
@@ -337,20 +346,12 @@ class TestSharedOracle:
 
     @pytest.mark.parametrize("arch", ["logistic", "mlp"])
     def test_loo_after_exact_is_all_cache_hits(self, arch, monkeypatch):
-        import fedval.engine as engine_module
-
         layout, cfg, records, val = recorded_run(arch)
         oracle = RoundOracle(layout, records, *val)
         value_rounds(oracle, "exact", seed=cfg.seed)
-        cached = dict(oracle._cache)
-
-        def uncached(*args):
-            raise AssertionError("LOO after exact recomputed a utility")
-
-        monkeypatch.setattr(engine_module, "evaluate_utility", uncached)
-        monkeypatch.setattr(engine_module, "logits", uncached)
+        evaluated = record_evaluations(monkeypatch)
         value_rounds(oracle, "loo", seed=cfg.seed)
-        assert oracle._cache == cached
+        assert evaluated == []
 
 
 class TestFederatedTraining:

@@ -132,7 +132,10 @@ def test_label_at_max_count_is_the_argmax_count(shape, seed, special_share):
     # takes the NaN's index in one and the first maximum in the other.
     ([[np.nan, 1.0], [2.0, 2.0]], [0, 0]),
     ([[1.0, np.nan], [-np.inf, -np.inf]], [1, 0]),
-], ids=["unique", "ties", "nan_beside_tie", "nan_beside_infinite_tie"])
+    # One maximum a row, a zero: -0.0 in one class, +0.0 in another. The
+    # row maximum may be either zero; both compare equal to the label's.
+    ([[-0.0, -1.0, -2.0], [-1.0, 0.0, -3.0], [-2.0, 0.0, -1.0]], [0, 1, 2]),
+], ids=["unique", "ties", "nan_beside_tie", "nan_beside_infinite_tie", "signed_zero_maxima"])
 def test_label_at_max_count_keeps_argmax_rules(rows, labels):
     scores = np.array(rows).T[None].copy()
     labels = np.array(labels)

@@ -15,9 +15,11 @@ draw, bitwise as its per-mask lookups.
 
 from __future__ import annotations
 
+import gc
 import math
 import sys
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -41,7 +43,7 @@ from fedval.estimators import (
 from fedval.models import ModelLayout, accuracy_from_logits, logits
 from fedval.values import exact_federated_round_shapley, federated_loo_round
 
-from conftest import exact_shapley_permutation_form, random_table_game
+from conftest import exact_shapley_permutation_form, random_table_game, record_evaluations
 from test_datasets import traced_peak
 
 TIE_RTOL = 1e-12
@@ -305,10 +307,12 @@ def mlp_round(m=6, samples=30):
     return layout, records, features, labels
 
 
-def test_worker_exception_leaves_the_call_uncached():
+def test_worker_exception_leaves_the_call_uncached(monkeypatch):
     layout, records, features, labels = mlp_round()
     oracle = RoundOracle(layout, records, features, labels)
     subsets = list(range(1, (1 << 6) - 1))
+    # With the full mask, an endpoint evaluated before the kernel runs.
+    masks = [*subsets, (1 << 6) - 1]
     failure = KeyError("worker failed")
     forward, calls, lock = engine.mlp_logits_into, [], threading.Lock()
 
@@ -324,16 +328,19 @@ def test_worker_exception_leaves_the_call_uncached():
             mock.patch.object(engine, "_utility_workers", lambda: 3), \
             mock.patch.object(engine, "mlp_logits_into", fail_fifth):
         with pytest.raises(KeyError) as info:
-            oracle.evaluate_many(0, subsets)
+            oracle.evaluate_many(0, masks)
     assert info.value is failure
-    assert oracle._cache == {}
     assert threading.active_count() == threads
     # Workers stop taking slices once one has raised.
     assert len(calls) < len(subsets)
     reference = AggregateSubsetOracle(layout, records[0], features, labels)
-    assert oracle.evaluate_many(0, subsets).tolist() == [
-        reference.evaluate(0, mask) for mask in subsets
+    handed = record_evaluations(monkeypatch)
+    assert oracle.evaluate_many(0, masks).tolist() == [
+        reference.evaluate(0, mask) for mask in masks
     ]
+    # None of the failed call's utilities was cached: not the endpoint's,
+    # nor those of the slices that completed.
+    assert handed == ["endpoint", subsets]
 
 
 def test_more_workers_than_cpus_fill_every_slice():
@@ -456,10 +463,15 @@ def test_estimates_unchanged_by_deduplicated_masks(seed, m, samples, epsilon):
     assert grouped.values == _reference_group_testing(game, ids, plan, seed)
 
 
-def test_oracle_evaluates_distinct_masks_in_order_of_appearance():
+@pytest.mark.parametrize("m, batch", [
+    (4, np.array([7, 0, 3, 7, 0, 5])),
+    # Python ints: these masks do not fit in int64.
+    (70, [(1 << 69) | 1, 0, 1 << 63, (1 << 69) | 1, 6]),
+], ids=["int64", "python_ints"])
+def test_oracle_evaluates_each_uncached_mask_once_ascending(m, batch):
     rng = np.random.default_rng(4)
     layout = ModelLayout("mlp", 3, 3, hidden_units=4)
-    records = random_records(rng, layout, 1, 4, quantized=False)
+    records = random_records(rng, layout, 1, m, quantized=False)
     features = rng.normal(size=(20, 3))
     labels = rng.integers(0, 3, size=20)
     reference = AggregateSubsetOracle(layout, records[0], features, labels)
@@ -468,22 +480,56 @@ def test_oracle_evaluates_distinct_masks_in_order_of_appearance():
     calls = []
 
     def counted(self, record, masks):
-        calls.append(list(masks))
-        if len(calls) > 1:
+        calls.append(masks)
+        if len(calls) > 2:
             raise KeyError("backend gone")
         return subset_utilities(self, record, masks)
 
-    batch = [3, 0, 3, 7, 0]
+    proper = sorted({int(mask) for mask in batch} - {0})
     with mock.patch.object(RoundOracle, "_subset_utilities", counted):
-        got = oracle.evaluate_many(0, np.array(batch))
+        got = oracle.evaluate_many(0, batch)
         assert got.tolist() == [reference.evaluate(0, mask) for mask in batch]
-        # Proper subsets 3 and 7, once each, in one call; cache keys stay
-        # Python ints.
-        assert calls == [[3, 7]]
-        assert all(type(mask) is int for _, mask in oracle._cache)
+        # Each proper subset once, ascending, in one call, as Python ints.
+        assert calls == [proper]
+        assert all(type(mask) is int for mask in calls[0])
+        # Cached masks reach no kernel; only the new one does.
+        again = [proper[-1], 0, 9, proper[0]]
+        assert oracle.evaluate_many(0, again).tolist() == [
+            reference.evaluate(0, mask) for mask in again
+        ]
+        assert calls == [proper, [9]]
         # The kernel's own error reaches the caller.
         with pytest.raises(KeyError):
             oracle.evaluate_many(0, [1])
+
+
+def test_oracle_holds_sixteen_bytes_per_cached_utility():
+    """A round's cache is an int64 mask and a float64 utility per mask it
+    has computed, in two arrays, so exact SV grows an oracle by 16 B per
+    utility. Each round may add up to 1 KiB for its arrays' headers."""
+    m, rounds = 10, 2
+    rng = np.random.default_rng(7)
+    layout = ModelLayout("logistic", 3, 3)
+    records = random_records(rng, layout, rounds, m, quantized=False)
+    features = rng.normal(size=(50, 3))
+    labels = rng.integers(0, 3, size=50)
+    tracemalloc.start()
+    try:
+        # A first oracle fills the interpreter's and numpy's free lists
+        # with traced blocks, which the measured one then reuses.
+        exact_federated_round_shapley(RoundOracle(layout, records, features, labels), 0)
+        oracle = RoundOracle(layout, records, features, labels)
+        # Collected on both sides, so that garbage in reference cycles,
+        # which no one holds, is not counted.
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for t in range(rounds):
+            exact_federated_round_shapley(oracle, t)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= 16 * rounds * (1 << m) + 1024 * rounds
 
 
 def test_logistic_member_logits_live_for_one_call():
