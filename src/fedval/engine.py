@@ -10,6 +10,7 @@ the training trajectory.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import math
 import os
@@ -136,7 +137,8 @@ def _lockstep_sgd(
     into one (k, b, d) array and takes one stacked gradient step. Features
     are gathered through the composed orders into reused buffers, never
     copied for whole shards; the (g, n) labels once per epoch, and each
-    step's (k, b) labels from them.
+    step's (k, b) labels from them. Every step writes its gradients into
+    one (k, P) array of the call.
     """
     k, g = len(owners), len(shards)
     n, width = len(shards[0]), features.shape[1]
@@ -147,6 +149,7 @@ def _lockstep_sgd(
     gathered = np.empty((g, batch, width), features.dtype)
     # Owners are numbered by first appearance, so k == g means one row each.
     rows = gathered if k == g else np.empty((k, batch, width), gathered.dtype)
+    grads = np.empty_like(thetas)
     for _ in range(cfg.local_epochs):
         orders = [idx[rng.permutation(n)] for idx, rng in zip(shards, rngs)]
         epoch_labels = np.stack([labels[order] for order in orders])
@@ -165,9 +168,11 @@ def _lockstep_sgd(
                     out=rows[:, : stop - start],
                 )
                 step_labels = step_labels[owners]
-            _, grads = loss_and_gradient(cfg.layout, thetas, rows[:, : stop - start], step_labels)
+            loss_and_gradient(
+                cfg.layout, thetas, rows[:, : stop - start], step_labels, out=grads
+            )
             # Scaled in place: the same IEEE products as ``rate * grads``,
-            # without a fresh (k, P) array per step.
+            # in the one (k, P) gradient array of the call.
             np.multiply(grads, rate, out=grads)
             thetas -= grads
     return thetas
@@ -285,14 +290,17 @@ def evaluate_utility(
     return accuracy(layout, params, features, labels)
 
 
-# Bound on the bytes one slice of a round's MLP subset utilities works in
-# (see ``RoundOracle._subset_utilities``), per worker thread: each worker
-# holds arrays of this size, which keep its slices within its core's L2
-# cache (2 MB on the 2-core Xeon this was tuned on). Results do not
-# depend on it, nor on the number of workers. An eighth of it bounds one
-# batch of logistic subset utilities (``_averaged_logits_utilities``),
-# whose walk also holds the member logits and their partial sums: a whole
-# slice per batch was no faster and raised peak memory.
+# Bound on the bytes the stages of one slice of a round's MLP subset
+# utilities write (see ``RoundOracle._subset_utilities``), per worker
+# thread, which keeps its slices within its core's L2 cache (2 MB on the
+# 2-core Xeon this was tuned on). A worker holds less: per mask of a slice
+# an average and its scores, and one buffer that the gathered member rows,
+# the hidden activations, and the argmax and hits take in turn. Results
+# do not depend on it, nor on the number of workers. An eighth of it
+# bounds one batch of logistic subset utilities
+# (``_averaged_logits_utilities``), whose walk also holds the member
+# logits and their partial sums: a whole slice per batch was no faster
+# and raised peak memory.
 _UTILITY_SLICE_BYTES = 2 << 20
 
 
@@ -330,9 +338,11 @@ class RoundOracle:
     a slice of masks, each mask's member rows are gathered in bit order
     and summed row by row, and the slice's averages run one stacked
     forward pass. Slices are bounded by ``_UTILITY_SLICE_BYTES`` and run
-    on one thread per CPU the process may use. Each MLP utility is
-    bitwise the accuracy of ``aggregate_subset``'s average, whichever
-    thread runs it.
+    on one thread per CPU the process may use. Each thread holds the
+    averages and scores of a slice, and one buffer that its stages share
+    by lifetime: the gathered rows, then the hidden activations, then the
+    argmax and hits. Each MLP utility is bitwise the accuracy of
+    ``aggregate_subset``'s average, whichever thread runs it.
     """
 
     def __init__(
@@ -490,8 +500,9 @@ class RoundOracle:
         # largest subset. Adding zero changes a sum at most in the sign of
         # a zero, which no score comparison sees.
         updates = np.concatenate([record.updates, np.zeros((1, size))])
-        # Bytes per mask: its gathered rows and average, then per sample
-        # its hidden activations, scores and argmax.
+        # Bytes per mask that a slice's stages write: its gathered rows and
+        # their average, then per sample its hidden activations, scores and
+        # argmax. A worker holds less, as its stages share a buffer.
         per_mask = 8 * ((m + 1) * size + n * (h + c + 1))
         step = max(1, _UTILITY_SLICE_BYTES // per_mask)
         firsts = range(0, len(masks), step)
@@ -500,10 +511,16 @@ class RoundOracle:
 
         def worker() -> Callable[[int], None]:
             # Allocated here, in the calling thread: each worker writes
-            # every slice into a prefix of its own arrays.
-            gathered, averaged = np.empty(width * m * size), np.empty(width * size)
-            hidden, scores = np.empty(width * n * h), np.empty(width * n * c)
-            best, hits = np.empty(width * n, dtype=np.intp), np.empty(width * n, dtype=bool)
+            # every slice into a prefix of its own arrays, the averages,
+            # the scores and one buffer shared by lifetime. The gathered
+            # member rows fill it, the hidden activations overwrite them
+            # once they are summed, and the argmax, then the hits in the
+            # bytes after it, overwrite the activations once the scores
+            # are taken. With one hidden unit the argmax and hits (9 B a
+            # sample) outgrow the activations (8 B).
+            averaged, scores = np.empty(width * size), np.empty(width * n * c)
+            shared = np.empty(width * max(m * size, n * h, (9 * n + 7) // 8))
+            best, hits = shared.view(np.intp), shared.view(bool)
 
             def run(first: int) -> None:
                 chunk = np.array(masks[first : first + step], dtype=bits.dtype)
@@ -513,15 +530,15 @@ class RoundOracle:
                 rows = np.sort(np.where(members, np.arange(m), m), axis=1)[:, : counts.max()]
                 stacked = np.take(
                     updates, rows, axis=0, mode="clip",
-                    out=_prefix(gathered, *rows.shape, size),
+                    out=_prefix(shared, *rows.shape, size),
                 )
                 params = np.sum(stacked, axis=1, out=_prefix(averaged, k, size))
                 params /= counts[:, None]
                 out = mlp_logits_into(
-                    layout, params, features, _prefix(hidden, k, n, h), _prefix(scores, k, n, c)
+                    layout, params, features, _prefix(shared, k, n, h), _prefix(scores, k, n, c)
                 )
                 chosen = np.argmax(out, axis=2, out=_prefix(best, k, n))
-                right = np.equal(chosen, labels, out=_prefix(hits, k, n))
+                right = np.equal(chosen, labels, out=_prefix(hits[chosen.nbytes :], k, n))
                 np.divide(np.count_nonzero(right, axis=1), n, out=utilities[first : first + k])
 
             return run
@@ -547,9 +564,10 @@ def _utility_workers() -> int:
 def _run_on_threads(tasks: Sequence[int], workers: Sequence[Callable[[int], None]]) -> None:
     """Call one of ``workers`` on each of ``tasks``, every worker on its own
     thread and the first on the calling one, so a single worker starts no
-    thread. Workers take tasks in order until none is left or one has
-    raised; every thread is joined before the first exception raised is
-    re-raised, unchanged."""
+    thread. Each started thread runs in a copy of the caller's context, so
+    a caller's ``np.errstate`` holds on every thread. Workers take tasks in
+    order until none is left or one has raised; every thread is joined
+    before the first exception raised is re-raised, unchanged."""
     pending = iter(tasks)
     lock = threading.Lock()
     errors: list[BaseException] = []
@@ -566,7 +584,10 @@ def _run_on_threads(tasks: Sequence[int], workers: Sequence[Callable[[int], None
             with lock:
                 errors.append(error)
 
-    threads = [threading.Thread(target=drain, args=(worker,)) for worker in workers[1:]]
+    threads = [
+        threading.Thread(target=contextvars.copy_context().run, args=(drain, worker))
+        for worker in workers[1:]
+    ]
     for thread in threads:
         thread.start()
     try:

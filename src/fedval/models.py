@@ -167,6 +167,8 @@ def loss_and_gradient(
     theta: np.ndarray,
     features: np.ndarray,
     labels: np.ndarray,
+    *,
+    out: np.ndarray | None = None,
 ) -> tuple[float | np.ndarray, np.ndarray]:
     """Mean cross-entropy and its gradient with respect to ``theta``.
 
@@ -174,12 +176,15 @@ def loss_and_gradient(
     ``theta`` (k, P), ``features`` (k, b, d) and ``labels`` (k, b) give
     losses (k,) and gradients (k, P). Every slice runs the same 2-D
     products and reductions as the flat call, which is the k = 1 case,
-    so each is bitwise what the flat call on that slice returns.
+    so each is bitwise what the flat call on that slice returns. The
+    gradient is written into ``out``, a C-contiguous float64 array shaped
+    as ``theta``, when one is given, and into a new array otherwise.
     """
     theta = np.asarray(theta, dtype=np.float64)
     flat = theta.ndim == 1
     if flat:
         theta, features, labels = theta[None], features[None], labels[None]
+        out = None if out is None else out[None]
     if theta.ndim != 2 or theta.shape[1] != layout.param_count:
         raise ValueError(
             f"parameter array has shape {theta.shape}, layout needs "
@@ -207,7 +212,7 @@ def loss_and_gradient(
     delta.reshape(-1)[picks] -= 1.0
     delta /= n
     # Each gradient block is written straight into its place in the layout.
-    grad = np.empty_like(theta)
+    grad = np.empty_like(theta) if out is None else out
     if layout.arch == "logistic":
         grad_weights, grad_bias = _unpack_logistic(layout, grad)
         np.matmul(features.transpose(0, 2, 1), delta, out=grad_weights)

@@ -153,13 +153,23 @@ def test_stacked_gradient_is_the_flat_gradient_per_slice(layout, k, n, seed):
     labels = rng.integers(0, layout.n_classes, size=(k, n))
     losses, grads = loss_and_gradient(layout, thetas, features, labels)
     assert losses.shape == (k,) and grads.shape == (k, layout.param_count)
+    # A caller's gradient array is written in full and returned.
+    out = np.full_like(thetas, np.nan)
+    out_losses, out_grads = loss_and_gradient(layout, thetas, features, labels, out=out)
+    assert out_grads is out
+    assert out_losses.tobytes() == losses.tobytes() and out.tobytes() == grads.tobytes()
     for i in range(k):
         loss, grad = loss_and_gradient(layout, thetas[i], features[i], labels[i])
         plain_loss, plain_grad = plain_loss_and_gradient(
             layout, thetas[i], features[i], labels[i]
         )
-        assert losses[i] == loss == plain_loss
+        flat_out = np.full(layout.param_count, np.nan)
+        out_loss, out_grad = loss_and_gradient(
+            layout, thetas[i], features[i], labels[i], out=flat_out
+        )
+        assert losses[i] == loss == plain_loss == out_loss
         assert grads[i].tobytes() == grad.tobytes() == plain_grad.tobytes()
+        assert np.shares_memory(out_grad, flat_out) and flat_out.tobytes() == grad.tobytes()
 
 
 def test_training_round_stacks_at_most_one_slice():

@@ -20,6 +20,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -237,6 +238,44 @@ def test_logistic_call_holds_member_logits_partial_sums_and_one_batch():
     assert peak < bookkeeping + 2 * member_logits + engine._UTILITY_SLICE_BYTES // 8
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_mlp_call_holds_an_average_scores_and_one_shared_buffer_per_worker(workers):
+    m, (d, h, c), n = 20, (20, 16, 4), 1_000
+    rng = np.random.default_rng(8)
+    layout = ModelLayout("mlp", d, c, hidden_units=h)
+    records = random_records(rng, layout, 1, m, quantized=False)
+    features = rng.normal(size=(n, d))
+    labels = rng.integers(0, c, size=n)
+    masks = rng.integers(1, (1 << m) - 1, size=200).tolist()
+
+    def call():
+        return RoundOracle(layout, records, features, labels).evaluate_many(0, masks)
+
+    def stub(self, record, subsets):
+        return np.zeros(len(subsets)).tolist()
+
+    with mock.patch.object(engine, "_utility_workers", lambda: workers):
+        with mock.patch.object(RoundOracle, "_subset_utilities", stub):
+            _, bookkeeping = traced_peak(call)
+        _, peak = traced_peak(call)
+    size = layout.param_count
+    # A slice takes as many masks as fit the bound at the bytes its stages
+    # write per mask: 8 at this shape.
+    slice_masks = engine._UTILITY_SLICE_BYTES // (8 * ((m + 1) * size + n * (h + c + 1)))
+    # Per mask of a slice, a worker holds its average, its scores, and its
+    # share of one buffer that the gathered member rows, the hidden
+    # activations, and the argmax and hits (9 B a sample) take in turn.
+    # Six arrays per worker would hold 1.9 MB at this shape, not 1.3 MB.
+    worker = slice_masks * 8 * (size + max(m * size, n * h, math.ceil(9 * n / 8)) + n * c)
+    # Beside them: the updates with the zero padding row, once per call,
+    # and per worker the cast buffer numpy counts a slice's hits through
+    # (np.getbufsize() 8-byte elements), a slice's few (k, m) index
+    # arrays and its thread's own objects, within 16 KiB.
+    padded = (m + 1) * size * 8
+    extra = 8 * np.getbufsize() + 16 * 1024
+    assert peak < bookkeeping + padded + workers * (worker + extra)
+
+
 mlp_round_shapes = st.fixed_dictionaries({
     "seed": st.integers(0, 2**32 - 1),
     "features": st.integers(1, 12),
@@ -341,6 +380,29 @@ def test_worker_exception_leaves_the_call_uncached(monkeypatch):
     # None of the failed call's utilities was cached: not the endpoint's,
     # nor those of the slices that completed.
     assert handed == ["endpoint", subsets]
+
+
+def test_worker_threads_keep_the_callers_error_state():
+    """Updates at 1e200 overflow the MLP's products. Under the caller's
+    ``np.errstate`` that ignores it, no thread warns, and two threads give
+    the serial utilities."""
+    rng = np.random.default_rng(9)
+    m, layout = 12, ModelLayout("mlp", 20, 4, hidden_units=16)
+    updates = rng.normal(scale=1e200, size=(m, layout.param_count))
+    record = RoundRecord(0, updates[0].copy(), tuple(range(m)), updates, updates[1].copy())
+    features = rng.normal(size=(1_000, 20))
+    labels = rng.integers(0, 4, size=1_000)
+    oracle = RoundOracle(layout, [record], features, labels)
+    masks = list(range(1, (1 << m) - 1))
+    got = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore", invalid="ignore"), \
+                mock.patch.object(engine, "_UTILITY_SLICE_BYTES", 0):
+            for workers in (1, 2):
+                with mock.patch.object(engine, "_utility_workers", lambda: workers):
+                    got[workers] = oracle._subset_utilities(record, masks)
+    assert got[2] == got[1]
 
 
 def test_more_workers_than_cpus_fill_every_slice():
