@@ -7,7 +7,7 @@ import gzip
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO, Callable
+from typing import TYPE_CHECKING, BinaryIO, Callable, Sequence
 
 import numpy as np
 
@@ -63,18 +63,26 @@ def synth_blobs(
     *,
     held: np.ndarray | None = None,
     split: int | None = None,
-) -> Dataset | tuple[Dataset, Callable[[], Dataset]]:
+    out: np.ndarray | None = None,
+    deferred: Sequence[np.ndarray] = (),
+) -> Dataset | tuple[Dataset, list[Redraw], Callable[[], Dataset]]:
     """Gaussian class clusters at random unit directions scaled by ``separation``.
 
     Labels are assigned round-robin, so class priors are uniform to
     within one sample. Only the rows ``held`` (ascending row indices; all
-    rows by default) come back, bitwise as one full draw gives them. The
-    noise is drawn in row chunks of at most ``_CHUNK_BYTES``, runs of held
-    rows straight into the returned arrays, other rows into one reused
-    buffer and dropped. With ``split``, ``held`` indexes the rows before
-    ``split``, and all rows from it on come back as a cached callable that
-    draws them on its first call, continuing the generator where the first
-    part stopped, into separate arrays.
+    rows by default) come back, bitwise as one full draw gives them, in
+    ``out`` when it is given. The noise is drawn in row chunks of at most
+    ``_CHUNK_BYTES``, each cut into pieces of consecutive rows of one kind:
+    held rows are drawn straight into their rows, other rows into one
+    reused buffer and dropped. Each array of ``deferred`` (ascending rows,
+    apart from ``held`` and from each other) is dropped too, but the
+    generator's state is recorded at each of its pieces, so that its
+    ``Redraw`` draws those rows again, bitwise, into the slots a caller
+    gives it. With ``split``, ``held`` and ``deferred`` index the rows
+    before ``split``, and the call returns the held rows, the redraws in
+    ``deferred``'s order, and all rows from ``split`` on as a cached
+    callable that draws them on its first call, continuing the generator
+    where the first part stopped, into separate arrays.
     """
     if samples < class_count:
         raise ValueError("need at least one sample per class")
@@ -92,39 +100,86 @@ def synth_blobs(
     centers = separation * directions
     step = max(1, _CHUNK_BYTES // (8 * features))
     dropped = np.empty((0, features))
+    # Redraws rebuild each recorded state from this one: a blobs draw
+    # takes 64-bit outputs only, so only the 128-bit state moves.
+    template = rng.bit_generator.state
 
-    def rows(lo: int, hi: int, index: np.ndarray) -> Dataset:
-        # Rows ``index`` of the generator's next rows lo..hi.
+    def rows(
+        lo: int, hi: int, index: np.ndarray, points: np.ndarray | None,
+        deferred: Sequence[np.ndarray],
+    ) -> tuple[Dataset, list[Redraw]]:
+        # Rows ``index`` of the generator's next rows lo..hi, into
+        # ``points`` or a new array.
         nonlocal dropped
-        points = np.empty((len(index), features))
+        if points is None:
+            points = np.empty((len(index), features))
+        elif points.shape != (len(index), features):
+            raise ValueError(f"out has shape {points.shape}, not one row per held row")
+        # Each row's kind: 0 held, g + 1 in deferred[g], -1 dropped.
+        kind = np.full(hi - lo, -1, np.int32)
+        kind[index - lo] = 0
+        for g, group in enumerate(deferred):
+            kind[group - lo] = g + 1
+        runs: list[list[tuple[int, int, int]]] = [[] for _ in deferred]
+        filled = 0
         for first in range(lo, hi, step):
             last = min(first + step, hi)
-            a, b = np.searchsorted(index, (first, last))
-            kept = index[a:b]
-            # Cut the chunk at each end of a run of held rows, so that each
-            # piece is held whole, drawn straight into its rows, or dropped.
-            runs = np.flatnonzero(np.diff(kept) != 1) + 1
-            ends = (kept[np.r_[0, runs]], kept[np.r_[runs - 1, -1]] + 1) if b > a else ()
-            cuts = np.sort(np.concatenate(([first], *ends, [last])))
-            at = (np.searchsorted(kept, cuts) + a).tolist()
-            for start, stop, i, j in zip(cuts.tolist(), cuts[1:].tolist(), at, at[1:]):
-                if j > i:
-                    piece = points[i:j]
-                    rng.standard_normal(out=piece)
-                    # Row start + k is of class (start + k) % class_count.
-                    for k in range(min(class_count, j - i)):
-                        piece[k::class_count] += centers[(start + k) % class_count]
-                elif stop > start:
-                    if len(dropped) < stop - start:
-                        dropped = np.empty((stop - start, features))
-                    rng.standard_normal(out=dropped[: stop - start])
-        return Dataset(points, index % class_count, class_count)
+            part = kind[first - lo : last - lo]
+            cuts = [first, *(np.flatnonzero(part[1:] != part[:-1]) + first + 1).tolist(), last]
+            for start, stop in zip(cuts, cuts[1:]):
+                g = part[start - first]
+                if g == 0:
+                    _draw_rows(rng, points[filled : filled + stop - start], start, centers)
+                    filled += stop - start
+                    continue
+                if g > 0:
+                    runs[g - 1].append((start, stop, rng.bit_generator.state["state"]["state"]))
+                if len(dropped) < stop - start:
+                    dropped = np.empty((stop - start, features))
+                rng.standard_normal(out=dropped[: stop - start])
+        redraws = [Redraw(template, group, centers) for group in runs]
+        return Dataset(points, index % class_count, class_count), redraws
 
+    head, redraws = rows(0, end, index, out, deferred)
     if split is None:
-        return rows(0, samples, index)
-    head = rows(0, split, index)
-    tail = functools.partial(rows, split, samples, np.arange(split, samples))
-    return head, functools.cache(tail)
+        return head
+    tail = functools.partial(rows, split, samples, np.arange(split, samples), None, ())
+    return head, redraws, functools.cache(lambda: tail()[0])
+
+
+def _draw_rows(rng: np.random.Generator, piece: np.ndarray, start: int, centers: np.ndarray) -> None:
+    """Rows ``start`` on of a blobs draw into ``piece``: the generator's
+    next noise, plus each row's class center."""
+    rng.standard_normal(out=piece)
+    class_count = len(centers)
+    # Row start + k is of class (start + k) % class_count.
+    for k in range(min(class_count, len(piece))):
+        piece[k::class_count] += centers[(start + k) % class_count]
+
+
+@dataclass(frozen=True)
+class Redraw:
+    """Rows of a blobs draw that were dropped when it was made, drawn
+    again on demand: ``runs`` holds, per piece of consecutive rows, its
+    first and end row and the generator's 128-bit state where it began."""
+
+    template: dict
+    runs: list[tuple[int, int, int]]
+    centers: np.ndarray
+
+    def __call__(self, out: np.ndarray, slots: np.ndarray) -> None:
+        """Draw the rows, in ascending order, into ``out[slots]``."""
+        bit_generator = np.random.PCG64(0)
+        rng = np.random.Generator(bit_generator)
+        scratch = np.empty((max(stop - start for start, stop, _ in self.runs), out.shape[1]))
+        inc = self.template["state"]["inc"]
+        at = 0
+        for start, stop, state in self.runs:
+            bit_generator.state = {**self.template, "state": {"state": state, "inc": inc}}
+            piece = scratch[: stop - start]
+            _draw_rows(rng, piece, start, self.centers)
+            out[slots[at : at + stop - start]] = piece
+            at += stop - start
 
 
 def _read_exact(fh: BinaryIO, count: int, offset: int, path: str) -> bytes:
@@ -162,6 +217,18 @@ class IdxImages:
         features = self.pixels[index].astype(np.float64)
         features /= 255.0
         return Dataset(features, self.labels[index], self.class_count)
+
+    def scaler(self, index: np.ndarray) -> Callable[[np.ndarray, np.ndarray], None]:
+        """The images at ``index``, kept raw (1 B a pixel), as a callable
+        that scales them, as ``rows`` does, into ``out[slots]``."""
+        return functools.partial(_scale_into, self.pixels[index])
+
+
+def _scale_into(pixels: np.ndarray, out: np.ndarray, slots: np.ndarray) -> None:
+    # In row chunks, so that no scaled copy of all the rows is made.
+    step = max(1, _CHUNK_BYTES // (8 * pixels.shape[1]))
+    for first in range(0, len(pixels), step):
+        out[slots[first : first + step]] = pixels[first : first + step] / 255.0
 
 
 def read_idx(
@@ -227,13 +294,6 @@ class PartitionPlan:
 
     def participants(self) -> list[int]:
         return sorted(self.assignment)
-
-    def over(self, held: np.ndarray) -> PartitionPlan:
-        """The plan over a dataset of the rows ``held`` (ascending row
-        indices): each shard as the positions there of its held rows, in
-        shard order; every participant keeps its id."""
-        positions = {pid: _held_positions(held, rows) for pid, rows in self.assignment.items()}
-        return PartitionPlan({pid: at[ok] for pid, (at, ok) in positions.items()})
 
 
 def _check_partition(assignment: dict[int, np.ndarray], n: int) -> None:
@@ -305,12 +365,13 @@ def _check_affected(
 
 # The corruptions below draw from their generator exactly as over the
 # whole partitioned dataset, participant by participant, and change in
-# place only the rows that ``data`` holds: ``data`` holds the rows
-# ``held`` (ascending row indices) of the dataset that ``plan`` partitions.
+# place only the labels of the rows ``held`` (ascending row indices of the
+# dataset that ``plan`` partitions): ``labels[i]`` is row ``held[i]``'s.
 
 
 def flip_labels(
-    data: Dataset,
+    labels: np.ndarray,
+    class_count: int,
     plan: PartitionPlan,
     corruption: LabelFlipConfig,
     seed: int | np.random.Generator,
@@ -327,36 +388,38 @@ def flip_labels(
         if flip_count == 0:
             continue
         chosen = indices[rng.choice(len(indices), size=flip_count, replace=False)]
-        offsets = rng.integers(1, data.class_count, size=flip_count)
+        offsets = rng.integers(1, class_count, size=flip_count)
         at, ok = _held_positions(held, chosen)
         rows = at[ok]
-        data.labels[rows] = (data.labels[rows] + offsets[ok]) % data.class_count
+        labels[rows] = (labels[rows] + offsets[ok]) % class_count
 
 
-def _trigger_columns(dataset: Dataset, corruption: BackdoorConfig) -> np.ndarray:
-    """The trigger's feature columns, refused past ``dataset``'s width."""
+def _trigger_columns(width: int, corruption: BackdoorConfig) -> np.ndarray:
+    """The trigger's feature columns, refused past a ``width``-feature row."""
     columns = np.asarray(corruption.trigger_indices, dtype=np.int64)
-    if columns.size and columns.max() >= dataset.features.shape[1]:
+    if columns.size and columns.max() >= width:
         raise ValueError("trigger indices fall outside the feature dimensions")
     return columns
 
 
 def implant_backdoor(
-    data: Dataset,
+    labels: np.ndarray,
+    class_count: int,
     plan: PartitionPlan,
     corruption: BackdoorConfig,
     seed: int | np.random.Generator,
     held: np.ndarray,
-) -> None:
+) -> np.ndarray:
     """Poison the shards of ``corruption.affected``: in every
     ``poison_batch_size`` window (after an in-shard shuffle) the first
-    ``mix_per_batch`` samples get the trigger stamped onto their features
-    and their label set to ``target_label``."""
+    ``mix_per_batch`` samples get their label set to ``target_label``.
+    Returns their positions in ``held``, whose features ``stamp_trigger``
+    then stamps, once they are drawn."""
     affected = _check_affected(plan, corruption)
-    columns = _trigger_columns(data, corruption)
-    if corruption.target_label >= data.class_count:
+    if corruption.target_label >= class_count:
         raise ValueError("target_label must be below the dataset's class count")
     rng = np.random.default_rng(seed)
+    poisoned = [np.empty(0, np.int64)]
     for pid in affected:
         indices = plan.assignment[pid].copy()
         rng.shuffle(indices)
@@ -365,17 +428,164 @@ def implant_backdoor(
             # The section holds mix_per_batch to at most poison_batch_size.
             window = slice(start, start + corruption.mix_per_batch)
             hit = at[window][ok[window]]
-            if columns.size:
-                data.features[np.ix_(hit, columns)] = corruption.trigger_value
-            data.labels[hit] = corruption.target_label
+            labels[hit] = corruption.target_label
+            poisoned.append(hit)
+    return np.concatenate(poisoned)
+
+
+def stamp_trigger(features: np.ndarray, rows: np.ndarray, corruption: BackdoorConfig) -> None:
+    """Stamp the trigger onto ``features[rows]``, refused past its width."""
+    columns = _trigger_columns(features.shape[1], corruption)
+    if columns.size:
+        features[np.ix_(rows, columns)] = corruption.trigger_value
 
 
 def triggered_test_set(dataset: Dataset, corruption: BackdoorConfig) -> Dataset:
     """Copy of ``dataset`` with the trigger stamped on every sample and all
     labels set to the target, for measuring attack success."""
-    columns = _trigger_columns(dataset, corruption)
+    columns = _trigger_columns(dataset.features.shape[1], corruption)
     features = dataset.features.copy()
     if columns.size:
         features[:, columns] = corruption.trigger_value
     labels = np.full(len(dataset), corruption.target_label, dtype=np.int64)
     return Dataset(features, labels, dataset.class_count)
+
+
+class TrainingRows:
+    """The training rows of every participant a schedule selects, each held
+    only from its first round to its last, in one arena of row slots.
+
+    A run trains ``passes`` passes of ``schedule`` (each round's selected
+    ids) in turn: one for a run that trains once, two for one that then
+    replays its rounds in a retrain grid, so that a participant's last
+    round is in the grid. ``held`` are the scheduled participants' rows
+    (ascending indices into the training split) and ``labels`` theirs
+    (8 B a row), so that a corruption can change them before any feature
+    row is drawn. The arena is allocated once, sized to
+    the most rows that are held at once. A participant's rows enter when
+    its first round opens, or at round 0 where the arena has room for them
+    until then anyway (every row, with a retrain grid). They take the
+    lowest free slots, ascending row by row, and they are freed when its
+    last round closes; once the run's last round closes, the arena is
+    released.
+
+    ``entering`` holds the rows that enter at each round that has any, in
+    round order. ``entering[0]`` enters at round 0 and takes the first
+    slots, so its rows are drawn straight into ``features[:len(entering[0])]``
+    before round 0 opens; each later entry is drawn by the callable
+    ``fill_later`` registers for it. Labels, and a trigger that ``stamp``
+    registers, are written into a participant's slots as it enters;
+    ``held`` and ``labels`` are let go once every participant has entered.
+    """
+
+    def __init__(
+        self,
+        plan: PartitionPlan,
+        schedule: Sequence[tuple[int, ...]],
+        passes: int,
+        labels: np.ndarray,
+        n_features: int,
+        class_count: int,
+    ) -> None:
+        self.plan = plan
+        self._rounds = len(schedule)
+        self._positions = len(schedule) * passes
+        first: dict[int, int] = {}
+        last: dict[int, int] = {}
+        for position, selected in enumerate(list(schedule) * passes):
+            for pid in selected:
+                first.setdefault(pid, position)
+                last[pid] = position
+        self.held = np.sort(np.concatenate([plan.assignment[pid] for pid in first]))
+        self.labels = labels[self.held]
+        # Rows held while each position trains, each participant's from its
+        # first position through its last.
+        alive = np.zeros(self._positions, np.int64)
+        for pid in first:
+            alive[first[pid] : last[pid] + 1] += len(plan.assignment[pid])
+        capacity = int(alive.max())
+        # A participant enters at round 0 where the arena has room for it
+        # until its first round anyway: its rows are then drawn in the one
+        # pass and never again. With a retrain grid every row has room.
+        for pid in sorted(first, key=first.__getitem__):
+            if (alive[: first[pid]] + len(plan.assignment[pid]) <= capacity).all():
+                alive[: first[pid]] += len(plan.assignment[pid])
+                first[pid] = 0
+        arriving: dict[int, list[int]] = {}
+        self._leaving: dict[int, list[int]] = {}
+        for pid in sorted(first):
+            arriving.setdefault(first[pid], []).append(pid)
+            self._leaving.setdefault(last[pid], []).append(pid)
+        self._arriving = {
+            position: (np.sort(np.concatenate([plan.assignment[pid] for pid in pids])), pids)
+            for position, pids in sorted(arriving.items())
+        }
+        # Zeros, so that the slots no participant has entered yet are valid rows.
+        self.features: np.ndarray | None = np.zeros((capacity, n_features))
+        self._data: Dataset | None = Dataset(self.features, np.zeros(capacity, np.int64), class_count)
+        self._free = np.arange(capacity)
+        self._shards: dict[int, np.ndarray] = {}
+        self._fills: dict[int, Callable[[np.ndarray, np.ndarray], None]] = {}
+        self._trigger: tuple[np.ndarray, BackdoorConfig] | None = None
+        self._position = 0
+
+    def participants(self) -> list[int]:
+        return self.plan.participants()
+
+    @property
+    def entering(self) -> list[np.ndarray]:
+        """The ascending rows that enter at each round still to open that
+        has any, in round order."""
+        return [rows for rows, _ in self._arriving.values()]
+
+    def fill_later(self, fills: Sequence[Callable[[np.ndarray, np.ndarray], None]]) -> None:
+        """Draw ``entering[i + 1]`` with ``fills[i]``, called as
+        ``fill(features, slots)`` to write those rows, ascending, into
+        ``features[slots]`` when they enter."""
+        self._fills = dict(zip(list(self._arriving)[1:], fills, strict=True))
+
+    def stamp(self, positions: np.ndarray, corruption: BackdoorConfig) -> None:
+        """Stamp ``corruption``'s trigger onto the rows ``held[positions]``
+        as they enter; a trigger past the rows' width is refused here."""
+        _trigger_columns(self.features.shape[1], corruption)
+        stamped = np.zeros(len(self.held), bool)
+        stamped[positions] = True
+        self._trigger = stamped, corruption
+
+    def open_round(self, round_index: int) -> tuple[Dataset, dict[int, np.ndarray]]:
+        """The arena and each held participant's shard, as its slots in
+        shard order, for the next round of the run, which must be round
+        ``round_index``; the participants that enter at it enter first."""
+        position = self._position
+        if self._data is None:
+            raise ValueError("the training rows were already released")
+        if round_index != position % self._rounds:
+            raise ValueError(
+                f"round {round_index} opened where round {position % self._rounds} is next"
+            )
+        if position in self._arriving:
+            rows, pids = self._arriving.pop(position)
+            # A copy, so that the rest does not keep every slot's index alive.
+            slots, self._free = self._free[: len(rows)], self._free[len(rows) :].copy()
+            if position in self._fills:
+                self._fills.pop(position)(self._data.features, slots)
+            at = np.searchsorted(self.held, rows)
+            self._data.labels[slots] = self.labels[at]
+            if self._trigger is not None:
+                stamped, corruption = self._trigger
+                stamp_trigger(self._data.features, slots[stamped[at]], corruption)
+            for pid in pids:
+                self._shards[pid] = slots[np.searchsorted(rows, self.plan.assignment[pid])]
+            if not self._arriving:  # every participant has entered
+                self.held = self.labels = self._trigger = None
+        return self._data, self._shards
+
+    def close_round(self) -> None:
+        """End the open round: free the slots of the participants whose last
+        round it was, and release the arena after the run's last round."""
+        freed = [self._shards.pop(pid) for pid in self._leaving.pop(self._position, ())]
+        if freed:
+            self._free = np.sort(np.concatenate([self._free, *freed]))
+        self._position += 1
+        if self._position == self._positions:
+            self.features = self._data = self._free = None

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, Mappin
 
 import numpy as np
 
-from .datasets import Dataset
+from .datasets import Dataset, TrainingRows
 from .estimators import (
     ApproxParams,
     group_testing_round,
@@ -35,7 +35,9 @@ from .models import (
     ModelLayout,
     accuracy,
     count_label_at_max,
+    count_rows,
     init_params,
+    label_positions,
     logits,
     loss_and_gradient,
     mlp_logits_into,
@@ -447,8 +449,8 @@ class RoundOracle:
         round, from its members' logits, each bitwise the accuracy of its
         members' logits summed in ascending id order and divided by their
         count."""
-        labels = self._labels
-        m, c, n = len(record.selected), self._layout.n_classes, labels.shape[0]
+        m, c, n = len(record.selected), self._layout.n_classes, self._labels.shape[0]
+        positions = label_positions(self._labels)
         # Each member's (n, c) logits, copied class-major to (c, n); lists,
         # so that the walk makes no view per step.
         members = list(
@@ -483,7 +485,7 @@ class RoundOracle:
             slot = position % step
             np.divide(sums[-1], len(sums), out=slots[slot])
             if slot == step - 1 or position == len(masks) - 1:
-                hits = count_label_at_max(batch[: slot + 1], labels)
+                hits = count_label_at_max(batch[: slot + 1], positions)
                 utilities[order[position - slot : position + 1]] = hits / n
             previous = mask
         return utilities.tolist()
@@ -539,7 +541,7 @@ class RoundOracle:
                 )
                 chosen = np.argmax(out, axis=2, out=_prefix(best, k, n))
                 right = np.equal(chosen, labels, out=_prefix(hits[chosen.nbytes :], k, n))
-                np.divide(np.count_nonzero(right, axis=1), n, out=utilities[first : first + k])
+                np.divide(count_rows(right), n, out=utilities[first : first + k])
 
             return run
 
@@ -657,8 +659,7 @@ def round_selections(
 
 
 def run_federated_training(
-    data: Dataset,
-    shards: Mapping[int, np.ndarray],
+    rows: TrainingRows,
     cfg: TrainingConfig,
     *,
     snapshot_dir: str | Path | None = None,
@@ -666,17 +667,21 @@ def run_federated_training(
     """Run the full federated process and return its round records; the
     final model is the last record's ``global_after``.
 
-    Participant ``pid`` trains on the rows ``shards[pid]`` of ``data``,
-    in the rounds ``round_selections(cfg, shards)`` selects it; a
-    participant no round selects may hold no rows. The trajectory depends
-    only on the selected participants' rows, the config and its seed.
-    With a ``snapshot_dir``, each round is persisted as it completes, so a
-    training failure leaves the finished rounds on disk.
+    Round ``t`` selects ``round_selections(cfg, rows.participants())[t]``
+    and trains on the rows ``rows.open_round(t)`` gives: a dataset and
+    each participant's shard as row indices into it. ``rows.close_round()``
+    then ends the round, so that rows no later round reads can be freed.
+    The trajectory depends only on the selected participants' rows, the
+    config and its seed. With a ``snapshot_dir``, each round is persisted
+    as it completes, so a training failure leaves the finished rounds on
+    disk.
     """
     theta = initial_model(cfg)
     records: list[RoundRecord] = []
-    for t, selected in enumerate(round_selections(cfg, shards)):
+    for t, selected in enumerate(round_selections(cfg, rows.participants())):
+        data, shards = rows.open_round(t)
         updates = train_round(theta, data, shards, selected, cfg, t)
+        rows.close_round()
         after = updates.mean(axis=0)
         record = RoundRecord(t, theta.copy(), selected, updates, after.copy())
         records.append(record)
@@ -742,8 +747,7 @@ def _advance_grid(
 
 
 def rerun_with_selections(
-    data: Dataset,
-    shards: Mapping[int, np.ndarray],
+    rows: TrainingRows,
     cfg: TrainingConfig,
     selections: Sequence[Sequence[int]],
     keeps: Sequence[KeepRule],
@@ -761,6 +765,8 @@ def rerun_with_selections(
     minibatch. Local update streams are keyed by (round, participant), so
     each final model is bitwise the one a replay of that rule alone gives,
     and a rule that keeps everyone reproduces the original trajectory.
+    Each round's rows are opened and closed on ``rows`` as
+    ``run_federated_training`` does.
     """
     if len(selections) != cfg.rounds:
         raise ValueError("one recorded selection required per round")
@@ -772,7 +778,9 @@ def rerun_with_selections(
         children: dict[tuple[int, tuple[int, ...]], int] = {}
         for r, plan in enumerate(plans):
             model_of[r] = children.setdefault((model_of[r], plan[t]), len(children))
+        data, shards = rows.open_round(t)
         models = _advance_grid(models, list(children), data, shards, cfg, t, len(rounds[t]))
+        rows.close_round()
     return [models[i] for i in model_of]
 
 

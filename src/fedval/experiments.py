@@ -26,6 +26,7 @@ from .datasets import (
     Dataset,
     IdxImages,
     PartitionPlan,
+    TrainingRows,
     flip_labels,
     implant_backdoor,
     partition_iid,
@@ -88,21 +89,23 @@ def detection_curve(
 class PreparedExperiment:
     """Everything derived from a config before training starts.
 
-    ``train`` holds only the rows of participants that some round of
-    ``round_selections(training, plan.participants())`` selects, and
-    ``plan`` indexes those rows: a scheduled participant's shard is its
-    rows of the one (corrupted) ``train`` set, never a copy, and a
-    participant no round selects keeps its id but holds no rows. ``train``
-    and ``validation`` are separate arrays, so neither keeps the other
-    alive. A blobs config's validation rows are drawn on the first read of
-    ``validation``, and ``train_once`` lets go of ``train``, so a command
-    that trains once holds each set only while a stage reads it.
-    ``corruption`` is the config's section as applied to ``train``, its
-    participants resolved (see :func:`_resolve_corruption`).
+    ``rows`` holds the training rows of the participants that some round
+    of ``round_selections(training, plan.participants())`` selects, each
+    from its first round to its last (see :class:`TrainingRows`), and
+    ``plan`` is the partition of the training split into their shards; a
+    participant no round selects keeps its id but holds no rows. Only the
+    first round's rows are drawn or scaled when this is made; the labels
+    of every scheduled row are held, corrupted. ``rows`` and
+    ``validation`` are separate arrays, so neither keeps the other alive.
+    A blobs config's validation rows are drawn on the first read of
+    ``validation``, and ``rows`` lets go of its arena as its last round
+    closes, so a command that trains once holds each set only while a
+    stage reads it. ``corruption`` is the config's section as applied to
+    the rows, its participants resolved (see :func:`_resolve_corruption`).
     """
 
     training: TrainingConfig
-    train: Dataset | None
+    rows: TrainingRows
     draw_validation: Callable[[], Dataset]
     plan: PartitionPlan
     corruption: LabelFlipConfig | BackdoorConfig | None
@@ -113,14 +116,10 @@ class PreparedExperiment:
         return self.draw_validation()
 
     def train_once(self, snapshot_dir: str | Path | None = None) -> list[RoundRecord]:
-        """The round records of one federated training run, after which
-        ``train`` is None: for a caller that values them and never
-        retrains, so the training rows are released before valuation."""
-        train, self.train = self.train, None
-        assert train is not None, "the training rows were already released"
-        return run_federated_training(
-            train, self.plan.assignment, self.training, snapshot_dir=snapshot_dir
-        )
+        """The round records of one federated training pass over ``rows``;
+        when it is the last pass ``rows`` was prepared for, its rows are
+        released before valuation."""
+        return run_federated_training(self.rows, self.training, snapshot_dir=snapshot_dir)
 
 
 def _draw_blobs(cfg: ExperimentConfig, spec: BlobsSpec, **part: np.ndarray | int):
@@ -215,24 +214,21 @@ def _partition(cfg: ExperimentConfig, labels: np.ndarray) -> PartitionPlan:
     )
 
 
-def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
+def prepare_experiment(cfg: ExperimentConfig, *, passes: int = 1) -> PreparedExperiment:
     """Partition the training rows by their labels, fix the selection
-    schedule, and then draw (blobs) or scale (IDX) and corrupt only the
-    rows of participants that some round selects."""
+    schedule, and hold, for ``passes`` passes of training (two for a run
+    that retrains), the corrupted labels of the rows of participants that
+    some round selects. One pass over a blobs stream draws round 0's rows
+    into the arena and records where each later participant's rows start;
+    an IDX file's round-0 rows are scaled into it, later ones kept raw."""
     spec = cfg.dataset
     if isinstance(spec, BlobsSpec):
         labels = np.arange(spec.samples) % spec.classes
         training = _training(cfg, spec.features, spec.classes)
-
-        def draw(held: np.ndarray) -> tuple[Dataset, Callable[[], Dataset]]:
-            return _draw_blobs(cfg, spec, held=held, split=spec.samples)
     else:
         images, order, validation = _split_idx(cfg)
         labels = images.labels[order]
         training = _training(cfg, images.pixels.shape[1], images.class_count)
-
-        def draw(held: np.ndarray) -> tuple[Dataset, Callable[[], Dataset]]:
-            return images.rows(order[held]), lambda: validation
     plan = _partition(cfg, labels)
     corruption = _resolve_corruption(cfg, plan)
     # Parse time checks this bound on blobs; an idx dataset's class
@@ -242,18 +238,33 @@ def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
             f"corruption.target_label: must be below the loaded class count "
             f"({training.n_classes}), got {corruption.target_label}"
         )
-    scheduled = set().union(*round_selections(training, plan.participants()))
-    held = np.sort(np.concatenate([plan.assignment[pid] for pid in sorted(scheduled)]))
-    train, draw_validation = draw(held)
+    schedule = round_selections(training, plan.participants())
+    rows = TrainingRows(plan, schedule, passes, labels, training.n_features, training.n_classes)
+    corrupt = (
+        rows.labels, training.n_classes, plan, corruption, substream(cfg.seed, "corrupt"), rows.held
+    )
     if isinstance(corruption, LabelFlipConfig):
-        flip_labels(train, plan, corruption, substream(cfg.seed, "corrupt"), held)
+        flip_labels(*corrupt)
     elif isinstance(corruption, BackdoorConfig):
-        implant_backdoor(train, plan, corruption, substream(cfg.seed, "corrupt"), held)
+        rows.stamp(implant_backdoor(*corrupt), corruption)
+    first, *later = rows.entering
+    head = rows.features[: len(first)]
+    if isinstance(spec, BlobsSpec):
+        _, fills, draw_validation = _draw_blobs(
+            cfg, spec, held=first, out=head, deferred=later, split=spec.samples
+        )
+    else:
+        images.scaler(order[first])(head, np.arange(len(first)))
+        fills = [images.scaler(order[group]) for group in later]
+
+        def draw_validation() -> Dataset:
+            return validation
+    rows.fill_later(fills)
     return PreparedExperiment(
         training=training,
-        train=train,
+        rows=rows,
         draw_validation=draw_validation,
-        plan=plan.over(held),
+        plan=plan,
         corruption=corruption,
     )
 
@@ -437,9 +448,10 @@ def run_summarization(cfg: ExperimentConfig) -> SummarizationResult:
     Values are frozen from the first (full) run; the random baseline is
     averaged over the configured number of repeats.
     """
-    prepared = prepare_experiment(cfg)
-    shards, layout = prepared.plan.assignment, prepared.training.layout
-    records = run_federated_training(prepared.train, shards, prepared.training)
+    # The grid replays the schedule, so the rows stay held until it ends.
+    prepared = prepare_experiment(cfg, passes=2)
+    layout = prepared.training.layout
+    records = prepared.train_once()
     validation = (prepared.validation.features, prepared.validation.labels)
     sv_report, loo_report = _shapley_and_loo(cfg, layout, records, prepared.validation)
     if cfg.valuation.normalized:
@@ -455,7 +467,7 @@ def run_summarization(cfg: ExperimentConfig) -> SummarizationResult:
         keeps += [_keep_lowest_dropped(vector, fraction) for vector in totals.values()]
         keeps += [_keep_random_dropped(cfg.seed, repeat, fraction) for repeat in range(repeats)]
     # One lockstep grid of every replay; final models come back in rule order.
-    finals = rerun_with_selections(prepared.train, shards, prepared.training, selections, keeps)
+    finals = rerun_with_selections(prepared.rows, prepared.training, selections, keeps)
     scores = iter([evaluate_utility(layout, params, *validation) for params in finals])
     accuracy: dict[str, list[float]] = {name: [] for name in (*totals, "random")}
     for _ in fractions:

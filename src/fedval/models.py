@@ -235,10 +235,17 @@ def accuracy_from_logits(scores: np.ndarray, labels: np.ndarray) -> float:
     return np.count_nonzero(scores.argmax(axis=1) == labels) / len(labels)
 
 
-def count_label_at_max(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
+def label_positions(labels: np.ndarray) -> np.ndarray:
+    """Flat position of each sample's label score in a class-major (c, n)
+    slice: ``labels * n + arange(n)``, for ``count_label_at_max``."""
+    return labels * len(labels) + np.arange(len(labels))
+
+
+def count_label_at_max(scores: np.ndarray, positions: np.ndarray) -> np.ndarray:
     """``np.count_nonzero(scores.argmax(axis=1) == labels, axis=1)``: per
     slice of class-major scores (b, c, n), the samples whose highest score,
-    the first one on ties, is their label's.
+    the first one on ties, is their label's. ``positions`` are the labels'
+    ``label_positions``, computed once by a caller that counts many batches.
 
     Where every sample has exactly one maximum and no NaN, a sample is a hit
     when its label's score equals its maximum, which skips argmax's
@@ -249,13 +256,17 @@ def count_label_at_max(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
     top = scores.max(axis=1)
     at_top = scores == top[:, None]
     if np.count_nonzero(at_top) == b * n and not np.isnan(top).any():
-        # Flat position of each sample's label score in a (c, n) slice.
-        hits = np.take(at_top.reshape(b, c * n), labels * n + np.arange(n), axis=1)
+        hits = np.take(at_top.reshape(b, c * n), positions, axis=1)
     else:
-        hits = scores.argmax(axis=1) == labels
-    # A call per slice: counting along an axis sums through a cast, which
-    # is slower for a few slices.
-    return np.fromiter((np.count_nonzero(row) for row in hits), np.intp, b)
+        hits = scores.argmax(axis=1) == positions // n
+    return count_rows(hits)
+
+
+def count_rows(flags: np.ndarray) -> np.ndarray:
+    """The true entries of each row of a (b, n) bool array. A call per row:
+    counting along an axis sums through a cast, which is slower for a few
+    rows and allocates numpy's cast buffer."""
+    return np.fromiter((np.count_nonzero(row) for row in flags), np.intp, len(flags))
 
 
 def accuracy(

@@ -96,6 +96,24 @@ def index_shards(
     return Dataset(features, labels, class_count), shards
 
 
+class HeldRows:
+    """Every participant's rows held for a whole run: the training-row
+    store of ``data`` and ``shards`` (row indices into it) that the
+    engine's training loops open and close round by round."""
+
+    def __init__(self, data: Dataset, shards: Mapping[int, np.ndarray]) -> None:
+        self.data, self.shards = data, shards
+
+    def participants(self) -> list[int]:
+        return sorted(self.shards)
+
+    def open_round(self, round_index: int) -> tuple[Dataset, Mapping[int, np.ndarray]]:
+        return self.data, self.shards
+
+    def close_round(self) -> None:
+        pass
+
+
 class TableGame:
     """Utility oracle backed by per-round subset tables.
 

@@ -15,7 +15,7 @@ import yaml
 
 from fedval.cli import main
 from fedval.config import config_from_dict
-from fedval.engine import RoundOracle, run_federated_training, value_rounds
+from fedval.engine import RoundOracle, value_rounds
 from fedval.estimators import (
     ApproxParams,
     group_testing_plan,
@@ -418,9 +418,7 @@ def test_criterion_11_round_norm_decay():
         doc["seed"] = seed
         cfg = config_from_dict(doc)
         prepared = prepare_experiment(cfg)
-        records = run_federated_training(
-            prepared.train, prepared.plan.assignment, prepared.training
-        )
+        records = prepared.train_once()
         oracle = RoundOracle(
             prepared.training.layout, records, prepared.validation.features, prepared.validation.labels
         )

@@ -8,10 +8,10 @@ from unittest import mock
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fedval import datasets, experiments
+from fedval import datasets, engine, experiments
 from fedval.cli import main
 from fedval.config import BackdoorConfig, LabelFlipConfig, config_from_dict
 from fedval.datasets import (
@@ -22,11 +22,13 @@ from fedval.datasets import (
     partition_iid,
     partition_noniid_shards,
     read_idx,
+    stamp_trigger,
     synth_blobs,
     triggered_test_set,
 )
 from fedval.engine import (
     participant_update,
+    rerun_with_selections,
     round_selections,
     run_federated_training,
     train_round,
@@ -35,7 +37,7 @@ from fedval.experiments import prepare_experiment, prepare_validation
 from fedval.models import ModelLayout, accuracy
 from fedval.seeding import substream
 
-from conftest import mean_label_entropy, reference_blobs, training
+from conftest import HeldRows, mean_label_entropy, reference_blobs, training
 from test_blas_threads import cli_env
 from test_config_cli import base_doc
 
@@ -154,7 +156,7 @@ def test_chunked_blobs_equal_one_draw(samples, features, classes, cut, chunk_byt
         drawn = synth_blobs(
             samples, features, classes, 1.7, seed, held=np.array(held), split=split
         )
-    parts = [drawn] if split is None else [drawn[0], drawn[1]()]
+    parts = [drawn] if split is None else [drawn[0], drawn[2]()]
     rows = [held] if split is None else [held, list(range(split, samples))]
     for part, index in zip(parts, rows):
         assert part.class_count == classes
@@ -164,6 +166,50 @@ def test_chunked_blobs_equal_one_draw(samples, features, classes, cut, chunk_byt
     if split is not None:
         # Separate arrays, so one split never keeps the other alive.
         assert not np.shares_memory(parts[0].features, parts[1].features)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    samples=st.integers(3, 61),
+    features=st.integers(1, 9),
+    classes=st.integers(2, 7),
+    cut=st.data(),
+    chunk_bytes=st.sampled_from([0, 24, datasets._CHUNK_BYTES]),
+    seed=st.integers(0, 2**16),
+)
+def test_deferred_blobs_rows_redraw_as_one_draw(samples, features, classes, cut, chunk_bytes, seed):
+    # Each row of the first part is held, in one of up to three deferred
+    # groups, or dropped; each group's redraw writes its rows, ascending,
+    # into shuffled slots of a wider array.
+    samples = max(samples, classes + 1)
+    split = cut.draw(st.integers(1, samples - 1), label="split")
+    kinds = cut.draw(
+        st.lists(st.integers(-1, 3), min_size=split, max_size=split)
+        .filter(lambda kinds: 0 in kinds),
+        label="kinds",
+    )
+    kinds = np.array(kinds)
+    held = np.flatnonzero(kinds == 0)
+    deferred = [np.flatnonzero(kinds == g) for g in (1, 2, 3) if (kinds == g).any()]
+    expected, labels = reference_blobs(samples, features, classes, 1.7, seed)
+    out = np.full((len(held), features), np.nan)
+    with mock.patch.object(datasets, "_CHUNK_BYTES", chunk_bytes):
+        head, redraws, tail = synth_blobs(
+            samples, features, classes, 1.7, seed, held=held, split=split, out=out,
+            deferred=deferred,
+        )
+    assert head.features is out
+    assert out.tobytes() == expected[held].tobytes()
+    assert (head.labels == labels[held]).all()
+    assert len(redraws) == len(deferred)
+    # Redrawn in another order than they were recorded, after the tail.
+    assert tail().features.tobytes() == expected[split:].tobytes()
+    for rows, redraw in reversed(list(zip(deferred, redraws))):
+        arena = np.full((len(rows) + 3, features), np.nan)
+        slots = np.random.default_rng(seed).permutation(len(arena))[: len(rows)]
+        redraw(arena, slots)
+        assert arena[slots].tobytes() == expected[rows].tobytes()
+        assert np.isnan(np.delete(arena, slots, axis=0)).all()
 
 
 def scheduled_rows(cfg, labels, training_config):
@@ -222,7 +268,9 @@ def test_replay_validation_equals_the_prepared_split(
     assert validation.features.tobytes() == prepared.validation.features.tobytes()
     assert validation.labels.tobytes() == prepared.validation.labels.tobytes()
     _, held = scheduled_rows(cfg, np.arange(samples) % classes, prepared.training)
-    assert prepared.train.features.shape == (len(held), features)
+    assert np.array_equal(prepared.rows.held, held)
+    # One round: the arena holds exactly its rows.
+    assert prepared.rows.features.shape == (len(held), features)
     assert validation.features.shape == (validation_samples, features)
 
 
@@ -250,9 +298,11 @@ def test_idx_split_scales_the_rows_of_one_permutation(tmp_path):
     pixels = images.reshape(300, 25)
     order = substream(13, "data").permutation(300)
     _, held = scheduled_rows(cfg, labels[order[40:]], prepared.training)
+    # One round, so its rows are all the scheduled ones, scaled in order.
+    train, _ = prepared.rows.open_round(0)
     expected = {"validation": order[:40], "train": order[40:][held]}
     for name, data in (("validation", validation), ("validation", prepared.validation),
-                       ("train", prepared.train)):
+                       ("train", train)):
         rows = expected[name]
         assert data.features.tobytes() == (pixels[rows] / 255.0).tobytes()
         assert np.array_equal(data.labels, labels[rows])
@@ -262,7 +312,7 @@ def test_idx_split_scales_the_rows_of_one_permutation(tmp_path):
 
 
 # Eight participants, two selected in each of two rounds: at most four
-# are ever selected, so the rest hold no rows once prepared.
+# are ever selected, so the rest hold no rows.
 HELD_CORRUPTIONS = {
     "clean": None,
     "flip": {"kind": "label_flip", "flip_ratio": 0.5, "affected_count": 6},
@@ -273,11 +323,11 @@ HELD_CORRUPTIONS = {
 }
 
 
-def held_rows_case(tmp_path, kind, mode, corruption):
-    """A prepared experiment, with its training rows kept aside, and the
-    full training set, its partition and its round records: every row of
-    the training split drawn or scaled, partitioned and corrupted, with no
-    row left out."""
+def held_rows_case(tmp_path, kind, mode, corruption, *, rounds=2, fraction=0.25, seed=5):
+    """A config, its prepared experiment for one pass, and the full
+    training set and its partition: every row of the training split drawn
+    or scaled, partitioned and corrupted, with no row left out, and its
+    features before the corruption."""
     if kind == "blobs":
         dataset = {
             "kind": "blobs", "samples": 320, "features": 6, "classes": 4,
@@ -294,9 +344,9 @@ def held_rows_case(tmp_path, kind, mode, corruption):
     if mode == "shards":
         partition["shards_per_participant"] = 2
     doc = {
-        "seed": 5, "dataset": dataset, "partition": partition,
+        "seed": seed, "dataset": dataset, "partition": partition,
         "training": {
-            "rounds": 2, "participant_fraction": 0.25, "local_epochs": 2,
+            "rounds": rounds, "participant_fraction": fraction, "local_epochs": 2,
             "batch_size": 8, "learning_rate": 0.5, "model": "logistic",
         },
     }
@@ -304,18 +354,26 @@ def held_rows_case(tmp_path, kind, mode, corruption):
         doc["corruption"] = HELD_CORRUPTIONS[corruption]
     cfg = config_from_dict(doc)
     prepared = prepare_experiment(cfg)
-    kept = prepared.train
-    seed = substream(cfg.seed, "data")
+    data_seed = substream(cfg.seed, "data")
     if kind == "blobs":
-        full, _ = synth_blobs(400, 6, 4, 2.0, seed, split=320)
+        full, _, _ = synth_blobs(400, 6, 4, 2.0, data_seed, split=320)
     else:
-        full = read_idx(image_path, label_path).rows(seed.permutation(400)[80:])
+        full = read_idx(image_path, label_path).rows(data_seed.permutation(400)[80:])
+    clean = full.features.copy()
     plan, _ = scheduled_rows(cfg, full.labels, prepared.training)
-    corrupt = {"flip": flip_labels, "backdoor": implant_backdoor}.get(corruption)
-    if corrupt is not None:
-        corrupt(full, plan, prepared.corruption, substream(cfg.seed, "corrupt"), np.arange(320))
-    records = run_federated_training(full, plan.assignment, prepared.training)
-    return prepared, kept, full, plan, records
+    if prepared.corruption is not None:
+        corrupt_every_row(full, plan, prepared.corruption, substream(cfg.seed, "corrupt"))
+    return cfg, prepared, full, plan, clean
+
+
+def lifetimes(schedule):
+    """Each scheduled participant's first and last position in ``schedule``."""
+    first, last = {}, {}
+    for position, selected in enumerate(schedule):
+        for pid in selected:
+            first.setdefault(pid, position)
+            last[pid] = position
+    return first, last
 
 
 HELD_CASES = pytest.mark.parametrize("kind, mode, corruption", [
@@ -325,18 +383,54 @@ HELD_CASES = pytest.mark.parametrize("kind, mode, corruption", [
 
 
 @HELD_CASES
+def test_prepared_experiment_holds_exactly_the_first_round_rows(tmp_path, kind, mode, corruption):
+    _, prepared, full, plan, clean = held_rows_case(tmp_path, kind, mode, corruption)
+    rows = prepared.rows
+    schedule = round_selections(prepared.training, plan.participants())
+    first_rows = np.sort(np.concatenate([plan.assignment[pid] for pid in schedule[0]]))
+    # Both rounds hold two 40-row shards, so no later participant has room
+    # in the arena before its first round.
+    assert np.array_equal(rows.entering[0], first_rows)
+    # The arena fits the most rows any round holds, and only the first
+    # round's are drawn, in row order, before training; the trigger is
+    # stamped as they enter.
+    first, last = lifetimes(schedule)
+    alive = [
+        sum(len(plan.assignment[pid]) for pid in first if first[pid] <= t <= last[pid])
+        for t in range(len(schedule))
+    ]
+    assert rows.features.shape == (max(alive), full.features.shape[1])
+    assert rows.features[: len(first_rows)].tobytes() == clean[first_rows].tobytes()
+    assert not rows.features[len(first_rows) :].any()
+
+
+@HELD_CASES
 def test_prepared_training_holds_exactly_the_scheduled_rows(tmp_path, kind, mode, corruption):
-    prepared, kept, full, plan, records = held_rows_case(tmp_path, kind, mode, corruption)
-    scheduled = set().union(*(record.selected for record in records))
+    # The store holds the corrupted labels of exactly the scheduled rows,
+    # and each scheduled participant's features, bitwise the full rows in
+    # shard order, from its first round to its last; no other
+    # participant ever holds a row.
+    _, prepared, full, plan, _ = held_rows_case(tmp_path, kind, mode, corruption)
+    rows = prepared.rows
+    schedule = round_selections(prepared.training, plan.participants())
+    first, last = lifetimes(schedule)
+    scheduled = set(first)
     assert len(scheduled) < len(plan.participants())
     held = np.sort(np.concatenate([plan.assignment[pid] for pid in sorted(scheduled)]))
-    assert kept.features.tobytes() == full.features[held].tobytes()
-    assert kept.labels.tobytes() == full.labels[held].tobytes()
-    assert prepared.plan.participants() == plan.participants()
-    for pid in plan.participants():
-        shard = prepared.plan.assignment[pid]
-        expected = plan.assignment[pid] if pid in scheduled else []
-        assert np.array_equal(held[shard], expected)
+    assert np.array_equal(rows.held, held)
+    assert rows.labels.tobytes() == full.labels[held].tobytes()
+    assert rows.participants() == plan.participants()
+    for t in range(len(schedule)):
+        data, shards = rows.open_round(t)
+        assert set(shards) == {pid for pid in scheduled if first[pid] <= t <= last[pid]}
+        for pid, slots in shards.items():
+            shard = plan.assignment[pid]
+            assert data.features[slots].tobytes() == full.features[shard].tobytes()
+            assert data.labels[slots].tobytes() == full.labels[shard].tobytes()
+        rows.close_round()
+    assert rows.features is None
+    with pytest.raises(ValueError, match="already released"):
+        rows.open_round(0)
     if prepared.corruption is not None:
         # Affected participants outside the schedule still advance the
         # corruption's generator before those in it.
@@ -344,15 +438,54 @@ def test_prepared_training_holds_exactly_the_scheduled_rows(tmp_path, kind, mode
         assert min(affected - scheduled) < max(affected & scheduled)
 
 
+def grid_rules(t, selected):
+    """Keep rules of a small retrain grid: everyone, a lower half, and an
+    upper half that drops round 0's first participant."""
+    half = max(1, len(selected) // 2)
+    return [selected, selected[:half], selected[half - 1 :] if t else selected[1:] or selected]
+
+
 @HELD_CASES
-def test_prepared_rows_train_as_the_full_rows(tmp_path, kind, mode, corruption):
-    prepared, _, _, _, records = held_rows_case(tmp_path, kind, mode, corruption)
-    trained = prepared.train_once()
-    assert len(trained) == len(records) == 2
-    for ours, reference in zip(trained, records):
-        assert ours.selected == reference.selected
-        for name in ("global_before", "updates", "global_after"):
-            assert getattr(ours, name).tobytes() == getattr(reference, name).tobytes()
+@settings(max_examples=5, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    rounds=st.integers(1, 5),
+    fraction=st.sampled_from([0.125, 0.25, 0.5, 0.75]),
+    seed=st.integers(0, 2**16),
+)
+def test_prepared_rows_train_as_the_full_rows(
+    tmp_path, kind, mode, corruption, rounds, fraction, seed
+):
+    # One training pass, and a summarize-style run: a pass, then a retrain
+    # grid that holds the rows to its end, against the full rows.
+    cfg, prepared, full, plan, _ = held_rows_case(
+        tmp_path, kind, mode, corruption, rounds=rounds, fraction=fraction, seed=seed
+    )
+    training = prepared.training
+    reference = run_federated_training(HeldRows(full, plan.assignment), training)
+    retrained = prepare_experiment(cfg, passes=2)
+    # The grid holds every scheduled row to its end, so each has room from
+    # round 0 on and is drawn in the one pass.
+    assert len(retrained.rows.entering) == 1
+    selections = [record.selected for record in reference]
+    keeps = [
+        lambda t, selected, i=i: grid_rules(t, selected)[i] for i in range(3)
+    ]
+    expected_finals = rerun_with_selections(
+        HeldRows(full, plan.assignment), training, selections, keeps
+    )
+    for run in (prepared, retrained):
+        trained = run.train_once()
+        assert len(trained) == len(reference) == rounds
+        for ours, theirs in zip(trained, reference):
+            assert ours.selected == theirs.selected
+            for name in ("global_before", "updates", "global_after"):
+                assert getattr(ours, name).tobytes() == getattr(theirs, name).tobytes()
+    assert prepared.rows.features is None
+    assert prepared.rows.held is prepared.rows.labels is None
+    assert retrained.rows.features is not None
+    finals = rerun_with_selections(retrained.rows, training, selections, keeps)
+    assert [final.tobytes() for final in finals] == [final.tobytes() for final in expected_finals]
+    assert retrained.rows.features is None
 
 
 def test_idx_backdoor_target_beyond_the_loaded_classes_refused(tmp_path, capsys):
@@ -478,9 +611,44 @@ class TestMemoryBound:
     def test_prepared_experiment_holds_only_training_rows(self):
         # The validation rows are drawn on first read, after this peak.
         prepared, peak = traced_peak(lambda: prepare_experiment(self.CFG))
-        kept = prepared.train.features.nbytes + prepared.train.labels.nbytes
+        rows = prepared.rows
+        # The arena and its slot labels, and the scheduled rows' indices
+        # and labels.
+        kept = rows.features.nbytes + 8 * len(rows.features) + rows.held.nbytes + rows.labels.nbytes
         assert peak <= 1.10 * kept
         assert prepared.validation.features.shape == (600, 784)
+
+    def test_training_holds_at_most_the_largest_rounds_rows(self):
+        # Two rounds of two of four 500-row participants, (0, 2) then
+        # (1, 2): 0 leaves before 1 enters, so three participants are
+        # scheduled but at most two are held at once.
+        cfg = config_from_dict({
+            "seed": 1,
+            "dataset": {
+                "kind": "blobs", "samples": 2000, "features": 784, "classes": 10,
+                "separation": 2.0, "validation_samples": 200,
+            },
+            "partition": {"mode": "iid", "participants": 4},
+            "training": {
+                "rounds": 2, "participant_fraction": 0.5, "local_epochs": 1,
+                "batch_size": 50, "learning_rate": 0.5, "model": "logistic",
+            },
+        })
+        prepared = prepare_experiment(cfg)
+        training = prepared.training
+        schedule = round_selections(training, prepared.plan.participants())
+        assert schedule == [(0, 2), (1, 2)]
+        shards = prepared.plan.assignment
+        round_rows = max(sum(len(shards[pid]) for pid in selected) for selected in schedule)
+        # One lockstep slice of one row, one chunk of the blobs draw, and
+        # each round's incoming model, updates and outgoing model.
+        slice_bytes = engine._row_bytes(training)
+        records = sum(len(selected) + 2 for selected in schedule) * training.layout.param_count * 8
+        bound = round_rows * 784 * 8 + slice_bytes + datasets._CHUNK_BYTES + records
+        with mock.patch.object(engine, "_SLICE_BYTES", slice_bytes):
+            records, peak = traced_peak(lambda: prepare_experiment(cfg).train_once())
+        assert [record.selected for record in records] == schedule
+        assert peak < bound
 
     def test_replay_validation_holds_only_validation_rows(self):
         (_, validation), peak = traced_peak(lambda: prepare_validation(self.CFG))
@@ -639,10 +807,21 @@ class TestShardPartition:
         assert mean_label_entropy(data, skewed) < mean_label_entropy(data, iid)
 
 
+def corrupt_every_row(data, plan, spec, seed):
+    """``spec``'s corruption applied in place to every row of ``data``."""
+    every = np.arange(len(data))
+    if isinstance(spec, LabelFlipConfig):
+        flip_labels(data.labels, data.class_count, plan, spec, seed, every)
+    else:
+        poisoned = implant_backdoor(data.labels, data.class_count, plan, spec, seed, every)
+        stamp_trigger(data.features, poisoned, spec)
+
+
 def corrupted(corrupt, data, plan, spec, seed):
     """A copy of ``data`` with ``corrupt`` applied to every row of it."""
     copy = Dataset(data.features.copy(), data.labels.copy(), data.class_count)
-    corrupt(copy, plan, spec, seed, np.arange(len(data)))
+    assert corrupt is {LabelFlipConfig: flip_labels, BackdoorConfig: implant_backdoor}[type(spec)]
+    corrupt_every_row(copy, plan, spec, seed)
     return copy
 
 
@@ -690,7 +869,9 @@ class TestLabelFlips:
     def test_affected_must_exist(self):
         data, plan = self._setup()
         with pytest.raises(ValueError, match="affected"):
-            flip_labels(data, plan, LabelFlipConfig(0.5, affected=(99,)), 0, np.arange(200))
+            flip_labels(
+                data.labels, 4, plan, LabelFlipConfig(0.5, affected=(99,)), 0, np.arange(200)
+            )
 
 
 class TestBackdoor:
@@ -755,7 +936,7 @@ class TestBackdoor:
             target_label=0, mix_per_batch=4, poison_batch_size=16,
         )
         with pytest.raises(ValueError, match="trigger"):
-            implant_backdoor(data, plan, spec, 1, np.arange(256))
+            stamp_trigger(data.features, np.arange(256), spec)
 
     def test_target_beyond_the_classes_rejected(self):
         data, plan = self._setup()
@@ -764,7 +945,7 @@ class TestBackdoor:
             target_label=4, mix_per_batch=4, poison_batch_size=16,
         )
         with pytest.raises(ValueError, match="target_label must be below"):
-            implant_backdoor(data, plan, spec, 1, np.arange(256))
+            implant_backdoor(data.labels, data.class_count, plan, spec, 1, np.arange(256))
 
     def test_trigger_at_the_feature_width_rejected_by_both(self):
         data, plan = self._setup()
@@ -774,7 +955,7 @@ class TestBackdoor:
         )
         message = "trigger indices fall outside the feature dimensions"
         with pytest.raises(ValueError, match=message):
-            implant_backdoor(data, plan, spec, 1, np.arange(256))
+            stamp_trigger(data.features, np.arange(256), spec)
         with pytest.raises(ValueError, match=message):
             triggered_test_set(data, spec)
 
@@ -787,7 +968,7 @@ def test_unresolved_section_refused(corrupt, section):
     data = synth_blobs(64, 3, 2, 1.0, 0)
     plan = partition_iid(data.labels, 4, 1)
     with pytest.raises(ValueError, match=r"^corruption\.affected: unresolved"):
-        corrupt(data, plan, section, 0, np.arange(64))
+        corrupt(data.labels, data.class_count, plan, section, 0, np.arange(64))
 
 
 class TestIndexShards:

@@ -25,7 +25,7 @@ from fedval.estimators import ApproxParams, permutation_sampling_round
 from fedval.models import ModelLayout, loss_and_gradient
 from fedval.values import exact_federated_round_shapley, value_record_lines
 
-from conftest import index_shards, record_evaluations, training
+from conftest import HeldRows, index_shards, record_evaluations, training
 
 
 def small_setup(seed=7, participants=6, classes=3, samples=480):
@@ -222,7 +222,7 @@ class TestUtility:
 class TestRoundOracle:
     def test_full_and_empty_blocks(self):
         layout, cfg, train, shards, val = small_setup()
-        records = run_federated_training(train, shards, cfg)
+        records = run_federated_training(HeldRows(train, shards), cfg)
         oracle = RoundOracle(layout, records, *val)
         record = records[1]
         full = oracle.evaluate(1, (1 << len(record.selected)) - 1)
@@ -235,7 +235,7 @@ class TestRoundOracle:
 
     def test_matches_direct_composition(self, rng):
         layout, cfg, train, shards, val = small_setup()
-        records = run_federated_training(train, shards, cfg)
+        records = run_federated_training(HeldRows(train, shards), cfg)
         oracle = RoundOracle(layout, records, *val)
         record = records[2]
         ids = sorted(record.selected)
@@ -250,7 +250,7 @@ class TestRoundOracle:
 
     def test_unrealized_history_rejected(self):
         layout, cfg, train, shards, val = small_setup()
-        records = run_federated_training(train, shards, cfg)
+        records = run_federated_training(HeldRows(train, shards), cfg)
         oracle = RoundOracle(layout, records, *val)
         beyond = len(records)
         with pytest.raises(HistoryMismatchError, match=f"round {beyond} was not recorded"):
@@ -260,7 +260,7 @@ class TestRoundOracle:
 
     def test_stray_participant_rejected(self):
         layout, cfg, train, shards, val = small_setup()
-        records = run_federated_training(train, shards, cfg)
+        records = run_federated_training(HeldRows(train, shards), cfg)
         oracle = RoundOracle(layout, records, *val)
         m = len(records[0].selected)
         for mask in (1 << m, -1):
@@ -325,7 +325,7 @@ def recorded_run(arch):
     if arch == "mlp":
         cfg = replace(cfg, model="mlp", hidden_units=4, init_scale=0.1)
         layout = cfg.layout
-    return layout, cfg, run_federated_training(train, shards, cfg), val
+    return layout, cfg, run_federated_training(HeldRows(train, shards), cfg), val
 
 
 class TestSharedOracle:
@@ -361,7 +361,7 @@ class TestFederatedTraining:
             layout, rounds=1, participant_fraction=1.0, local_epochs=1,
             batch_size=16, learning_rate=0.5, seed=3,
         )
-        records = run_federated_training(train, shards, cfg)
+        records = run_federated_training(HeldRows(train, shards), cfg)
         report = value_rounds(RoundOracle(layout, records, *val), "exact", seed=cfg.seed)
         direct = exact_federated_round_shapley(RoundOracle(layout, records, *val), 0)
         assert report.per_round[0].values == direct.values
@@ -373,7 +373,7 @@ class TestFederatedTraining:
         shards = partition_iid(train.labels, 10, 22).assignment
         layout = ModelLayout("logistic", 5, 3)
         cfg = training(layout, 3, 0.3, 1, 16, 0.5, seed=23)
-        records = run_federated_training(train, shards, cfg)
+        records = run_federated_training(HeldRows(train, shards), cfg)
         oracle = RoundOracle(layout, records, *val)
         report = value_rounds(oracle, "exact", seed=cfg.seed)
         total = sum(report.total.values.values())
@@ -383,7 +383,7 @@ class TestFederatedTraining:
 
     def test_fedavg_consistency(self):
         layout, cfg, train, shards, val = small_setup()
-        for record in run_federated_training(train, shards, cfg):
+        for record in run_federated_training(HeldRows(train, shards), cfg):
             assert record.global_after.tobytes() == record.updates.mean(axis=0).tobytes()
             assert len(record.selected) == round_size(
                 cfg.participant_fraction, len(shards)
@@ -391,8 +391,8 @@ class TestFederatedTraining:
 
     def test_seed_determinism_end_to_end(self):
         layout, cfg, train, shards, val = small_setup()
-        first = run_federated_training(train, shards, cfg)
-        second = run_federated_training(train, shards, cfg)
+        first = run_federated_training(HeldRows(train, shards), cfg)
+        second = run_federated_training(HeldRows(train, shards), cfg)
         for a, b in zip(first, second):
             assert a.selected == b.selected
             assert np.array_equal(a.global_before, b.global_before)
@@ -402,14 +402,14 @@ class TestFederatedTraining:
     def test_estimator_methods_run(self):
         layout, cfg, train, shards, val = small_setup()
         approx = ApproxParams(epsilon=0.3, delta=0.3)
-        oracle = RoundOracle(layout, run_federated_training(train, shards, cfg), *val)
+        oracle = RoundOracle(layout, run_federated_training(HeldRows(train, shards), cfg), *val)
         for method in ("permutation", "group_testing"):
             report = value_rounds(oracle, method, approx=approx, seed=cfg.seed)
             assert len(report.per_round) == cfg.rounds
 
     def test_missing_approx_rejected(self):
         layout, cfg, train, shards, val = small_setup()
-        oracle = RoundOracle(layout, run_federated_training(train, shards, cfg), *val)
+        oracle = RoundOracle(layout, run_federated_training(HeldRows(train, shards), cfg), *val)
         with pytest.raises(ValueError, match="approximation parameters"):
             value_rounds(oracle, "permutation", seed=cfg.seed)
 
@@ -420,7 +420,7 @@ class TestFederatedTraining:
             batch_size=16, learning_rate=0.5, seed=4,
         )
         approx = ApproxParams(epsilon=0.3, delta=0.3)
-        oracle = RoundOracle(layout, run_federated_training(train, shards, cfg), *val)
+        oracle = RoundOracle(layout, run_federated_training(HeldRows(train, shards), cfg), *val)
         estimated = value_rounds(oracle, "group_testing", approx=approx, seed=cfg.seed)
         loo = value_rounds(oracle, "loo", seed=cfg.seed)
         for round_est, round_loo in zip(estimated.per_round, loo.per_round):
@@ -430,23 +430,23 @@ class TestFederatedTraining:
 class TestReplay:
     def test_rerun_reproduces_final_params(self):
         layout, cfg, train, shards, val = small_setup()
-        records = run_federated_training(train, shards, cfg)
+        records = run_federated_training(HeldRows(train, shards), cfg)
         selections = [record.selected for record in records]
-        [replayed] = rerun_with_selections(train, shards, cfg, selections, [lambda t, sel: sel])
+        [replayed] = rerun_with_selections(HeldRows(train, shards), cfg, selections, [lambda t, sel: sel])
         assert np.array_equal(replayed, records[-1].global_after)
 
     def test_dismissal_changes_trajectory(self):
         layout, cfg, train, shards, val = small_setup()
-        records = run_federated_training(train, shards, cfg)
+        records = run_federated_training(HeldRows(train, shards), cfg)
         selections = [record.selected for record in records]
-        [dropped] = rerun_with_selections(train, shards, cfg, selections, [lambda t, sel: sel[1:]])
+        [dropped] = rerun_with_selections(HeldRows(train, shards), cfg, selections, [lambda t, sel: sel[1:]])
         assert not np.array_equal(dropped, records[-1].global_after)
 
     def test_empty_retention_rejected(self):
         layout, cfg, train, shards, val = small_setup()
-        selections = [record.selected for record in run_federated_training(train, shards, cfg)]
+        selections = [record.selected for record in run_federated_training(HeldRows(train, shards), cfg)]
         with pytest.raises(ValueError, match="retain no participants"):
-            rerun_with_selections(train, shards, cfg, selections, [lambda t, sel: ()])
+            rerun_with_selections(HeldRows(train, shards), cfg, selections, [lambda t, sel: ()])
 
 
 class TestPartialProgress:
@@ -463,7 +463,7 @@ class TestPartialProgress:
 
         monkeypatch.setattr(engine_module, "train_round", failing_round)
         with pytest.raises(TrainingError):
-            run_federated_training(train, shards, cfg, snapshot_dir=tmp_path / "rounds")
+            run_federated_training(HeldRows(train, shards), cfg, snapshot_dir=tmp_path / "rounds")
         records, _ = load_round_records(tmp_path / "rounds")
         assert [r.round_index for r in records] == [0, 1]
 
@@ -471,7 +471,7 @@ class TestPartialProgress:
 class TestSnapshots:
     def test_roundtrip_bitwise(self, tmp_path):
         layout, cfg, train, shards, val = small_setup()
-        trained = run_federated_training(train, shards, cfg)
+        trained = run_federated_training(HeldRows(train, shards), cfg)
         save_round_records(trained, layout, tmp_path / "rounds")
         records, loaded_layout = load_round_records(tmp_path / "rounds")
         assert loaded_layout == layout
@@ -485,7 +485,7 @@ class TestSnapshots:
 
     def test_replayed_valuation_identical(self, tmp_path):
         layout, cfg, train, shards, val = small_setup()
-        trained = run_federated_training(train, shards, cfg)
+        trained = run_federated_training(HeldRows(train, shards), cfg)
         report = value_rounds(RoundOracle(layout, trained, *val), "exact", seed=cfg.seed)
         save_round_records(trained, layout, tmp_path / "rounds")
         records, loaded_layout = load_round_records(tmp_path / "rounds")
@@ -498,7 +498,7 @@ class TestSnapshots:
 
     def test_bad_magic_rejected(self, tmp_path):
         layout, cfg, train, shards, val = small_setup()
-        save_round_records(run_federated_training(train, shards, cfg), layout, tmp_path / "rounds")
+        save_round_records(run_federated_training(HeldRows(train, shards), cfg), layout, tmp_path / "rounds")
         victim = sorted((tmp_path / "rounds").glob("*.fvr"))[0]
         victim.write_bytes(b"junk" + victim.read_bytes()[4:])
         with pytest.raises(SnapshotFormatError, match="magic"):
@@ -506,7 +506,7 @@ class TestSnapshots:
 
     def test_tampered_aggregate_rejected(self, tmp_path):
         layout, cfg, train, shards, val = small_setup()
-        records = run_federated_training(train, shards, cfg)
+        records = run_federated_training(HeldRows(train, shards), cfg)
         records[1].global_after[0] += 0.5
         save_round_records(records, layout, tmp_path / "rounds")
         with pytest.raises(SnapshotFormatError, match="disagrees"):

@@ -161,13 +161,13 @@ class TestBackdoorDetection:
         real_blobs, real_train = experiments.synth_blobs, experiments.run_federated_training
 
         def blobs(*args, **kwargs):
-            train, draw = real_blobs(*args, **kwargs)
+            train, fills, draw = real_blobs(*args, **kwargs)
 
             def recorded():
                 events.append("validation drawn")
                 return draw()
 
-            return train, recorded
+            return train, fills, recorded
 
         def train(*args, **kwargs):
             records = real_train(*args, **kwargs)
@@ -265,14 +265,15 @@ class TestPreparation:
         cfg = config_from_dict(tiny_doc())
         prepared = prepare_experiment(cfg)
         shards = prepared.plan.assignment.values()
-        # Six shards of 60 rows; only the scheduled participants' are held.
+        # Six shards of 60 rows; only the scheduled participants' labels
+        # are held.
         scheduled = set().union(*round_selections(prepared.training, range(6)))
-        assert sum(len(rows) for rows in shards) == len(prepared.train) == 60 * len(scheduled)
+        assert sum(len(rows) for rows in shards) == 360
+        assert len(prepared.rows.held) == len(prepared.rows.labels) == 60 * len(scheduled)
         assert prepared.validation.features.shape[0] == 240
         assert prepared.validation.class_count == prepared.training.layout.n_classes == 3
-        for rows in shards:
-            labels = prepared.train.labels[rows]
-            assert set(labels.tolist()) <= set(range(prepared.validation.class_count))
+        labels = prepared.rows.labels
+        assert set(labels.tolist()) <= set(range(prepared.validation.class_count))
 
     def test_normalized_flag_rescales_report(self, tmp_path):
         config = tmp_path / "config.yaml"
@@ -295,7 +296,7 @@ def test_training_rows_released_before_valuation(tmp_path, monkeypatch, command,
 
     def prepare(cfg):
         prepared = real_prepare(cfg)
-        watched.append(weakref.ref(prepared.train.features))
+        watched.append(weakref.ref(prepared.rows.features))
         return prepared
 
     real_init = engine.RoundOracle.__init__

@@ -28,7 +28,7 @@ from fedval.engine import (
 from fedval.models import ModelLayout, loss_and_gradient
 from fedval.seeding import substream
 
-from conftest import index_shards, training
+from conftest import HeldRows, index_shards, training
 from test_datasets import traced_peak
 
 
@@ -270,7 +270,7 @@ def test_grid_replays_match_one_replay_per_rule(case, twice, slice_bytes):
 
     with mock.patch.object(engine, "_SLICE_BYTES", slice_bytes), \
             mock.patch.object(engine, "_train_jobs", counted):
-        finals = rerun_with_selections(data, shards, cfg, selections, keeps)
+        finals = rerun_with_selections(HeldRows(data, shards), cfg, selections, keeps)
     assert len(finals) == len(keeps)
     for keep, table, final in zip(keeps, tables, finals):
         expected = replay_alone(data, shards, cfg, selections, keep)
@@ -308,7 +308,7 @@ def test_diverging_replay_names_its_round_and_participant():
         with pytest.raises(TrainingError, match=message):
             replay_alone(data, shards, cfg, selections, late)
         with pytest.raises(TrainingError, match=message):
-            rerun_with_selections(data, shards, cfg, selections, [clean, late, clean])
+            rerun_with_selections(HeldRows(data, shards), cfg, selections, [clean, late, clean])
 
 
 @pytest.mark.parametrize(
@@ -329,4 +329,4 @@ def test_grid_refuses_bad_retained_sets_before_training(tables, message):
         engine, "_train_jobs", side_effect=AssertionError("trained before validating")
     )
     with untouched, pytest.raises(ValueError, match=message):
-        rerun_with_selections(data, shards, cfg, selections, [table_rule(t) for t in tables])
+        rerun_with_selections(HeldRows(data, shards), cfg, selections, [table_rule(t) for t in tables])

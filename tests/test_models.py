@@ -9,6 +9,7 @@ from fedval.models import (
     accuracy,
     count_label_at_max,
     init_params,
+    label_positions,
     logits,
     loss_and_gradient,
 )
@@ -119,7 +120,7 @@ def test_label_at_max_count_is_the_argmax_count(shape, seed, special_share):
     scores[special] = rng.choice(SPECIAL_SCORES, size=int(special.sum()))
     labels = rng.integers(0, shape[1], size=shape[2])
     expected = np.count_nonzero(scores.argmax(axis=1) == labels, axis=1)
-    assert count_label_at_max(scores, labels).tolist() == expected.tolist()
+    assert count_label_at_max(scores, label_positions(labels)).tolist() == expected.tolist()
 
 
 # Samples as rows (n, c); each case is one class-major slice (1, c, n).
@@ -140,7 +141,7 @@ def test_label_at_max_count_keeps_argmax_rules(rows, labels):
     scores = np.array(rows).T[None].copy()
     labels = np.array(labels)
     expected = np.count_nonzero(scores.argmax(axis=1) == labels, axis=1)
-    assert count_label_at_max(scores, labels).tolist() == expected.tolist()
+    assert count_label_at_max(scores, label_positions(labels)).tolist() == expected.tolist()
 
 
 class TestPrediction:

@@ -268,9 +268,11 @@ def test_mlp_call_holds_an_average_scores_and_one_shared_buffer_per_worker(worke
     # Six arrays per worker would hold 1.9 MB at this shape, not 1.3 MB.
     worker = slice_masks * 8 * (size + max(m * size, n * h, math.ceil(9 * n / 8)) + n * c)
     # Beside them: the updates with the zero padding row, once per call,
-    # and per worker the cast buffer numpy counts a slice's hits through
-    # (np.getbufsize() 8-byte elements), a slice's few (k, m) index
-    # arrays and its thread's own objects, within 16 KiB.
+    # and per worker numpy's iterator buffer (np.getbufsize() 8-byte
+    # elements), which the divide by member counts, the forward pass's
+    # bias adds and the label compare each allocate while they broadcast,
+    # a slice's few (k, m) index arrays and its thread's own objects,
+    # within 16 KiB.
     padded = (m + 1) * size * 8
     extra = 8 * np.getbufsize() + 16 * 1024
     assert peak < bookkeeping + padded + workers * (worker + extra)
