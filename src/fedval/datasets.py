@@ -279,13 +279,6 @@ def read_idx(
     )
 
 
-def _held_positions(held: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where each of ``rows`` sits in ``held`` (ascending row indices), and
-    whether ``held`` holds it there."""
-    at = np.minimum(np.searchsorted(held, rows), len(held) - 1)
-    return at, held[at] == rows
-
-
 @dataclass(frozen=True)
 class PartitionPlan:
     """Assignment of dataset row indices to participants."""
@@ -363,23 +356,17 @@ def _check_affected(
     return sorted(corruption.affected)
 
 
-# The corruptions below draw from their generator exactly as over the
-# whole partitioned dataset, participant by participant, and change in
-# place only the labels of the rows ``held`` (ascending row indices of the
-# dataset that ``plan`` partitions): ``labels[i]`` is row ``held[i]``'s.
-
-
 def flip_labels(
     labels: np.ndarray,
     class_count: int,
     plan: PartitionPlan,
     corruption: LabelFlipConfig,
     seed: int | np.random.Generator,
-    held: np.ndarray,
 ) -> None:
-    """Reassign a ``flip_ratio`` fraction of each affected shard's labels
-    uniformly to a different class. Exactly ``floor(ratio * shard)`` labels
-    change per affected participant; other shards are untouched."""
+    """Reassign, in ``labels`` (one per row that ``plan`` partitions), a
+    ``flip_ratio`` fraction of each affected shard's labels uniformly to a
+    different class. Exactly ``floor(ratio * shard)`` labels change per
+    affected participant; other shards are untouched."""
     affected = _check_affected(plan, corruption)
     rng = np.random.default_rng(seed)
     for pid in affected:
@@ -389,9 +376,7 @@ def flip_labels(
             continue
         chosen = indices[rng.choice(len(indices), size=flip_count, replace=False)]
         offsets = rng.integers(1, class_count, size=flip_count)
-        at, ok = _held_positions(held, chosen)
-        rows = at[ok]
-        labels[rows] = (labels[rows] + offsets[ok]) % class_count
+        labels[chosen] = (labels[chosen] + offsets) % class_count
 
 
 def _trigger_columns(width: int, corruption: BackdoorConfig) -> np.ndarray:
@@ -408,13 +393,12 @@ def implant_backdoor(
     plan: PartitionPlan,
     corruption: BackdoorConfig,
     seed: int | np.random.Generator,
-    held: np.ndarray,
 ) -> np.ndarray:
     """Poison the shards of ``corruption.affected``: in every
     ``poison_batch_size`` window (after an in-shard shuffle) the first
-    ``mix_per_batch`` samples get their label set to ``target_label``.
-    Returns their positions in ``held``, whose features ``stamp_trigger``
-    then stamps, once they are drawn."""
+    ``mix_per_batch`` samples get their label in ``labels`` (one per row
+    that ``plan`` partitions) set to ``target_label``. Returns their row
+    indices, whose features ``stamp_trigger`` stamps once they are drawn."""
     affected = _check_affected(plan, corruption)
     if corruption.target_label >= class_count:
         raise ValueError("target_label must be below the dataset's class count")
@@ -423,11 +407,9 @@ def implant_backdoor(
     for pid in affected:
         indices = plan.assignment[pid].copy()
         rng.shuffle(indices)
-        at, ok = _held_positions(held, indices)
         for start in range(0, len(indices), corruption.poison_batch_size):
             # The section holds mix_per_batch to at most poison_batch_size.
-            window = slice(start, start + corruption.mix_per_batch)
-            hit = at[window][ok[window]]
+            hit = indices[start : start + corruption.mix_per_batch]
             labels[hit] = corruption.target_label
             poisoned.append(hit)
     return np.concatenate(poisoned)
@@ -458,24 +440,23 @@ class TrainingRows:
     A run trains ``passes`` passes of ``schedule`` (each round's selected
     ids) in turn: one for a run that trains once, two for one that then
     replays its rounds in a retrain grid, so that a participant's last
-    round is in the grid. ``held`` are the scheduled participants' rows
-    (ascending indices into the training split) and ``labels`` theirs
-    (8 B a row), so that a corruption can change them before any feature
-    row is drawn. The arena is allocated once, sized to
-    the most rows that are held at once. A participant's rows enter when
-    its first round opens, or at round 0 where the arena has room for them
-    until then anyway (every row, with a retrain grid). They take the
-    lowest free slots, ascending row by row, and they are freed when its
-    last round closes; once the run's last round closes, the arena is
-    released.
+    round is in the grid. ``labels`` are the training split's, corrupted,
+    and ``trigger`` the rows a backdoor poisoned (indices into the split)
+    with its section, whose trigger is refused here if it falls past
+    ``n_features``. Only the labels of scheduled rows are kept (8 B a
+    row). The arena is allocated once, sized to the most rows that are
+    held at once. A participant's rows enter when its first round opens,
+    or at round 0 where the arena has room for them until then anyway
+    (every row, with a retrain grid). They take the lowest free slots,
+    ascending row by row, and they are freed when its last round closes;
+    once the run's last round closes, the arena is released.
 
     ``entering`` holds the rows that enter at each round that has any, in
     round order. ``entering[0]`` enters at round 0 and takes the first
     slots, so its rows are drawn straight into ``features[:len(entering[0])]``
     before round 0 opens; each later entry is drawn by the callable
-    ``fill_later`` registers for it. Labels, and a trigger that ``stamp``
-    registers, are written into a participant's slots as it enters;
-    ``held`` and ``labels`` are let go once every participant has entered.
+    ``fill_later`` registers for it. A participant's labels, and the
+    trigger on its poisoned rows, are written into its slots as it enters.
     """
 
     def __init__(
@@ -486,6 +467,7 @@ class TrainingRows:
         labels: np.ndarray,
         n_features: int,
         class_count: int,
+        trigger: tuple[np.ndarray, BackdoorConfig] | None = None,
     ) -> None:
         self.plan = plan
         self._rounds = len(schedule)
@@ -496,8 +478,6 @@ class TrainingRows:
             for pid in selected:
                 first.setdefault(pid, position)
                 last[pid] = position
-        self.held = np.sort(np.concatenate([plan.assignment[pid] for pid in first]))
-        self.labels = labels[self.held]
         # Rows held while each position trains, each participant's from its
         # first position through its last.
         alive = np.zeros(self._positions, np.int64)
@@ -516,17 +496,23 @@ class TrainingRows:
         for pid in sorted(first):
             arriving.setdefault(first[pid], []).append(pid)
             self._leaving.setdefault(last[pid], []).append(pid)
-        self._arriving = {
-            position: (np.sort(np.concatenate([plan.assignment[pid] for pid in pids])), pids)
-            for position, pids in sorted(arriving.items())
-        }
+        self._trigger = None
+        stamped = np.zeros(len(labels), bool)
+        if trigger is not None:
+            poisoned, self._trigger = trigger
+            _trigger_columns(n_features, self._trigger)
+            stamped[poisoned] = True
+        # Per entry: its rows, participants, labels and which rows are stamped.
+        self._arriving = {}
+        for position, pids in sorted(arriving.items()):
+            rows = np.sort(np.concatenate([plan.assignment[pid] for pid in pids]))
+            self._arriving[position] = rows, pids, labels[rows], stamped[rows]
         # Zeros, so that the slots no participant has entered yet are valid rows.
         self.features: np.ndarray | None = np.zeros((capacity, n_features))
         self._data: Dataset | None = Dataset(self.features, np.zeros(capacity, np.int64), class_count)
         self._free = np.arange(capacity)
         self._shards: dict[int, np.ndarray] = {}
         self._fills: dict[int, Callable[[np.ndarray, np.ndarray], None]] = {}
-        self._trigger: tuple[np.ndarray, BackdoorConfig] | None = None
         self._position = 0
 
     def participants(self) -> list[int]:
@@ -536,21 +522,13 @@ class TrainingRows:
     def entering(self) -> list[np.ndarray]:
         """The ascending rows that enter at each round still to open that
         has any, in round order."""
-        return [rows for rows, _ in self._arriving.values()]
+        return [entry[0] for entry in self._arriving.values()]
 
     def fill_later(self, fills: Sequence[Callable[[np.ndarray, np.ndarray], None]]) -> None:
         """Draw ``entering[i + 1]`` with ``fills[i]``, called as
         ``fill(features, slots)`` to write those rows, ascending, into
         ``features[slots]`` when they enter."""
         self._fills = dict(zip(list(self._arriving)[1:], fills, strict=True))
-
-    def stamp(self, positions: np.ndarray, corruption: BackdoorConfig) -> None:
-        """Stamp ``corruption``'s trigger onto the rows ``held[positions]``
-        as they enter; a trigger past the rows' width is refused here."""
-        _trigger_columns(self.features.shape[1], corruption)
-        stamped = np.zeros(len(self.held), bool)
-        stamped[positions] = True
-        self._trigger = stamped, corruption
 
     def open_round(self, round_index: int) -> tuple[Dataset, dict[int, np.ndarray]]:
         """The arena and each held participant's shard, as its slots in
@@ -564,20 +542,16 @@ class TrainingRows:
                 f"round {round_index} opened where round {position % self._rounds} is next"
             )
         if position in self._arriving:
-            rows, pids = self._arriving.pop(position)
+            rows, pids, labels, stamped = self._arriving.pop(position)
             # A copy, so that the rest does not keep every slot's index alive.
             slots, self._free = self._free[: len(rows)], self._free[len(rows) :].copy()
             if position in self._fills:
                 self._fills.pop(position)(self._data.features, slots)
-            at = np.searchsorted(self.held, rows)
-            self._data.labels[slots] = self.labels[at]
+            self._data.labels[slots] = labels
             if self._trigger is not None:
-                stamped, corruption = self._trigger
-                stamp_trigger(self._data.features, slots[stamped[at]], corruption)
+                stamp_trigger(self._data.features, slots[stamped], self._trigger)
             for pid in pids:
                 self._shards[pid] = slots[np.searchsorted(rows, self.plan.assignment[pid])]
-            if not self._arriving:  # every participant has entered
-                self.held = self.labels = self._trigger = None
         return self._data, self._shards
 
     def close_round(self) -> None:

@@ -691,18 +691,6 @@ def run_federated_training(
     return records
 
 
-# The participants a retrain replay keeps of round t's sorted selection.
-KeepRule = Callable[[int, tuple[int, ...]], Iterable[int]]
-
-def _retained(keep: KeepRule, t: int, selected: tuple[int, ...]) -> tuple[int, ...]:
-    retained = tuple(sorted(set(keep(t, selected))))
-    if not retained:
-        raise ValueError(f"round {t} would retain no participants")
-    if not set(retained) <= set(selected):
-        raise ValueError(f"round {t} retains participants that were not selected")
-    return retained
-
-
 def _advance_grid(
     models: list[np.ndarray | None],
     children: Sequence[tuple[int, tuple[int, ...]]],
@@ -750,34 +738,45 @@ def rerun_with_selections(
     rows: TrainingRows,
     cfg: TrainingConfig,
     selections: Sequence[Sequence[int]],
-    keeps: Sequence[KeepRule],
+    plans: Sequence[Sequence[Iterable[int]]],
 ) -> list[np.ndarray]:
-    """Retrain once per keep rule with a fixed per-round selection,
-    aggregating only the participants the rule retains each round; returns
-    the final models in rule order.
+    """Retrain once per plan with a fixed per-round selection, aggregating
+    only the participants the plan retains each round; returns the final
+    models in plan order.
 
-    Every rule's retained sets are resolved and checked before any
-    training, rule by rule and round by round. The replays then advance
-    round by round in lockstep: replays whose retained sets agree on every
-    round so far share one model (and one returned array), each distinct
-    (retained prefix, participant) update trains once, and a round's
-    updates with equal shard sizes take one stacked SGD step per
+    A plan is a table of retained ids, one entry per round. Every plan is
+    checked before any training, plan by plan and round by round: it must
+    have one entry per round, and each entry must retain at least one of
+    that round's selected participants and no other. The replays then
+    advance round by round in lockstep: replays whose retained sets agree
+    on every round so far share one model (and one returned array), each
+    distinct (retained prefix, participant) update trains once, and a
+    round's updates with equal shard sizes take one stacked SGD step per
     minibatch. Local update streams are keyed by (round, participant), so
-    each final model is bitwise the one a replay of that rule alone gives,
-    and a rule that keeps everyone reproduces the original trajectory.
+    each final model is bitwise the one a replay of that plan alone gives,
+    and a plan that keeps everyone reproduces the original trajectory.
     Each round's rows are opened and closed on ``rows`` as
     ``run_federated_training`` does.
     """
     if len(selections) != cfg.rounds:
         raise ValueError("one recorded selection required per round")
     rounds = [tuple(sorted(selection)) for selection in selections]
-    plans = [[_retained(keep, t, selected) for t, selected in enumerate(rounds)] for keep in keeps]
+    tables = []
+    for r, plan in enumerate(plans):
+        if len(plan) != len(rounds):
+            raise ValueError(f"plan {r} holds {len(plan)} retained sets for {len(rounds)} rounds")
+        tables.append([tuple(sorted(set(kept))) for kept in plan])
+        for t, (kept, selected) in enumerate(zip(tables[-1], rounds)):
+            if not kept:
+                raise ValueError(f"round {t} would retain no participants")
+            if not set(kept) <= set(selected):
+                raise ValueError(f"round {t} retains participants that were not selected")
     models: list[np.ndarray | None] = [initial_model(cfg)]
-    model_of = [0] * len(plans)
+    model_of = [0] * len(tables)
     for t in range(cfg.rounds):
         children: dict[tuple[int, tuple[int, ...]], int] = {}
-        for r, plan in enumerate(plans):
-            model_of[r] = children.setdefault((model_of[r], plan[t]), len(children))
+        for r, table in enumerate(tables):
+            model_of[r] = children.setdefault((model_of[r], table[t]), len(children))
         data, shards = rows.open_round(t)
         models = _advance_grid(models, list(children), data, shards, cfg, t, len(rounds[t]))
         rows.close_round()

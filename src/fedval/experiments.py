@@ -36,7 +36,6 @@ from .datasets import (
     triggered_test_set,
 )
 from .engine import (
-    KeepRule,
     RoundOracle,
     RoundRecord,
     SnapshotFormatError,
@@ -94,8 +93,9 @@ class PreparedExperiment:
     from its first round to its last (see :class:`TrainingRows`), and
     ``plan`` is the partition of the training split into their shards; a
     participant no round selects keeps its id but holds no rows. Only the
-    first round's rows are drawn or scaled when this is made; the labels
-    of every scheduled row are held, corrupted. ``rows`` and
+    first round's rows are drawn or scaled when this is made. The labels
+    of the whole training split were corrupted before ``rows`` was built,
+    and it keeps those of the scheduled rows. ``rows`` and
     ``validation`` are separate arrays, so neither keeps the other alive.
     A blobs config's validation rows are drawn on the first read of
     ``validation``, and ``rows`` lets go of its arena as its last round
@@ -215,12 +215,13 @@ def _partition(cfg: ExperimentConfig, labels: np.ndarray) -> PartitionPlan:
 
 
 def prepare_experiment(cfg: ExperimentConfig, *, passes: int = 1) -> PreparedExperiment:
-    """Partition the training rows by their labels, fix the selection
-    schedule, and hold, for ``passes`` passes of training (two for a run
-    that retrains), the corrupted labels of the rows of participants that
-    some round selects. One pass over a blobs stream draws round 0's rows
-    into the arena and records where each later participant's rows start;
-    an IDX file's round-0 rows are scaled into it, later ones kept raw."""
+    """Partition the training rows by their labels, corrupt the labels of
+    the whole split, fix the selection schedule, and hold, for ``passes``
+    passes of training (two for a run that retrains), the corrupted labels
+    of the rows of participants that some round selects. One pass over a
+    blobs stream draws round 0's rows into the arena and records where
+    each later participant's rows start; an IDX file's round-0 rows are
+    scaled into it, later ones kept raw."""
     spec = cfg.dataset
     if isinstance(spec, BlobsSpec):
         labels = np.arange(spec.samples) % spec.classes
@@ -238,15 +239,16 @@ def prepare_experiment(cfg: ExperimentConfig, *, passes: int = 1) -> PreparedExp
             f"corruption.target_label: must be below the loaded class count "
             f"({training.n_classes}), got {corruption.target_label}"
         )
-    schedule = round_selections(training, plan.participants())
-    rows = TrainingRows(plan, schedule, passes, labels, training.n_features, training.n_classes)
-    corrupt = (
-        rows.labels, training.n_classes, plan, corruption, substream(cfg.seed, "corrupt"), rows.held
-    )
+    corrupt = (labels, training.n_classes, plan, corruption, substream(cfg.seed, "corrupt"))
+    trigger = None
     if isinstance(corruption, LabelFlipConfig):
         flip_labels(*corrupt)
     elif isinstance(corruption, BackdoorConfig):
-        rows.stamp(implant_backdoor(*corrupt), corruption)
+        trigger = implant_backdoor(*corrupt), corruption
+    schedule = round_selections(training, plan.participants())
+    rows = TrainingRows(
+        plan, schedule, passes, labels, training.n_features, training.n_classes, trigger
+    )
     first, *later = rows.entering
     head = rows.features[: len(first)]
     if isinstance(spec, BlobsSpec):
@@ -417,36 +419,40 @@ def _shifted_mean(items: list[float]) -> float:
 
 
 def _keep_lowest_dropped(
-    totals: ValueVector, fraction: float
-) -> Callable[[int, tuple[int, ...]], tuple[int, ...]]:
-    def keep(t: int, selected: tuple[int, ...]) -> tuple[int, ...]:
+    selections: list[tuple[int, ...]], totals: ValueVector, fraction: float
+) -> list[tuple[int, ...]]:
+    """Each round's selection without its ``fraction`` lowest-valued
+    participants (ties dropped by ascending id)."""
+    table = []
+    for selected in selections:
         drop = _dismissal_count(len(selected), fraction)
         ranked = sorted(selected, key=lambda pid: (totals.get(pid), pid))
-        return tuple(ranked[drop:])
-
-    return keep
+        table.append(tuple(ranked[drop:]))
+    return table
 
 
 def _keep_random_dropped(
-    seed: int, repeat: int, fraction: float
-) -> Callable[[int, tuple[int, ...]], tuple[int, ...]]:
-    def keep(t: int, selected: tuple[int, ...]) -> tuple[int, ...]:
+    selections: list[tuple[int, ...]], seed: int, repeat: int, fraction: float
+) -> list[tuple[int, ...]]:
+    """Each round's selection without a ``fraction`` of it drawn at random
+    from ``substream(seed, "summarize-random", repeat, t)``."""
+    table = []
+    for t, selected in enumerate(selections):
         drop = _dismissal_count(len(selected), fraction)
-        if drop == 0:
-            return selected
         rng = substream(seed, "summarize-random", repeat, t)
         dropped = set(rng.choice(len(selected), size=drop, replace=False))
-        return tuple(pid for i, pid in enumerate(selected) if i not in dropped)
-
-    return keep
+        table.append(tuple(pid for i, pid in enumerate(selected) if i not in dropped))
+    return table
 
 
 def run_summarization(cfg: ExperimentConfig) -> SummarizationResult:
     """Replay training with the recorded per-round selections, dismissing a
     fraction of each round's lowest-valued participants per method.
 
-    Values are frozen from the first (full) run; the random baseline is
-    averaged over the configured number of repeats.
+    Values are frozen from the first (full) run, and every replay's
+    retained sets are built from its records as one table per replay
+    before the retrain grid starts; the random baseline is averaged over
+    the configured number of repeats.
     """
     # The grid replays the schedule, so the rows stay held until it ends.
     prepared = prepare_experiment(cfg, passes=2)
@@ -462,12 +468,15 @@ def run_summarization(cfg: ExperimentConfig) -> SummarizationResult:
 
     fractions = cfg.experiment.dismiss_fractions
     repeats = cfg.experiment.random_repeats
-    keeps: list[KeepRule] = []
+    plans: list[list[tuple[int, ...]]] = []
     for fraction in fractions:
-        keeps += [_keep_lowest_dropped(vector, fraction) for vector in totals.values()]
-        keeps += [_keep_random_dropped(cfg.seed, repeat, fraction) for repeat in range(repeats)]
-    # One lockstep grid of every replay; final models come back in rule order.
-    finals = rerun_with_selections(prepared.rows, prepared.training, selections, keeps)
+        plans += [_keep_lowest_dropped(selections, vector, fraction) for vector in totals.values()]
+        plans += [
+            _keep_random_dropped(selections, cfg.seed, repeat, fraction)
+            for repeat in range(repeats)
+        ]
+    # One lockstep grid of every replay; final models come back in plan order.
+    finals = rerun_with_selections(prepared.rows, prepared.training, selections, plans)
     scores = iter([evaluate_utility(layout, params, *validation) for params in finals])
     accuracy: dict[str, list[float]] = {name: [] for name in (*totals, "random")}
     for _ in fractions:

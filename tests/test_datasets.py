@@ -17,6 +17,7 @@ from fedval.config import BackdoorConfig, LabelFlipConfig, config_from_dict
 from fedval.datasets import (
     Dataset,
     IdxFormatError,
+    TrainingRows,
     flip_labels,
     implant_backdoor,
     partition_iid,
@@ -268,8 +269,10 @@ def test_replay_validation_equals_the_prepared_split(
     assert validation.features.tobytes() == prepared.validation.features.tobytes()
     assert validation.labels.tobytes() == prepared.validation.labels.tobytes()
     _, held = scheduled_rows(cfg, np.arange(samples) % classes, prepared.training)
-    assert np.array_equal(prepared.rows.held, held)
-    # One round: the arena holds exactly its rows.
+    # One round: every scheduled row enters at it, and the arena holds
+    # exactly those rows.
+    [entering] = prepared.rows.entering
+    assert np.array_equal(entering, held)
     assert prepared.rows.features.shape == (len(held), features)
     assert validation.features.shape == (validation_samples, features)
 
@@ -406,9 +409,9 @@ def test_prepared_experiment_holds_exactly_the_first_round_rows(tmp_path, kind, 
 
 @HELD_CASES
 def test_prepared_training_holds_exactly_the_scheduled_rows(tmp_path, kind, mode, corruption):
-    # The store holds the corrupted labels of exactly the scheduled rows,
-    # and each scheduled participant's features, bitwise the full rows in
-    # shard order, from its first round to its last; no other
+    # The store holds exactly the scheduled rows, and each scheduled
+    # participant's corrupted labels and features, bitwise the full rows
+    # in shard order, from its first round to its last; no other
     # participant ever holds a row.
     _, prepared, full, plan, _ = held_rows_case(tmp_path, kind, mode, corruption)
     rows = prepared.rows
@@ -417,8 +420,7 @@ def test_prepared_training_holds_exactly_the_scheduled_rows(tmp_path, kind, mode
     scheduled = set(first)
     assert len(scheduled) < len(plan.participants())
     held = np.sort(np.concatenate([plan.assignment[pid] for pid in sorted(scheduled)]))
-    assert np.array_equal(rows.held, held)
-    assert rows.labels.tobytes() == full.labels[held].tobytes()
+    assert np.array_equal(np.sort(np.concatenate(rows.entering)), held)
     assert rows.participants() == plan.participants()
     for t in range(len(schedule)):
         data, shards = rows.open_round(t)
@@ -438,11 +440,16 @@ def test_prepared_training_holds_exactly_the_scheduled_rows(tmp_path, kind, mode
         assert min(affected - scheduled) < max(affected & scheduled)
 
 
-def grid_rules(t, selected):
-    """Keep rules of a small retrain grid: everyone, a lower half, and an
-    upper half that drops round 0's first participant."""
-    half = max(1, len(selected) // 2)
-    return [selected, selected[:half], selected[half - 1 :] if t else selected[1:] or selected]
+def grid_plans(selections):
+    """Retained-set tables of a small retrain grid: everyone, a lower
+    half, and an upper half that drops round 0's first participant."""
+    plans = [[], [], []]
+    for t, selected in enumerate(selections):
+        half = max(1, len(selected) // 2)
+        upper = selected[half - 1 :] if t else selected[1:] or selected
+        for plan, kept in zip(plans, (selected, selected[:half], upper)):
+            plan.append(kept)
+    return plans
 
 
 @HELD_CASES
@@ -467,11 +474,9 @@ def test_prepared_rows_train_as_the_full_rows(
     # round 0 on and is drawn in the one pass.
     assert len(retrained.rows.entering) == 1
     selections = [record.selected for record in reference]
-    keeps = [
-        lambda t, selected, i=i: grid_rules(t, selected)[i] for i in range(3)
-    ]
+    plans = grid_plans(selections)
     expected_finals = rerun_with_selections(
-        HeldRows(full, plan.assignment), training, selections, keeps
+        HeldRows(full, plan.assignment), training, selections, plans
     )
     for run in (prepared, retrained):
         trained = run.train_once()
@@ -481,9 +486,9 @@ def test_prepared_rows_train_as_the_full_rows(
             for name in ("global_before", "updates", "global_after"):
                 assert getattr(ours, name).tobytes() == getattr(theirs, name).tobytes()
     assert prepared.rows.features is None
-    assert prepared.rows.held is prepared.rows.labels is None
+    assert prepared.rows.entering == []
     assert retrained.rows.features is not None
-    finals = rerun_with_selections(retrained.rows, training, selections, keeps)
+    finals = rerun_with_selections(retrained.rows, training, selections, plans)
     assert [final.tobytes() for final in finals] == [final.tobytes() for final in expected_finals]
     assert retrained.rows.features is None
 
@@ -614,7 +619,8 @@ class TestMemoryBound:
         rows = prepared.rows
         # The arena and its slot labels, and the scheduled rows' indices
         # and labels.
-        kept = rows.features.nbytes + 8 * len(rows.features) + rows.held.nbytes + rows.labels.nbytes
+        scheduled = sum(len(entry) for entry in rows.entering)
+        kept = rows.features.nbytes + 8 * len(rows.features) + 16 * scheduled
         assert peak <= 1.10 * kept
         assert prepared.validation.features.shape == (600, 784)
 
@@ -809,11 +815,10 @@ class TestShardPartition:
 
 def corrupt_every_row(data, plan, spec, seed):
     """``spec``'s corruption applied in place to every row of ``data``."""
-    every = np.arange(len(data))
     if isinstance(spec, LabelFlipConfig):
-        flip_labels(data.labels, data.class_count, plan, spec, seed, every)
+        flip_labels(data.labels, data.class_count, plan, spec, seed)
     else:
-        poisoned = implant_backdoor(data.labels, data.class_count, plan, spec, seed, every)
+        poisoned = implant_backdoor(data.labels, data.class_count, plan, spec, seed)
         stamp_trigger(data.features, poisoned, spec)
 
 
@@ -869,9 +874,7 @@ class TestLabelFlips:
     def test_affected_must_exist(self):
         data, plan = self._setup()
         with pytest.raises(ValueError, match="affected"):
-            flip_labels(
-                data.labels, 4, plan, LabelFlipConfig(0.5, affected=(99,)), 0, np.arange(200)
-            )
+            flip_labels(data.labels, 4, plan, LabelFlipConfig(0.5, affected=(99,)), 0)
 
 
 class TestBackdoor:
@@ -892,6 +895,9 @@ class TestBackdoor:
         stamped = int((poisoned.features[idx][:, 4] == 9.0).sum())
         assert stamped == 5 * 4
         assert (poisoned.labels[idx] == 0).sum() >= 5 * 4
+        # It returns the poisoned rows as row indices: the rows stamped.
+        rows = implant_backdoor(data.labels.copy(), data.class_count, plan, spec, 1)
+        assert np.array_equal(np.sort(rows), np.flatnonzero(poisoned.features[:, 4] == 9.0))
 
     def test_empty_trigger_changes_only_labels(self):
         data, plan = self._setup()
@@ -929,6 +935,16 @@ class TestBackdoor:
         untouched = [c for c in range(6) if c not in (2, 3)]
         assert np.array_equal(probe.features[:, untouched], data.features[:, untouched])
 
+    def store(self, data, plan, spec):
+        """A one-round store of every row of ``data``, built with
+        ``spec``'s trigger on its poisoned rows."""
+        labels = data.labels.copy()
+        poisoned = implant_backdoor(labels, data.class_count, plan, spec, 1)
+        return TrainingRows(
+            plan, [tuple(plan.participants())], 1, labels, data.features.shape[1],
+            data.class_count, (poisoned, spec),
+        )
+
     def test_out_of_bounds_trigger_rejected(self):
         data, plan = self._setup()
         spec = BackdoorConfig(
@@ -936,7 +952,7 @@ class TestBackdoor:
             target_label=0, mix_per_batch=4, poison_batch_size=16,
         )
         with pytest.raises(ValueError, match="trigger"):
-            stamp_trigger(data.features, np.arange(256), spec)
+            self.store(data, plan, spec)
 
     def test_target_beyond_the_classes_rejected(self):
         data, plan = self._setup()
@@ -945,7 +961,7 @@ class TestBackdoor:
             target_label=4, mix_per_batch=4, poison_batch_size=16,
         )
         with pytest.raises(ValueError, match="target_label must be below"):
-            implant_backdoor(data.labels, data.class_count, plan, spec, 1, np.arange(256))
+            implant_backdoor(data.labels, data.class_count, plan, spec, 1)
 
     def test_trigger_at_the_feature_width_rejected_by_both(self):
         data, plan = self._setup()
@@ -955,9 +971,40 @@ class TestBackdoor:
         )
         message = "trigger indices fall outside the feature dimensions"
         with pytest.raises(ValueError, match=message):
-            stamp_trigger(data.features, np.arange(256), spec)
+            self.store(data, plan, spec)
         with pytest.raises(ValueError, match=message):
             triggered_test_set(data, spec)
+
+
+def test_training_rows_write_the_labels_and_trigger_they_were_built_with():
+    # The store takes the corrupted labels of the whole split and the
+    # poisoned rows when it is built, keeps its own copy of the scheduled
+    # rows' labels, and writes them and the trigger into a participant's
+    # slots as it enters. Participant 3, poisoned too, is never scheduled.
+    data = synth_blobs(40, 4, 3, 1.0, 2)
+    plan = partition_iid(data.labels, 4, 3)
+    spec = BackdoorConfig(
+        affected=(1, 3), trigger_indices=(2,), trigger_value=9.0,
+        target_label=0, mix_per_batch=2, poison_batch_size=4,
+    )
+    labels = data.labels.copy()
+    poisoned = implant_backdoor(labels, data.class_count, plan, spec, 1)
+    rows = TrainingRows(plan, [(0, 1), (1, 2)], 1, labels, 4, 3, (poisoned, spec))
+    expected = Dataset(data.features.copy(), labels.copy(), 3)
+    stamp_trigger(expected.features, poisoned, spec)
+    labels[:] = 0
+    first, later = rows.entering  # the arena holds two shards at a time
+    rows.features[: len(first)] = data.features[first]
+    rows.fill_later([lambda out, slots: out.__setitem__(slots, data.features[later])])
+    for t, selected in enumerate([(0, 1), (1, 2)]):
+        train, shards = rows.open_round(t)
+        assert sorted(shards) == list(selected)
+        for pid in selected:
+            shard = plan.assignment[pid]
+            assert train.labels[shards[pid]].tobytes() == expected.labels[shard].tobytes()
+            assert train.features[shards[pid]].tobytes() == expected.features[shard].tobytes()
+        rows.close_round()
+    assert (expected.labels != data.labels).any()
 
 
 @pytest.mark.parametrize("corrupt, section", [
@@ -968,7 +1015,7 @@ def test_unresolved_section_refused(corrupt, section):
     data = synth_blobs(64, 3, 2, 1.0, 0)
     plan = partition_iid(data.labels, 4, 1)
     with pytest.raises(ValueError, match=r"^corruption\.affected: unresolved"):
-        corrupt(data.labels, data.class_count, plan, section, 0, np.arange(64))
+        corrupt(data.labels, data.class_count, plan, section, 0)
 
 
 class TestIndexShards:

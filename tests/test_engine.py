@@ -432,21 +432,21 @@ class TestReplay:
         layout, cfg, train, shards, val = small_setup()
         records = run_federated_training(HeldRows(train, shards), cfg)
         selections = [record.selected for record in records]
-        [replayed] = rerun_with_selections(HeldRows(train, shards), cfg, selections, [lambda t, sel: sel])
+        [replayed] = rerun_with_selections(HeldRows(train, shards), cfg, selections, [selections])
         assert np.array_equal(replayed, records[-1].global_after)
 
     def test_dismissal_changes_trajectory(self):
         layout, cfg, train, shards, val = small_setup()
         records = run_federated_training(HeldRows(train, shards), cfg)
         selections = [record.selected for record in records]
-        [dropped] = rerun_with_selections(HeldRows(train, shards), cfg, selections, [lambda t, sel: sel[1:]])
+        [dropped] = rerun_with_selections(HeldRows(train, shards), cfg, selections, [[sel[1:] for sel in selections]])
         assert not np.array_equal(dropped, records[-1].global_after)
 
     def test_empty_retention_rejected(self):
         layout, cfg, train, shards, val = small_setup()
         selections = [record.selected for record in run_federated_training(HeldRows(train, shards), cfg)]
         with pytest.raises(ValueError, match="retain no participants"):
-            rerun_with_selections(HeldRows(train, shards), cfg, selections, [lambda t, sel: ()])
+            rerun_with_selections(HeldRows(train, shards), cfg, selections, [[() for _ in selections]])
 
 
 class TestPartialProgress:

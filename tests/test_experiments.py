@@ -265,14 +265,15 @@ class TestPreparation:
         cfg = config_from_dict(tiny_doc())
         prepared = prepare_experiment(cfg)
         shards = prepared.plan.assignment.values()
-        # Six shards of 60 rows; only the scheduled participants' labels
-        # are held.
+        # Six shards of 60 rows; only the scheduled participants' rows
+        # enter the store.
         scheduled = set().union(*round_selections(prepared.training, range(6)))
         assert sum(len(rows) for rows in shards) == 360
-        assert len(prepared.rows.held) == len(prepared.rows.labels) == 60 * len(scheduled)
+        assert sum(len(rows) for rows in prepared.rows.entering) == 60 * len(scheduled)
         assert prepared.validation.features.shape[0] == 240
         assert prepared.validation.class_count == prepared.training.layout.n_classes == 3
-        labels = prepared.rows.labels
+        train, entered = prepared.rows.open_round(0)
+        labels = train.labels[np.concatenate(list(entered.values()))]
         assert set(labels.tolist()) <= set(range(prepared.validation.class_count))
 
     def test_normalized_flag_rescales_report(self, tmp_path):

@@ -4,7 +4,7 @@
 stacked SGD runs of at most one ``_SLICE_BYTES`` slice of rows each, and
 ``rerun_with_selections`` advances a whole grid of retrain replays that
 way. These tests hold the grid bitwise to one ``train_round`` per round
-per keep rule, ``train_round`` bitwise to a per-participant loop over
+per retained-set table, ``train_round`` bitwise to a per-participant loop over
 the flat gradient at any slice size, and the stacked gradient bitwise
 to the flat one and the flat one to the plain 2-D formulas.
 """
@@ -189,19 +189,13 @@ def test_training_round_stacks_at_most_one_slice():
     assert peak < bound
 
 
-def replay_alone(data, shards, cfg, selections, keep):
-    """One rule's retrain replay as a plain loop of ``train_round`` calls."""
+def replay_alone(data, shards, cfg, table):
+    """One table's retrain replay as a plain loop of ``train_round`` calls."""
     theta = initial_model(cfg)
-    for t, selection in enumerate(selections):
-        selected = tuple(sorted(selection))
-        updates = train_round(theta, data, shards, tuple(sorted(keep(t, selected))), cfg, t)
+    for t, kept in enumerate(table):
+        updates = train_round(theta, data, shards, tuple(sorted(kept)), cfg, t)
         theta = updates.mean(axis=0)
     return theta
-
-
-def table_rule(table):
-    """A keep rule that retains ``table[t]`` in round t."""
-    return lambda t, selected: table[t]
 
 
 @st.composite
@@ -257,10 +251,7 @@ def grids(draw):
 )
 def test_grid_replays_match_one_replay_per_rule(case, twice, slice_bytes):
     cfg, data, shards, selections, tables = case
-    keeps = [table_rule(table) for table in tables]
-    repeated = twice % len(keeps)
-    keeps.append(keeps[repeated])  # the same rule given twice
-    tables.append(tables[repeated])
+    tables.append(tables[twice % len(tables)])  # the same table given twice
     jobs = []
     real_train_jobs = engine._train_jobs
 
@@ -270,10 +261,10 @@ def test_grid_replays_match_one_replay_per_rule(case, twice, slice_bytes):
 
     with mock.patch.object(engine, "_SLICE_BYTES", slice_bytes), \
             mock.patch.object(engine, "_train_jobs", counted):
-        finals = rerun_with_selections(HeldRows(data, shards), cfg, selections, keeps)
-    assert len(finals) == len(keeps)
-    for keep, table, final in zip(keeps, tables, finals):
-        expected = replay_alone(data, shards, cfg, selections, keep)
+        finals = rerun_with_selections(HeldRows(data, shards), cfg, selections, tables)
+    assert len(finals) == len(tables)
+    for table, final in zip(tables, finals):
+        expected = replay_alone(data, shards, cfg, table)
         assert final.tobytes() == expected.tobytes()
     # Equal tables share one model, and each distinct (retained prefix,
     # participant) update trains once.
@@ -301,12 +292,12 @@ def test_diverging_replay_names_its_round_and_participant():
     cfg, data, shards, selections = small_grid()
     # Participant 2's huge features overflow its first trained model.
     data.features[shards[2]] *= 1e200
-    clean = table_rule([(0, 1), (0, 1), (0, 1)])
-    late = table_rule([(0, 1), (1, 3), (1, 2, 3)])
+    clean = [(0, 1), (0, 1), (0, 1)]
+    late = [(0, 1), (1, 3), (1, 2, 3)]
     message = "training diverged at round 2, participant 2"
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingError, match=message):
-            replay_alone(data, shards, cfg, selections, late)
+            replay_alone(data, shards, cfg, late)
         with pytest.raises(TrainingError, match=message):
             rerun_with_selections(HeldRows(data, shards), cfg, selections, [clean, late, clean])
 
@@ -316,11 +307,12 @@ def test_diverging_replay_names_its_round_and_participant():
     [
         ([[(0,), (1,), ()]], "round 2 would retain no participants"),
         ([[(0,), (1, 7), (2,)]], "round 1 retains participants that were not selected"),
-        # The first rule's error wins, as in one replay after another.
+        # The first table's error wins, as in one replay after another.
         (
             [[(0,), (1,), ()], [(9,), (1,), (2,)]],
             "round 2 would retain no participants",
         ),
+        ([[(0,), (1,), (2,)], [(0,), (1,)]], "plan 1 holds 2 retained sets for 3 rounds"),
     ],
 )
 def test_grid_refuses_bad_retained_sets_before_training(tables, message):
@@ -329,4 +321,4 @@ def test_grid_refuses_bad_retained_sets_before_training(tables, message):
         engine, "_train_jobs", side_effect=AssertionError("trained before validating")
     )
     with untouched, pytest.raises(ValueError, match=message):
-        rerun_with_selections(HeldRows(data, shards), cfg, selections, [table_rule(t) for t in tables])
+        rerun_with_selections(HeldRows(data, shards), cfg, selections, tables)
