@@ -995,7 +995,11 @@ def test_training_rows_write_the_labels_and_trigger_they_were_built_with():
     labels[:] = 0
     first, later = rows.entering  # the arena holds two shards at a time
     rows.features[: len(first)] = data.features[first]
-    rows.fill_later([lambda out, slots: out.__setitem__(slots, data.features[later])])
+
+    def fill(out, slots):
+        out[slots] = data.features[later]
+
+    rows.fill_later([fill])
     for t, selected in enumerate([(0, 1), (1, 2)]):
         train, shards = rows.open_round(t)
         assert sorted(shards) == list(selected)

@@ -272,9 +272,11 @@ class TestPreparation:
         assert sum(len(rows) for rows in prepared.rows.entering) == 60 * len(scheduled)
         assert prepared.validation.features.shape[0] == 240
         assert prepared.validation.class_count == prepared.training.layout.n_classes == 3
-        train, entered = prepared.rows.open_round(0)
-        labels = train.labels[np.concatenate(list(entered.values()))]
-        assert set(labels.tolist()) <= set(range(prepared.validation.class_count))
+        for t in range(prepared.training.rounds):
+            train, held = prepared.rows.open_round(t)
+            labels = train.labels[np.concatenate(list(held.values()))]
+            assert set(labels.tolist()) <= set(range(prepared.validation.class_count))
+            prepared.rows.close_round()
 
     def test_normalized_flag_rescales_report(self, tmp_path):
         config = tmp_path / "config.yaml"

@@ -4,9 +4,9 @@
 stacked SGD runs of at most one ``_SLICE_BYTES`` slice of rows each, and
 ``rerun_with_selections`` advances a whole grid of retrain replays that
 way. These tests hold the grid bitwise to one ``train_round`` per round
-per retained-set table, ``train_round`` bitwise to a per-participant loop over
-the flat gradient at any slice size, and the stacked gradient bitwise
-to the flat one and the flat one to the plain 2-D formulas.
+per retained-set table, ``train_round`` bitwise to a per-participant
+loop over the flat gradient at any slice size, and the stacked gradient
+bitwise to the flat one and the flat one to the plain 2-D formulas.
 """
 
 from __future__ import annotations
